@@ -9,13 +9,14 @@ use std::fmt::Write as _;
 use std::process::Command;
 
 /// Every end-to-end metric and its unit: what a `--trace 0` run prints.
-pub const END_TO_END: [(&str, &str); 8] = [
+/// The p99s are printed on the lines before the result but carry no
+/// bound: on a small shared host they follow the host's scheduling stalls
+/// more than the program.
+pub const END_TO_END: [(&str, &str); 6] = [
     ("setup_s", "s"),
     ("sets_per_s", "sets/s"),
     ("p50_us.light", "us"),
-    ("p99_us.light", "us"),
     ("p50_us.heavy", "us"),
-    ("p99_us.heavy", "us"),
     ("max_rps", "frames/s"),
     ("peak_rss_mb", "MB"),
 ];
@@ -179,7 +180,7 @@ pub fn p50_p99(samples: &mut [f64], what: &str) -> (f64, f64) {
 /// Samples per latency group: twenty of a group's samples lie beyond its
 /// p99, so a stall that delays fewer frames than that (a few milliseconds
 /// of a shared host's scheduling) does not set the group's p99.
-pub const GROUP: usize = 1000;
+pub const GROUP: usize = 2000;
 
 /// The median over consecutive groups of [`GROUP`] samples (in the order
 /// they were taken) of each group's p50 and p99. A shared host slows down
@@ -201,7 +202,6 @@ pub fn grouped_p50_p99(samples: &[f64], what: &str) -> (f64, f64) {
         p99s.push(quantile(&group, 0.99));
     }
     let (p50, p99) = (median(&p50s), median(&p99s));
-    eprintln!("groups {what}: p99 {p99s:.0?}");
     println!(
         "{what}: {} samples in {groups} groups of {GROUP}, median group p50 {p50:.1}, p99 {p99:.1}",
         samples.len()

@@ -635,12 +635,10 @@ fn untraced(
     let frames = mix.frames(frames_for(args, LIGHT_RPS, 0.25 * s));
     let light = phase(addr, conns, frames, LIGHT_RPS, "light", report)?;
     report.set("p50_us.light", light.p50);
-    report.set("p99_us.light", light.p99);
     probe(&mut probes)?;
     let frames = mix.frames(frames_for(args, HEAVY_RPS, 0.3 * s));
     let heavy = phase(addr, conns, frames, HEAVY_RPS, "heavy", report)?;
     report.set("p50_us.heavy", heavy.p50);
-    report.set("p99_us.heavy", heavy.p99);
     report.set("sets_per_s", heavy.achieved);
     // Every rung runs: a rung that a passing stall of the host spoils does
     // not hide the ones above it.
