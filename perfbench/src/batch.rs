@@ -424,15 +424,15 @@ fn traced(batch: Batch, args: &Args, report: &mut Report) -> Result<(), String> 
         rest -= value;
     }
     report.set("share.exec_pct", rest);
+    let within = (accounted_pct - 100.0).abs() <= ACCOUNTING_TOLERANCE_PCT;
     println!(
         "accounting: traced layer spans sum to {accounted_pct:.1}% of the untraced wall time \
          (tolerance ±{ACCOUNTING_TOLERANCE_PCT}%): {}",
-        if (accounted_pct - 100.0).abs() <= ACCOUNTING_TOLERANCE_PCT {
-            "within"
-        } else {
-            "OUTSIDE"
-        }
+        if within { "within" } else { "OUTSIDE" }
     );
+    if !within {
+        report.fail(1, "the traced layer spans miss the untraced wall time");
+    }
     tracer.print_self_times(traced_wall_ns);
     tracer.write_run(&args.out_dir, args.workload.name(), args.seed)
 }

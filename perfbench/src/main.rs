@@ -12,15 +12,18 @@
 //!   the verdict-only six-method request of `campaign::sweep_into`.
 //! * `validate-m4` — the `repro validate cores` m = 4 panel at the 10×
 //!   horizon: `validate::validate_set` per set through the campaign driver.
-//! * `serve-mix` — an open-loop admission-control stream against
-//!   `serve::spawn` on a loopback port.
+//! * `serve-mix` — admission-control traffic against `serve::spawn` on a
+//!   loopback port: fixed-rate open loops, a closed loop and a rate ladder.
 //!
 //! `BENCHMARK.json` at the repository root records why each workload was
-//! chosen and every metric's unit and regression bound. A run prints its
-//! provenance, its checks and its metrics, and as its last line one JSON
-//! object with `correct`, `attempted`, `failed` and `metrics`: every
-//! end-to-end metric with `--trace 0`, every per-layer metric with
-//! `--trace 1`. A traced run also writes its spans to
+//! chosen and every metric's unit and regression bound. It leaves
+//! `validate-m4` out: on a small shared host its throughput moves with the
+//! host's speed by more than the bounds allow from one run to the next.
+//!
+//! A run prints its provenance, its checks and its metrics, and as its last
+//! line one JSON object with `correct`, `attempted`, `failed` and
+//! `metrics`: every end-to-end metric with `--trace 0`, every per-layer
+//! metric with `--trace 1`. A traced run also writes its spans to
 //! `<out-dir>/spans-<workload>-<seed>.jsonl`.
 
 mod batch;
@@ -32,7 +35,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: perfbench --workload <sweep-m16|validate-m4|serve-mix> \
-                     --seed <n> --seconds <s> --trace <0|1> [--tiny] [--out-dir <dir>]";
+                     --seed <n> --seconds <s> --trace <0|1> [--out-dir <dir>]";
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Workload {
@@ -66,8 +69,6 @@ pub struct Args {
     pub seconds: f64,
     /// Run the traced, per-layer variant.
     pub trace: bool,
-    /// Smoke-test size: timed windows drop their minimum sample counts.
-    pub tiny: bool,
     /// Where a traced run writes its spans.
     pub out_dir: PathBuf,
     /// Run one cold set-up and print its duration (the `setup_s` probe).
@@ -77,11 +78,10 @@ pub struct Args {
 impl Args {
     fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let (mut workload, mut seed, mut seconds, mut trace) = (None, None, None, None);
-        let (mut tiny, mut setup_probe) = (false, false);
+        let mut setup_probe = false;
         let mut out_dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/out"));
         while let Some(flag) = args.next() {
             match flag.as_str() {
-                "--tiny" => tiny = true,
                 "--setup-probe" => setup_probe = true,
                 "--workload" | "--seed" | "--seconds" | "--trace" | "--out-dir" => {
                     let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
@@ -130,7 +130,6 @@ impl Args {
             seed,
             seconds,
             trace,
-            tiny,
             out_dir,
             setup_probe,
         })

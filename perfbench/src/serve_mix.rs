@@ -1,20 +1,36 @@
-//! The `serve-mix` workload: an open-loop admission-control stream against
-//! the program's own server (`serve::spawn`) on a loopback port.
+//! The `serve-mix` workload: admission-control traffic against the
+//! program's own server (`serve::spawn`) on a loopback port.
+//!
+//! The mix is `repro loadgen`'s default one (80% of frames repeat one of 16
+//! pooled sets, the rest carry fresh sets) plus the two legs that mix
+//! leaves off: simulate frames and analyze frames asking for per-task
+//! bounds. Their shares ([`SIMULATE_PCT`], [`BOUNDS_PCT`]) are assumptions;
+//! no recorded traffic gives them. Pooled and fresh sets range over the
+//! utilizations 1..m, so some are FP-rejected and some fall in the LP-ILP
+//! band.
 //!
 //! Frames are rendered, and the answers they must get computed through the
-//! library path (`serve::verdicts_json`, `serve::sim_json`), before each
-//! timed window, so the client does no JSON or analysis work on the hot
-//! path. Each connection has one writer thread, which sends its frames at
-//! their due times (a fixed-rate open loop, pipelined by `id`), and one
-//! reader thread. Latency runs from a frame's due time to its response, so
-//! a stall also counts against the frames queued behind it; a failed,
-//! refused or wrong response counts as the full response timeout.
+//! library path (`serve::verdicts_json`, `serve::sim_json`), one group of
+//! at most [`GROUP`] at a time before the group runs, so the client does no
+//! JSON or analysis work on the hot path; a group's frames and responses
+//! are dropped once judged. An untraced run has four stretches:
 //!
-//! The traced run times the layers of the wire path by replaying the traced
-//! window's frames through the public functions the server calls for them
-//! (`json::parse`, `task_set_from_value`, `stable_hash`, a mirror
-//! `AnalysisLru` fed the same stream, the analysis, the simulator, the
-//! renderers) and attributes the rest of each round trip to the socket.
+//! * `light` and `heavy`: fixed-rate open loops. Each connection has one
+//!   writer thread, which sends its frames at their due times (pipelined by
+//!   `id`), and one reader thread. Latency runs from a frame's due time to
+//!   its response, so a stall also counts against the frames queued behind
+//!   it; a failed, refused or wrong response counts as the full response
+//!   timeout.
+//! * `capacity`: a closed loop that keeps [`DEPTH`] frames in flight on
+//!   every connection; the frames answered per second are `sets_per_s`.
+//! * `ladder`: open-loop trials stepping down the fixed rate ladder from
+//!   the measured capacity; the first that qualifies gives `max_rps`.
+//!
+//! The traced run times the layers of the wire path by replaying each
+//! group's frames, once answered, through the public functions the server
+//! calls for them (`json::parse`, `task_set_from_value`, `stable_hash`, a
+//! mirror `AnalysisLru` fed the same stream, the analysis, the simulator,
+//! the renderers) and attributes the rest of each round trip to the socket.
 
 use crate::report::{self, grouped_p50_p99, Counts, Report, SimTimes, GROUP};
 use crate::spans::{Tracer, ROOT};
@@ -33,21 +49,21 @@ use rta_taskgen::group1;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// The platform every frame asks about.
 const CORES: usize = 4;
-/// Repeat-pool size: half the server's LRU capacity, so repeats hit.
-const POOL: usize = serve::DEFAULT_LRU_CAPACITY / 2;
-/// Percent of frames that repeat a pooled set.
-const REPEAT_PCT: u32 = 70;
-/// Percent of frames that are simulate frames.
+/// Repeat-pool size and percent of frames that repeat a pooled set:
+/// `repro loadgen`'s defaults (`pool_size`, `repeat_percent`).
+const POOL: usize = 16;
+const REPEAT_PCT: u32 = 80;
+/// Percent of frames that are simulate frames (assumed).
 const SIMULATE_PCT: u32 = 3;
-/// Percent of analyze frames that ask for per-task bounds.
+/// Percent of analyze frames that ask for per-task bounds (assumed).
 const BOUNDS_PCT: u32 = 20;
-/// Horizon of every simulate frame.
+/// Horizon of every simulate frame, as `repro loadgen` sends it.
 const SIM_HORIZON: u64 = 20_000;
 /// The simulate frames' policies, by wire label.
 const SIM_POLICIES: [(&str, PreemptionPolicy); 3] = [
@@ -58,26 +74,39 @@ const SIM_POLICIES: [(&str, PreemptionPolicy); 3] = [
 /// The fixed light and heavy offered rates, frames/s.
 const LIGHT_RPS: f64 = 3000.0;
 const HEAVY_RPS: f64 = 5000.0;
-/// The fixed rate ladder `max_rps` climbs, frames/s. It stops below the
-/// server's capacity on a small shared host (about 10 000 frames/s when
-/// the host runs fast, 40% less when neighbours slow it down), so that
-/// `max_rps` holds steady and drops when a change costs capacity.
-const LADDER: [f64; 4] = [3000.0, 3800.0, 4800.0, 6100.0];
+/// The fixed rate ladder `max_rps` is read on: [`LADDER_RUNGS`] rungs,
+/// each [`LADDER_STEP`] times the one below, from [`LADDER_BASE`] frames/s
+/// to far past the server's capacity. A step is much finer than the
+/// metric's bound, so losing or gaining one rung of capacity shows.
+const LADDER_BASE: f64 = 1000.0;
+const LADDER_STEP: f64 = 1.04;
+const LADDER_RUNGS: usize = 100;
 /// A ladder rate qualifies when its p99 from due time stays within this…
 const P99_LIMIT_US: f64 = 5000.0;
 /// …the writers' p99 lateness within this, with no failures and no
 /// growing backlog.
 const LATE_LIMIT_US: f64 = 2000.0;
-/// Fewest latency groups per timed window.
-const MIN_GROUPS: usize = 3;
+/// Frames each connection keeps in flight in the capacity window: enough
+/// that the server always has a frame waiting, far less than the socket
+/// buffers hold.
+const DEPTH: usize = 16;
+/// Share of `--seconds` each of an untraced run's two fixed-rate windows
+/// and its capacity window takes. The ladder trials after them are one
+/// group each, and the first usually qualifies.
+const WINDOW_SHARE: f64 = 0.3;
+/// Share of `--seconds` the traced run's window takes.
+const TRACED_SHARE: f64 = 0.4;
+/// The replayed server-side spans must sum to the server's own `micros`
+/// within this many percent.
+const SERVER_TOLERANCE_PCT: f64 = 25.0;
 /// A frame unanswered this long counts as failed, at this latency.
 const RESPONSE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Outstanding frames a group may gain between its first and last quarter.
 const BACKLOG_SLACK: f64 = 16.0;
-/// Set-up probes run before each timed window.
+/// Set-up probes run before each stretch.
 const PROBES_PER_GAP: usize = 2;
 /// Head start between opening the connections and the first due time.
-const LEAD: Duration = Duration::from_millis(50);
+const LEAD: Duration = Duration::from_millis(20);
 
 /// What a frame asks for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,17 +126,20 @@ struct Frame {
 }
 
 impl Frame {
-    /// The response field holding the checked body (always the last one).
-    fn body_key(&self) -> &'static str {
-        match self.kind {
+    /// Whether `line` is this frame's correct response: its last field is
+    /// the expected body.
+    fn answered_by(&self, line: &str) -> bool {
+        let key = match self.kind {
             Kind::Simulate(_) => "\"sim\":",
             _ => "\"verdicts\":",
-        }
+        };
+        body(line, key) == Some(&*self.body)
     }
 }
 
 /// One pooled set: its wire JSON and its reference answers.
 struct Pooled {
+    set: TaskSet,
     json: String,
     verdicts: Arc<str>,
     bounds: Arc<str>,
@@ -139,6 +171,11 @@ fn reference(ts: &TaskSet, bounds: bool) -> Arc<str> {
     serve::verdicts_json(&AnalysisRequest::new(CORES).with_bounds(bounds).evaluate(ts)).into()
 }
 
+/// The library-path answer to a simulate frame.
+fn sim_reference(ts: &TaskSet, policy: PreemptionPolicy) -> Arc<str> {
+    serve::sim_json(&sim_request(policy).evaluate(ts)).into()
+}
+
 /// The repeat pool's sets, spread over the utilization grid 1..m.
 fn pool_sets(seed: u64) -> Vec<TaskSet> {
     let grid = utilization_grid(CORES);
@@ -149,7 +186,7 @@ fn pool_sets(seed: u64) -> Vec<TaskSet> {
 
 /// The LRU warm-up: one bounds frame per pooled set (recorded bounds also
 /// answer verdict-only repeats), ids `0..POOL`.
-fn warm_up_texts(pool_json: &[String]) -> Vec<String> {
+fn warm_up_texts(pool_json: &[&str]) -> Vec<String> {
     pool_json
         .iter()
         .enumerate()
@@ -194,10 +231,14 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
     rest[..digits].parse().ok()
 }
 
-/// The seeded frame source: repeats, fresh sets and simulate frames in
-/// fixed shares, numbered by a running id.
+/// The seeded frame source, numbered by a running id. Each frame draws in
+/// `repro loadgen`'s order: simulate or analyze, then a pooled or a fresh
+/// set, then (analyze frames) whether to ask for bounds.
 struct Mix<'p> {
     pool: &'p [Pooled],
+    /// Reference answers of simulate frames on pooled sets, by pool index
+    /// and policy, computed on first use.
+    pool_sims: Vec<[Option<Arc<str>>; 3]>,
     rng: SmallRng,
     seed: u64,
     grid: Vec<f64>,
@@ -212,6 +253,7 @@ impl<'p> Mix<'p> {
     fn new(seed: u64, pool: &'p [Pooled]) -> Self {
         Self {
             pool,
+            pool_sims: vec![Default::default(); pool.len()],
             rng: SmallRng::seed_from_u64(report::mix(seed ^ 0x005E_12E3)),
             seed,
             grid: utilization_grid(CORES),
@@ -229,42 +271,55 @@ impl<'p> Mix<'p> {
     fn frame(&mut self) -> Frame {
         let id = self.next_id;
         self.next_id += 1;
-        let roll = self.rng.gen_range(0..100u32);
-        if roll < SIMULATE_PCT {
-            let (label, policy) = SIM_POLICIES[self.rng.gen_range(0..SIM_POLICIES.len())];
-            let ts = self.fresh_set();
-            let body = serve::sim_json(&sim_request(policy).evaluate(&ts));
+        let simulate = self.rng.gen_range(0..100u32) < SIMULATE_PCT;
+        let pooled = (self.rng.gen_range(0..100u32) < REPEAT_PCT)
+            .then(|| self.rng.gen_range(0..self.pool.len()));
+        let pool = self.pool;
+        if simulate {
+            let p = self.rng.gen_range(0..SIM_POLICIES.len());
+            let (label, policy) = SIM_POLICIES[p];
+            let (text, body) = match pooled {
+                Some(k) => {
+                    let body = self.pool_sims[k][p]
+                        .get_or_insert_with(|| sim_reference(&pool[k].set, policy));
+                    (simulate_frame(id, label, &pool[k].json), Arc::clone(body))
+                }
+                None => {
+                    let ts = self.fresh_set();
+                    let text = simulate_frame(id, label, &task_set_to_json_compact(&ts));
+                    (text, sim_reference(&ts, policy))
+                }
+            };
             return Frame {
                 id,
-                text: simulate_frame(id, label, &task_set_to_json_compact(&ts)),
+                text,
                 kind: Kind::Simulate(policy),
                 bounds: false,
-                body: body.into(),
+                body,
             };
         }
         let bounds = self.rng.gen_range(0..100u32) < BOUNDS_PCT;
-        if roll < SIMULATE_PCT + REPEAT_PCT {
-            let pooled = &self.pool[self.rng.gen_range(0..self.pool.len())];
-            let body = if bounds {
-                &pooled.bounds
-            } else {
-                &pooled.verdicts
-            };
-            Frame {
+        match pooled {
+            Some(k) => Frame {
                 id,
-                text: analyze_frame(id, bounds, &pooled.json),
+                text: analyze_frame(id, bounds, &pool[k].json),
                 kind: Kind::Repeat,
                 bounds,
-                body: Arc::clone(body),
-            }
-        } else {
-            let ts = self.fresh_set();
-            Frame {
-                id,
-                text: analyze_frame(id, bounds, &task_set_to_json_compact(&ts)),
-                kind: Kind::Fresh,
-                bounds,
-                body: reference(&ts, bounds),
+                body: Arc::clone(if bounds {
+                    &pool[k].bounds
+                } else {
+                    &pool[k].verdicts
+                }),
+            },
+            None => {
+                let ts = self.fresh_set();
+                Frame {
+                    id,
+                    text: analyze_frame(id, bounds, &task_set_to_json_compact(&ts)),
+                    kind: Kind::Fresh,
+                    bounds,
+                    body: reference(&ts, bounds),
+                }
             }
         }
     }
@@ -282,89 +337,34 @@ impl<'p> Mix<'p> {
     }
 }
 
-/// Client-side record of one timed window, per frame; times are ns from
-/// the window's origin.
-struct Window {
-    origin: Instant,
-    due_ns: Vec<u64>,
-    sent_ns: Vec<Option<u64>>,
-    recv_ns: Vec<Option<u64>>,
-    lines: Vec<Option<String>>,
-    /// Most frames sent but not yet answered.
-    backlog_max: u64,
-    /// Whether the backlog grew within any group.
-    grew: bool,
-    /// From each group's first due time to one frame interval past its
-    /// last send, summed: the time the window offered frames. (The answer
-    /// to a group's last frame can wait out the client's delayed ACK, so
-    /// the last response would make a poor end mark.)
-    active_ns: u64,
-}
-
 fn since(origin: Instant) -> u64 {
     u64::try_from(Instant::now().saturating_duration_since(origin).as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Runs `frames` at `rate` in consecutive groups of [`GROUP`] (a final
-/// partial group joins the one before), each on `conns` fresh connections.
-/// A connection that falls into a slow TCP pattern stays in it: the server
-/// writes responses without `TCP_NODELAY`, so under pipelining Nagle's
-/// algorithm can hold each response until the client's next frame
-/// acknowledges the one before. Fresh connections per group let the median
-/// over groups report the usual pattern rather than one connection's luck.
-fn run_window(
-    addr: SocketAddr,
-    frames: &[Frame],
-    rate: f64,
-    conns: usize,
-) -> Result<Window, String> {
-    let n = frames.len();
-    let groups = (n / GROUP).max(1);
-    let origin = Instant::now();
-    let mut window = Window {
-        origin,
-        due_ns: vec![0; n],
-        sent_ns: vec![None; n],
-        recv_ns: vec![None; n],
-        lines: vec![None; n],
-        backlog_max: 0,
-        grew: false,
-        active_ns: 0,
-    };
-    for g in 0..groups {
-        let start = g * GROUP;
-        let end = if g + 1 == groups { n } else { start + GROUP };
-        let group = run_group(addr, &frames[start..end], rate, conns)?;
-        let offset = u64::try_from(group.origin.saturating_duration_since(origin).as_nanos())
-            .unwrap_or(u64::MAX);
-        let last_sent = group.sent_ns.iter().flatten().copied().max().unwrap_or(0);
-        window.active_ns += last_sent + (1e9 / rate) as u64;
-        for (k, line) in group.lines.into_iter().enumerate() {
-            let i = start + k;
-            window.due_ns[i] = offset + group.due_ns[k];
-            window.sent_ns[i] = group.sent_ns[k].map(|t| offset + t);
-            window.recv_ns[i] = group.recv_ns[k].map(|t| offset + t);
-            window.lines[i] = line;
-        }
-        window.backlog_max = window
-            .backlog_max
-            .max(group.backlog.iter().copied().max().unwrap_or(0));
-        window.grew |= backlog_grew(&group.backlog);
-    }
-    Ok(window)
+/// Opens `conns` fresh client connections.
+fn connect(addr: SocketAddr, conns: usize) -> Result<Vec<TcpStream>, String> {
+    let io = |e: io::Error| format!("opening a client connection: {e}");
+    (0..conns)
+        .map(|_| {
+            let stream = TcpStream::connect(addr).map_err(io)?;
+            stream.set_nodelay(true).map_err(io)?;
+            stream
+                .set_read_timeout(Some(RESPONSE_TIMEOUT))
+                .map_err(io)?;
+            Ok(stream)
+        })
+        .collect()
 }
 
-/// Whether a group's backlog grew: the median count of frames outstanding
-/// over its last quarter of sends exceeds that of its first quarter by
-/// more than [`BACKLOG_SLACK`]. Medians let a brief stall that drains pass;
-/// an offered rate above capacity piles up frames to the end.
-fn backlog_grew(backlog: &[u64]) -> bool {
-    let quarter = (backlog.len() / 4).max(1).min(backlog.len());
-    let median = |xs: &[u64]| report::median(&xs.iter().map(|&x| x as f64).collect::<Vec<_>>());
-    median(&backlog[backlog.len() - quarter..]) > median(&backlog[..quarter]) + BACKLOG_SLACK
+/// Where response `line` belongs among `n` frames numbered from `first_id`.
+fn index_of(line: &str, first_id: u64, n: usize) -> Option<usize> {
+    field_u64(line, "\"id\":")
+        .and_then(|id| id.checked_sub(first_id))
+        .and_then(|k| usize::try_from(k).ok())
+        .filter(|&k| k < n)
 }
 
-/// One group of a window, times in ns from the group's first due time.
+/// One open-loop group, times in ns from its first due time.
 struct Group {
     origin: Instant,
     due_ns: Vec<u64>,
@@ -376,22 +376,19 @@ struct Group {
 }
 
 /// Sends `frames` at `rate` over `conns` fresh connections (frame `i` on
-/// connection `i % conns`, due `i / rate` after the start) and collects
-/// the responses.
+/// connection `i % conns`, due `i / rate` after the start; a writer that
+/// wakes late sends every frame then due in one write, so the client keeps
+/// pace at rates its sleeps cannot resolve) and collects the responses.
+/// A connection that falls into a slow TCP pattern stays in
+/// it: the server writes responses without `TCP_NODELAY`, so under
+/// pipelining Nagle's algorithm can hold each response until the client's
+/// next frame acknowledges the one before. Fresh connections per group let
+/// the median over groups report the usual pattern rather than one
+/// connection's luck.
 fn run_group(addr: SocketAddr, frames: &[Frame], rate: f64, conns: usize) -> Result<Group, String> {
-    let io = |e: io::Error| format!("opening a client connection: {e}");
     let n = frames.len();
     let first_id = frames.first().map_or(0, |f| f.id);
-    let mut streams = Vec::with_capacity(conns);
-    for _ in 0..conns {
-        let stream = TcpStream::connect(addr).map_err(io)?;
-        stream.set_nodelay(true).map_err(io)?;
-        stream
-            .set_read_timeout(Some(RESPONSE_TIMEOUT))
-            .map_err(io)?;
-        let reader = stream.try_clone().map_err(io)?;
-        streams.push((stream, reader));
-    }
+    let streams = connect(addr, conns)?;
     let sent_total = AtomicU64::new(0);
     let recv_total = AtomicU64::new(0);
     let origin = Instant::now() + LEAD;
@@ -404,25 +401,41 @@ fn run_group(addr: SocketAddr, frames: &[Frame], rate: f64, conns: usize) -> Res
         lines: vec![None; n],
         backlog: vec![0; n],
     };
-    thread::scope(|scope| {
+    thread::scope(|scope| -> Result<(), String> {
         let mut workers = Vec::with_capacity(conns);
-        for (c, (mut stream, reader)) in streams.into_iter().enumerate() {
+        for (c, mut stream) in streams.into_iter().enumerate() {
+            let reader = stream
+                .try_clone()
+                .map_err(|e| format!("opening a client connection: {e}"))?;
             let (sent_total, recv_total) = (&sent_total, &recv_total);
             let expected = (c..n).step_by(conns).count();
             let writer = scope.spawn(move || {
+                let mine: Vec<usize> = (c..n).step_by(conns).collect();
                 let mut sends = Vec::with_capacity(expected);
-                for i in (c..n).step_by(conns) {
+                let mut batch = Vec::new();
+                let mut next = 0;
+                while next < mine.len() {
                     let now = Instant::now();
-                    if origin + due(i) > now {
-                        thread::sleep(origin + due(i) - now);
+                    if origin + due(mine[next]) > now {
+                        thread::sleep(origin + due(mine[next]) - now);
                     }
+                    // Every frame due by now goes out in one write.
                     let sent = since(origin);
-                    if stream.write_all(frames[i].text.as_bytes()).is_err() {
+                    let first = next;
+                    batch.clear();
+                    while next < mine.len()
+                        && (next == first || due(mine[next]).as_nanos() as u64 <= sent)
+                    {
+                        batch.extend_from_slice(frames[mine[next]].text.as_bytes());
+                        next += 1;
+                    }
+                    if stream.write_all(&batch).is_err() {
                         break; // the unsent frames count as failed
                     }
-                    let outstanding = sent_total.fetch_add(1, Ordering::Relaxed) + 1
+                    let count = (next - first) as u64;
+                    let outstanding = sent_total.fetch_add(count, Ordering::Relaxed) + count
                         - recv_total.load(Ordering::Relaxed);
-                    sends.push((i, sent, outstanding));
+                    sends.extend(mine[first..next].iter().map(|&i| (i, sent, outstanding)));
                 }
                 sends
             });
@@ -448,128 +461,320 @@ fn run_group(addr: SocketAddr, frames: &[Frame], rate: f64, conns: usize) -> Res
                 group.backlog[i] = outstanding;
             }
             for (at, line) in reader.join().expect("reader threads do not panic") {
-                let index = field_u64(&line, "\"id\":")
-                    .and_then(|id| id.checked_sub(first_id))
-                    .and_then(|k| usize::try_from(k).ok())
-                    .filter(|&k| k < n);
-                if let Some(k) = index {
+                if let Some(k) = index_of(&line, first_id, n) {
                     group.recv_ns[k] = Some(at);
                     group.lines[k] = Some(line);
                 }
             }
         }
-    });
+        Ok(())
+    })?;
     Ok(group)
 }
 
-/// One judged window: per-frame outcome plus its summary.
+/// Whether a group's backlog grew: the median count of frames outstanding
+/// over its last quarter of sends exceeds that of its first quarter by
+/// more than [`BACKLOG_SLACK`]. Medians let a brief stall that drains pass;
+/// an offered rate above capacity piles up frames to the end.
+fn backlog_grew(backlog: &[u64]) -> bool {
+    let quarter = (backlog.len() / 4).max(1).min(backlog.len());
+    let median = |xs: &[u64]| report::median(&xs.iter().map(|&x| x as f64).collect::<Vec<_>>());
+    median(&backlog[backlog.len() - quarter..]) > median(&backlog[..quarter]) + BACKLOG_SLACK
+}
+
+/// What the traced run does with each group once it is judged: its
+/// frames, their responses, and which were answered correctly.
+type Visit<'a> = dyn FnMut(&[Frame], &Group, &[bool]) -> Result<(), String> + 'a;
+
+/// One judged open-loop window.
 struct Phase {
-    frames: Vec<Frame>,
-    window: Window,
-    /// Per frame: answered correctly.
-    ok: Vec<bool>,
     failed: u64,
     /// Latency from due time (µs): median group p50 and p99.
     p50: f64,
     p99: f64,
     /// How late the writers sent (µs): median group p99.
     late_p99: f64,
-    /// Correct answers per second the window offered frames.
+    /// Correct answers per second the window offered frames: from each
+    /// group's first due time to one frame interval past its last send.
+    /// (The answer to a group's last frame can wait out the client's
+    /// delayed ACK, so the last response would make a poor end mark.)
     achieved: f64,
+    /// Most frames sent but not yet answered.
+    backlog_max: u64,
+    /// Whether the backlog grew within more than half of the groups.
+    grew: bool,
+    /// Registry counts of the server's work during the groups.
+    counts: Counts,
 }
 
-impl Phase {
-    /// Round trip (send to response, µs) of every correctly answered frame.
-    fn round_trips(&self) -> Vec<f64> {
-        (0..self.frames.len())
-            .filter(|&i| self.ok[i])
-            .filter_map(|i| Some((self.window.recv_ns[i]? - self.window.sent_ns[i]?) as f64 / 1e3))
-            .collect()
-    }
-}
-
-/// Runs pre-rendered `frames` at `rate` and checks every response.
+/// Runs `n` frames of `mix` at `rate` in consecutive groups of [`GROUP`]
+/// (a final partial group joins the one before), each rendered just before
+/// it runs on `conns` fresh connections, and checks every response.
+#[allow(clippy::too_many_arguments)]
 fn phase(
     addr: SocketAddr,
     conns: usize,
-    frames: Vec<Frame>,
+    mix: &mut Mix,
+    n: usize,
     rate: f64,
     label: &str,
     report: &mut Report,
+    visit: &mut Visit,
 ) -> Result<Phase, String> {
-    let n = frames.len();
-    let window = run_window(addr, &frames, rate, conns)?;
+    let groups = (n / GROUP).max(1);
     let timeout_us = RESPONSE_TIMEOUT.as_secs_f64() * 1e6;
-    let mut ok = Vec::with_capacity(n);
     let mut latency_us = Vec::with_capacity(n);
     let mut late_us = Vec::with_capacity(n);
-    for (i, frame) in frames.iter().enumerate() {
-        let due_ns = window.due_ns[i];
-        let answered = match (&window.lines[i], window.recv_ns[i]) {
-            (Some(line), Some(_)) => body(line, frame.body_key()) == Some(&*frame.body),
-            _ => false,
+    let mut phase = Phase {
+        failed: 0,
+        p50: 0.0,
+        p99: 0.0,
+        late_p99: 0.0,
+        achieved: 0.0,
+        backlog_max: 0,
+        grew: false,
+        counts: Counts::default(),
+    };
+    let mut active_ns = 0;
+    let mut grew = 0;
+    for g in 0..groups {
+        let len = if g + 1 == groups {
+            n - g * GROUP
+        } else {
+            GROUP
         };
-        if let Some(sent) = window.sent_ns[i] {
-            late_us.push(sent.saturating_sub(due_ns) as f64 / 1e3);
-        }
-        match window.recv_ns[i] {
-            Some(recv) if answered => {
-                latency_us.push(recv.saturating_sub(due_ns) as f64 / 1e3);
+        let frames = mix.frames(len);
+        let (group, counts) = Counts::around(|| run_group(addr, &frames, rate, conns));
+        let group = group?;
+        phase.counts.add(&counts);
+        let mut ok = Vec::with_capacity(len);
+        for (i, frame) in frames.iter().enumerate() {
+            let answered = group.lines[i]
+                .as_deref()
+                .is_some_and(|line| frame.answered_by(line));
+            if let Some(sent) = group.sent_ns[i] {
+                late_us.push(sent.saturating_sub(group.due_ns[i]) as f64 / 1e3);
             }
-            _ => {
-                if !answered && ok.iter().all(|&b| b) {
-                    eprintln!(
-                        "{label}: frame {} got {:?}, expected body {}",
-                        frame.id, window.lines[i], frame.body
-                    );
+            match group.recv_ns[i] {
+                Some(recv) if answered => {
+                    latency_us.push(recv.saturating_sub(group.due_ns[i]) as f64 / 1e3);
                 }
-                latency_us.push(timeout_us);
+                _ => {
+                    if phase.failed == 0 {
+                        eprintln!(
+                            "{label}: frame {} got {:?}, expected body {}",
+                            frame.id, group.lines[i], frame.body
+                        );
+                    }
+                    phase.failed += 1;
+                    latency_us.push(timeout_us);
+                }
             }
+            ok.push(answered);
         }
-        ok.push(answered);
+        let last_sent = group.sent_ns.iter().flatten().copied().max().unwrap_or(0);
+        active_ns += last_sent + (1e9 / rate) as u64;
+        phase.backlog_max = phase
+            .backlog_max
+            .max(group.backlog.iter().copied().max().unwrap_or(0));
+        grew += usize::from(backlog_grew(&group.backlog));
+        visit(&frames, &group, &ok)?;
     }
-    let failed = ok.iter().filter(|&&b| !b).count() as u64;
+    phase.grew = 2 * grew > groups;
     report.attempted += n as u64;
     report.fail(
-        failed,
+        phase.failed,
         &format!("{label}: failed, refused or wrong responses"),
     );
-    let (p50, p99) = grouped_p50_p99(&latency_us, &format!("{label}: us from due time"));
-    let (_, late_p99) = grouped_p50_p99(&late_us, &format!("{label}: us sent late"));
-    let answered = n as u64 - failed;
-    let achieved = answered as f64 / (window.active_ns.max(1) as f64 / 1e9);
+    (phase.p50, phase.p99) = grouped_p50_p99(&latency_us, &format!("{label}: us from due time"));
+    (_, phase.late_p99) = grouped_p50_p99(&late_us, &format!("{label}: us sent late"));
+    phase.achieved = (n as u64 - phase.failed) as f64 / (active_ns.max(1) as f64 / 1e9);
     println!(
-        "{label}: {n} frames at {rate}/s, {failed} failed, achieved {achieved:.1}/s, \
-         backlog max {}",
-        window.backlog_max
+        "{label}: {n} frames at {rate}/s, {} failed, achieved {:.1}/s, backlog max {}, \
+         grew in {grew} of {groups} groups",
+        phase.failed, phase.achieved, phase.backlog_max
     );
-    Ok(Phase {
-        frames,
-        window,
-        ok,
-        failed,
-        p50,
-        p99,
-        late_p99,
-        achieved,
-    })
+    Ok(phase)
 }
 
-/// Frames in a window of `seconds` at `rate`: at least [`MIN_GROUPS`]
-/// latency groups, unless the run is smoke-test sized.
-fn frames_for(args: &Args, rate: f64, seconds: f64) -> usize {
-    let n = (rate * seconds).round() as usize;
-    n.max(if args.tiny { 20 } else { MIN_GROUPS * GROUP })
+/// Leaves a group as it is.
+fn skip(_: &[Frame], _: &Group, _: &[bool]) -> Result<(), String> {
+    Ok(())
+}
+
+/// Frames in a window of `seconds` at `rate`.
+fn frames_for(rate: f64, seconds: f64) -> usize {
+    ((rate * seconds).round() as usize).max(1)
+}
+
+/// Runs `frames` in a closed loop over `conns` fresh connections (frame
+/// `i` on connection `i % conns`). As in the open loop, each connection
+/// has a writer thread and a reader thread; the writer sends its next
+/// frame as soon as fewer than [`DEPTH`] of its frames are unanswered, so
+/// every answer is acknowledged at once by the next frame. Returns the
+/// responses and the time from the first send to the last response.
+fn run_closed(
+    addr: SocketAddr,
+    frames: &[Frame],
+    conns: usize,
+) -> Result<(Vec<Option<String>>, Duration), String> {
+    let n = frames.len();
+    let first_id = frames.first().map_or(0, |f| f.id);
+    let streams = connect(addr, conns)?;
+    let mut lines = vec![None; n];
+    let started = Instant::now();
+    let mut ended = started;
+    thread::scope(|scope| -> Result<(), String> {
+        let mut readers = Vec::with_capacity(conns);
+        for (c, mut stream) in streams.into_iter().enumerate() {
+            let reader = stream
+                .try_clone()
+                .map_err(|e| format!("opening a client connection: {e}"))?;
+            let expected = (c..n).step_by(conns).count();
+            // One credit per answered frame; the writer starts with DEPTH.
+            let (credit, credits) = mpsc::channel::<()>();
+            scope.spawn(move || {
+                for (sent, i) in (c..n).step_by(conns).enumerate() {
+                    if sent >= DEPTH && credits.recv().is_err() {
+                        break; // the reader stopped: the rest count as failed
+                    }
+                    if stream.write_all(frames[i].text.as_bytes()).is_err() {
+                        break;
+                    }
+                }
+            });
+            readers.push(scope.spawn(move || {
+                let mut reader = BufReader::new(reader);
+                let mut responses = Vec::with_capacity(expected);
+                for _ in 0..expected {
+                    let mut line = String::new();
+                    match reader.read_line(&mut line) {
+                        Ok(0) | Err(_) => break, // the missing frames count as failed
+                        Ok(_) => {}
+                    }
+                    let _ = credit.send(());
+                    responses.push(line);
+                }
+                (Instant::now(), responses)
+            }));
+        }
+        for reader in readers {
+            let (at, responses) = reader.join().expect("reader threads do not panic");
+            ended = ended.max(at);
+            for line in responses {
+                if let Some(k) = index_of(&line, first_id, n) {
+                    lines[k] = Some(line);
+                }
+            }
+        }
+        Ok(())
+    })?;
+    Ok((lines, ended - started))
+}
+
+/// The server's capacity: closed-loop windows of [`GROUP`] frames, each
+/// rendered just before it runs on fresh connections, until they have run
+/// for `seconds` (at least one). Returns the median window's correct
+/// answers per second.
+fn capacity(
+    addr: SocketAddr,
+    conns: usize,
+    mix: &mut Mix,
+    seconds: f64,
+    report: &mut Report,
+) -> Result<f64, String> {
+    let mut rates = Vec::new();
+    let mut busy = Duration::ZERO;
+    let mut failed = 0;
+    while rates.is_empty() || busy.as_secs_f64() < seconds {
+        let frames = mix.frames(GROUP);
+        let (lines, elapsed) = run_closed(addr, &frames, conns)?;
+        let ok = frames
+            .iter()
+            .zip(&lines)
+            .filter(|(frame, line)| line.as_deref().is_some_and(|l| frame.answered_by(l)))
+            .count();
+        failed += (GROUP - ok) as u64;
+        report.attempted += GROUP as u64;
+        busy += elapsed;
+        rates.push(ok as f64 / elapsed.as_secs_f64().max(1e-9));
+    }
+    report.fail(failed, "capacity: failed, refused or wrong responses");
+    let rate = report::median(&rates);
+    println!(
+        "capacity: {} closed-loop windows of {GROUP} frames, {DEPTH} in flight per connection, \
+         in {:.3} s: median {rate:.1} frames/s, min {:.1}, max {:.1}",
+        rates.len(),
+        busy.as_secs_f64(),
+        rates.iter().copied().fold(f64::INFINITY, f64::min),
+        rates.iter().copied().fold(0.0, f64::max),
+    );
+    Ok(rate)
+}
+
+/// Rung `k` of the fixed rate ladder, frames/s.
+fn ladder(k: usize) -> f64 {
+    (LADDER_BASE * LADDER_STEP.powi(k as i32)).round()
+}
+
+/// `max_rps`: the highest rung of the fixed ladder, up to the measured
+/// `capacity`, that qualifies in an open-loop trial of [`GROUP`] frames;
+/// the trials step down the ladder from the capacity until one qualifies,
+/// and the result is that trial's achieved rate. The search does not climb
+/// past the capacity: up there, whether a trial qualifies depends on how
+/// often the host stalls far more than on the server (on a small shared
+/// host an up-down staircase above it moved twice as far between two sets
+/// of runs as the capacity did).
+fn max_rps(
+    addr: SocketAddr,
+    conns: usize,
+    mix: &mut Mix,
+    capacity: f64,
+    report: &mut Report,
+) -> Result<f64, String> {
+    let mut k = (0..LADDER_RUNGS)
+        .rev()
+        .find(|&k| ladder(k) <= capacity)
+        .unwrap_or(0);
+    loop {
+        let rate = ladder(k);
+        let label = format!("ladder {rate}/s");
+        let trial = phase(addr, conns, mix, GROUP, rate, &label, report, &mut skip)?;
+        let qualifies = trial.failed == 0
+            && trial.p99 <= P99_LIMIT_US
+            && trial.late_p99 <= LATE_LIMIT_US
+            && !trial.grew;
+        println!(
+            "{label}: {} (p99 {:.1} us, limit {P99_LIMIT_US}; lateness p99 {:.1} us, \
+             limit {LATE_LIMIT_US}; {} failed; backlog {})",
+            if qualifies {
+                "qualifies"
+            } else {
+                "does not qualify"
+            },
+            trial.p99,
+            trial.late_p99,
+            trial.failed,
+            if trial.grew { "grew" } else { "steady" },
+        );
+        if qualifies || k == 0 {
+            let max_rps = if qualifies { trial.achieved } else { 0.0 };
+            println!("max_rps: {max_rps:.1} frames/s (capacity {capacity:.1} frames/s)");
+            return Ok(max_rps);
+        }
+        k -= 1;
+    }
 }
 
 /// Builds the pool with its reference answers (outside any timing).
 fn pool(seed: u64) -> Vec<Pooled> {
     pool_sets(seed)
-        .iter()
-        .map(|ts| Pooled {
-            json: task_set_to_json_compact(ts),
-            verdicts: reference(ts, false),
-            bounds: reference(ts, true),
+        .into_iter()
+        .map(|set| Pooled {
+            json: task_set_to_json_compact(&set),
+            verdicts: reference(&set, false),
+            bounds: reference(&set, true),
+            set,
         })
         .collect()
 }
@@ -582,12 +787,14 @@ pub fn run(args: &Args) -> Result<Report, String> {
         conns,
         conns,
         &format!(
-            "open loop at fixed rates: light {LIGHT_RPS}/s, heavy {HEAVY_RPS}/s, ladder {LADDER:?}/s"
+            "light {LIGHT_RPS}/s and heavy {HEAVY_RPS}/s open loops, a closed loop {DEPTH} \
+             deep per connection, ladder {LADDER_BASE}/s x {LADDER_STEP}^k \
+             for k < {LADDER_RUNGS}"
         ),
     );
     let mut report = Report::new();
     let pool = pool(args.seed);
-    let warm_texts = warm_up_texts(&pool.iter().map(|p| p.json.clone()).collect::<Vec<_>>());
+    let warm_texts = warm_up_texts(&pool.iter().map(|p| p.json.as_str()).collect::<Vec<_>>());
     let server =
         serve::spawn(&ServeOptions::default()).map_err(|e| format!("spawning the server: {e}"))?;
     let addr = server.addr();
@@ -622,7 +829,7 @@ fn untraced(
     mix: &mut Mix,
     report: &mut Report,
 ) -> Result<(), String> {
-    // Set-up probes run between the windows, never during one.
+    // Set-up probes run between the stretches, never during one.
     let mut probes = Vec::new();
     let probe = |probes: &mut Vec<f64>| -> Result<(), String> {
         for _ in 0..PROBES_PER_GAP {
@@ -631,46 +838,20 @@ fn untraced(
         Ok(())
     };
     let s = args.seconds;
-    probe(&mut probes)?;
-    let frames = mix.frames(frames_for(args, LIGHT_RPS, 0.25 * s));
-    let light = phase(addr, conns, frames, LIGHT_RPS, "light", report)?;
-    report.set("p50_us.light", light.p50);
-    probe(&mut probes)?;
-    let frames = mix.frames(frames_for(args, HEAVY_RPS, 0.3 * s));
-    let heavy = phase(addr, conns, frames, HEAVY_RPS, "heavy", report)?;
-    report.set("p50_us.heavy", heavy.p50);
-    report.set("sets_per_s", heavy.achieved);
-    // Every rung runs: a rung that a passing stall of the host spoils does
-    // not hide the ones above it.
-    let rung_seconds = 0.45 * s / LADDER.len() as f64;
-    let mut max_rps = 0.0;
-    for rate in LADDER {
+    for (label, rate, metric) in [
+        ("light", LIGHT_RPS, "p50_us.light"),
+        ("heavy", HEAVY_RPS, "p50_us.heavy"),
+    ] {
         probe(&mut probes)?;
-        let frames = mix.frames(frames_for(args, rate, rung_seconds));
-        let rung = phase(
-            addr,
-            conns,
-            frames,
-            rate,
-            &format!("ladder {rate}/s"),
-            report,
-        )?;
-        let qualifies = rung.failed == 0
-            && rung.p99 <= P99_LIMIT_US
-            && rung.late_p99 <= LATE_LIMIT_US
-            && !rung.window.grew;
-        println!(
-            "ladder {rate}/s: {} (p99 limit {P99_LIMIT_US} us, lateness limit {LATE_LIMIT_US} us)",
-            if qualifies {
-                "qualifies"
-            } else {
-                "does not qualify"
-            }
-        );
-        if qualifies {
-            max_rps = rung.achieved;
-        }
+        let n = frames_for(rate, WINDOW_SHARE * s);
+        let window = phase(addr, conns, mix, n, rate, label, report, &mut skip)?;
+        report.set(metric, window.p50);
     }
+    probe(&mut probes)?;
+    let capacity = capacity(addr, conns, mix, WINDOW_SHARE * s, report)?;
+    report.set("sets_per_s", capacity);
+    probe(&mut probes)?;
+    let max_rps = max_rps(addr, conns, mix, capacity, report)?;
     report.set("max_rps", max_rps);
     report::set_setup(report, &probes);
     Ok(())
@@ -692,10 +873,18 @@ struct WireLayers {
     mismatches: u64,
 }
 
+/// What replaying one frame took (ns): parse + build, the server-side
+/// calls the response's `micros` times (LRU fetch, analysis, LRU store,
+/// or the simulation), and rendering.
+struct Replayed {
+    model_ns: u64,
+    server_ns: u64,
+    render_ns: u64,
+}
+
 /// Replays one frame through the calls the server makes for it, against
 /// the mirror LRU; spans go under `parent` (the frame) and `server` (the
-/// server-side part). Returns the frame's parse + build time and its
-/// render time (ns).
+/// server-side part).
 fn replay(
     frame: &Frame,
     mirror: &mut AnalysisLru,
@@ -703,7 +892,7 @@ fn replay(
     layers: &mut WireLayers,
     parent: usize,
     server: usize,
-) -> Result<(u64, u64), String> {
+) -> Result<Replayed, String> {
     let id = frame.id;
     let (doc, parse) = tracer.leaf("model.parse", parent, id, || {
         json::parse(frame.text.trim_end())
@@ -720,12 +909,14 @@ fn replay(
     let ts = ts.map_err(|e| format!("frame {id} does not build: {e}"))?;
     layers.parse_ns.push(parse as f64);
     layers.build_ns.push(build as f64);
-    let (body, render) = match frame.kind {
+    let (body, server_ns, render) = match frame.kind {
         Kind::Simulate(policy) => {
             let (outcome, ns) =
                 tracer.leaf("sim", server, id, || sim_request(policy).evaluate(&ts));
             layers.sim.add(ns, &outcome);
-            tracer.leaf("serve.render", parent, id, || serve::sim_json(&outcome))
+            let (body, render) =
+                tracer.leaf("serve.render", parent, id, || serve::sim_json(&outcome));
+            (body, ns, render)
         }
         Kind::Repeat | Kind::Fresh => {
             let (_, hash) = tracer.leaf("model.hash", ROOT, id, || {
@@ -736,13 +927,15 @@ fn replay(
             let ((cached, _), fetch) =
                 tracer.leaf("lru.fetch", server, id, || mirror.fetch(&ts, &request));
             layers.fetch_ns.push(fetch as f64);
+            let mut server_ns = fetch;
             let outcome = match cached {
                 Some(outcome) => outcome,
                 None => {
                     let span = tracer.open("analysis", server, id);
                     let cache = TaskSetCache::new(&ts, CORES);
                     let outcome = request.evaluate_with(&cache);
-                    layers.cold_ns.push(tracer.close(span) as f64);
+                    let cold = tracer.close(span);
+                    layers.cold_ns.push(cold as f64);
                     // Extra work the server does not do: kept outside the
                     // frame and taken out of the counts.
                     let ((_, warm), counts) = Counts::around(|| {
@@ -754,23 +947,50 @@ fn replay(
                         mirror.store(&ts, &request, &outcome)
                     });
                     layers.store_ns.push(store as f64);
+                    server_ns += cold + store;
                     outcome
                 }
             };
-            tracer.leaf("serve.render", parent, id, || {
+            let (body, render) = tracer.leaf("serve.render", parent, id, || {
                 serve::verdicts_json(&outcome)
-            })
+            });
+            (body, server_ns, render)
         }
     };
     layers.render_ns.push(render as f64);
     if body.as_str() != &*frame.body {
         layers.mismatches += 1;
     }
-    Ok((parse + build, render))
+    Ok(Replayed {
+        model_ns: parse + build,
+        server_ns,
+        render_ns: render,
+    })
 }
 
-/// An untraced heavy window, then a traced one at the same rate; the
-/// traced window's frames are then replayed layer by layer.
+/// Round-trip parts of the traced window's correctly answered frames (µs).
+#[derive(Default)]
+struct RoundTrips {
+    rtt: Vec<f64>,
+    micros: Vec<f64>,
+    wire: Vec<f64>,
+    socket: Vec<f64>,
+    /// Σ the server's `micros`, and Σ the replayed server-side spans, each
+    /// truncated to whole µs as the server truncates `micros`.
+    server_micros: f64,
+    replayed_micros: f64,
+    /// Σ over cache hits of the round trip and its parts.
+    hit_rtt: f64,
+    hit_model: f64,
+    hit_server: f64,
+    hit_render: f64,
+    hit_socket: f64,
+    frame_bytes: usize,
+    frames: usize,
+}
+
+/// A heavy-rate window whose groups are each replayed, layer by layer,
+/// right after they are answered.
 fn traced(
     args: &Args,
     addr: SocketAddr,
@@ -779,26 +999,8 @@ fn traced(
     warm_texts: &[String],
     report: &mut Report,
 ) -> Result<(), String> {
-    let n = frames_for(args, HEAVY_RPS, 0.4 * args.seconds);
-    let plain = phase(
-        addr,
-        conns,
-        mix.frames(n),
-        HEAVY_RPS,
-        "heavy, untraced",
-        report,
-    )?;
-    mix.taskgen_ns = 0.0;
-    mix.generated = 0;
-    let frames = mix.frames(n);
-    // Counted around the window alone: rendering computes the reference
-    // answers through the same library.
-    let (traced, server) =
-        Counts::around(|| phase(addr, conns, frames, HEAVY_RPS, "heavy, traced", report));
-    let traced = traced?;
-
-    // Bring a mirror LRU to the state the server's had before the traced
-    // window: the same warm-up and untraced frames, in order.
+    // A mirror LRU in the server's state: the same warm-up frames first,
+    // then the same stream, in order.
     let mut mirror = AnalysisLru::new(serve::DEFAULT_LRU_CAPACITY);
     let mut scratch = Tracer::new();
     let mut scratch_layers = WireLayers::default();
@@ -819,74 +1021,76 @@ fn traced(
             ROOT,
         )?;
     }
-    for frame in &plain.frames {
-        replay(
-            frame,
-            &mut mirror,
-            &mut scratch,
-            &mut scratch_layers,
-            ROOT,
-            ROOT,
-        )?;
-    }
     drop(scratch);
 
     let mut tracer = Tracer::new();
     let mut layers = WireLayers::default();
-    let origin_ns = tracer.at(traced.window.origin);
-    let mut rtt_us = Vec::new();
-    let mut micros_us = Vec::new();
-    let mut socket_us = Vec::new();
-    let mut wire_us = Vec::new();
-    let (mut sum_rtt, mut sum_model, mut sum_server, mut sum_render, mut sum_socket) =
-        (0.0, 0.0, 0.0, 0.0, 0.0);
-    let (accounted, mirror_counts) = Counts::around(|| -> Result<f64, String> {
-        let mut accounted = 0.0;
-        for (i, frame) in traced.frames.iter().enumerate() {
-            let (Some(sent), Some(recv), Some(line), true) = (
-                traced.window.sent_ns[i],
-                traced.window.recv_ns[i],
-                traced.window.lines[i].as_deref(),
-                traced.ok[i],
-            ) else {
-                continue;
-            };
-            let micros = field_u64(line, "\"micros\":").unwrap_or(0) as f64;
-            let rtt = (recv - sent) as f64 / 1e3;
-            let span = tracer.record("frame", ROOT, frame.id, origin_ns + sent, recv - sent);
-            let server = tracer.record(
-                "serve.server",
-                span,
-                frame.id,
-                origin_ns + sent,
-                (micros * 1e3) as u64,
-            );
-            let (model, render) =
-                replay(frame, &mut mirror, &mut tracer, &mut layers, span, server)?;
-            let (model, render) = (model as f64 / 1e3, render as f64 / 1e3);
-            let socket = rtt - model - micros - render;
-            rtt_us.push(rtt);
-            micros_us.push(micros);
-            wire_us.push(rtt - micros);
-            socket_us.push(socket);
-            accounted += model + micros + render;
-            if line.contains("\"cache\":\"hit\"") {
-                sum_rtt += rtt;
-                sum_model += model;
-                sum_server += micros;
-                sum_render += render;
-                sum_socket += socket;
+    let mut trips = RoundTrips::default();
+    let mut mirror_counts = Counts::default();
+    let mut visit = |frames: &[Frame], group: &Group, ok: &[bool]| -> Result<(), String> {
+        let origin_ns = tracer.at(group.origin);
+        let (result, counts) = Counts::around(|| -> Result<(), String> {
+            for (i, frame) in frames.iter().enumerate() {
+                trips.frame_bytes += frame.text.len();
+                trips.frames += 1;
+                let (Some(sent), Some(recv), Some(line), true) = (
+                    group.sent_ns[i],
+                    group.recv_ns[i],
+                    group.lines[i].as_deref(),
+                    ok[i],
+                ) else {
+                    continue;
+                };
+                let micros = field_u64(line, "\"micros\":").unwrap_or(0) as f64;
+                let rtt = (recv - sent) as f64 / 1e3;
+                let span = tracer.record("frame", ROOT, frame.id, origin_ns + sent, recv - sent);
+                let server = tracer.record(
+                    "serve.server",
+                    span,
+                    frame.id,
+                    origin_ns + sent,
+                    (micros * 1e3) as u64,
+                );
+                let done = replay(frame, &mut mirror, &mut tracer, &mut layers, span, server)?;
+                let (model, render) = (done.model_ns as f64 / 1e3, done.render_ns as f64 / 1e3);
+                let socket = rtt - model - micros - render;
+                trips.rtt.push(rtt);
+                trips.micros.push(micros);
+                trips.wire.push(rtt - micros);
+                trips.socket.push(socket);
+                trips.server_micros += micros;
+                trips.replayed_micros += (done.server_ns / 1000) as f64;
+                if line.contains("\"cache\":\"hit\"") {
+                    trips.hit_rtt += rtt;
+                    trips.hit_model += model;
+                    trips.hit_server += micros;
+                    trips.hit_render += render;
+                    trips.hit_socket += socket;
+                }
             }
-        }
-        Ok(accounted)
-    });
-    let accounted = accounted?;
+            Ok(())
+        });
+        mirror_counts.add(&counts);
+        result
+    };
+    let n = frames_for(HEAVY_RPS, TRACED_SHARE * args.seconds);
+    let window = phase(
+        addr,
+        conns,
+        mix,
+        n,
+        HEAVY_RPS,
+        "heavy, traced",
+        report,
+        &mut visit,
+    )?;
     let mirror_counts = mirror_counts.minus(&layers.warm_counts);
     report.fail(
         layers.mismatches,
         "replayed frames rendered different answers",
     );
-    let drift = server.differing(&mirror_counts);
+    let drift = window.counts.differing(&mirror_counts);
+    let server = &window.counts;
 
     let med = |xs: &[f64]| report::median(xs);
     report.set(
@@ -900,10 +1104,9 @@ fn traced(
     report.set("model.parse_ns", med(&layers.parse_ns));
     report.set("model.build_ns", med(&layers.build_ns));
     report.set("model.hash_ns", med(&layers.hash_ns));
-    let bytes: usize = traced.frames.iter().map(|f| f.text.len()).sum();
     report.set(
         "model.frame_bytes",
-        bytes as f64 / traced.frames.len().max(1) as f64,
+        trips.frame_bytes as f64 / trips.frames.max(1) as f64,
     );
     report.set("lru.fetch_ns", med(&layers.fetch_ns));
     report.set("lru.store_ns", med(&layers.store_ns));
@@ -912,26 +1115,38 @@ fn traced(
         "lru.hit_ratio",
         server.get("lru_hits_total") as f64 / lookups.max(1) as f64,
     );
-    report.set("serve.server_us", med(&micros_us));
-    report.set("serve.wire_us", med(&wire_us));
+    report.set("serve.server_us", med(&trips.micros));
+    report.set("serve.wire_us", med(&trips.wire));
     report.set("serve.render_ns", med(&layers.render_ns));
-    report.set("serve.socket_us", med(&socket_us));
-    report.set("loadgen.late_us.p99", traced.late_p99);
-    report.set("loadgen.backlog_max", traced.window.backlog_max as f64);
-    let plain_rtt = med(&plain.round_trips());
-    report.set(
-        "trace.overhead_pct",
-        100.0 * (med(&rtt_us) - plain_rtt) / plain_rtt,
+    report.set("serve.socket_us", med(&trips.socket));
+    report.set("loadgen.late_us.p99", window.late_p99);
+    report.set("loadgen.backlog_max", window.backlog_max as f64);
+    // The traced window's client and server run exactly as untraced ones:
+    // every span comes from replaying a group after it is answered.
+    println!("trace overhead: none on the wire path, whose spans are replayed afterwards");
+    report.set("trace.overhead_pct", 0.0);
+    // The check the replay could fail: its server-side spans must account
+    // for the time the server itself reports in `micros`.
+    let accounted_pct = 100.0 * trips.replayed_micros / trips.server_micros.max(1.0);
+    report.set("trace.accounted_pct", accounted_pct);
+    let within = (accounted_pct - 100.0).abs() <= SERVER_TOLERANCE_PCT;
+    println!(
+        "accounting: replayed server-side spans sum to {accounted_pct:.1}% of the responses' \
+         micros, {:.0} us (tolerance ±{SERVER_TOLERANCE_PCT}%): {}",
+        trips.server_micros,
+        if within { "within" } else { "OUTSIDE" }
     );
-    let total_rtt: f64 = rtt_us.iter().sum();
-    report.set("trace.accounted_pct", 100.0 * accounted / total_rtt);
-    report.set("trace.nondeterministic_counts", drift as f64);
-    if sum_rtt > 0.0 {
-        report.set("share.model_pct", 100.0 * sum_model / sum_rtt);
-        report.set("share.server_pct", 100.0 * sum_server / sum_rtt);
-        report.set("share.render_pct", 100.0 * sum_render / sum_rtt);
-        report.set("share.socket_pct", 100.0 * sum_socket / sum_rtt);
+    if !within {
+        report.fail(1, "replayed server-side spans miss the server's micros");
     }
+    report.set("trace.nondeterministic_counts", drift as f64);
+    if trips.hit_rtt > 0.0 {
+        report.set("share.model_pct", 100.0 * trips.hit_model / trips.hit_rtt);
+        report.set("share.server_pct", 100.0 * trips.hit_server / trips.hit_rtt);
+        report.set("share.render_pct", 100.0 * trips.hit_render / trips.hit_rtt);
+        report.set("share.socket_pct", 100.0 * trips.hit_socket / trips.hit_rtt);
+    }
+    let total_rtt: f64 = trips.rtt.iter().sum();
     tracer.print_self_times(total_rtt * 1e3);
     tracer.write_run(&args.out_dir, args.workload.name(), args.seed)
 }
@@ -941,12 +1156,8 @@ fn traced(
 /// the answers are checked after it stops.
 pub fn setup_probe(args: &Args) -> Result<f64, String> {
     let sets = pool_sets(args.seed);
-    let texts = warm_up_texts(
-        &sets
-            .iter()
-            .map(task_set_to_json_compact)
-            .collect::<Vec<_>>(),
-    );
+    let json: Vec<String> = sets.iter().map(task_set_to_json_compact).collect();
+    let texts = warm_up_texts(&json.iter().map(String::as_str).collect::<Vec<_>>());
     let started = Instant::now();
     let server =
         serve::spawn(&ServeOptions::default()).map_err(|e| format!("spawning the server: {e}"))?;

@@ -28,13 +28,7 @@ fn assert_prints_every_metric(workload: &str) {
     for (trace, list) in [("0", "end_to_end"), ("1", "per_layer")] {
         let out = Command::new(env!("CARGO_BIN_EXE_perfbench"))
             .args(["--workload", workload, "--seed", "7", "--seconds", "0.5"])
-            .args([
-                "--trace",
-                trace,
-                "--tiny",
-                "--out-dir",
-                env!("CARGO_TARGET_TMPDIR"),
-            ])
+            .args(["--trace", trace, "--out-dir", env!("CARGO_TARGET_TMPDIR")])
             .output()
             .expect("the benchmark binary runs");
         let stdout = String::from_utf8_lossy(&out.stdout);
