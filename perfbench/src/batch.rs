@@ -4,8 +4,11 @@
 //!
 //! One worker, because on a small shared host the same m = 16 sweep spreads
 //! widely with two workers but stays within a few percent serially. A run
-//! is a sequence of rounds, one set per grid point each, seeded from
-//! `--seed` and the round number, until `--seconds` have passed.
+//! is a sequence of rounds, one set per grid point each, until `--seconds`
+//! have passed. The untraced run repeats a cycle of rounds seeded from
+//! `--seed` and the round's place in the cycle, so each window of the cycle
+//! is timed many times over the run, on the same sets each time; the traced
+//! run seeds every round from its number.
 //!
 //! The traced run repeats the untraced run's rounds with every call into a
 //! layer inside a span, plus one warm re-evaluation per set on the same
@@ -14,7 +17,7 @@
 //! counts of the two runs must agree exactly once the warm evaluations'
 //! own counts are taken out.
 
-use crate::report::{self, grouped_p50_p99, Counts, Report, SimTimes};
+use crate::report::{self, Counts, Report, SimTimes};
 use crate::spans::{Tracer, ROOT};
 use crate::Args;
 use rta_analysis::{AnalysisRequest, Method, MethodOutcome, ScenarioSpace, TaskSetCache};
@@ -256,8 +259,8 @@ fn timed_rounds(
     let mut chunk = Duration::ZERO;
     loop {
         let started = Instant::now();
-        let seed = round_seed(seed, timed.rounds);
-        let (sets, failed) = batch.round(seed, latency, None);
+        let place = timed.rounds % (WINDOW_ROUNDS * CYCLE_WINDOWS) as u64;
+        let (sets, failed) = batch.round(round_seed(seed, place), latency, None);
         let took = started.elapsed();
         timed.rounds += 1;
         timed.sets += sets;
@@ -309,20 +312,24 @@ fn untraced(batch: Batch, args: &Args, report: &mut Report) -> Result<(), String
     if let Some(e) = probe_error {
         return Err(e);
     }
+    // A run shorter than one chunk still reports a set-up.
+    if probes.is_empty() {
+        probes.push(report::setup_probe(args)?);
+    }
     report::set_setup(report, &probes);
     report.attempted += timed.sets;
     report.fail(timed.failed, "sets failed their output checks");
-    // Throughput at the median round's pace: the rate is a median like
-    // every other timing, so a few costly sets do not swing it.
     let rounds_us: Vec<f64> = latency
         .light
         .iter()
         .zip(&latency.heavy)
         .map(|(l, h)| l + h)
         .collect();
-    let rate = utilization_grid(batch.cores()).len() as f64 / report::median(&rounds_us) * 1e6;
+    let round_us = fastest_cycle(&rounds_us, "rounds");
+    let rate = utilization_grid(batch.cores()).len() as f64 / round_us * 1e6;
     println!(
-        "{} rounds, {} sets in {:.3} s: {:.3} sets/s overall, {rate:.3} sets/s at the median round's pace",
+        "{} rounds, {} sets in {:.3} s: {:.3} sets/s overall, {rate:.3} sets/s at the fastest \
+         cycle's pace",
         timed.rounds,
         timed.sets,
         timed.wall.as_secs_f64(),
@@ -332,11 +339,58 @@ fn untraced(batch: Batch, args: &Args, report: &mut Report) -> Result<(), String
     // A closed loop has no offered-rate ladder: the highest rate it
     // sustains is its throughput.
     report.set("max_rps", rate);
-    let (p50, _) = grouped_p50_p99(&latency.light, "light half rounds, us");
-    report.set("p50_us.light", p50);
-    let (p50, _) = grouped_p50_p99(&latency.heavy, "heavy half rounds, us");
-    report.set("p50_us.heavy", p50);
+    report.set(
+        "p50_us.light",
+        fastest_cycle(&latency.light, "light half rounds"),
+    );
+    report.set(
+        "p50_us.heavy",
+        fastest_cycle(&latency.heavy, "heavy half rounds"),
+    );
     Ok(())
+}
+
+/// Rounds per timing window: about two thirds of a second of sweep-m16.
+const WINDOW_ROUNDS: usize = 50;
+/// Windows per cycle of the untraced run: 200 rounds, 2600 sets, so that
+/// which sets a seed draws moves a cycle's time by little even for the
+/// heavy half, whose round times spread about 45% around their mean.
+const CYCLE_WINDOWS: usize = 4;
+
+/// The mean round time (µs) of a cycle whose every window runs at the
+/// fast end ([`report::fast_end`]) of that window's repeats over the run.
+/// A window's repeats run the same sets, so they differ only in how fast
+/// the host ran them: a small shared host slows down for seconds to
+/// minutes at a time, and each window is timed in all of them. A run
+/// shorter than a cycle reports the mean of its rounds.
+fn fastest_cycle(rounds_us: &[f64], what: &str) -> f64 {
+    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
+    let windows: Vec<f64> = rounds_us.chunks_exact(WINDOW_ROUNDS).map(mean).collect();
+    if windows.len() < CYCLE_WINDOWS {
+        println!("{what}: {} rounds, less than a cycle", rounds_us.len());
+        return mean(rounds_us);
+    }
+    let fastest: Vec<f64> = (0..CYCLE_WINDOWS)
+        .map(|w| {
+            let repeats: Vec<f64> = windows
+                .iter()
+                .skip(w)
+                .step_by(CYCLE_WINDOWS)
+                .copied()
+                .collect();
+            report::fast_end(&repeats, true)
+        })
+        .collect();
+    let cycle = mean(&fastest);
+    println!(
+        "{what}: {} rounds, {} windows of {WINDOW_ROUNDS}, window means from {:.1} to {:.1} us; \
+         cycle of {CYCLE_WINDOWS} windows at their fastest repeats {cycle:.1} us per round",
+        rounds_us.len(),
+        windows.len(),
+        windows.iter().copied().fold(f64::INFINITY, f64::min),
+        windows.iter().copied().fold(0.0, f64::max),
+    );
+    cycle
 }
 
 /// What the traced replica of the rounds measured, per layer (ns).

@@ -182,31 +182,64 @@ pub fn p50_p99(samples: &mut [f64], what: &str) -> (f64, f64) {
 /// of a shared host's scheduling) does not set the group's p99.
 pub const GROUP: usize = 2000;
 
-/// The median over consecutive groups of [`GROUP`] samples (in the order
-/// they were taken) of each group's p50 and p99. A shared host slows down
-/// for seconds at a time; the median over groups reports the run's typical
-/// latency instead of the luck of its slowest stretch. A final partial
-/// group joins the one before it.
+/// Consecutive groups of `size` samples, in the order they were taken; a
+/// final partial group joins the one before it.
+pub fn groups(samples: &[f64], size: usize) -> Vec<&[f64]> {
+    let n = (samples.len() / size).max(1);
+    (0..n)
+        .map(|g| {
+            let end = if g + 1 == n {
+                samples.len()
+            } else {
+                (g + 1) * size
+            };
+            &samples[g * size..end]
+        })
+        .collect()
+}
+
+/// The median over consecutive groups of [`GROUP`] samples of each group's
+/// p50 and p99. A shared host slows down for seconds at a time; the median
+/// over groups reports the run's typical latency instead of the luck of its
+/// slowest stretch.
 pub fn grouped_p50_p99(samples: &[f64], what: &str) -> (f64, f64) {
-    let groups = (samples.len() / GROUP).max(1);
-    let (mut p50s, mut p99s) = (Vec::with_capacity(groups), Vec::with_capacity(groups));
-    for g in 0..groups {
-        let end = if g + 1 == groups {
-            samples.len()
-        } else {
-            (g + 1) * GROUP
-        };
-        let mut group = samples[g * GROUP..end].to_vec();
+    let groups = groups(samples, GROUP);
+    let (mut p50s, mut p99s) = (Vec::with_capacity(groups.len()), Vec::new());
+    for group in &groups {
+        let mut group = group.to_vec();
         group.sort_by(f64::total_cmp);
         p50s.push(quantile(&group, 0.5));
         p99s.push(quantile(&group, 0.99));
     }
     let (p50, p99) = (median(&p50s), median(&p99s));
     println!(
-        "{what}: {} samples in {groups} groups of {GROUP}, median group p50 {p50:.1}, p99 {p99:.1}",
-        samples.len()
+        "{what}: {} samples in {} groups of {GROUP}, median group p50 {p50:.1}, p99 {p99:.1}",
+        samples.len(),
+        groups.len()
     );
     (p50, p99)
+}
+
+/// Share of a run's windows that lie beyond the value [`fast_end`] reads.
+pub const FAST_SHARE: f64 = 0.05;
+
+/// The value [`FAST_SHARE`] of the way in from the fast end of `values`:
+/// their 5th percentile when lower is faster, their 95th when higher is.
+/// Each value is one short window of a run. A small shared host alternates
+/// between its normal speed and states up to twice as slow (neighbours
+/// contending for the core and its caches; no steal time shows) that last
+/// from a second to many minutes. The median over a run's windows follows
+/// such a state whenever it covers half the run; this figure only when it
+/// covers all but a twentieth.
+pub fn fast_end(values: &[f64], lower_is_faster: bool) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let q = if lower_is_faster {
+        FAST_SHARE
+    } else {
+        1.0 - FAST_SHARE
+    };
+    quantile(&sorted, q)
 }
 
 /// A 64-bit mixer (splitmix64) for deriving independent seeds.
@@ -474,7 +507,7 @@ pub fn setup_probe(args: &Args) -> Result<f64, String> {
 pub fn set_setup(report: &mut Report, probes: &[f64]) {
     let setup = median(probes);
     println!(
-        "setup: median {setup:.5} s of {} cold set-ups spread over the run",
+        "setup: median {setup:.5} s of {} cold set-ups",
         probes.len()
     );
     report.set("setup_s", setup);

@@ -13,7 +13,8 @@
 //! library path (`serve::verdicts_json`, `serve::sim_json`), one group of
 //! at most [`GROUP`] at a time before the group runs, so the client does no
 //! JSON or analysis work on the hot path; a group's frames and responses
-//! are dropped once judged. An untraced run has four stretches:
+//! are dropped once judged. An untraced run repeats a cycle of four
+//! stretches, so each figure samples the whole run:
 //!
 //! * `light` and `heavy`: fixed-rate open loops. Each connection has one
 //!   writer thread, which sends its frames at their due times (pipelined by
@@ -22,9 +23,11 @@
 //!   it; a failed, refused or wrong response counts as the full response
 //!   timeout.
 //! * `capacity`: a closed loop that keeps [`DEPTH`] frames in flight on
-//!   every connection; the frames answered per second are `sets_per_s`.
+//!   every connection; the fast end (`report::fast_end`) of its windows'
+//!   frames answered per second is `sets_per_s`.
 //! * `ladder`: open-loop trials stepping down the fixed rate ladder from
-//!   the measured capacity; the first that qualifies gives `max_rps`.
+//!   the cycle's capacity; the first that qualifies ends the search, and
+//!   the fast end of the searches is `max_rps`.
 //!
 //! The traced run times the layers of the wire path by replaying each
 //! group's frames, once answered, through the public functions the server
@@ -49,7 +52,7 @@ use rta_taskgen::group1;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -79,8 +82,8 @@ const HEAVY_RPS: f64 = 5000.0;
 /// to far past the server's capacity. A step is much finer than the
 /// metric's bound, so losing or gaining one rung of capacity shows.
 const LADDER_BASE: f64 = 1000.0;
-const LADDER_STEP: f64 = 1.04;
-const LADDER_RUNGS: usize = 100;
+const LADDER_STEP: f64 = 1.02;
+const LADDER_RUNGS: usize = 200;
 /// A ladder rate qualifies when its p99 from due time stays within this…
 const P99_LIMIT_US: f64 = 5000.0;
 /// …the writers' p99 lateness within this, with no failures and no
@@ -90,9 +93,14 @@ const LATE_LIMIT_US: f64 = 2000.0;
 /// that the server always has a frame waiting, far less than the socket
 /// buffers hold.
 const DEPTH: usize = 16;
-/// Share of `--seconds` each of an untraced run's two fixed-rate windows
-/// and its capacity window takes. The ladder trials after them are one
-/// group each, and the first usually qualifies.
+/// An untraced run is cut into cycles of about this many seconds, each
+/// with its own stretch of every window and its own ladder search, so
+/// every figure samples the whole run rather than one part of it: a small
+/// shared host slows down for seconds at a time.
+const CYCLE_SECONDS: f64 = 5.0;
+/// Share of each cycle each of its two fixed-rate stretches and its
+/// capacity stretch takes. The ladder trials after them are one group
+/// each, and the first usually qualifies.
 const WINDOW_SHARE: f64 = 0.3;
 /// Share of `--seconds` the traced run's window takes.
 const TRACED_SHARE: f64 = 0.4;
@@ -103,8 +111,8 @@ const SERVER_TOLERANCE_PCT: f64 = 25.0;
 const RESPONSE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Outstanding frames a group may gain between its first and last quarter.
 const BACKLOG_SLACK: f64 = 16.0;
-/// Set-up probes run before each stretch.
-const PROBES_PER_GAP: usize = 2;
+/// Set-up probes run before each cycle.
+const PROBES_PER_GAP: usize = 4;
 /// Head start between opening the connections and the first due time.
 const LEAD: Duration = Duration::from_millis(20);
 
@@ -507,9 +515,135 @@ struct Phase {
     counts: Counts,
 }
 
-/// Runs `n` frames of `mix` at `rate` in consecutive groups of [`GROUP`]
-/// (a final partial group joins the one before), each rendered just before
-/// it runs on `conns` fresh connections, and checks every response.
+/// An open-loop window at one fixed rate, run in one or more stretches:
+/// what its groups have measured so far.
+struct Window {
+    label: String,
+    rate: f64,
+    frames: usize,
+    groups: usize,
+    failed: u64,
+    latency_us: Vec<f64>,
+    late_us: Vec<f64>,
+    active_ns: u64,
+    backlog_max: u64,
+    grew: usize,
+    counts: Counts,
+}
+
+impl Window {
+    fn new(label: &str, rate: f64) -> Self {
+        Self {
+            label: label.to_string(),
+            rate,
+            frames: 0,
+            groups: 0,
+            failed: 0,
+            latency_us: Vec::new(),
+            late_us: Vec::new(),
+            active_ns: 0,
+            backlog_max: 0,
+            grew: 0,
+            counts: Counts::default(),
+        }
+    }
+
+    /// Runs `n` more frames of `mix` in consecutive groups of [`GROUP`] (a
+    /// final partial group joins the one before), each rendered just before
+    /// it runs on `conns` fresh connections, and checks every response.
+    fn run(
+        &mut self,
+        addr: SocketAddr,
+        conns: usize,
+        mix: &mut Mix,
+        n: usize,
+        visit: &mut Visit,
+    ) -> Result<(), String> {
+        let groups = (n / GROUP).max(1);
+        let timeout_us = RESPONSE_TIMEOUT.as_secs_f64() * 1e6;
+        let rate = self.rate;
+        for g in 0..groups {
+            let len = if g + 1 == groups {
+                n - g * GROUP
+            } else {
+                GROUP
+            };
+            let frames = mix.frames(len);
+            let (group, counts) = Counts::around(|| run_group(addr, &frames, rate, conns));
+            let group = group?;
+            self.counts.add(&counts);
+            let mut ok = Vec::with_capacity(len);
+            for (i, frame) in frames.iter().enumerate() {
+                let answered = group.lines[i]
+                    .as_deref()
+                    .is_some_and(|line| frame.answered_by(line));
+                if let Some(sent) = group.sent_ns[i] {
+                    self.late_us
+                        .push(sent.saturating_sub(group.due_ns[i]) as f64 / 1e3);
+                }
+                match group.recv_ns[i] {
+                    Some(recv) if answered => {
+                        self.latency_us
+                            .push(recv.saturating_sub(group.due_ns[i]) as f64 / 1e3);
+                    }
+                    _ => {
+                        if self.failed == 0 {
+                            eprintln!(
+                                "{}: frame {} got {:?}, expected body {}",
+                                self.label, frame.id, group.lines[i], frame.body
+                            );
+                        }
+                        self.failed += 1;
+                        self.latency_us.push(timeout_us);
+                    }
+                }
+                ok.push(answered);
+            }
+            let last_sent = group.sent_ns.iter().flatten().copied().max().unwrap_or(0);
+            self.active_ns += last_sent + (1e9 / rate) as u64;
+            self.backlog_max = self
+                .backlog_max
+                .max(group.backlog.iter().copied().max().unwrap_or(0));
+            self.grew += usize::from(backlog_grew(&group.backlog));
+            visit(&frames, &group, &ok)?;
+        }
+        self.frames += n;
+        self.groups += groups;
+        Ok(())
+    }
+
+    /// Judges every frame the window has run.
+    fn judge(self, report: &mut Report) -> Phase {
+        let label = &self.label;
+        report.attempted += self.frames as u64;
+        report.fail(
+            self.failed,
+            &format!("{label}: failed, refused or wrong responses"),
+        );
+        let (p50, p99) = grouped_p50_p99(&self.latency_us, &format!("{label}: us from due time"));
+        let (_, late_p99) = grouped_p50_p99(&self.late_us, &format!("{label}: us sent late"));
+        let achieved =
+            (self.frames as u64 - self.failed) as f64 / (self.active_ns.max(1) as f64 / 1e9);
+        println!(
+            "{label}: {} frames at {}/s, {} failed, achieved {achieved:.1}/s, backlog max {}, \
+             grew in {} of {} groups",
+            self.frames, self.rate, self.failed, self.backlog_max, self.grew, self.groups
+        );
+        Phase {
+            failed: self.failed,
+            p50,
+            p99,
+            late_p99,
+            achieved,
+            backlog_max: self.backlog_max,
+            grew: 2 * self.grew > self.groups,
+            counts: self.counts,
+        }
+    }
+}
+
+/// Runs `n` frames of `mix` at `rate` as one open-loop window and judges
+/// it.
 #[allow(clippy::too_many_arguments)]
 fn phase(
     addr: SocketAddr,
@@ -521,80 +655,9 @@ fn phase(
     report: &mut Report,
     visit: &mut Visit,
 ) -> Result<Phase, String> {
-    let groups = (n / GROUP).max(1);
-    let timeout_us = RESPONSE_TIMEOUT.as_secs_f64() * 1e6;
-    let mut latency_us = Vec::with_capacity(n);
-    let mut late_us = Vec::with_capacity(n);
-    let mut phase = Phase {
-        failed: 0,
-        p50: 0.0,
-        p99: 0.0,
-        late_p99: 0.0,
-        achieved: 0.0,
-        backlog_max: 0,
-        grew: false,
-        counts: Counts::default(),
-    };
-    let mut active_ns = 0;
-    let mut grew = 0;
-    for g in 0..groups {
-        let len = if g + 1 == groups {
-            n - g * GROUP
-        } else {
-            GROUP
-        };
-        let frames = mix.frames(len);
-        let (group, counts) = Counts::around(|| run_group(addr, &frames, rate, conns));
-        let group = group?;
-        phase.counts.add(&counts);
-        let mut ok = Vec::with_capacity(len);
-        for (i, frame) in frames.iter().enumerate() {
-            let answered = group.lines[i]
-                .as_deref()
-                .is_some_and(|line| frame.answered_by(line));
-            if let Some(sent) = group.sent_ns[i] {
-                late_us.push(sent.saturating_sub(group.due_ns[i]) as f64 / 1e3);
-            }
-            match group.recv_ns[i] {
-                Some(recv) if answered => {
-                    latency_us.push(recv.saturating_sub(group.due_ns[i]) as f64 / 1e3);
-                }
-                _ => {
-                    if phase.failed == 0 {
-                        eprintln!(
-                            "{label}: frame {} got {:?}, expected body {}",
-                            frame.id, group.lines[i], frame.body
-                        );
-                    }
-                    phase.failed += 1;
-                    latency_us.push(timeout_us);
-                }
-            }
-            ok.push(answered);
-        }
-        let last_sent = group.sent_ns.iter().flatten().copied().max().unwrap_or(0);
-        active_ns += last_sent + (1e9 / rate) as u64;
-        phase.backlog_max = phase
-            .backlog_max
-            .max(group.backlog.iter().copied().max().unwrap_or(0));
-        grew += usize::from(backlog_grew(&group.backlog));
-        visit(&frames, &group, &ok)?;
-    }
-    phase.grew = 2 * grew > groups;
-    report.attempted += n as u64;
-    report.fail(
-        phase.failed,
-        &format!("{label}: failed, refused or wrong responses"),
-    );
-    (phase.p50, phase.p99) = grouped_p50_p99(&latency_us, &format!("{label}: us from due time"));
-    (_, phase.late_p99) = grouped_p50_p99(&late_us, &format!("{label}: us sent late"));
-    phase.achieved = (n as u64 - phase.failed) as f64 / (active_ns.max(1) as f64 / 1e9);
-    println!(
-        "{label}: {n} frames at {rate}/s, {} failed, achieved {:.1}/s, backlog max {}, \
-         grew in {grew} of {groups} groups",
-        phase.failed, phase.achieved, phase.backlog_max
-    );
-    Ok(phase)
+    let mut window = Window::new(label, rate);
+    window.run(addr, conns, mix, n, visit)?;
+    Ok(window.judge(report))
 }
 
 /// Leaves a group as it is.
@@ -608,11 +671,11 @@ fn frames_for(rate: f64, seconds: f64) -> usize {
 }
 
 /// Runs `frames` in a closed loop over `conns` fresh connections (frame
-/// `i` on connection `i % conns`). As in the open loop, each connection
-/// has a writer thread and a reader thread; the writer sends its next
-/// frame as soon as fewer than [`DEPTH`] of its frames are unanswered, so
-/// every answer is acknowledged at once by the next frame. Returns the
-/// responses and the time from the first send to the last response.
+/// `i` on connection `i % conns`). Each connection has one client thread,
+/// so the client and the server together run one thread per core: it
+/// sends [`DEPTH`] frames, then one more after each answer, so every
+/// answer is acknowledged at once by the next frame. Returns the responses
+/// and the time from the first send to the last response.
 fn run_closed(
     addr: SocketAddr,
     frames: &[Frame],
@@ -625,41 +688,42 @@ fn run_closed(
     let started = Instant::now();
     let mut ended = started;
     thread::scope(|scope| -> Result<(), String> {
-        let mut readers = Vec::with_capacity(conns);
+        let mut clients = Vec::with_capacity(conns);
         for (c, mut stream) in streams.into_iter().enumerate() {
             let reader = stream
                 .try_clone()
                 .map_err(|e| format!("opening a client connection: {e}"))?;
-            let expected = (c..n).step_by(conns).count();
-            // One credit per answered frame; the writer starts with DEPTH.
-            let (credit, credits) = mpsc::channel::<()>();
-            scope.spawn(move || {
-                for (sent, i) in (c..n).step_by(conns).enumerate() {
-                    if sent >= DEPTH && credits.recv().is_err() {
-                        break; // the reader stopped: the rest count as failed
-                    }
-                    if stream.write_all(frames[i].text.as_bytes()).is_err() {
-                        break;
-                    }
-                }
-            });
-            readers.push(scope.spawn(move || {
+            clients.push(scope.spawn(move || {
+                let mine: Vec<usize> = (c..n).step_by(conns).collect();
                 let mut reader = BufReader::new(reader);
-                let mut responses = Vec::with_capacity(expected);
-                for _ in 0..expected {
-                    let mut line = String::new();
-                    match reader.read_line(&mut line) {
-                        Ok(0) | Err(_) => break, // the missing frames count as failed
-                        Ok(_) => {}
+                let mut responses = Vec::with_capacity(mine.len());
+                let first: Vec<u8> = mine
+                    .iter()
+                    .take(DEPTH)
+                    .flat_map(|&i| frames[i].text.bytes())
+                    .collect();
+                let mut sent = DEPTH.min(mine.len());
+                if stream.write_all(&first).is_ok() {
+                    for _ in 0..mine.len() {
+                        let mut line = String::new();
+                        match reader.read_line(&mut line) {
+                            Ok(0) | Err(_) => break, // the missing frames count as failed
+                            Ok(_) => {}
+                        }
+                        responses.push(line);
+                        if let Some(&i) = mine.get(sent) {
+                            if stream.write_all(frames[i].text.as_bytes()).is_err() {
+                                break;
+                            }
+                            sent += 1;
+                        }
                     }
-                    let _ = credit.send(());
-                    responses.push(line);
                 }
                 (Instant::now(), responses)
             }));
         }
-        for reader in readers {
-            let (at, responses) = reader.join().expect("reader threads do not panic");
+        for client in clients {
+            let (at, responses) = client.join().expect("client threads do not panic");
             ended = ended.max(at);
             for line in responses {
                 if let Some(k) = index_of(&line, first_id, n) {
@@ -672,21 +736,22 @@ fn run_closed(
     Ok((lines, ended - started))
 }
 
-/// The server's capacity: closed-loop windows of [`GROUP`] frames, each
-/// rendered just before it runs on fresh connections, until they have run
-/// for `seconds` (at least one). Returns the median window's correct
-/// answers per second.
+/// One stretch of the server's capacity: closed-loop windows of [`GROUP`]
+/// frames, each rendered just before it runs on fresh connections, until
+/// they have run for `seconds` (at least one). Appends each window's correct
+/// answers per second to `rates` and returns the stretch's fast end.
 fn capacity(
     addr: SocketAddr,
     conns: usize,
     mix: &mut Mix,
     seconds: f64,
+    rates: &mut Vec<f64>,
     report: &mut Report,
 ) -> Result<f64, String> {
-    let mut rates = Vec::new();
+    let start = rates.len();
     let mut busy = Duration::ZERO;
     let mut failed = 0;
-    while rates.is_empty() || busy.as_secs_f64() < seconds {
+    while rates.len() == start || busy.as_secs_f64() < seconds {
         let frames = mix.frames(GROUP);
         let (lines, elapsed) = run_closed(addr, &frames, conns)?;
         let ok = frames
@@ -700,14 +765,15 @@ fn capacity(
         rates.push(ok as f64 / elapsed.as_secs_f64().max(1e-9));
     }
     report.fail(failed, "capacity: failed, refused or wrong responses");
-    let rate = report::median(&rates);
+    let stretch = &rates[start..];
+    let rate = report::fast_end(stretch, false);
     println!(
         "capacity: {} closed-loop windows of {GROUP} frames, {DEPTH} in flight per connection, \
-         in {:.3} s: median {rate:.1} frames/s, min {:.1}, max {:.1}",
-        rates.len(),
+         in {:.3} s: 95th percentile {rate:.1} frames/s, min {:.1}, max {:.1}",
+        stretch.len(),
         busy.as_secs_f64(),
-        rates.iter().copied().fold(f64::INFINITY, f64::min),
-        rates.iter().copied().fold(0.0, f64::max),
+        stretch.iter().copied().fold(f64::INFINITY, f64::min),
+        stretch.iter().copied().fold(0.0, f64::max),
     );
     Ok(rate)
 }
@@ -717,10 +783,11 @@ fn ladder(k: usize) -> f64 {
     (LADDER_BASE * LADDER_STEP.powi(k as i32)).round()
 }
 
-/// `max_rps`: the highest rung of the fixed ladder, up to the measured
-/// `capacity`, that qualifies in an open-loop trial of [`GROUP`] frames;
-/// the trials step down the ladder from the capacity until one qualifies,
-/// and the result is that trial's achieved rate. The search does not climb
+/// One ladder search for `max_rps`: the highest rung of the fixed ladder,
+/// up to the `capacity` measured just before, that qualifies in an
+/// open-loop trial of [`GROUP`] frames; the trials step down the ladder
+/// from the capacity until one qualifies, and the result is that trial's
+/// achieved rate (0 when none does). The search does not climb
 /// past the capacity: up there, whether a trial qualifies depends on how
 /// often the host stalls far more than on the server (on a small shared
 /// host an up-down staircase above it moved twice as far between two sets
@@ -759,7 +826,7 @@ fn max_rps(
         );
         if qualifies || k == 0 {
             let max_rps = if qualifies { trial.achieved } else { 0.0 };
-            println!("max_rps: {max_rps:.1} frames/s (capacity {capacity:.1} frames/s)");
+            println!("ladder search: {max_rps:.1} frames/s (capacity {capacity:.1} frames/s)");
             return Ok(max_rps);
         }
         k -= 1;
@@ -829,29 +896,34 @@ fn untraced(
     mix: &mut Mix,
     report: &mut Report,
 ) -> Result<(), String> {
-    // Set-up probes run between the stretches, never during one.
-    let mut probes = Vec::new();
-    let probe = |probes: &mut Vec<f64>| -> Result<(), String> {
+    let cycles = (args.seconds / CYCLE_SECONDS).round().max(1.0);
+    let stretch = WINDOW_SHARE * args.seconds / cycles;
+    let mut light = Window::new("light", LIGHT_RPS);
+    let mut heavy = Window::new("heavy", HEAVY_RPS);
+    let (mut probes, mut rates, mut found) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..cycles as usize {
+        // Set-up probes run between the stretches, never during one.
         for _ in 0..PROBES_PER_GAP {
             probes.push(report::setup_probe(args)?);
         }
-        Ok(())
-    };
-    let s = args.seconds;
-    for (label, rate, metric) in [
-        ("light", LIGHT_RPS, "p50_us.light"),
-        ("heavy", HEAVY_RPS, "p50_us.heavy"),
-    ] {
-        probe(&mut probes)?;
-        let n = frames_for(rate, WINDOW_SHARE * s);
-        let window = phase(addr, conns, mix, n, rate, label, report, &mut skip)?;
-        report.set(metric, window.p50);
+        light.run(addr, conns, mix, frames_for(LIGHT_RPS, stretch), &mut skip)?;
+        heavy.run(addr, conns, mix, frames_for(HEAVY_RPS, stretch), &mut skip)?;
+        let capacity = capacity(addr, conns, mix, stretch, &mut rates, report)?;
+        found.push(max_rps(addr, conns, mix, capacity, report)?);
     }
-    probe(&mut probes)?;
-    let capacity = capacity(addr, conns, mix, WINDOW_SHARE * s, report)?;
+    for (window, metric) in [(light, "p50_us.light"), (heavy, "p50_us.heavy")] {
+        let p50 = window.judge(report).p50;
+        report.set(metric, p50);
+    }
+    let capacity = report::fast_end(&rates, false);
+    let max_rps = report::fast_end(&found, false);
+    println!(
+        "over {cycles} cycles: capacity {capacity:.1} frames/s, the 95th percentile of {} \
+         closed-loop windows; max_rps {max_rps:.1} frames/s, the 95th percentile of the cycles' \
+         ladder searches",
+        rates.len()
+    );
     report.set("sets_per_s", capacity);
-    probe(&mut probes)?;
-    let max_rps = max_rps(addr, conns, mix, capacity, report)?;
     report.set("max_rps", max_rps);
     report::set_setup(report, &probes);
     Ok(())

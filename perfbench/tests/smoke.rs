@@ -4,6 +4,11 @@
 
 use rta_model::json::{self, Value};
 use std::process::Command;
+use std::sync::Mutex;
+
+/// The workloads time themselves and check their own timings, so the
+/// tests run them one at a time rather than on parallel test threads.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// `(name, unit)` of every metric in one `BENCHMARK.json` list.
 fn catalogue(list: &str) -> Vec<(String, String)> {
@@ -25,6 +30,9 @@ fn catalogue(list: &str) -> Vec<(String, String)> {
 }
 
 fn assert_prints_every_metric(workload: &str) {
+    let _turn = ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     for (trace, list) in [("0", "end_to_end"), ("1", "per_layer")] {
         let out = Command::new(env!("CARGO_BIN_EXE_perfbench"))
             .args(["--workload", workload, "--seed", "7", "--seconds", "0.5"])
