@@ -11,24 +11,22 @@
 //!
 //! each in four shapes: a single LP-ILP analysis uncached
 //! (`analyze_uncached`, the pre-cache code path) vs cached (`analyze`), and
-//! the full 3-method sweep point per-method-uncached vs batched
-//! (`analyze_all`). A fifth pair runs the utilization point through the
-//! campaign driver serially and in parallel, so the JSON tracks both axes
-//! of the "as fast as the hardware allows" goal.
+//! the full 3-method sweep point per-method-uncached vs batched (one
+//! bound-carrying `AnalysisRequest` sharing one cache across the methods).
+//! A fifth pair runs the utilization point through the campaign driver
+//! serially and in parallel, so the JSON tracks both axes of the "as fast
+//! as the hardware allows" goal.
 //!
 //! Besides the human-readable report, the bench writes **`BENCH_2.json`**
 //! (override the path with the `BENCH_JSON` environment variable) with the
 //! median nanoseconds per sweep point of every shape, so CI can archive the
 //! perf trajectory run over run.
 
-// These benches track the perf trajectory of the original batched
-// entry points, now thin wrappers over `AnalysisRequest` — calling
-// them here is the point, not an oversight.
-#![allow(deprecated)]
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rta_analysis::{analyze, analyze_all, analyze_uncached, AnalysisConfig, Method, ScenarioSpace};
+use rta_analysis::{
+    analyze, analyze_uncached, AnalysisConfig, AnalysisRequest, Method, ScenarioSpace,
+};
 use rta_experiments::exec::Jobs;
 use rta_experiments::figure2::{run_with_jobs, SweepConfig};
 use rta_experiments::set_seed;
@@ -99,14 +97,14 @@ fn task_count_point_sets() -> Vec<TaskSet> {
         .collect()
 }
 
-fn sweep_configs() -> Vec<AnalysisConfig> {
+fn sweep_request() -> AnalysisRequest {
     // Deliberately the paper's three methods, not Method::ALL: the
     // committed BENCH_2.json baselines measure the 3-method pipeline, and
     // adding LP-sound here would shift them without any perf change.
-    Method::PAPER
-        .iter()
-        .map(|&m| AnalysisConfig::new(CORES, m).with_scenario_space(ScenarioSpace::PaperExact))
-        .collect()
+    AnalysisRequest::new(CORES)
+        .with_methods(Method::PAPER)
+        .with_scenario_space(ScenarioSpace::PaperExact)
+        .with_bounds(true)
 }
 
 /// The per-point measurements, in nanoseconds per sweep point.
@@ -132,16 +130,27 @@ impl PointResult {
     }
 }
 
-fn measure_point(label: &str, sets: &[TaskSet], configs: &[AnalysisConfig]) -> PointResult {
+fn measure_point(label: &str, sets: &[TaskSet], request: &AnalysisRequest) -> PointResult {
+    let configs: Vec<AnalysisConfig> = request
+        .methods
+        .iter()
+        .map(|&m| request.config_for(m))
+        .collect();
     let lp_ilp = &configs[1];
     assert_eq!(lp_ilp.method, Method::LpIlp);
 
     // Sanity: the cached paths must reproduce the uncached reports exactly
     // before we bother timing them.
     for ts in sets {
-        let batched = analyze_all(ts, configs);
-        for (config, report) in configs.iter().zip(&batched) {
-            assert_eq!(report, &analyze_uncached(ts, config), "cache must be exact");
+        for (config, answer) in configs.iter().zip(request.evaluate(ts).outcomes()) {
+            let reference = analyze_uncached(ts, config);
+            assert_eq!(analyze(ts, config), reference, "cache must be exact");
+            let bounds: Vec<_> = reference.tasks.iter().map(|t| t.response_bound).collect();
+            assert_eq!(
+                answer.schedulable, reference.schedulable,
+                "cache must be exact"
+            );
+            assert_eq!(answer.bounds.as_ref(), Some(&bounds), "cache must be exact");
         }
     }
 
@@ -163,7 +172,7 @@ fn measure_point(label: &str, sets: &[TaskSet], configs: &[AnalysisConfig]) -> P
         }),
         batched_ns: measure(|| {
             sets.iter()
-                .for_each(|ts| drop(black_box(analyze_all(ts, configs))))
+                .for_each(|ts| drop(black_box(request.evaluate(ts))))
         }),
         fp_ideal_ns: measure(|| {
             sets.iter()
@@ -190,7 +199,7 @@ fn measure_point(label: &str, sets: &[TaskSet], configs: &[AnalysisConfig]) -> P
     );
     println!(
         "{:<46} {:>12}   ({:.2}x)",
-        "3-method point, batched analyze_all",
+        "3-method point, batched request",
         scale(result.batched_ns),
         result.batched_speedup()
     );
@@ -218,17 +227,17 @@ fn json_point(out: &mut String, key: &str, point: &PointResult) {
 
 fn main() {
     let bench_started = std::time::Instant::now();
-    let configs = sweep_configs();
+    let request = sweep_request();
     println!("cache bench: m = {CORES}, {SETS_PER_POINT} sets/point, median of {SAMPLES} samples");
     let utilization = measure_point(
         "utilization point (U = 3.5, group 1)",
         &utilization_point_sets(),
-        &configs,
+        &request,
     );
     let task_count = measure_point(
         &format!("task-count point (n = {TASK_COUNT}, U = m/2)"),
         &task_count_point_sets(),
-        &configs,
+        &request,
     );
 
     // The same utilization point through the campaign driver, serial vs

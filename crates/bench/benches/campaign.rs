@@ -7,9 +7,10 @@
 //! * **generation**: the old two-phase path (fresh generator per set) vs
 //!   the streaming path (one scratch-reusing `TaskSetGenerator`, as each
 //!   campaign worker holds) — both produce bit-identical sets;
-//! * **analysis**: the PR-2 batched `analyze_all` (full reports) vs the
-//!   dominance-short-circuited `analyze_verdicts` the campaign cells run —
-//!   identical verdicts, pinned before timing;
+//! * **analysis**: a bound-carrying `AnalysisRequest` (every method's own
+//!   fixed point and full report over one shared cache) vs the
+//!   dominance-short-circuited verdict-only request the campaign cells
+//!   run — identical verdicts, pinned before timing;
 //! * **end to end**: the streaming engine through `figure2::run_with_jobs`,
 //!   serial and parallel;
 //! * **throughput**: generated-and-analyzed sets per second of the serial
@@ -21,14 +22,9 @@
 //! JSON is deliberately line-oriented — one scalar per line — so the CI
 //! gate can extract fields with `grep`/`awk` instead of a JSON parser.
 
-// These benches track the perf trajectory of the original batched
-// entry points, now thin wrappers over `AnalysisRequest` — calling
-// them here is the point, not an oversight.
-#![allow(deprecated)]
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rta_analysis::{analyze_all, analyze_verdicts, AnalysisConfig, Method, ScenarioSpace};
+use rta_analysis::{analyze_uncached, AnalysisRequest, Method, ScenarioSpace};
 use rta_experiments::exec::Jobs;
 use rta_experiments::figure2::{run_with_jobs, SweepConfig};
 use rta_experiments::set_seed;
@@ -46,8 +42,8 @@ const SAMPLES: usize = 5;
 const CORES: usize = 4;
 
 /// The PR-2 serial in-process time of this exact grid on the reference
-/// machine (measured before the streaming engine landed: batched
-/// `analyze_all` over two-phase generation). Kept as the denominator of
+/// machine (measured before the streaming engine landed: batched full
+/// reports over two-phase generation). Kept as the denominator of
 /// the reported end-to-end speedup; the CLI-level numbers (~40 ms → see
 /// CHANGES.md) include process startup on top.
 const PR2_SERIAL_GRID_NS: f64 = 32_470_000.0;
@@ -110,25 +106,31 @@ fn main() {
     };
 
     // Sanity before timing anything: streaming generation reproduces the
-    // two-phase sets, and the verdict path reproduces analyze_all's flags.
+    // two-phase sets, and both request shapes reproduce the uncached
+    // reference's flags.
     let sets = two_phase();
     assert_eq!(sets, streaming(), "streaming generation must be exact");
     // The paper's three methods, not Method::ALL: the committed
     // BENCH_3.json analysis baselines are 3-method numbers (the 4-method
     // costs live in BENCH_5.json's sound bench).
-    let configs: Vec<AnalysisConfig> = Method::PAPER
-        .iter()
-        .map(|&m| AnalysisConfig::new(CORES, m).with_scenario_space(ScenarioSpace::PaperExact))
-        .collect();
+    let verdicts = AnalysisRequest::new(CORES)
+        .with_methods(Method::PAPER)
+        .with_scenario_space(ScenarioSpace::PaperExact);
+    let batched = verdicts.clone().with_bounds(true);
     for ts in &sets {
-        let expected: Vec<bool> = analyze_all(ts, &configs)
+        let expected: Vec<bool> = Method::PAPER
             .iter()
-            .map(|r| r.schedulable)
+            .map(|&m| analyze_uncached(ts, &verdicts.config_for(m)).schedulable)
             .collect();
         assert_eq!(
-            analyze_verdicts(ts, &configs),
+            verdicts.evaluate(ts).verdicts(),
             expected,
             "verdict path must be exact"
+        );
+        assert_eq!(
+            batched.evaluate(ts).verdicts(),
+            expected,
+            "bound path must be exact"
         );
     }
 
@@ -153,16 +155,16 @@ fn main() {
 
     let analysis_batched_ns = measure(|| {
         sets.iter()
-            .for_each(|ts| drop(black_box(analyze_all(ts, &configs))))
+            .for_each(|ts| drop(black_box(batched.evaluate(ts))))
     });
     let analysis_verdicts_ns = measure(|| {
         sets.iter()
-            .for_each(|ts| drop(black_box(analyze_verdicts(ts, &configs))))
+            .for_each(|ts| drop(black_box(verdicts.evaluate(ts))))
     });
     let analysis_speedup = analysis_batched_ns / analysis_verdicts_ns;
     println!(
         "{:<46} {:>12}",
-        "analysis, batched analyze_all (PR-2 path)",
+        "analysis, batched bound-carrying request",
         scale(analysis_batched_ns)
     );
     println!(

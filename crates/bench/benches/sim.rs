@@ -23,17 +23,13 @@
 //! (override the path with the `BENCH_JSON` environment variable) so CI
 //! can archive the perf trajectory run over run.
 
-// The step loop is the deprecated reference engine — timing it against
-// the redesign is the point of this bench.
-#![allow(deprecated)]
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rta_experiments::set_seed;
 use rta_experiments::validate::{validate_set, PolicyChoice, ReleaseChoice};
 use rta_model::{TaskSet, Time};
 use rta_sim::step_loop::simulate_step_loop;
-use rta_sim::{PreemptionPolicy, SimConfig, SimRequest};
+use rta_sim::SimRequest;
 use rta_taskgen::{generate_task_set, group1};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -112,8 +108,8 @@ fn measure_cell(sets: &[(TaskSet, Time)], stretch: Time) -> (f64, f64) {
     measure_pair(
         || {
             for (ts, horizon) in sets {
-                let config = SimConfig::new(CORES, *horizon * stretch);
-                drop(black_box(simulate_step_loop(ts, &config)));
+                let request = SimRequest::new(CORES, *horizon * stretch);
+                drop(black_box(simulate_step_loop(ts, &request)));
             }
         },
         || {
@@ -138,10 +134,9 @@ fn main() {
     // speedup is only worth reporting for a bit-identical result.
     for (ts, horizon) in &sets {
         for stretch in [1, STRETCH] {
-            let config = SimConfig::new(CORES, *horizon * stretch)
-                .with_policy(PreemptionPolicy::LimitedPreemptive);
-            let reference = simulate_step_loop(ts, &config);
-            let redesigned = rta_sim::simulate(ts, &config);
+            let request = SimRequest::new(CORES, *horizon * stretch);
+            let reference = simulate_step_loop(ts, &request);
+            let redesigned = request.evaluate(ts).into_result();
             assert_eq!(reference, redesigned, "engines diverged before timing");
         }
     }

@@ -24,14 +24,11 @@
 //! (override the path with the `BENCH_JSON` environment variable),
 //! line-oriented like its predecessors so CI can `grep` fields.
 
-// These benches track the perf trajectory of the original batched
-// entry points, now thin wrappers over `AnalysisRequest` — calling
-// them here is the point, not an oversight.
-#![allow(deprecated)]
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rta_analysis::{analyze, analyze_all, analyze_verdicts, AnalysisConfig, Method, ScenarioSpace};
+use rta_analysis::{
+    analyze, analyze_uncached, AnalysisConfig, AnalysisRequest, Method, ScenarioSpace,
+};
 use rta_experiments::set_seed;
 use rta_experiments::validate::{validate_set, PolicyChoice, ReleaseChoice};
 use rta_model::TaskSet;
@@ -76,11 +73,10 @@ fn scale(ns: f64) -> String {
     }
 }
 
-fn configs(methods: &[Method]) -> Vec<AnalysisConfig> {
-    methods
-        .iter()
-        .map(|&m| AnalysisConfig::new(CORES, m).with_scenario_space(ScenarioSpace::PaperExact))
-        .collect()
+fn verdicts(methods: &[Method]) -> AnalysisRequest {
+    AnalysisRequest::new(CORES)
+        .with_methods(methods.iter().copied())
+        .with_scenario_space(ScenarioSpace::PaperExact)
 }
 
 fn main() {
@@ -103,24 +99,24 @@ fn main() {
         .collect();
     let total_sets = sets.len();
 
-    let paper = configs(&Method::PAPER);
-    let sound4 = configs(&[
+    let paper = verdicts(&Method::PAPER);
+    let sound4 = verdicts(&[
         Method::FpIdeal,
         Method::LpIlp,
         Method::LpMax,
         Method::LpSound,
     ]);
-    let all6 = configs(&Method::ALL);
+    let all6 = verdicts(&Method::ALL);
 
-    // Sanity before timing: the 6-method verdict path agrees with full
-    // reports on every set (the dominance chain with LP-sound and the
-    // competitor methods included).
+    // Sanity before timing: the 6-method verdict path agrees with the
+    // uncached reference on every set (the dominance chain with LP-sound
+    // and the competitor methods included).
     for ts in sets.iter().take(100) {
-        let expected: Vec<bool> = analyze_all(ts, &all6)
+        let expected: Vec<bool> = Method::ALL
             .iter()
-            .map(|r| r.schedulable)
+            .map(|&m| analyze_uncached(ts, &all6.config_for(m)).schedulable)
             .collect();
-        assert_eq!(analyze_verdicts(ts, &all6), expected, "verdict path exact");
+        assert_eq!(all6.evaluate(ts).verdicts(), expected, "verdict path exact");
     }
 
     println!(
@@ -130,15 +126,15 @@ fn main() {
 
     let verdicts_paper3_ns = measure(|| {
         sets.iter()
-            .for_each(|ts| drop(black_box(analyze_verdicts(ts, &paper))))
+            .for_each(|ts| drop(black_box(paper.evaluate(ts))))
     });
     let verdicts_sound4_ns = measure(|| {
         sets.iter()
-            .for_each(|ts| drop(black_box(analyze_verdicts(ts, &sound4))))
+            .for_each(|ts| drop(black_box(sound4.evaluate(ts))))
     });
     let verdicts_all6_ns = measure(|| {
         sets.iter()
-            .for_each(|ts| drop(black_box(analyze_verdicts(ts, &all6))))
+            .for_each(|ts| drop(black_box(all6.evaluate(ts))))
     });
     let lp_sound_overhead_pct = 100.0 * (verdicts_sound4_ns / verdicts_paper3_ns - 1.0);
     let competitors_overhead_pct = 100.0 * (verdicts_all6_ns / verdicts_sound4_ns - 1.0);

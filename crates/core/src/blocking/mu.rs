@@ -30,9 +30,9 @@ thread_local! {
 ///
 /// Test instrumentation for the caching contract: the analysis cache must
 /// compute each task's µ-array at most once per task set, which tests assert
-/// by snapshotting this counter around [`crate::rta::analyze_all`]. Every
-/// call to [`mu_array`] / [`mu_array_with`] increments it by one, whatever
-/// the solver.
+/// by snapshotting this counter around a bound-carrying
+/// [`crate::AnalysisRequest`] evaluation. Every call to [`mu_array`] /
+/// [`mu_array_with`] increments it by one, whatever the solver.
 pub fn mu_array_computations() -> u64 {
     MU_ARRAY_COMPUTATIONS.with(Cell::get)
 }

@@ -19,8 +19,8 @@
 //!   [`OnceCell`]s and is computed on first use, then shared by every
 //!   subsequent query. An unschedulable set that dies at the
 //!   highest-priority task therefore pays no more than the uncached
-//!   analysis did, while a batched [`crate::analyze_all`] over all three
-//!   methods pays the combinatorial cost exactly once.
+//!   analysis did, while one bound-carrying [`crate::AnalysisRequest`]
+//!   over several methods pays the combinatorial cost exactly once.
 //!
 //! µ-arrays are computed at the cache's `max_cores` and *sliced* for
 //! smaller platform slices (each entry is an independent fixed-cardinality
@@ -207,13 +207,6 @@ impl<'ts> TaskSetCache<'ts> {
             lp_max: (0..n).map(|_| OnceCell::new()).collect(),
             long_paths: (0..n).map(|_| OnceCell::new()).collect(),
         }
-    }
-
-    /// Builds a cache sized for every configuration in `configs` (the
-    /// largest core count wins; defaults to 1 when `configs` is empty).
-    pub fn for_configs(task_set: &'ts TaskSet, configs: &[AnalysisConfig]) -> Self {
-        let max_cores = configs.iter().map(|c| c.cores).max().unwrap_or(1);
-        Self::new(task_set, max_cores)
     }
 
     /// The task set this cache was built over.

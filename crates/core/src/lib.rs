@@ -45,7 +45,7 @@
 //! cache internally; [`analyze_uncached`] keeps the original
 //! recompute-per-task path as a pinned reference.
 //!
-//! # The unified request API (and migrating off the legacy entry points)
+//! # The request API
 //!
 //! Batch analysis goes through **one** entry point: build an
 //! [`AnalysisRequest`] (platform + method selection + bounds on/off +
@@ -55,18 +55,8 @@
 //! request, the per-task response bounds — per method. Verdict-only
 //! requests run the method-dominance fast path automatically. On top of
 //! it, [`lru::AnalysisLru`] memoizes outcomes across repeated task sets —
-//! the admission-control layer behind `repro serve`.
-//!
-//! The four former batch entry points are deprecated thin wrappers,
-//! pinned bit-identical to the request path by this crate's proptests.
-//! Migration is mechanical:
-//!
-//! | Legacy call | Request equivalent |
-//! |---|---|
-//! | `analyze_verdicts(ts, &configs)` | `AnalysisRequest::new(m).with_methods(methods).evaluate(ts).verdicts()` |
-//! | `verdicts_with_bounds(ts, &configs)` | `…​.with_bounds(true).evaluate(ts)`, read `outcomes()[i].bounds` |
-//! | `analyze_all(ts, &configs)` | `…​.with_bounds(true).evaluate(ts)` (or [`analyze`] per config for full [`TaskReport`]s) |
-//! | `analyze_with(&cache, &config)` | `AnalysisRequest::for_config(&config, true).evaluate_with(&cache)` (or [`analyze`]) |
+//! the admission-control layer behind `repro serve`. [`analyze`] remains
+//! for callers that want one method's full [`TaskReport`]s.
 //!
 //! # Example
 //!
@@ -103,9 +93,7 @@ pub use config::{AnalysisConfig, Method, MuSolver, RhoSolver, ScenarioSpace};
 pub use lru::{AnalysisLru, CacheOutcome, LruStats};
 pub use report::{AnalysisReport, ResponseBound, TaskReport};
 pub use request::{AnalysisOutcome, AnalysisRequest, MethodOutcome};
-pub use rta::{analyze, analyze_uncached, verdict_with, SetVerdict};
-#[allow(deprecated)]
-pub use rta::{analyze_all, analyze_verdicts, analyze_with, verdicts_with_bounds};
+pub use rta::{analyze, analyze_uncached, verdict_with};
 
 // Re-exported for callers that want to work with model types directly.
 pub use rta_model::{DagTask, TaskSet, Time};

@@ -1,29 +1,24 @@
 //! The unified analysis API: one request in, one outcome out.
 //!
-//! Historically the crate grew four ad-hoc entry points — `analyze_all`
-//! (full reports), `analyze_with` (caller-owned cache), `analyze_verdicts`
-//! (dominance-short-circuited flags) and `verdicts_with_bounds` (flags +
-//! per-task bounds) — each hard-coding one point in the same small design
-//! space: *which methods*, *which platform*, *bounds or verdicts only*.
-//! [`AnalysisRequest`] names that space explicitly and resolves every
-//! combination to a single result type, [`AnalysisOutcome`]:
+//! [`AnalysisRequest`] names the whole design space of one analysis
+//! question — *which methods*, *which platform*, *bounds or verdicts only*
+//! — and resolves every combination to a single result type,
+//! [`AnalysisOutcome`]:
 //!
 //! * **verdict-only requests** (`want_bounds == false`) run the
-//!   method-dominance chain of the old verdict fast path — FP-ideal first
-//!   (settling the whole request when it fails), LP-ILP answered from
-//!   LP-max's positive verdict, LP-sound on its own combinatorics-free
-//!   fixed point — so a sweep cell or an admission-control server pays the
-//!   combinatorial blocking machinery only when a verdict actually needs
-//!   it;
+//!   method-dominance chain — FP-ideal first (settling the whole request
+//!   when it fails), LP-ILP answered from LP-max's positive verdict,
+//!   LP-sound on its own combinatorics-free fixed point — so a sweep cell
+//!   or an admission-control server pays the combinatorial blocking
+//!   machinery only when a verdict actually needs it;
 //! * **bound-carrying requests** (`want_bounds == true`) run every
 //!   requested method's own fixed point and return the per-task response
 //!   bounds of the analyzed prefix — what empirical validation and clients
 //!   that act on slack need.
 //!
 //! Both shapes share one [`TaskSetCache`] per task set; [`evaluate_with`]
-//! lets callers share it across requests too. The four legacy entry points
-//! survive as thin `#[deprecated]` wrappers over this module, pinned
-//! bit-identical by the crate's proptests.
+//! lets callers share it across requests too. Proptests pin both shapes
+//! to the uncached reference [`crate::analyze_uncached`].
 //!
 //! The request derives [`Hash`]/[`Eq`], so it doubles as the memo key of
 //! the admission-control LRU ([`crate::lru::AnalysisLru`]) and as the wire
@@ -104,21 +99,6 @@ impl AnalysisRequest {
         }
     }
 
-    /// The request equivalent of one legacy [`AnalysisConfig`]: that
-    /// configuration's single method, bounds included iff `want_bounds`.
-    /// This is the migration shim the deprecated wrappers are built from.
-    pub fn for_config(config: &AnalysisConfig, want_bounds: bool) -> Self {
-        Self {
-            cores: config.cores,
-            methods: vec![config.method],
-            want_bounds,
-            mu_solver: config.mu_solver,
-            rho_solver: config.rho_solver,
-            scenario_space: config.scenario_space,
-            final_npr_refinement: config.final_npr_refinement,
-        }
-    }
-
     /// Selects the methods to answer (in answer order).
     #[must_use]
     pub fn with_methods(mut self, methods: impl IntoIterator<Item = Method>) -> Self {
@@ -161,7 +141,7 @@ impl AnalysisRequest {
         self
     }
 
-    /// The legacy configuration this request implies for one method.
+    /// The single-method configuration this request implies for `method`.
     pub fn config_for(&self, method: Method) -> AnalysisConfig {
         AnalysisConfig {
             cores: self.cores,
@@ -233,9 +213,16 @@ impl AnalysisRequest {
     /// The verdict-only shape: the method-dominance chain.
     ///
     /// All six methods iterate the same monotone fixed-point shape and
-    /// differ only in the interference terms it consumes, giving (see the
-    /// extended argument on the legacy `analyze_verdicts`, the dominance
-    /// sections of [`crate::gen_sporadic`] and [`crate::long_paths`]):
+    /// differ only in the interference terms it consumes. The fixed point
+    /// is monotone non-decreasing in those terms and in the
+    /// higher-priority response bounds, so induction over the priority
+    /// order turns per-task orderings of the terms into verdict edges:
+    /// LP-ILP's `ρ` sums distinct lower-priority tasks' `µ_i[c]`, each at
+    /// most the sum of the `c` largest NPRs of `τ_i`, so `Δ_ILP` never
+    /// exceeds LP-max's pooled NPRs (Eq. (5)); LP-sound adds a
+    /// non-negative monotone term to FP-ideal's recurrence; and see the
+    /// dominance sections of [`crate::gen_sporadic`] and
+    /// [`crate::long_paths`] for the two competitor methods:
     ///
     /// ```text
     /// LP-max schedulable ⇒ LP-ILP schedulable ⇒ FP-ideal schedulable
@@ -243,6 +230,10 @@ impl AnalysisRequest {
     /// Gen-sporadic schedulable ⇒ FP-ideal schedulable
     /// FP-ideal schedulable ⇒ Long-paths schedulable
     /// ```
+    ///
+    /// No edge connects LP-sound to LP-ILP or LP-max: the sound bound
+    /// charges whole lower-priority job volumes where the paper's bounds
+    /// charge a few NPRs per event, and neither dominates on every set.
     ///
     /// FP-ideal is therefore always evaluated first — it touches no
     /// blocking machinery at all, and a negative verdict settles every
@@ -324,8 +315,7 @@ pub struct MethodOutcome {
 
 impl MethodOutcome {
     /// The bound of the `k`-th highest-priority task, if the request asked
-    /// for bounds and the analyzed prefix reached it (mirrors
-    /// [`SetVerdict::bound`](crate::SetVerdict::bound)).
+    /// for bounds and the analyzed prefix reached it.
     pub fn bound(&self, k: usize) -> Option<ResponseBound> {
         self.bounds.as_ref().and_then(|b| b.get(k).copied())
     }

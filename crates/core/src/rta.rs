@@ -23,12 +23,9 @@ use crate::config::{AnalysisConfig, Method};
 use crate::gen_sporadic::gen_sporadic_workload;
 use crate::long_paths::long_path_bound;
 use crate::report::{AnalysisReport, ResponseBound, TaskReport};
-use crate::request::AnalysisRequest;
 use crate::workload::interfering_workload;
 use rta_model::{TaskId, TaskSet, Time};
 
-/// The deprecation note shared by the four legacy batch entry points (see
-/// the crate docs' migration notes).
 /// Analyzes a task set, producing per-task response-time bounds and the
 /// overall schedulability verdict.
 ///
@@ -37,193 +34,25 @@ use rta_model::{TaskId, TaskSet, Time};
 ///
 /// Builds a [`TaskSetCache`] internally, so the per-task µ-arrays and the
 /// per-cardinality Δ rows are computed once and shared across all tasks
-/// under analysis. To additionally share them across configurations (e.g.
-/// all three methods of a Figure 2 sweep point), use [`analyze_all`]; to
-/// share them across calls, build the cache yourself and use
-/// [`analyze_with`]. All three produce bit-identical reports (also
-/// bit-identical to the uncached reference path [`analyze_uncached`]).
+/// under analysis. To share them across methods or calls too, evaluate an
+/// [`AnalysisRequest`](crate::AnalysisRequest) (bounds on request) through
+/// [`AnalysisRequest::evaluate_with`](crate::AnalysisRequest::evaluate_with).
+/// The report is bit-identical to the uncached reference path
+/// [`analyze_uncached`].
 ///
 /// # Panics
 ///
 /// Panics if `config.cores == 0` (prevented by
 /// [`AnalysisConfig::new`]).
 pub fn analyze(task_set: &TaskSet, config: &AnalysisConfig) -> AnalysisReport {
-    let cache = TaskSetCache::for_configs(task_set, std::slice::from_ref(config));
+    let cache = TaskSetCache::new(task_set, config.cores);
     analyze_with_impl(&cache, config)
 }
 
-/// Analyzes a task set under several configurations, sharing one
-/// [`TaskSetCache`] across all of them.
-///
-/// The µ-arrays, `max ρ` rows and LP-max pools are computed at the largest
-/// requested core count, once, then sliced for every configuration —
-/// methods, scenario spaces and platform slices all read the same tables.
-/// Reports are returned in `configs` order, each bit-identical to an
-/// independent [`analyze`] call with the same configuration.
-#[deprecated(
-    since = "0.1.0",
-    note = "superseded by the unified request API: build an `AnalysisRequest` and \
-                      call `evaluate` / `evaluate_with` — see the migration notes in the crate docs"
-)]
-pub fn analyze_all(task_set: &TaskSet, configs: &[AnalysisConfig]) -> Vec<AnalysisReport> {
-    let cache = TaskSetCache::for_configs(task_set, configs);
-    configs
-        .iter()
-        .map(|c| analyze_with_impl(&cache, c))
-        .collect()
-}
-
-/// Schedulability verdicts only — one `bool` per configuration, equal to
-/// the `schedulable` flag of the corresponding [`analyze_all`] report but
-/// computed without materializing per-task reports and, crucially,
-/// **short-circuited through the method-dominance chain**.
-///
-/// All three methods iterate the identical monotone fixed point; they
-/// differ only in the blocking pair `(Δ^m, Δ^{m−1})` it consumes, and those
-/// pairs are ordered per task: FP-ideal contributes `(0, 0)`; LP-ILP's `ρ`
-/// sums over distinct lower-priority tasks `µ_i[c]` values, each bounded by
-/// the sum of the `c` largest NPRs of `τ_i`, so `Δ_ILP` never exceeds
-/// LP-max's sum of the pooled largest NPRs (Eq. (5)); the fixed point is
-/// monotone non-decreasing in the blocking pair and in the higher-priority
-/// response bounds ([`interfering_workload`] is monotone in `R_i`).
-/// Induction over the priority order then gives, for configurations
-/// differing only in method:
-///
-/// ```text
-/// LP-max schedulable ⇒ LP-ILP schedulable ⇒ FP-ideal schedulable
-/// ```
-///
-/// The corrected [`Method::LpSound`] extends the chain by one structural
-/// edge: its fixed point is FP-ideal's plus a non-negative, monotone
-/// lower-priority workload term, so per-task `R_FP ≤ R_sound` and
-///
-/// ```text
-/// LP-sound schedulable ⇒ FP-ideal schedulable
-/// ```
-///
-/// No edge connects LP-sound to LP-ILP or LP-max in either direction —
-/// the sound bound charges whole lower-priority job volumes where the
-/// paper's bounds charge a few NPRs per event, and neither dominates the
-/// other on every set (empirically LP-sound is the more pessimistic one
-/// almost everywhere; `soundness_cost.csv` charts the gap).
-///
-/// So within each group of configurations that agree on everything but the
-/// method, this evaluates FP-ideal first (no blocking machinery at all —
-/// unschedulable sets of a high-utilization sweep point never touch µ,
-/// scenario or closure computation — and a negative verdict settles
-/// LP-sound too), answers LP-ILP from LP-max's cheap positive verdict when
-/// possible, and only runs the combinatorial LP-ILP blocking when FP-ideal
-/// passes and LP-max fails; LP-sound, when requested and not settled by
-/// FP-ideal, runs its own (combinatorics-free) fixed point. Equality with
-/// [`analyze_all`] is pinned by `tests/verdicts.rs` over random generated
-/// task sets.
-///
-/// Now a thin wrapper: each group of configurations agreeing on everything
-/// but the method becomes one verdict-only [`AnalysisRequest`], whose
-/// evaluation *is* the dominance chain described above.
-#[deprecated(
-    since = "0.1.0",
-    note = "superseded by the unified request API: build an `AnalysisRequest` and \
-                      call `evaluate` / `evaluate_with` — see the migration notes in the crate docs"
-)]
-pub fn analyze_verdicts(task_set: &TaskSet, configs: &[AnalysisConfig]) -> Vec<bool> {
-    let cache = TaskSetCache::for_configs(task_set, configs);
-    let same_family = |a: &AnalysisConfig, b: &AnalysisConfig| {
-        a.cores == b.cores
-            && a.mu_solver == b.mu_solver
-            && a.rho_solver == b.rho_solver
-            && a.scenario_space == b.scenario_space
-            && a.final_npr_refinement == b.final_npr_refinement
-    };
-    let mut verdicts: Vec<Option<bool>> = vec![None; configs.len()];
-    for i in 0..configs.len() {
-        if verdicts[i].is_some() {
-            continue;
-        }
-        let family: Vec<usize> = (i..configs.len())
-            .filter(|&j| verdicts[j].is_none() && same_family(&configs[i], &configs[j]))
-            .collect();
-        let request = AnalysisRequest::for_config(&configs[i], false)
-            .with_methods(family.iter().map(|&j| configs[j].method));
-        let outcome = request.evaluate_with(&cache);
-        for (&j, answer) in family.iter().zip(outcome.outcomes()) {
-            verdicts[j] = Some(answer.schedulable);
-        }
-    }
-    verdicts
-        .into_iter()
-        .map(|v| v.expect("every configuration received a verdict"))
-        .collect()
-}
-
-/// Verdict plus per-task response-time bounds of one configuration — what
-/// [`verdicts_with_bounds`] returns per requested configuration.
-///
-/// The dominance shortcut of [`analyze_verdicts`] deliberately discards
-/// per-task bounds (a set answered through the chain never runs its own
-/// fixed point), which is exactly what empirical validation *cannot* live
-/// without: checking `sim max RT ≤ analytical bound` needs the bound of
-/// every task of every method. This type carries them in the same compact
-/// shape the verdict path uses everywhere else.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SetVerdict {
-    /// `true` iff every task met its deadline bound (the `schedulable`
-    /// flag of the corresponding [`AnalysisReport`]).
-    pub schedulable: bool,
-    /// Response bounds of the analyzed prefix, highest priority first — up
-    /// to and including the first unschedulable task, exactly mirroring
-    /// [`AnalysisReport::tasks`]. When `schedulable` is false the last
-    /// entry is the first iterate that crossed its deadline, not a
-    /// converged bound.
-    pub bounds: Vec<ResponseBound>,
-}
-
-impl SetVerdict {
-    /// The response bound of task `k`, if it was analyzed.
-    pub fn bound(&self, k: usize) -> Option<ResponseBound> {
-        self.bounds.get(k).copied()
-    }
-}
-
-/// Per-task response-time bounds *and* verdicts for a batch of
-/// configurations, sharing one [`TaskSetCache`] — the validation
-/// campaign's analysis entry point.
-///
-/// [`analyze_all`] projected onto `(schedulable, per-task response
-/// bounds)`: same cache sharing, same per-configuration fixed points, no
-/// dominance shortcut (bounds of every requested method are materialized,
-/// so there is nothing to skip). Equality with [`analyze_all`] is pinned
-/// by proptests in `tests/verdicts.rs`.
-///
-/// Now a thin wrapper: each configuration becomes one bound-carrying
-/// [`AnalysisRequest`] sharing the batch's cache.
-#[deprecated(
-    since = "0.1.0",
-    note = "superseded by the unified request API: build an `AnalysisRequest` and \
-                      call `evaluate` / `evaluate_with` — see the migration notes in the crate docs"
-)]
-pub fn verdicts_with_bounds(task_set: &TaskSet, configs: &[AnalysisConfig]) -> Vec<SetVerdict> {
-    let cache = TaskSetCache::for_configs(task_set, configs);
-    configs
-        .iter()
-        .map(|config| {
-            let outcome = AnalysisRequest::for_config(config, true).evaluate_with(&cache);
-            let answer = outcome
-                .into_outcomes()
-                .pop()
-                .expect("single-method request yields one outcome");
-            SetVerdict {
-                schedulable: answer.schedulable,
-                bounds: answer.bounds.expect("bounds were requested"),
-            }
-        })
-        .collect()
-}
-
 /// The schedulability verdict of one configuration through a caller-owned
-/// cache: the `schedulable` flag of [`analyze_with`] without building the
-/// per-task reports. No dominance shortcuts — callers wanting those use
-/// [`analyze_verdicts`].
+/// cache: the `schedulable` flag of [`analyze`] without building the
+/// per-task reports. No dominance shortcuts — callers wanting those use a
+/// verdict-only [`AnalysisRequest`](crate::AnalysisRequest).
 ///
 /// # Panics
 ///
@@ -283,22 +112,9 @@ fn verdict_with_impl(cache: &TaskSetCache<'_>, config: &AnalysisConfig) -> bool 
     true
 }
 
-/// Analyzes a task set through a caller-owned [`TaskSetCache`].
-///
-/// # Panics
-///
-/// Panics if `config.cores == 0` or `config.cores > cache.max_cores()`.
-#[deprecated(
-    since = "0.1.0",
-    note = "superseded by the unified request API: build an `AnalysisRequest` and \
-                      call `evaluate` / `evaluate_with` — see the migration notes in the crate docs"
-)]
-pub fn analyze_with(cache: &TaskSetCache<'_>, config: &AnalysisConfig) -> AnalysisReport {
-    analyze_with_impl(cache, config)
-}
-
 /// Per-task response bounds and the verdict of one configuration — the
-/// bound-carrying evaluation behind [`AnalysisRequest::evaluate_with`]:
+/// bound-carrying evaluation behind
+/// [`AnalysisRequest::evaluate_with`](crate::AnalysisRequest::evaluate_with):
 /// the `(schedulable, response bounds of the analyzed prefix)` projection
 /// of [`analyze_with_impl`], bit-identical to projecting the full report.
 pub(crate) fn bounds_with(
@@ -312,8 +128,8 @@ pub(crate) fn bounds_with(
     )
 }
 
-/// The full-report workhorse behind [`analyze`], the deprecated batch
-/// wrappers and the bound-carrying request shape.
+/// The full-report workhorse behind [`analyze`] and the bound-carrying
+/// request shape.
 pub(crate) fn analyze_with_impl(
     cache: &TaskSetCache<'_>,
     config: &AnalysisConfig,
@@ -679,13 +495,9 @@ fn fixed_point(
 
 #[cfg(test)]
 mod tests {
-    // The legacy entry points stay under test: they are deprecated, not
-    // removed, and the wrappers must remain bit-identical to the unified
-    // request path they delegate to.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::config::{Method, MuSolver, RhoSolver, ScenarioSpace};
+    use crate::request::AnalysisRequest;
     use rta_model::examples::figure1_task_set;
     use rta_model::{DagBuilder, DagTask, NodeId};
 
@@ -1017,91 +829,125 @@ mod tests {
         }
     }
 
+    /// The `(schedulable, bounds)` projection of a full report — what a
+    /// bound-carrying request answers per method.
+    fn projection(report: &AnalysisReport) -> (bool, Vec<ResponseBound>) {
+        let bounds = report.tasks.iter().map(|t| t.response_bound).collect();
+        (report.schedulable, bounds)
+    }
+
+    /// Every bound-carrying outcome of `request` through `cache`, as
+    /// `(config, schedulable, bounds)`.
+    fn request_bounds(
+        request: &AnalysisRequest,
+        cache: &TaskSetCache<'_>,
+    ) -> Vec<(AnalysisConfig, bool, Vec<ResponseBound>)> {
+        request
+            .evaluate_with(cache)
+            .into_outcomes()
+            .into_iter()
+            .map(|o| {
+                let bounds = o.bounds.expect("bounds were requested");
+                (request.config_for(o.method), o.schedulable, bounds)
+            })
+            .collect()
+    }
+
     #[test]
     fn cached_paths_are_bit_identical_to_uncached() {
-        // `analyze`, `analyze_all` and `analyze_uncached` must agree to the
-        // bit on every method, core count and solver/space combination.
+        // `analyze`, requests sharing one cache across methods and
+        // `analyze_uncached` must agree to the bit on every method, core
+        // count and solver/space combination.
         let ts = figure1_task_set();
         for cores in 1..=6 {
-            let mut configs = Vec::new();
-            for method in Method::ALL {
-                configs.push(AnalysisConfig::new(cores, method));
-            }
-            configs.push(
-                AnalysisConfig::new(cores, Method::LpIlp)
+            let cache = TaskSetCache::new(&ts, cores);
+            let all = AnalysisRequest::new(cores).with_bounds(true);
+            let requests = [
+                all.clone(),
+                all.clone()
+                    .with_methods([Method::LpIlp])
                     .with_scenario_space(ScenarioSpace::PaperExact),
-            );
-            configs.push(AnalysisConfig::new(cores, Method::LpIlp).with_final_npr_refinement(true));
-            let batched = analyze_all(&ts, &configs);
-            for (config, from_batch) in configs.iter().zip(&batched) {
-                let single = analyze(&ts, config);
-                let reference = analyze_uncached(&ts, config);
-                assert_eq!(single, reference, "analyze vs uncached, {config:?}");
-                assert_eq!(
-                    *from_batch, reference,
-                    "analyze_all vs uncached, {config:?}"
-                );
+                all.with_methods([Method::LpIlp])
+                    .with_final_npr_refinement(true),
+            ];
+            for request in &requests {
+                for (config, schedulable, bounds) in request_bounds(request, &cache) {
+                    let reference = analyze_uncached(&ts, &config);
+                    assert_eq!(analyze(&ts, &config), reference, "{config:?}");
+                    assert_eq!(
+                        (schedulable, bounds),
+                        projection(&reference),
+                        "request vs uncached, {config:?}"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn analyze_all_mixes_core_counts() {
+    fn one_cache_serves_smaller_core_counts() {
         // One cache built at the largest m must serve smaller slices
         // identically to dedicated analyses.
         let ts = figure1_task_set();
-        let configs: Vec<AnalysisConfig> = [1usize, 3, 4, 8]
-            .into_iter()
-            .map(|m| AnalysisConfig::new(m, Method::LpIlp))
-            .collect();
-        for (config, report) in configs.iter().zip(analyze_all(&ts, &configs)) {
-            assert_eq!(report, analyze_uncached(&ts, config), "{config:?}");
+        let cache = TaskSetCache::new(&ts, 8);
+        for cores in [1usize, 3, 4, 8] {
+            let request = AnalysisRequest::new(cores)
+                .with_methods([Method::LpIlp])
+                .with_bounds(true);
+            for (config, schedulable, bounds) in request_bounds(&request, &cache) {
+                let reference = analyze_uncached(&ts, &config);
+                assert_eq!((schedulable, bounds), projection(&reference), "{config:?}");
+            }
         }
     }
 
     #[test]
-    fn analyze_with_shares_a_cache_across_calls() {
+    fn requests_share_a_cache_across_calls() {
         let ts = figure1_task_set();
-        let cache = crate::cache::TaskSetCache::new(&ts, 4);
-        for method in Method::ALL {
-            let config = AnalysisConfig::new(4, method);
-            let a = analyze_with(&cache, &config);
-            let b = analyze_with(&cache, &config);
-            assert_eq!(a, b);
-            assert_eq!(a, analyze_uncached(&ts, &config));
+        let cache = TaskSetCache::new(&ts, 4);
+        let request = AnalysisRequest::new(4).with_bounds(true);
+        let first = request_bounds(&request, &cache);
+        assert_eq!(first, request_bounds(&request, &cache));
+        for (config, schedulable, bounds) in first {
+            let reference = analyze_uncached(&ts, &config);
+            assert_eq!((schedulable, bounds), projection(&reference), "{config:?}");
         }
     }
 
     #[test]
     #[should_panic(expected = "cache was built for")]
-    fn analyze_with_rejects_oversized_configs() {
+    fn oversized_requests_are_rejected() {
         let ts = figure1_task_set();
-        let cache = crate::cache::TaskSetCache::new(&ts, 2);
-        let _ = analyze_with(&cache, &AnalysisConfig::new(4, Method::FpIdeal));
+        let cache = TaskSetCache::new(&ts, 2);
+        let _ = AnalysisRequest::new(4).evaluate_with(&cache);
     }
 
     #[test]
-    fn verdicts_with_bounds_mirror_full_reports() {
-        // Schedulable and unschedulable sets, every method: the compact
-        // verdict must carry exactly the bounds of the analyzed prefix.
+    #[should_panic(expected = "cache was built for")]
+    fn verdict_with_rejects_oversized_configs() {
+        let ts = figure1_task_set();
+        let cache = TaskSetCache::new(&ts, 2);
+        let _ = verdict_with(&cache, &AnalysisConfig::new(4, Method::FpIdeal));
+    }
+
+    #[test]
+    fn request_bounds_mirror_full_reports() {
+        // Schedulable and unschedulable sets, every method: a
+        // bound-carrying outcome must carry exactly the bounds of the
+        // analyzed prefix.
         let sets = [
             figure1_task_set(),
             TaskSet::new(vec![single_node_task(2, 5), single_node_task(100, 1000)]),
         ];
         for ts in &sets {
             for cores in [1usize, 4] {
-                let configs: Vec<AnalysisConfig> = Method::ALL
-                    .iter()
-                    .map(|&m| AnalysisConfig::new(cores, m))
-                    .collect();
-                let reports = analyze_all(ts, &configs);
-                let verdicts = verdicts_with_bounds(ts, &configs);
-                for (report, verdict) in reports.iter().zip(&verdicts) {
-                    assert_eq!(verdict.schedulable, report.schedulable);
-                    let expected: Vec<ResponseBound> =
-                        report.tasks.iter().map(|t| t.response_bound).collect();
-                    assert_eq!(verdict.bounds, expected);
-                    assert_eq!(verdict.bound(0), report.response_bound(0));
+                let outcome = AnalysisRequest::new(cores).with_bounds(true).evaluate(ts);
+                for answer in outcome.outcomes() {
+                    let report = analyze(ts, &AnalysisConfig::new(cores, answer.method));
+                    assert_eq!(answer.schedulable, report.schedulable);
+                    let (_, expected) = projection(&report);
+                    assert_eq!(answer.bounds.as_ref(), Some(&expected));
+                    assert_eq!(answer.bound(0), report.response_bound(0));
                 }
             }
         }

@@ -1,11 +1,7 @@
-//! The caching contract, end to end: batched and cached analyses are
-//! bit-identical to the original per-call path, and the per-task-set
-//! precomputation really computes each µ-array exactly once.
-
-// The legacy batch entry points under test are deprecated wrappers over
-// the unified request API; this suite is exactly what pins them
-// bit-identical to it.
-#![allow(deprecated)]
+//! The caching contract, end to end: requests sharing one cache across
+//! methods and calls are bit-identical to the original per-call path, and
+//! the per-task-set precomputation really computes each µ-array exactly
+//! once.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -14,33 +10,57 @@ use rta_analysis::blocking::mu::{mu_array, mu_array_computations};
 use rta_analysis::blocking::scenarios::delta;
 use rta_analysis::cache::TaskSetCache;
 use rta_analysis::{
-    analyze_all, analyze_uncached, AnalysisConfig, Method, MuSolver, RhoSolver, ScenarioSpace,
+    analyze, analyze_uncached, AnalysisConfig, AnalysisRequest, Method, MuSolver, RhoSolver,
+    ScenarioSpace,
 };
 use rta_model::examples::figure1_task_set;
-use rta_model::Time;
+use rta_model::{TaskSet, Time};
 use rta_taskgen::{generate_task_set, group1, group2};
 
-/// The three Figure 2 methods plus the solver/space variations the CLI can
-/// reach, all at the same core count.
-fn config_matrix(cores: usize) -> Vec<AnalysisConfig> {
-    let mut configs: Vec<AnalysisConfig> = Method::ALL
-        .iter()
-        .map(|&m| AnalysisConfig::new(cores, m))
-        .collect();
-    configs.push(
-        AnalysisConfig::new(cores, Method::LpIlp).with_scenario_space(ScenarioSpace::PaperExact),
-    );
-    configs.push(AnalysisConfig::new(cores, Method::LpIlp).with_final_npr_refinement(true));
-    configs
+/// Every method plus the solver/space variations the CLI can reach, all at
+/// the same core count, as bound-carrying requests.
+fn request_matrix(cores: usize) -> [AnalysisRequest; 3] {
+    let all = AnalysisRequest::new(cores).with_bounds(true);
+    [
+        all.clone(),
+        all.clone()
+            .with_methods([Method::LpIlp])
+            .with_scenario_space(ScenarioSpace::PaperExact),
+        all.with_methods([Method::LpIlp])
+            .with_final_npr_refinement(true),
+    ]
+}
+
+/// Evaluates the whole matrix through one shared cache and checks every
+/// outcome against the uncached reference — and the cached full-report
+/// path [`analyze`] against it too. Returns the first mismatch.
+fn check_matrix(ts: &TaskSet, cores: usize) -> Result<(), String> {
+    let cache = TaskSetCache::new(ts, cores);
+    for request in request_matrix(cores) {
+        for answer in request.evaluate_with(&cache).outcomes() {
+            let config = request.config_for(answer.method);
+            let reference = analyze_uncached(ts, &config);
+            if analyze(ts, &config) != reference {
+                return Err(format!("analyze vs uncached, {config:?}"));
+            }
+            let bounds: Vec<_> = reference.tasks.iter().map(|t| t.response_bound).collect();
+            if answer.schedulable != reference.schedulable
+                || answer.bounds.as_ref() != Some(&bounds)
+            {
+                return Err(format!("request vs uncached, {config:?}"));
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `analyze_all` over the whole configuration matrix is bit-identical
-    /// to independent uncached analyses on randomly generated task sets.
+    /// The request matrix through one shared cache is bit-identical to
+    /// independent uncached analyses on randomly generated task sets.
     #[test]
-    fn analyze_all_matches_independent_analyses_on_random_sets(
+    fn shared_cache_requests_match_uncached_on_random_sets(
         seed in 0u64..1_000_000,
         cores in 1usize..=6,
         load_percent in 10u32..=70,
@@ -48,28 +68,19 @@ proptest! {
         let target = cores as f64 * load_percent as f64 / 100.0;
         let mut rng = SmallRng::seed_from_u64(seed);
         let ts = generate_task_set(&mut rng, &group1(target));
-        let configs = config_matrix(cores);
-        let batched = analyze_all(&ts, &configs);
-        for (config, report) in configs.iter().zip(&batched) {
-            let reference = analyze_uncached(&ts, config);
-            prop_assert_eq!(report, &reference, "{:?}", config);
-        }
+        prop_assert_eq!(check_matrix(&ts, cores), Ok(()));
     }
 
     /// Same bit-identity on the group-2 generator (uniformly parallel
     /// DAGs), whose task sets have very different µ structure.
     #[test]
-    fn analyze_all_matches_on_group2_sets(
+    fn shared_cache_requests_match_on_group2_sets(
         seed in 0u64..1_000_000,
         cores in 1usize..=4,
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let ts = generate_task_set(&mut rng, &group2(cores as f64 / 2.0));
-        let configs = config_matrix(cores);
-        let batched = analyze_all(&ts, &configs);
-        for (config, report) in configs.iter().zip(&batched) {
-            prop_assert_eq!(report, &analyze_uncached(&ts, config), "{:?}", config);
-        }
+        prop_assert_eq!(check_matrix(&ts, cores), Ok(()));
     }
 }
 
@@ -134,29 +145,34 @@ fn figure1_cached_delta_matches_uncached_up_to_16_cores() {
     }
 }
 
-/// The headline caching guarantee: one batched analysis over all three
-/// methods computes each needed µ-array exactly once per task set —
+/// The headline caching guarantee: one cache serving every method and
+/// variant computes each needed µ-array exactly once per task set —
 /// independent of how many methods, spaces or tasks under analysis read it.
 #[test]
-fn batched_analysis_computes_mu_once_per_task() {
+fn shared_cache_computes_mu_once_per_task() {
     let ts = figure1_task_set();
-    let configs = config_matrix(4);
+    let evaluate_matrix = || {
+        let cache = TaskSetCache::new(&ts, 4);
+        for request in request_matrix(4) {
+            let _ = request.evaluate_with(&cache);
+        }
+    };
 
     let before = mu_array_computations();
-    let _ = analyze_all(&ts, &configs);
+    evaluate_matrix();
     let per_batch = mu_array_computations() - before;
     // Only lower-priority tasks' µ-arrays are ever consumed (`lp(k)` for
     // some k), i.e. every task except the highest-priority one.
     assert_eq!(
         per_batch,
         ts.len() as u64 - 1,
-        "one batch must compute µ exactly once per lower-priority task"
+        "one cache must compute µ exactly once per lower-priority task"
     );
 
-    // A second batch builds a fresh cache: same count again, while the
-    // uncached reference recomputes µ per task under analysis.
+    // A fresh cache: same count again, while the uncached reference
+    // recomputes µ per task under analysis.
     let before = mu_array_computations();
-    let _ = analyze_all(&ts, &configs);
+    evaluate_matrix();
     assert_eq!(mu_array_computations() - before, ts.len() as u64 - 1);
 
     let before = mu_array_computations();

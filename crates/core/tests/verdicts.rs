@@ -1,38 +1,37 @@
-//! The verdict fast path's contract: [`analyze_verdicts`] must agree with
-//! the `schedulable` flags of full [`analyze_all`] reports on every input —
-//! the dominance shortcut (FP-ideal ≼ LP-ILP ≼ LP-max) is an optimization,
-//! never an approximation. Also pins the process-global partition table's
-//! once-per-`m` property from the analysis layer's point of view.
-
-// The legacy batch entry points under test are deprecated wrappers over
-// the unified request API; this suite is exactly what pins them
-// bit-identical to it.
-#![allow(deprecated)]
+//! The verdict fast path's contract: a verdict-only [`AnalysisRequest`]
+//! must agree with the `schedulable` flags of the uncached reference
+//! [`analyze_uncached`] on every input — the dominance shortcut (FP-ideal ≼
+//! LP-ILP ≼ LP-max) is an optimization, never an approximation. The
+//! bound-carrying shape is pinned to the same oracle. Also pins the
+//! process-global partition table's once-per-`m` property from the
+//! analysis layer's point of view.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rta_analysis::{
-    analyze_all, analyze_verdicts, verdicts_with_bounds, AnalysisConfig, Method, MuSolver,
-    ResponseBound, RhoSolver, ScenarioSpace,
+    analyze_uncached, AnalysisRequest, Method, MuSolver, ResponseBound, RhoSolver, ScenarioSpace,
 };
 use rta_combinatorics::PartitionTable;
 use rta_model::examples::figure1_task_set;
+use rta_model::TaskSet;
 use rta_taskgen::{generate_task_set, group1, group2};
 
-/// The exact configuration triple the Figure 2 sweeps evaluate.
-fn sweep_configs(cores: usize, space: ScenarioSpace) -> Vec<AnalysisConfig> {
-    Method::ALL
+/// The uncached reference's verdict for every method `request` asks for,
+/// in request order.
+fn reference_verdicts(ts: &TaskSet, request: &AnalysisRequest) -> Vec<bool> {
+    request
+        .methods
         .iter()
-        .map(|&m| AnalysisConfig::new(cores, m).with_scenario_space(space))
+        .map(|&m| analyze_uncached(ts, &request.config_for(m)).schedulable)
         .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Verdicts equal full-report schedulability on random group-1 sets,
-    /// across core counts, utilizations and both scenario spaces.
+    /// Verdicts equal the reference's schedulability on random group-1
+    /// sets, across core counts, utilizations and both scenario spaces.
     #[test]
     fn verdicts_match_full_reports_on_random_sets(
         seed in 0u64..1_000_000,
@@ -43,14 +42,10 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let ts = generate_task_set(&mut rng, &group1(target));
         for space in [ScenarioSpace::PaperExact, ScenarioSpace::Extended] {
-            let configs = sweep_configs(cores, space);
-            let expected: Vec<bool> = analyze_all(&ts, &configs)
-                .iter()
-                .map(|r| r.schedulable)
-                .collect();
+            let request = AnalysisRequest::new(cores).with_scenario_space(space);
             prop_assert_eq!(
-                analyze_verdicts(&ts, &configs),
-                expected,
+                request.evaluate(&ts).verdicts(),
+                reference_verdicts(&ts, &request),
                 "seed {} cores {} {:?}",
                 seed,
                 cores,
@@ -70,20 +65,16 @@ proptest! {
         let target = cores as f64 * load_percent as f64 / 100.0;
         let mut rng = SmallRng::seed_from_u64(seed);
         let ts = generate_task_set(&mut rng, &group2(target));
-        let configs = sweep_configs(cores, ScenarioSpace::PaperExact);
-        let expected: Vec<bool> = analyze_all(&ts, &configs)
-            .iter()
-            .map(|r| r.schedulable)
-            .collect();
-        prop_assert_eq!(analyze_verdicts(&ts, &configs), expected);
+        let request = AnalysisRequest::new(cores).with_scenario_space(ScenarioSpace::PaperExact);
+        prop_assert_eq!(request.evaluate(&ts).verdicts(), reference_verdicts(&ts, &request));
     }
 
-    /// The bound-carrying variant is pinned to `analyze_all` on every
-    /// field the validation campaign reads: the verdict flag and the
-    /// per-task response bounds of the analyzed prefix (length included —
-    /// it must stop at the same first unschedulable task).
+    /// The bound-carrying shape is pinned to the reference on every field
+    /// the validation campaign reads: the verdict flag and the per-task
+    /// response bounds of the analyzed prefix (length included — it must
+    /// stop at the same first unschedulable task).
     #[test]
-    fn verdicts_with_bounds_match_analyze_all_on_random_sets(
+    fn bounds_match_uncached_reports_on_random_sets(
         seed in 0u64..1_000_000,
         cores in 1usize..=6,
         load_percent in 10u32..=110,
@@ -92,16 +83,18 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let ts = generate_task_set(&mut rng, &group1(target));
         for space in [ScenarioSpace::PaperExact, ScenarioSpace::Extended] {
-            let configs = sweep_configs(cores, space);
-            let reports = analyze_all(&ts, &configs);
-            let verdicts = verdicts_with_bounds(&ts, &configs);
-            prop_assert_eq!(verdicts.len(), reports.len());
-            for (verdict, report) in verdicts.iter().zip(&reports) {
-                prop_assert_eq!(verdict.schedulable, report.schedulable,
+            let request = AnalysisRequest::new(cores)
+                .with_scenario_space(space)
+                .with_bounds(true);
+            let outcome = request.evaluate(&ts);
+            prop_assert_eq!(outcome.outcomes().len(), request.methods.len());
+            for answer in outcome.outcomes() {
+                let report = analyze_uncached(&ts, &request.config_for(answer.method));
+                prop_assert_eq!(answer.schedulable, report.schedulable,
                     "seed {} cores {} {:?}", seed, cores, space);
                 let expected: Vec<ResponseBound> =
                     report.tasks.iter().map(|t| t.response_bound).collect();
-                prop_assert_eq!(&verdict.bounds, &expected,
+                prop_assert_eq!(answer.bounds.as_ref(), Some(&expected),
                     "seed {} cores {} {:?}", seed, cores, space);
             }
         }
@@ -125,24 +118,27 @@ proptest! {
         let target = cores as f64 * load_percent as f64 / 100.0;
         let mut rng = SmallRng::seed_from_u64(seed);
         let ts = generate_task_set(&mut rng, &group1(target));
-        let configs = [
-            AnalysisConfig::new(cores, Method::FpIdeal),
-            AnalysisConfig::new(cores, Method::LpSound),
-        ];
-        let verdicts = verdicts_with_bounds(&ts, &configs);
-        let (fp, sound) = (&verdicts[0], &verdicts[1]);
+        let outcome = AnalysisRequest::new(cores)
+            .with_methods([Method::FpIdeal, Method::LpSound])
+            .with_bounds(true)
+            .evaluate(&ts);
+        let [fp, sound] = outcome.outcomes() else {
+            panic!("two outcomes expected");
+        };
         prop_assert!(
             !sound.schedulable || fp.schedulable,
             "seed {}: LP-sound accepted a set FP-ideal rejects",
             seed
         );
-        for (k, (f, s)) in fp.bounds.iter().zip(&sound.bounds).enumerate() {
+        let fp_bounds = fp.bounds.as_ref().expect("bounds requested");
+        let sound_bounds = sound.bounds.as_ref().expect("bounds requested");
+        for (k, (f, s)) in fp_bounds.iter().zip(sound_bounds).enumerate() {
             // Compare converged bounds only: a diverged entry is the first
             // deadline-crossing iterate, not a bound.
-            if k + 1 == fp.bounds.len() && !fp.schedulable {
+            if k + 1 == fp_bounds.len() && !fp.schedulable {
                 break;
             }
-            if k + 1 == sound.bounds.len() && !sound.schedulable {
+            if k + 1 == sound_bounds.len() && !sound.schedulable {
                 break;
             }
             prop_assert!(
@@ -158,27 +154,25 @@ proptest! {
 }
 
 #[test]
-fn verdicts_handle_mixed_families_and_solver_variants() {
-    // Configurations from *different* families (core counts, spaces, solver
-    // pairs) interleaved in one call: grouping must not mix them up.
+fn verdicts_match_across_core_counts_and_solver_variants() {
+    // Requests on different platforms and with every solver/refinement
+    // knob the CLI can reach, each against the uncached reference.
     let ts = figure1_task_set();
-    let mut configs = Vec::new();
-    for cores in [2usize, 4] {
-        for method in Method::ALL {
-            configs.push(AnalysisConfig::new(cores, method));
-        }
-    }
-    configs.push(
-        AnalysisConfig::new(4, Method::LpIlp)
+    let mut requests: Vec<AnalysisRequest> =
+        [2usize, 4].into_iter().map(AnalysisRequest::new).collect();
+    requests.push(
+        AnalysisRequest::new(4)
             .with_mu_solver(MuSolver::PaperIlp)
             .with_rho_solver(RhoSolver::PaperIlp),
     );
-    configs.push(AnalysisConfig::new(4, Method::LpIlp).with_final_npr_refinement(true));
-    let expected: Vec<bool> = analyze_all(&ts, &configs)
-        .iter()
-        .map(|r| r.schedulable)
-        .collect();
-    assert_eq!(analyze_verdicts(&ts, &configs), expected);
+    requests.push(AnalysisRequest::new(4).with_final_npr_refinement(true));
+    for request in &requests {
+        assert_eq!(
+            request.evaluate(&ts).verdicts(),
+            reference_verdicts(&ts, request),
+            "{request:?}"
+        );
+    }
 }
 
 #[test]
@@ -197,9 +191,10 @@ fn partition_enumeration_happens_once_per_m_per_process() {
         let mut rng = SmallRng::seed_from_u64(seed);
         let ts = generate_task_set(&mut rng, &group1(3.0));
         for cores in [2usize, 4, 6] {
-            let configs = sweep_configs(cores, ScenarioSpace::PaperExact);
-            let _ = analyze_verdicts(&ts, &configs);
-            let _ = analyze_all(&ts, &configs);
+            let request =
+                AnalysisRequest::new(cores).with_scenario_space(ScenarioSpace::PaperExact);
+            let _ = request.evaluate(&ts);
+            let _ = request.with_bounds(true).evaluate(&ts);
         }
     }
     assert_eq!(

@@ -36,7 +36,7 @@
 //!                zero misses, sim max RT ≤ bound; the FP-ideal, LP-sound,
 //!                Long-paths and Gen-sporadic legs are hard), report bound
 //!                tightness; panels m ∈ {2,4,8,16} + deadline/chain
-//!                mixtures + release models (incl. the bursty probe);
+//!                mixtures + release models;
 //!                optional selector:
 //!                cores | deadline | chains | release | all.
 //!                Exits non-zero on any hard invariant violation
@@ -75,14 +75,12 @@
 //!                largest period (default 3)
 //!   --policy P   validate: limited | eager | lazy | full | both
 //!                (default both)
-//!   --release R  validate: sync | jitter | sporadic | bursty — overrides
-//!                each panel's own release pattern (default: sync
-//!                everywhere except the release panels); jitter magnitudes
-//!                are per-task fractions of each task's own period (T_i/10
+//!   --release R  validate: sync | jitter | sporadic — overrides each
+//!                panel's own release pattern (default: sync everywhere
+//!                except the release panels); jitter magnitudes are
+//!                per-task fractions of each task's own period (T_i/10
 //!                for jitter, T_i for sporadic), reported in the CSV
-//!                jitter column. bursty (3 simultaneous releases, rate
-//!                preserved) violates the sporadic contract: all findings
-//!                become soft probe counters, never hard violations
+//!                jitter column
 //!   --addr A     serve/loadgen: socket address (default 127.0.0.1:7431)
 //!   --lru N      serve: task sets kept in the admission cache (default 128)
 //!   --conns N    loadgen: concurrent connections      (default 8)
@@ -261,9 +259,7 @@ fn main() {
                 options.release = Some(
                     it.next()
                         .and_then(|v| ReleaseChoice::from_flag(v))
-                        .unwrap_or_else(|| {
-                            usage("--release must be sync, jitter, sporadic or bursty")
-                        }),
+                        .unwrap_or_else(|| usage("--release must be sync, jitter or sporadic")),
                 );
             }
             "--jobs" => {
@@ -894,7 +890,7 @@ fn usage(msg: &str) -> ! {
          validate [cores|deadline|chains|release|all]|trace|serve|loadgen|all> \
          [--sets N] [--samples N] [--out DIR] [--jobs N] [--serial] \
          [--horizon N] [--policy limited|eager|lazy|full|both] \
-         [--release sync|jitter|sporadic|bursty] \
+         [--release sync|jitter|sporadic] \
          [--addr HOST:PORT] [--lru N] [--conns N] [--requests N] \
          [--repeat PCT] [--simulate PCT] [--competitors PCT] [--bounds] \
          [--bench PATH] [--metrics PATH] [--metrics-dump PATH] [--width N] \

@@ -1422,6 +1422,9 @@ mod tests {
             format!(
                 r#"{{"simulate":{{"cores":4,"horizon":10,"release":"burst","task_set":{SET}}}}}"#
             ),
+            format!(
+                r#"{{"simulate":{{"cores":4,"horizon":10,"release":"bursty","task_set":{SET}}}}}"#
+            ),
             r#"{"simulate":{"cores":4,"horizon":10}}"#.to_string(), // no task_set
             format!(r#"{{"simulate":{{"cores":4,"horizon":10,"task_set":{SET}}},"v":3}}"#),
         ];

@@ -81,19 +81,9 @@
 //! utilization sweep under each non-synchronous pattern. Jitter is
 //! first-class and per-task ([`rta_sim::Jitter::PeriodFraction`]); the
 //! relative fraction of *random* release jitter is reported in the
-//! `jitter` CSV column (0 for the deterministic patterns — synchronous
-//! and bursty). The `sync`, `jitter` and `sporadic` patterns keep
-//! inter-arrivals at or above the period, so every analysis remains on
-//! the hook: a violation under any of them is real.
-//!
-//! [`ReleaseChoice::Bursty`] is different in kind: deterministic bursts
-//! of 3 simultaneous releases (`burst = 3`, `spread = 0`, long-run rate
-//! preserved) **violate** the sporadic minimum inter-arrival every
-//! analysis assumes, so its panel is a *probe*, not a validation — every
-//! method's findings are counted in the soft columns
-//! (`lp_bound_exceedances` / `lp_deadline_misses`) and the hard gate
-//! stays clean by construction ([`ReleaseChoice::validates_sporadic`]).
-//! It charts how far outside their contract the six bounds degrade.
+//! `jitter` CSV column (0 for the deterministic synchronous pattern).
+//! Every pattern keeps inter-arrivals at or above the period, so every
+//! analysis remains on the hook: a violation under any of them is real.
 //!
 //! # The competitor panel
 //!
@@ -188,11 +178,9 @@ impl PolicyChoice {
 
 /// Which release pattern the simulator drives — the `--release` CLI knob.
 ///
-/// Every choice except [`Bursty`](Self::Bursty) keeps inter-arrivals at
-/// or above the period (the sporadic task model every analysis assumes),
-/// so the soundness invariants apply unchanged under each of them; the
-/// bursty probe steps outside the contract and demotes every finding to
-/// the soft counters ([`Self::validates_sporadic`]).
+/// Every choice keeps inter-arrivals at or above the period (the sporadic
+/// task model every analysis assumes), so the soundness invariants apply
+/// unchanged under each of them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ReleaseChoice {
     /// Synchronous-periodic releases — the classic WCET adversary and the
@@ -206,11 +194,6 @@ pub enum ReleaseChoice {
     /// Strongly sporadic: per-task inter-arrivals stretched by up to a
     /// full own period — the low-interference end of the legal patterns.
     Sporadic,
-    /// Deterministic bursts of 3 simultaneous releases (long-run rate
-    /// preserved). **Violates** the sporadic minimum inter-arrival inside
-    /// a burst, so every method's findings become soft probe counters —
-    /// see [`Self::validates_sporadic`] and the module docs.
-    Bursty,
 }
 
 impl ReleaseChoice {
@@ -220,7 +203,6 @@ impl ReleaseChoice {
             "sync" => Some(ReleaseChoice::Sync),
             "jitter" => Some(ReleaseChoice::Jitter),
             "sporadic" => Some(ReleaseChoice::Sporadic),
-            "bursty" => Some(ReleaseChoice::Bursty),
             _ => None,
         }
     }
@@ -231,16 +213,7 @@ impl ReleaseChoice {
             ReleaseChoice::Sync => "sync",
             ReleaseChoice::Jitter => "jitter",
             ReleaseChoice::Sporadic => "sporadic",
-            ReleaseChoice::Bursty => "bursty",
         }
-    }
-
-    /// Whether the pattern stays inside the sporadic task model every
-    /// analysis assumes (inter-arrivals ≥ the period). When `false`, no
-    /// method is on the hook for its bounds: every finding is counted in
-    /// the soft probe columns and never in the hard gate.
-    pub fn validates_sporadic(self) -> bool {
-        self != ReleaseChoice::Bursty
     }
 
     /// The simulator release scenario: jitter is a first-class per-task
@@ -256,23 +229,15 @@ impl ReleaseChoice {
             ReleaseChoice::Sporadic => Release::Sporadic {
                 jitter: Jitter::PeriodFraction { percent: 100 },
             },
-            // Three simultaneous releases per burst (spread 0 is legal for
-            // any period), then a 3·T_i gap — rate-preserving.
-            ReleaseChoice::Bursty => Release::Bursty {
-                burst: 3,
-                spread: 0,
-            },
         }
     }
 
     /// The per-task *random* jitter magnitude as a fraction of the period
-    /// — the scalar reported in the `jitter` CSV column. Deterministic
-    /// patterns (synchronous, bursty) report 0: the column measures
-    /// release randomness, not sporadic-model legality (that is the
-    /// `release` column's job).
+    /// — the scalar reported in the `jitter` CSV column. The deterministic
+    /// synchronous pattern reports 0.
     pub fn jitter_fraction(self) -> f64 {
         match self {
-            ReleaseChoice::Sync | ReleaseChoice::Bursty => 0.0,
+            ReleaseChoice::Sync => 0.0,
             ReleaseChoice::Jitter => 0.1,
             ReleaseChoice::Sporadic => 1.0,
         }
@@ -360,17 +325,13 @@ fn policies_of(mi: usize) -> &'static [PreemptionPolicy] {
 }
 
 /// Whether an exceedance or miss on method `mi`'s leg is a hard violation
-/// (a sound analysis failed) rather than a soft finding. Two ways to be
-/// soft: the method's bound is documented-optimistic (the paper's LP-ILP /
-/// LP-max), or the release pattern steps outside the sporadic contract
-/// every analysis assumes (the bursty probe) — then *no* method is on the
-/// hook and every finding is a probe data point.
-fn is_sound(mi: usize, release: ReleaseChoice) -> bool {
-    release.validates_sporadic()
-        && matches!(
-            Method::ALL[mi],
-            Method::FpIdeal | Method::LpSound | Method::LongPaths | Method::GenSporadic
-        )
+/// (a sound analysis failed) rather than a soft finding: only the paper's
+/// documented-optimistic LP-ILP / LP-max bounds are soft.
+fn is_sound(mi: usize) -> bool {
+    matches!(
+        Method::ALL[mi],
+        Method::FpIdeal | Method::LpSound | Method::LongPaths | Method::GenSporadic
+    )
 }
 
 /// Analyzes `ts` with all six methods (bounds included) and simulates it
@@ -426,7 +387,7 @@ pub fn validate_set(
             if !policies_of(mi).contains(&policy) || !verdict.schedulable {
                 continue;
             }
-            let sound = is_sound(mi, release);
+            let sound = is_sound(mi);
             // Invariant 1: an accepted set never misses a deadline.
             if outcome.total_deadline_misses() > 0 {
                 if sound {
@@ -689,7 +650,6 @@ impl ValidatePanel {
             ValidatePanel::Chains,
             ValidatePanel::Release(ReleaseChoice::Jitter),
             ValidatePanel::Release(ReleaseChoice::Sporadic),
-            ValidatePanel::Release(ReleaseChoice::Bursty),
         ]
     }
 
@@ -704,7 +664,6 @@ impl ValidatePanel {
             ValidatePanel::Chains => "validate_chains",
             ValidatePanel::Release(ReleaseChoice::Jitter) => "validate_release_jitter",
             ValidatePanel::Release(ReleaseChoice::Sporadic) => "validate_release_sporadic",
-            ValidatePanel::Release(ReleaseChoice::Bursty) => "validate_release_bursty",
             ValidatePanel::Release(ReleaseChoice::Sync) => "validate_release_sync",
         }
     }
@@ -720,9 +679,6 @@ impl ValidatePanel {
             ValidatePanel::Chains => "bounds vs simulation: m = 4, U = 2, chain share swept",
             ValidatePanel::Release(ReleaseChoice::Jitter) => {
                 "bounds vs simulation: m = 4 sweep, sporadic releases with small jitter"
-            }
-            ValidatePanel::Release(ReleaseChoice::Bursty) => {
-                "bounds vs simulation (probe): m = 4 sweep, bursty releases outside the sporadic contract"
             }
             ValidatePanel::Release(_) => {
                 "bounds vs simulation: m = 4 sweep, strongly sporadic releases"
@@ -774,7 +730,6 @@ impl ValidatePanel {
             ValidatePanel::Deadline => VALIDATE_SEED ^ 0x1_0000,
             ValidatePanel::Chains => VALIDATE_SEED ^ 0x2_0000,
             ValidatePanel::Release(ReleaseChoice::Jitter) => VALIDATE_SEED ^ 0x3_0000,
-            ValidatePanel::Release(ReleaseChoice::Bursty) => VALIDATE_SEED ^ 0x5_0000,
             ValidatePanel::Release(_) => VALIDATE_SEED ^ 0x4_0000,
         }
     }
@@ -1071,36 +1026,8 @@ mod tests {
         }
     }
 
-    /// The bursty pattern violates the sporadic contract, so *no* finding
-    /// it produces may ever land in the hard counter — whatever the
-    /// simulator observes is a probe data point in the soft columns.
     #[test]
-    fn bursty_probe_never_counts_hard_violations() {
-        assert!(!ReleaseChoice::Bursty.validates_sporadic());
-        for mi in 0..METHODS {
-            assert!(
-                !is_sound(mi, ReleaseChoice::Bursty),
-                "{}: no method is on the hook outside the sporadic model",
-                Method::ALL[mi]
-            );
-        }
-        for seed in 0..10u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let ts = generate_task_set(&mut rng, &group1(2.0));
-            let v = validate_set(&ts, 4, 3, PolicyChoice::Both, ReleaseChoice::Bursty);
-            assert_eq!(
-                v.hard_violations, 0,
-                "seed {seed}: bursty findings are soft"
-            );
-        }
-    }
-
-    #[test]
-    fn bursty_panel_is_registered_with_its_own_seed() {
-        let panel = ValidatePanel::Release(ReleaseChoice::Bursty);
-        assert!(ValidatePanel::all().contains(&panel));
-        assert_eq!(panel.name(), "validate_release_bursty");
-        assert_eq!(panel.default_release(), ReleaseChoice::Bursty);
+    fn panel_seeds_are_distinct() {
         let seeds: Vec<u64> = ValidatePanel::all().iter().map(|p| p.seed()).collect();
         let mut unique = seeds.clone();
         unique.sort_unstable();
@@ -1191,9 +1118,6 @@ mod tests {
         assert_eq!(ReleaseChoice::Sync.jitter_fraction(), 0.0);
         assert_eq!(ReleaseChoice::Jitter.jitter_fraction(), 0.1);
         assert_eq!(ReleaseChoice::Sporadic.jitter_fraction(), 1.0);
-        // Bursty is deterministic: the jitter column reports *random*
-        // jitter only, the release column carries the pattern.
-        assert_eq!(ReleaseChoice::Bursty.jitter_fraction(), 0.0);
         let options = ValidateOptions {
             sets_per_point: 2,
             ..ValidateOptions::default()

@@ -1,14 +1,5 @@
-//! Legacy simulation configuration.
-//!
-//! [`SimConfig`] (and the `simulate` entry point consuming it) predate the
-//! unified request API and survive as deprecated wrappers, pinned
-//! bit-identical to the original engine by the equivalence proptests. New
-//! code builds a [`crate::SimRequest`] instead; [`PreemptionPolicy`] and
-//! [`ExecutionModel`] remain first-class vocabulary shared with the
-//! request API, while [`ReleaseModel`] is subsumed by the richer
-//! [`crate::scenario::Release`].
-
-use rta_model::Time;
+//! Scheduling and execution vocabulary shared by [`crate::SimRequest`] and
+//! the frozen step loop: [`PreemptionPolicy`] and [`ExecutionModel`].
 
 /// When running nodes may lose their core.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -33,23 +24,6 @@ pub enum PreemptionPolicy {
     FullyPreemptive,
 }
 
-/// Job release pattern. The analysis covers *sporadic* tasks, so its bounds
-/// must hold for every legal pattern; the simulator offers the two standard
-/// adversaries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ReleaseModel {
-    /// All tasks release synchronously at time 0 and then strictly
-    /// periodically — the classic high-interference pattern.
-    #[default]
-    SynchronousPeriodic,
-    /// Sporadic: each inter-arrival is the period plus a uniform random
-    /// delay in `[0, jitter]` (deterministic per [`SimConfig::seed`]).
-    Sporadic {
-        /// Maximum extra delay added to each inter-arrival time.
-        jitter: Time,
-    },
-}
-
 /// How long each node actually executes.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum ExecutionModel {
@@ -57,142 +31,12 @@ pub enum ExecutionModel {
     #[default]
     Wcet,
     /// Each node instance runs for a uniform random duration in
-    /// `[max(1, ⌈fraction·C⌉), C]` (deterministic per [`SimConfig::seed`]).
+    /// `[max(1, ⌈fraction·C⌉), C]` (deterministic per
+    /// [`SimRequest::seed`](crate::SimRequest::seed)).
     /// Useful for probing execution-time anomalies of non-preemptive
     /// scheduling.
     Randomized {
         /// Lower bound on the executed fraction of the WCET, in `(0, 1]`.
         fraction: f64,
     },
-}
-
-/// Full simulator configuration.
-///
-/// # Example
-///
-/// ```
-/// use rta_sim::{ExecutionModel, PreemptionPolicy, ReleaseModel, SimConfig};
-///
-/// let config = SimConfig::new(8, 100_000)
-///     .with_policy(PreemptionPolicy::FullyPreemptive)
-///     .with_release(ReleaseModel::Sporadic { jitter: 50 })
-///     .with_execution(ExecutionModel::Randomized { fraction: 0.5 })
-///     .with_seed(7)
-///     .with_trace(true);
-/// assert_eq!(config.cores, 8);
-/// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "superseded by the unified request API: build a `SimRequest` instead — \
-            see the migration table in the crate docs"
-)]
-#[derive(Clone, Debug, PartialEq)]
-pub struct SimConfig {
-    /// Number of identical cores.
-    pub cores: usize,
-    /// Jobs are released strictly before this time; the simulation then
-    /// drains until all released jobs finish.
-    pub horizon: Time,
-    /// Preemption policy.
-    pub policy: PreemptionPolicy,
-    /// Release pattern.
-    pub release: ReleaseModel,
-    /// Execution-time model.
-    pub execution: ExecutionModel,
-    /// RNG seed for the randomized models.
-    pub seed: u64,
-    /// Record a full execution trace (bounded; see [`crate::Trace`]).
-    pub record_trace: bool,
-}
-
-#[allow(deprecated)]
-impl SimConfig {
-    /// Creates a configuration with the default models.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores == 0` or `horizon == 0`.
-    pub fn new(cores: usize, horizon: Time) -> Self {
-        assert!(cores >= 1, "at least one core required");
-        assert!(horizon >= 1, "horizon must be positive");
-        Self {
-            cores,
-            horizon,
-            policy: PreemptionPolicy::default(),
-            release: ReleaseModel::default(),
-            execution: ExecutionModel::default(),
-            seed: 0,
-            record_trace: false,
-        }
-    }
-
-    /// Sets the preemption policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: PreemptionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the release model.
-    #[must_use]
-    pub fn with_release(mut self, release: ReleaseModel) -> Self {
-        self.release = release;
-        self
-    }
-
-    /// Sets the execution-time model.
-    #[must_use]
-    pub fn with_execution(mut self, execution: ExecutionModel) -> Self {
-        self.execution = execution;
-        self
-    }
-
-    /// Sets the RNG seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enables or disables trace recording.
-    #[must_use]
-    pub fn with_trace(mut self, record: bool) -> Self {
-        self.record_trace = record;
-        self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    // The legacy configuration stays under test: it is deprecated, not
-    // removed.
-    #![allow(deprecated)]
-
-    use super::*;
-
-    #[test]
-    fn builder_roundtrip() {
-        let c = SimConfig::new(4, 1000)
-            .with_policy(PreemptionPolicy::FullyPreemptive)
-            .with_release(ReleaseModel::Sporadic { jitter: 3 })
-            .with_execution(ExecutionModel::Randomized { fraction: 0.9 })
-            .with_seed(99)
-            .with_trace(true);
-        assert_eq!(c.policy, PreemptionPolicy::FullyPreemptive);
-        assert_eq!(c.release, ReleaseModel::Sporadic { jitter: 3 });
-        assert_eq!(c.seed, 99);
-        assert!(c.record_trace);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one core")]
-    fn zero_cores_panics() {
-        let _ = SimConfig::new(0, 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "horizon must be positive")]
-    fn zero_horizon_panics() {
-        let _ = SimConfig::new(1, 0);
-    }
 }

@@ -4,10 +4,9 @@
 //! [`EventQueue`], mutates job state held in the
 //! [`JobSlab`](crate::topology), and fills cores from the
 //! [`ReadySet`](crate::topology). Everything scenario-specific — when jobs
-//! arrive, how long nodes suspend — lives in [`crate::scenario`]; everything
-//! structural about the task set — successor lists, predecessor counts,
-//! WCETs — is precomputed in [`crate::topology`]. The engine itself is the
-//! policy state machine:
+//! arrive — lives in [`crate::scenario`]; everything structural about the
+//! task set — successor lists, predecessor counts, WCETs — is precomputed
+//! in [`crate::topology`]. The engine itself is the policy state machine:
 //!
 //! 1. drain every event scheduled at the current instant;
 //! 2. fill free cores with the highest-priority ready nodes
@@ -38,13 +37,10 @@
 //! their remaining execution; stale completion events are invalidated by an
 //! assignment-id check, so preemption is O(log n) without heap surgery.
 //!
-//! The legacy [`simulate`] entry point survives as a deprecated thin
-//! wrapper over [`SimRequest`], pinned bit-identical
-//! (stats *and* trace) to the pre-redesign engine by the equivalence
-//! proptests in `tests/equivalence.rs`.
+//! The equivalence proptests in `tests/equivalence.rs` pin this engine
+//! bit-identical (stats *and* trace) to the frozen pre-redesign step loop
+//! in `step_loop`.
 
-#[allow(deprecated)]
-use crate::config::SimConfig;
 use crate::config::{ExecutionModel, PreemptionPolicy};
 use crate::event::{Event, EventQueue};
 use crate::request::{SimOutcome, SimRequest};
@@ -87,9 +83,6 @@ struct Engine<'a> {
     /// Number of unoccupied cores, so instants that freed none skip the
     /// core-fill scan.
     idle_cores: usize,
-    /// Cached [`ScenarioState::never_suspends`], selecting the inline
-    /// ready-transition fast path.
-    no_suspension: bool,
     next_assignment: u64,
     seq_counters: Vec<u64>,
     stats: Vec<TaskStats>,
@@ -104,8 +97,7 @@ struct Engine<'a> {
 /// into this module.
 pub(crate) fn run(task_set: &TaskSet, request: &SimRequest) -> SimOutcome {
     let topo = Topology::new(task_set);
-    let scenario = ScenarioState::new(&request.release, request.suspension, &topo);
-    let no_suspension = scenario.never_suspends();
+    let scenario = ScenarioState::new(&request.release, &topo);
     let mut engine = Engine {
         topo: &topo,
         policy: request.policy,
@@ -120,7 +112,6 @@ pub(crate) fn run(task_set: &TaskSet, request: &SimRequest) -> SimOutcome {
         freed_by: vec![None; request.cores],
         any_freed: false,
         idle_cores: request.cores,
-        no_suspension,
         next_assignment: 0,
         seq_counters: vec![0; task_set.len()],
         stats: vec![TaskStats::default(); task_set.len()],
@@ -145,24 +136,6 @@ pub(crate) fn run(task_set: &TaskSet, request: &SimRequest) -> SimOutcome {
     );
     crate::metrics::record_run(&outcome);
     outcome
-}
-
-/// Runs one simulation of `task_set` under the legacy `config` and returns
-/// the collected statistics (and trace, if enabled).
-///
-/// Jobs are released strictly before `config.horizon`; the run then drains
-/// until every released job has completed (the scheduler is
-/// work-conserving, so this always terminates).
-#[deprecated(
-    since = "0.1.0",
-    note = "superseded by the unified request API: build a `SimRequest` and call \
-            `evaluate` — see the migration table in the crate docs"
-)]
-#[allow(deprecated)]
-pub fn simulate(task_set: &TaskSet, config: &SimConfig) -> SimResult {
-    SimRequest::for_config(config)
-        .evaluate(task_set)
-        .into_result()
 }
 
 impl Engine<'_> {
@@ -200,9 +173,6 @@ impl Engine<'_> {
                         );
                         let _ = (core, assignment);
                     }
-                    Event::SuspensionExpiry { job, node } => {
-                        self.handle_suspension_expiry(job as usize, node as usize)
-                    }
                 }
             }
             self.schedule(now);
@@ -223,9 +193,9 @@ impl Engine<'_> {
         let topo = self.topo.task(task);
         let n = topo.node_count();
         let job_idx = self.slab.acquire(topo, task, seq, now);
-        // Per-node records and execution draws, in node order (the legacy
-        // draw order). WCET execution makes no draws, so the whole vector
-        // is built in one zipped pass.
+        // Per-node records and execution draws, in node order (the step
+        // loop's draw order). WCET execution makes no draws, so the whole
+        // vector is built in one zipped pass.
         match self.execution {
             ExecutionModel::Wcet => {
                 let job = self.slab.job_mut(job_idx);
@@ -252,19 +222,12 @@ impl Engine<'_> {
                 }
             }
         }
-        // Source nodes become ready (or start a self-suspension), in node
-        // order.
-        if self.no_suspension {
-            let job = self.slab.job_mut(job_idx);
-            for &v in topo.sources() {
-                let v = v as usize;
-                job.nodes[v].state = NodeState::Ready;
-                self.ready.insert(ReadyKey::new(task, seq, v, job_idx));
-            }
-        } else {
-            for &v in topo.sources() {
-                self.ready_node(job_idx, v as usize, now);
-            }
+        // Source nodes become ready, in node order.
+        let job = self.slab.job_mut(job_idx);
+        for &v in topo.sources() {
+            let v = v as usize;
+            job.nodes[v].state = NodeState::Ready;
+            self.ready.insert(ReadyKey::new(task, seq, v, job_idx));
         }
         self.record(TraceEvent {
             time: now,
@@ -280,37 +243,6 @@ impl Engine<'_> {
         if next < self.horizon {
             self.queue.push(next, Event::Release { task: task as u32 });
         }
-    }
-
-    /// A node whose precedence constraints are satisfied: it becomes ready
-    /// now, or after a scenario-drawn self-suspension.
-    fn ready_node(&mut self, job_idx: usize, node: usize, now: Time) {
-        let delay = self.scenario.suspension_delay(&mut self.rng);
-        let job = self.slab.job_mut(job_idx);
-        if delay == 0 {
-            job.nodes[node].state = NodeState::Ready;
-            let key = ReadyKey::new(job.task, job.seq, node, job_idx);
-            self.ready.insert(key);
-        } else {
-            job.nodes[node].state = NodeState::Suspended;
-            self.queue.push(
-                now + delay,
-                Event::SuspensionExpiry {
-                    job: job_idx as u32,
-                    node: node as u32,
-                },
-            );
-        }
-    }
-
-    fn handle_suspension_expiry(&mut self, job_idx: usize, node: usize) {
-        let job = self.slab.job_mut(job_idx);
-        // A pending expiry keeps its job alive (the node is not Done), so
-        // the slot cannot have been recycled under it.
-        debug_assert_eq!(job.nodes[node].state, NodeState::Suspended);
-        job.nodes[node].state = NodeState::Ready;
-        let key = ReadyKey::new(job.task, job.seq, node, job_idx);
-        self.ready.insert(key);
     }
 
     fn draw_execution(&mut self, wcet: Time) -> Time {
@@ -364,29 +296,17 @@ impl Engine<'_> {
             kind: TraceEventKind::Finish,
         });
 
+        // Successors whose last predecessor just finished become ready,
+        // under a single slab borrow.
         let successors = self.topo.task(task).successors(node);
-        if self.no_suspension {
-            // Fast path: nodes ready inline (no suspension draw is ever
-            // made, so skipping `ready_node` cannot shift the RNG stream),
-            // under a single slab borrow.
-            let job = self.slab.job_mut(job_idx);
-            for &s in successors {
-                let s = s as usize;
-                let rec = &mut job.nodes[s];
-                rec.waiting -= 1;
-                if rec.waiting == 0 {
-                    rec.state = NodeState::Ready;
-                    self.ready.insert(ReadyKey::new(task, seq, s, job_idx));
-                }
-            }
-        } else {
-            for &s in successors {
-                let s = s as usize;
-                let rec = &mut self.slab.job_mut(job_idx).nodes[s];
-                rec.waiting -= 1;
-                if rec.waiting == 0 {
-                    self.ready_node(job_idx, s, now);
-                }
+        let job = self.slab.job_mut(job_idx);
+        for &s in successors {
+            let s = s as usize;
+            let rec = &mut job.nodes[s];
+            rec.waiting -= 1;
+            if rec.waiting == 0 {
+                rec.state = NodeState::Ready;
+                self.ready.insert(ReadyKey::new(task, seq, s, job_idx));
             }
         }
 
@@ -513,7 +433,7 @@ impl Engine<'_> {
     /// is provably stale when it fires (the victim's completion at the
     /// same instant has an earlier tie) — inserting it shifts absolute tie
     /// values but never the relative order of other events, which is why
-    /// the legacy equivalence holds under the lazy policy too.
+    /// the step-loop equivalence holds under the lazy policy too.
     fn mark_deferred_preemption(&mut self) {
         self.deferred_preemptions += 1;
         if let Some((victim_core, _)) = self.lowest_priority_running() {
@@ -614,13 +534,8 @@ impl Engine<'_> {
 
 #[cfg(test)]
 mod tests {
-    // These scenarios predate the redesign and now run through the
-    // deprecated wrapper on purpose: they pin the new core to the original
-    // hand-computed schedules.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::config::ReleaseModel;
+    use crate::scenario::{Jitter, Release};
     use rta_model::{DagBuilder, DagTask, NodeId};
 
     fn single(wcet: Time, period: Time) -> DagTask {
@@ -644,26 +559,26 @@ mod tests {
         // Fork-join on 2 cores: v1(1) then v2(3) ∥ v3(2), then v4(1):
         // completion at 1 + 3 + 1 = 5.
         let ts = TaskSet::new(vec![fork_join([1, 3, 2, 1], 100)]);
-        let result = simulate(&ts, &SimConfig::new(2, 100));
-        assert_eq!(result.per_task[0].jobs_completed, 1);
-        assert_eq!(result.per_task[0].max_response, 5);
+        let result = SimRequest::new(2, 100).evaluate(&ts);
+        assert_eq!(result.per_task()[0].jobs_completed, 1);
+        assert_eq!(result.per_task()[0].max_response, 5);
         assert!(result.all_deadlines_met());
     }
 
     #[test]
     fn lone_task_serialized_on_one_core() {
         let ts = TaskSet::new(vec![fork_join([1, 3, 2, 1], 100)]);
-        let result = simulate(&ts, &SimConfig::new(1, 100));
-        assert_eq!(result.per_task[0].max_response, 7); // volume
+        let result = SimRequest::new(1, 100).evaluate(&ts);
+        assert_eq!(result.per_task()[0].max_response, 7); // volume
     }
 
     #[test]
     fn periodic_releases_counted() {
         let ts = TaskSet::new(vec![single(1, 10)]);
-        let result = simulate(&ts, &SimConfig::new(1, 100));
-        assert_eq!(result.per_task[0].jobs_released, 10); // t = 0, 10, …, 90
-        assert_eq!(result.per_task[0].jobs_completed, 10);
-        assert_eq!(result.per_task[0].max_response, 1);
+        let result = SimRequest::new(1, 100).evaluate(&ts);
+        assert_eq!(result.per_task()[0].jobs_released, 10); // t = 0, 10, …, 90
+        assert_eq!(result.per_task()[0].jobs_completed, 10);
+        assert_eq!(result.per_task()[0].max_response, 1);
     }
 
     #[test]
@@ -673,10 +588,10 @@ mod tests {
         let hp = single(2, 10);
         let lp = single(9, 100);
         let ts = TaskSet::new(vec![hp, lp]);
-        let result = simulate(&ts, &SimConfig::new(1, 20).with_trace(true));
+        let result = SimRequest::new(1, 20).with_trace(true).evaluate(&ts);
         // t=0: hp runs (0–2); lp starts at 2, runs to 11 (non-preemptive);
         // hp job 2 released at 10 waits until 11, finishes 13 → response 3.
-        assert_eq!(result.per_task[0].max_response, 3);
+        assert_eq!(result.per_task()[0].max_response, 3);
         assert!(result.all_deadlines_met());
     }
 
@@ -687,13 +602,12 @@ mod tests {
         let hp = single(2, 10);
         let lp = single(9, 100);
         let ts = TaskSet::new(vec![hp, lp]);
-        let result = simulate(
-            &ts,
-            &SimConfig::new(1, 20).with_policy(PreemptionPolicy::FullyPreemptive),
-        );
-        assert_eq!(result.per_task[0].max_response, 2);
+        let result = SimRequest::new(1, 20)
+            .with_policy(PreemptionPolicy::FullyPreemptive)
+            .evaluate(&ts);
+        assert_eq!(result.per_task()[0].max_response, 2);
         // The lp job still completes (preempted then resumed).
-        assert_eq!(result.per_task[1].jobs_completed, 1);
+        assert_eq!(result.per_task()[1].jobs_completed, 1);
         assert!(result.all_deadlines_met());
     }
 
@@ -704,12 +618,11 @@ mod tests {
         let hp = single(2, 10);
         let lp = single(9, 100);
         let ts = TaskSet::new(vec![hp, lp]);
-        let result = simulate(
-            &ts,
-            &SimConfig::new(1, 20).with_policy(PreemptionPolicy::FullyPreemptive),
-        );
+        let result = SimRequest::new(1, 20)
+            .with_policy(PreemptionPolicy::FullyPreemptive)
+            .evaluate(&ts);
         // hp: 2 jobs × 2 = 4; lp: 9. Last completion = 13.
-        assert_eq!(result.makespan, 13);
+        assert_eq!(result.makespan(), 13);
     }
 
     fn chain(wcets: &[Time], period: Time) -> DagTask {
@@ -729,20 +642,19 @@ mod tests {
     #[test]
     fn lazy_defers_preemption_to_the_lowest_priority_boundary() {
         let ts = TaskSet::new(vec![single(2, 10), chain(&[5, 5, 5], 100), single(9, 100)]);
-        let eager = simulate(&ts, &SimConfig::new(2, 20));
-        assert_eq!(eager.per_task[0].max_response, 2);
-        let lazy = simulate(
-            &ts,
-            &SimConfig::new(2, 20).with_policy(PreemptionPolicy::LazyPreemptive),
-        );
-        assert_eq!(lazy.per_task[0].max_response, 3);
+        let eager = SimRequest::new(2, 20).evaluate(&ts);
+        assert_eq!(eager.per_task()[0].max_response, 2);
+        let lazy = SimRequest::new(2, 20)
+            .with_policy(PreemptionPolicy::LazyPreemptive)
+            .evaluate(&ts);
+        assert_eq!(lazy.per_task()[0].max_response, 3);
         // Lazy is kinder to the continuing middle job: it finishes at 15
         // instead of 16.
-        assert_eq!(lazy.per_task[1].max_response, 15);
-        assert_eq!(eager.per_task[1].max_response, 16);
+        assert_eq!(lazy.per_task()[1].max_response, 15);
+        assert_eq!(eager.per_task()[1].max_response, 16);
         // Work is conserved under both policies.
-        assert_eq!(eager.per_task[2].jobs_completed, 1);
-        assert_eq!(lazy.per_task[2].jobs_completed, 1);
+        assert_eq!(eager.per_task()[2].jobs_completed, 1);
+        assert_eq!(lazy.per_task()[2].jobs_completed, 1);
     }
 
     /// The same scenario through the request API: the honoured
@@ -764,12 +676,11 @@ mod tests {
         // continuation claim never fires: both flavours produce identical
         // schedules.
         let ts = TaskSet::new(vec![fork_join([1, 3, 2, 1], 100), single(4, 50)]);
-        let eager = simulate(&ts, &SimConfig::new(4, 200));
-        let lazy = simulate(
-            &ts,
-            &SimConfig::new(4, 200).with_policy(PreemptionPolicy::LazyPreemptive),
-        );
-        assert_eq!(eager, lazy);
+        let eager = SimRequest::new(4, 200).evaluate(&ts);
+        let lazy = SimRequest::new(4, 200)
+            .with_policy(PreemptionPolicy::LazyPreemptive)
+            .evaluate(&ts);
+        assert_eq!(eager.result(), lazy.result());
     }
 
     #[test]
@@ -778,13 +689,12 @@ mod tests {
         // whatever is ready — here the lower-priority task, which would
         // otherwise starve behind an idle continuation claim.
         let ts = TaskSet::new(vec![single(3, 100), single(5, 100)]);
-        let lazy = simulate(
-            &ts,
-            &SimConfig::new(1, 50).with_policy(PreemptionPolicy::LazyPreemptive),
-        );
+        let lazy = SimRequest::new(1, 50)
+            .with_policy(PreemptionPolicy::LazyPreemptive)
+            .evaluate(&ts);
         // hp runs 0–3, lp runs 3–8 on the single core.
-        assert_eq!(lazy.per_task[1].max_response, 8);
-        assert_eq!(lazy.makespan, 8);
+        assert_eq!(lazy.per_task()[1].max_response, 8);
+        assert_eq!(lazy.makespan(), 8);
     }
 
     #[test]
@@ -794,46 +704,52 @@ mod tests {
             fork_join([1, 2, 2, 1], 13),
             single(6, 29),
         ]);
-        let cfg = SimConfig::new(2, 500)
+        let request = SimRequest::new(2, 500)
             .with_policy(PreemptionPolicy::LazyPreemptive)
-            .with_release(ReleaseModel::Sporadic { jitter: 5 })
+            .with_release(Release::Sporadic {
+                jitter: Jitter::Uniform(5),
+            })
             .with_execution(ExecutionModel::Randomized { fraction: 0.5 })
             .with_seed(42);
-        assert_eq!(simulate(&ts, &cfg), simulate(&ts, &cfg));
+        assert_eq!(request.evaluate(&ts), request.evaluate(&ts));
     }
 
     #[test]
     fn deadline_misses_detected() {
         // Two unit-period tasks of WCET 2 on one core: hopeless overload.
         let ts = TaskSet::new(vec![single(2, 2), single(2, 2)]);
-        let result = simulate(&ts, &SimConfig::new(1, 20));
+        let result = SimRequest::new(1, 20).evaluate(&ts);
         assert!(result.total_deadline_misses() > 0);
     }
 
     #[test]
     fn deterministic_with_seed() {
         let ts = TaskSet::new(vec![single(3, 7), fork_join([1, 2, 2, 1], 13)]);
-        let cfg = SimConfig::new(2, 500)
-            .with_release(ReleaseModel::Sporadic { jitter: 5 })
+        let request = SimRequest::new(2, 500)
+            .with_release(Release::Sporadic {
+                jitter: Jitter::Uniform(5),
+            })
             .with_execution(ExecutionModel::Randomized { fraction: 0.5 })
             .with_seed(42);
-        let a = simulate(&ts, &cfg);
-        let b = simulate(&ts, &cfg);
+        let a = request.evaluate(&ts);
+        let b = request.evaluate(&ts);
         assert_eq!(a, b);
-        let c = simulate(&ts, &cfg.clone().with_seed(43));
+        let c = request.clone().with_seed(43).evaluate(&ts);
         assert_ne!(a, c);
     }
 
     #[test]
     fn sporadic_spacing_respects_period() {
         let ts = TaskSet::new(vec![single(1, 10)]);
-        let cfg = SimConfig::new(1, 200)
-            .with_release(ReleaseModel::Sporadic { jitter: 7 })
+        let request = SimRequest::new(1, 200)
+            .with_release(Release::Sporadic {
+                jitter: Jitter::Uniform(7),
+            })
             .with_seed(3);
-        let result = simulate(&ts, &cfg);
+        let result = request.evaluate(&ts);
         // With jitter ≥ 0, at most horizon/period jobs are released.
-        assert!(result.per_task[0].jobs_released <= 20);
-        assert!(result.per_task[0].jobs_released >= 10); // jitter ≤ 7 < 10
+        assert!(result.per_task()[0].jobs_released <= 20);
+        assert!(result.per_task()[0].jobs_released >= 10); // jitter ≤ 7 < 10
         assert!(result.all_deadlines_met());
     }
 
@@ -841,16 +757,16 @@ mod tests {
     fn parallel_tasks_share_cores() {
         // Two independent single-node tasks on two cores run concurrently.
         let ts = TaskSet::new(vec![single(5, 100), single(5, 100)]);
-        let result = simulate(&ts, &SimConfig::new(2, 10));
-        assert_eq!(result.per_task[0].max_response, 5);
-        assert_eq!(result.per_task[1].max_response, 5);
+        let result = SimRequest::new(2, 10).evaluate(&ts);
+        assert_eq!(result.per_task()[0].max_response, 5);
+        assert_eq!(result.per_task()[1].max_response, 5);
     }
 
     #[test]
     fn trace_records_gantt() {
         let ts = TaskSet::new(vec![single(2, 10), single(3, 10)]);
-        let result = simulate(&ts, &SimConfig::new(1, 10).with_trace(true));
-        let trace = result.trace.expect("trace enabled");
+        let result = SimRequest::new(1, 10).with_trace(true).evaluate(&ts);
+        let trace = result.trace().expect("trace enabled");
         let gantt = trace.gantt(1, 5);
         assert_eq!(gantt.trim_end(), "core 0: 11222");
     }
@@ -858,48 +774,11 @@ mod tests {
     #[test]
     fn randomized_execution_bounded_by_wcet() {
         let ts = TaskSet::new(vec![single(10, 50)]);
-        let cfg = SimConfig::new(1, 500)
+        let request = SimRequest::new(1, 500)
             .with_execution(ExecutionModel::Randomized { fraction: 0.3 })
             .with_seed(9);
-        let result = simulate(&ts, &cfg);
-        assert!(result.per_task[0].max_response <= 10);
-        assert!(result.per_task[0].max_response >= 3);
-    }
-
-    #[test]
-    fn suspension_delays_readiness() {
-        use crate::scenario::Suspension;
-        // A single 3-unit node that always suspends exactly 4 units after
-        // release: response = 4 + 3 = 7.
-        let ts = TaskSet::new(vec![single(3, 100)]);
-        let out = SimRequest::new(1, 50)
-            .with_suspension(Suspension::Uniform { max: 4 })
-            .with_execution(ExecutionModel::Wcet)
-            .with_seed(1)
-            .evaluate(&ts);
-        let r = out.per_task()[0].max_response;
-        assert!(
-            (3..=7).contains(&r),
-            "suspended response {r} outside [3, 7]"
-        );
-        assert!(out.all_deadlines_met());
-    }
-
-    #[test]
-    fn bursty_releases_compress_interference() {
-        use crate::scenario::Release;
-        // Three jobs per burst spaced 1 apart on one core: the third job of
-        // a burst waits behind the first two.
-        let ts = TaskSet::new(vec![single(2, 10)]);
-        let out = SimRequest::new(1, 30)
-            .with_release(Release::Bursty {
-                burst: 3,
-                spread: 1,
-            })
-            .evaluate(&ts);
-        // Releases at 0,1,2 then 30 (≥ horizon): 3 jobs; the last starts at
-        // 4 (after 2+2 units) and finishes at 6 → response 4.
-        assert_eq!(out.per_task()[0].jobs_released, 3);
-        assert_eq!(out.per_task()[0].max_response, 4);
+        let result = request.evaluate(&ts);
+        assert!(result.per_task()[0].max_response <= 10);
+        assert!(result.per_task()[0].max_response >= 3);
     }
 }

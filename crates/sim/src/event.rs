@@ -1,11 +1,11 @@
 //! The indexed binary-heap event queue driving the simulator.
 //!
 //! Every state change in the simulator is an [`Event`] popped from an
-//! [`EventQueue`]: job releases, node completions, deferred preemption
-//! boundaries and suspension expiries. The queue is a hand-rolled indexed
-//! binary min-heap over a flat `Vec` — entries are addressed by heap index
-//! and moved with `swap`-based sift operations, so pushes and pops are
-//! `O(log n)` with no per-event allocation.
+//! [`EventQueue`]: job releases, node completions and deferred preemption
+//! boundaries. The queue is a hand-rolled indexed binary min-heap over a
+//! flat `Vec` — entries are addressed by heap index and moved with
+//! `swap`-based sift operations, so pushes and pops are `O(log n)` with no
+//! per-event allocation.
 //!
 //! # Deterministic ordering
 //!
@@ -15,7 +15,7 @@
 //! given seed. Because ties are broken by *relative* insertion order,
 //! inserting additional marker events (such as
 //! [`Event::PreemptionBoundary`]) never reorders the events around them —
-//! the guarantee the deprecated-wrapper equivalence proptests rely on.
+//! the guarantee the step-loop equivalence proptests rely on.
 
 use rta_model::Time;
 
@@ -54,16 +54,6 @@ pub enum Event {
         core: u32,
         /// The victim's assignment id at that point.
         assignment: u64,
-    },
-    /// A self-suspension elapsed: the node's precedence constraints were
-    /// already satisfied and it now becomes ready for dispatch. A pending
-    /// expiry keeps its job slot alive (the node is not `Done`), so the
-    /// slot cannot be recycled under the event.
-    SuspensionExpiry {
-        /// Job slot in the engine's job slab.
-        job: u32,
-        /// Node index within the job's DAG.
-        node: u32,
     },
 }
 

@@ -12,34 +12,31 @@
 //! The simulator is a discrete-event core in four layers:
 //!
 //! * [`event`] — the indexed binary-heap event queue: releases, node
-//!   completions, preemption-boundary markers and suspension expiries,
-//!   totally ordered by `(time, insertion tie)` for bit-exact determinism;
+//!   completions and preemption-boundary markers, totally ordered by
+//!   `(time, insertion tie)` for bit-exact determinism;
 //! * [`topology`] — the task set flattened once per run into CSR successor
 //!   lists, predecessor counts and WCET arrays, plus the free-list job
 //!   slab that keeps memory proportional to *in-flight* jobs (horizons can
 //!   grow orders of magnitude without the footprint following);
-//! * [`scenario`] — release models ([`Release`]: synchronous, per-task
-//!   release jitter, sporadic, bursty) and self-suspension
-//!   ([`Suspension`]) as event *generators* plugged into the queue, not
-//!   branches inside the scheduling loop;
+//! * [`scenario`] — release models ([`Release`]: synchronous, or sporadic
+//!   with per-task [`Jitter`]) as event *generators* plugged into the
+//!   queue, not branches inside the scheduling loop;
 //! * [`engine`] — the policy state machine that drains each instant and
 //!   fills cores.
 //!
 //! The single entry point is [`SimRequest`] (mirroring
 //! `rta_core::AnalysisRequest` on the analysis side), resolved by
-//! [`SimRequest::evaluate`] into a [`SimOutcome`]. The legacy
-//! `simulate(&TaskSet, &SimConfig)` path survives as a `#[deprecated]`
-//! thin wrapper, pinned bit-identical — same [`SimResult`] statistics,
-//! same trace bytes — by the equivalence proptests in
-//! `tests/equivalence.rs`, which compare it against the frozen
-//! pre-redesign engine across all three preemption policies and all
-//! legacy release models. See the [`request`] module docs for the
-//! migration table.
+//! [`SimRequest::evaluate`] into a [`SimOutcome`]. The equivalence
+//! proptests in `tests/equivalence.rs` pin it bit-identical — same
+//! [`SimResult`] statistics, same trace bytes — to the frozen
+//! pre-redesign engine (`step_loop`) across all three preemption
+//! policies, the release models that engine knows and both execution
+//! models.
 //!
 //! That validation actually runs, at campaign scale, in
 //! `rta_experiments::validate` (the `repro validate` CLI command): every
-//! generated task set is analyzed with per-task bounds
-//! (`rta_analysis::verdicts_with_bounds`) *and* simulated under the
+//! generated task set is analyzed with per-task bounds (a bound-carrying
+//! `rta_analysis::AnalysisRequest`) *and* simulated under the
 //! eager- and lazy-limited-preemptive and the fully-preemptive policies,
 //! and the soundness invariants — an accepted set shows zero deadline
 //! misses, per-task [`TaskStats::max_response`] never exceeds the bound,
@@ -98,12 +95,8 @@ pub mod step_loop;
 pub mod topology;
 pub mod trace;
 
-#[allow(deprecated)]
-pub use config::SimConfig;
-pub use config::{ExecutionModel, PreemptionPolicy, ReleaseModel};
-#[allow(deprecated)]
-pub use engine::simulate;
+pub use config::{ExecutionModel, PreemptionPolicy};
 pub use request::{SimOutcome, SimRequest};
-pub use scenario::{Jitter, Release, Suspension};
+pub use scenario::{Jitter, Release};
 pub use stats::{SimResult, TaskStats};
 pub use trace::{ChartOptions, Trace, TraceEvent, TraceEventKind};

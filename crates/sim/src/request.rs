@@ -3,33 +3,11 @@
 //! [`SimRequest`] is the single entry point of the simulator, mirroring
 //! `rta_core::AnalysisRequest` on the analysis side: a builder-style value
 //! describing *everything* one run needs — platform (cores), horizon,
-//! preemption policy, release scenario, execution model, self-suspension,
-//! seed and tracing — resolved by [`SimRequest::evaluate`] into a
-//! [`SimOutcome`].
-//!
-//! The legacy `simulate(&TaskSet, &SimConfig)` entry point and `SimConfig`
-//! survive as thin `#[deprecated]` wrappers over this module, pinned
-//! bit-identical (statistics *and* trace bytes) by the equivalence
-//! proptests in `tests/equivalence.rs`.
-//!
-//! # Migration
-//!
-//! | legacy | request API |
-//! |---|---|
-//! | `SimConfig::new(m, h)` | `SimRequest::new(m, h)` |
-//! | `.with_policy(p)` | `.with_policy(p)` (unchanged) |
-//! | `.with_release(ReleaseModel::SynchronousPeriodic)` | `.with_release(Release::Synchronous)` |
-//! | `.with_release(ReleaseModel::Sporadic { jitter })` | `.with_release(Release::Sporadic { jitter: Jitter::Uniform(jitter) })` |
-//! | — (not expressible) | `.with_release(Release::Sporadic { jitter: Jitter::PeriodFraction { .. } })`, `Release::Jitter`, `Release::Bursty` |
-//! | — (not expressible) | `.with_suspension(Suspension::Uniform { .. })` |
-//! | `.with_execution(e)` / `.with_seed(s)` / `.with_trace(t)` | unchanged |
-//! | `simulate(&ts, &config)` | `request.evaluate(&ts)` |
-//! | `SimResult` | [`SimOutcome`] (`outcome.result()` / `into_result()` recover a `SimResult`) |
+//! preemption policy, release scenario, execution model, seed and tracing
+//! — resolved by [`SimRequest::evaluate`] into a [`SimOutcome`].
 
-#[allow(deprecated)]
-use crate::config::SimConfig;
 use crate::config::{ExecutionModel, PreemptionPolicy};
-use crate::scenario::{Release, Suspension};
+use crate::scenario::Release;
 use crate::stats::{SimResult, TaskStats};
 use crate::trace::Trace;
 use rta_model::{TaskSet, Time};
@@ -66,8 +44,6 @@ pub struct SimRequest {
     pub release: Release,
     /// Execution-time model.
     pub execution: ExecutionModel,
-    /// Self-suspension model.
-    pub suspension: Suspension,
     /// RNG seed for the randomized models.
     pub seed: u64,
     /// Record a full execution trace (bounded; see [`Trace`]).
@@ -76,8 +52,8 @@ pub struct SimRequest {
 
 impl SimRequest {
     /// Creates a request with the default models: eager limited
-    /// preemption, synchronous periodic releases, WCET execution, no
-    /// suspension, seed 0, no trace.
+    /// preemption, synchronous periodic releases, WCET execution, seed 0,
+    /// no trace.
     ///
     /// # Panics
     ///
@@ -91,27 +67,8 @@ impl SimRequest {
             policy: PreemptionPolicy::default(),
             release: Release::default(),
             execution: ExecutionModel::default(),
-            suspension: Suspension::default(),
             seed: 0,
             record_trace: false,
-        }
-    }
-
-    /// The request equivalent of a legacy [`SimConfig`] — the migration
-    /// shim the deprecated wrappers are built from. Guaranteed to draw
-    /// from the RNG in exactly the legacy order, so results are
-    /// bit-identical.
-    #[allow(deprecated)]
-    pub fn for_config(config: &SimConfig) -> Self {
-        Self {
-            cores: config.cores,
-            horizon: config.horizon,
-            policy: config.policy,
-            release: Release::from_legacy(config.release),
-            execution: config.execution,
-            suspension: Suspension::None,
-            seed: config.seed,
-            record_trace: config.record_trace,
         }
     }
 
@@ -136,13 +93,6 @@ impl SimRequest {
         self
     }
 
-    /// Sets the self-suspension model.
-    #[must_use]
-    pub fn with_suspension(mut self, suspension: Suspension) -> Self {
-        self.suspension = suspension;
-        self
-    }
-
     /// Sets the RNG seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -161,16 +111,14 @@ impl SimRequest {
     ///
     /// # Panics
     ///
-    /// Panics on invalid scenarios (mismatched per-task jitter vector,
-    /// zero-job bursts, a burst spread exceeding a period) or an execution
-    /// fraction outside `(0, 1]`.
+    /// Panics on an execution fraction outside `(0, 1]`.
     pub fn evaluate(&self, task_set: &TaskSet) -> SimOutcome {
         crate::engine::run(task_set, self)
     }
 }
 
 /// What one simulation run produced: the classic [`SimResult`] plus the
-/// event-core observability the legacy API silently swallowed.
+/// event core's own observability.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimOutcome {
     result: SimResult,
@@ -205,8 +153,8 @@ impl SimOutcome {
         &self.result
     }
 
-    /// Consumes the outcome into the legacy [`SimResult`] — what the
-    /// deprecated `simulate` wrapper returns.
+    /// Consumes the outcome into its [`SimResult`] — the shape the frozen
+    /// step loop returns.
     pub fn into_result(self) -> SimResult {
         self.result
     }
@@ -257,14 +205,14 @@ impl SimOutcome {
     }
 
     /// Total events the core processed (releases, completions, boundary
-    /// markers, suspension expiries).
+    /// markers).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
 
     /// Peak number of simultaneously in-flight jobs — the job slab's high
-    /// water mark, and the simulator's memory footprint driver (the legacy
-    /// engine's footprint grew with jobs *ever released* instead).
+    /// water mark, and the simulator's memory footprint driver (the frozen
+    /// step loop's footprint grows with jobs *ever released* instead).
     pub fn peak_live_jobs(&self) -> usize {
         self.peak_live_jobs
     }
@@ -297,7 +245,6 @@ mod tests {
                 jitter: Jitter::Uniform(3),
             })
             .with_execution(ExecutionModel::Randomized { fraction: 0.9 })
-            .with_suspension(Suspension::Uniform { max: 2 })
             .with_seed(99)
             .with_trace(true);
         assert_eq!(r.policy, PreemptionPolicy::FullyPreemptive);
@@ -307,7 +254,6 @@ mod tests {
                 jitter: Jitter::Uniform(3)
             }
         );
-        assert_eq!(r.suspension, Suspension::Uniform { max: 2 });
         assert_eq!(r.seed, 99);
         assert!(r.record_trace);
     }
@@ -322,30 +268,6 @@ mod tests {
     #[should_panic(expected = "horizon must be positive")]
     fn zero_horizon_panics() {
         let _ = SimRequest::new(1, 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn for_config_copies_every_field() {
-        let cfg = SimConfig::new(3, 500)
-            .with_policy(PreemptionPolicy::LazyPreemptive)
-            .with_release(crate::config::ReleaseModel::Sporadic { jitter: 7 })
-            .with_execution(ExecutionModel::Randomized { fraction: 0.5 })
-            .with_seed(11)
-            .with_trace(true);
-        let r = SimRequest::for_config(&cfg);
-        assert_eq!(r.cores, 3);
-        assert_eq!(r.horizon, 500);
-        assert_eq!(r.policy, PreemptionPolicy::LazyPreemptive);
-        assert_eq!(
-            r.release,
-            Release::Sporadic {
-                jitter: Jitter::Uniform(7)
-            }
-        );
-        assert_eq!(r.suspension, Suspension::None);
-        assert_eq!(r.seed, 11);
-        assert!(r.record_trace);
     }
 
     #[test]

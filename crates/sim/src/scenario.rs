@@ -1,44 +1,29 @@
-//! The scenario layer: release models and self-suspension as event
-//! generators.
+//! The scenario layer: release models as event generators.
 //!
-//! A scenario is not a branch inside the scheduling loop — it is a pair of
-//! generators the engine consults at exactly two points: *when is the next
+//! A scenario is not a branch inside the scheduling loop — it is a
+//! generator the engine consults at exactly one point: *when is the next
 //! release of task `i`?* (producing [`crate::event::Event::Release`]
-//! entries) and *how long does a node suspend once its predecessors are
-//! done?* (producing [`crate::event::Event::SuspensionExpiry`] entries).
-//! Adding a release behavior therefore never touches the scheduler state
-//! machine.
+//! entries). Adding a release behavior therefore never touches the
+//! scheduler state machine.
 //!
 //! # Release models
 //!
 //! * [`Release::Synchronous`] — all tasks release at time 0, then strictly
 //!   periodically: the classic high-interference pattern.
-//! * [`Release::Jitter`] — *release jitter* proper: job `k` of task `i` is
-//!   released at `k·T_i + J` with `J` drawn uniformly from
-//!   `[0, jitter_i]`, i.e. jitter around a fixed periodic grid. Note this
-//!   can compress consecutive inter-arrivals below `T_i`, which the
-//!   sporadic analysis does **not** cover — use it to probe, not to
-//!   validate bounds.
 //! * [`Release::Sporadic`] — each inter-arrival is `T_i` plus a uniform
 //!   draw in `[0, jitter_i]` (drifting, never below the period): the legal
 //!   sporadic adversary the validation campaign simulates.
-//! * [`Release::Bursty`] — deterministic bursts: `burst` jobs spaced
-//!   `spread` apart, then a gap of `burst·T_i − (burst−1)·spread`, so the
-//!   long-run rate still matches one job per period. Like release jitter
-//!   this violates the sporadic minimum inter-arrival within a burst.
 //!
 //! Jitter magnitudes are **per task** ([`Jitter`]): one shared magnitude,
-//! an explicit per-task vector, or a fraction of each task's own period —
-//! the first-class form of what used to be a single per-set knob.
+//! or a fraction of each task's own period.
 //!
 //! # Determinism
 //!
 //! All draws come from the engine's single seeded RNG in a fixed order
 //! (initial release per task in task order; per release: execution draws
-//! in node order, then the next-release draw; suspension draws as nodes
-//! satisfy their precedences). Models whose magnitude is zero draw
-//! nothing, which is what keeps the legacy configurations bit-identical
-//! under the deprecated wrappers.
+//! in node order, then the next-release draw). Magnitudes of zero draw
+//! nothing, so synchronous releases and `Jitter::Uniform(0)` leave the RNG
+//! stream untouched — the order the frozen step loop draws in.
 
 use crate::topology::Topology;
 use rand::rngs::SmallRng;
@@ -48,11 +33,8 @@ use rta_model::Time;
 /// Per-task release-jitter magnitudes.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Jitter {
-    /// The same magnitude for every task (the legacy per-set knob).
+    /// The same magnitude for every task.
     Uniform(Time),
-    /// An explicit magnitude per task, indexed by priority. Must match the
-    /// task-set length at evaluation time.
-    PerTask(Vec<Time>),
     /// Each task's magnitude is `percent`% of its *own* period, with a
     /// floor of 1 when `percent > 0` (so small periods still jitter).
     PeriodFraction {
@@ -63,22 +45,9 @@ pub enum Jitter {
 
 impl Jitter {
     /// Resolves to one magnitude per task.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a [`Jitter::PerTask`] vector does not match the task-set
-    /// length.
     pub fn resolve(&self, topo: &Topology) -> Vec<Time> {
         match self {
             Jitter::Uniform(j) => vec![*j; topo.len()],
-            Jitter::PerTask(v) => {
-                assert_eq!(
-                    v.len(),
-                    topo.len(),
-                    "per-task jitter vector length must match the task set"
-                );
-                v.clone()
-            }
             Jitter::PeriodFraction { percent } => (0..topo.len())
                 .map(|i| {
                     if *percent == 0 {
@@ -98,128 +67,36 @@ pub enum Release {
     /// Synchronous periodic releases starting at time 0.
     #[default]
     Synchronous,
-    /// Release jitter around the periodic grid: job `k` at `k·T_i + J`,
-    /// `J ∈ [0, jitter_i]`.
-    Jitter {
-        /// Per-task jitter magnitudes.
-        jitter: Jitter,
-    },
     /// Sporadic: inter-arrival `T_i` plus a draw in `[0, jitter_i]`.
     Sporadic {
         /// Per-task jitter magnitudes.
         jitter: Jitter,
     },
-    /// Deterministic bursts of `burst` jobs spaced `spread` apart,
-    /// preserving the long-run rate of one job per period.
-    Bursty {
-        /// Jobs per burst (≥ 1; `1` degenerates to synchronous periodic).
-        burst: u32,
-        /// Spacing between consecutive jobs of a burst.
-        spread: Time,
-    },
 }
 
-impl Release {
-    /// The scenario equivalent of a legacy [`crate::config::ReleaseModel`],
-    /// drawing from the RNG in exactly the same order.
-    pub fn from_legacy(model: crate::config::ReleaseModel) -> Self {
-        match model {
-            crate::config::ReleaseModel::SynchronousPeriodic => Release::Synchronous,
-            crate::config::ReleaseModel::Sporadic { jitter } => Release::Sporadic {
-                jitter: Jitter::Uniform(jitter),
-            },
-        }
-    }
-}
-
-/// Self-suspension model: the delay between a node's last predecessor
-/// finishing and the node becoming dispatchable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Suspension {
-    /// No suspension — nodes become ready the instant their precedence
-    /// constraints are satisfied (and no RNG draw is made).
-    #[default]
-    None,
-    /// Each node suspends for a uniform draw in `[0, max]` once its
-    /// predecessors are done. A draw of 0 readies the node immediately
-    /// without an event.
-    Uniform {
-        /// Maximum suspension length.
-        max: Time,
-    },
-}
-
-/// Which release generator is active, with per-task state resolved.
-#[derive(Clone, Debug)]
-enum ReleaseGen {
-    Synchronous,
-    /// Grid jitter: `next_nominal[i]` tracks the underlying periodic grid.
-    Jitter {
-        magnitudes: Vec<Time>,
-        next_nominal: Vec<Time>,
-    },
-    Sporadic {
-        magnitudes: Vec<Time>,
-    },
-    Bursty {
-        burst: u32,
-        spread: Time,
-        /// Position within the current burst, per task.
-        pos: Vec<u32>,
-    },
-}
-
-/// The resolved scenario the engine consults during a run.
+/// The resolved scenario the engine consults during a run: one jitter
+/// magnitude per task, all zero for synchronous releases.
 #[derive(Clone, Debug)]
 pub(crate) struct ScenarioState {
-    release: ReleaseGen,
-    suspension: Suspension,
+    magnitudes: Vec<Time>,
     periods: Vec<Time>,
 }
 
 impl ScenarioState {
-    /// Resolves `release`/`suspension` against the task set.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid scenarios: a zero-job burst, a burst whose spread
-    /// exceeds some task's period (the long-run rate would fall behind), or
-    /// a per-task jitter vector of the wrong length.
-    pub fn new(release: &Release, suspension: Suspension, topo: &Topology) -> Self {
-        let periods: Vec<Time> = (0..topo.len()).map(|i| topo.task(i).period()).collect();
-        let release = match release {
-            Release::Synchronous => ReleaseGen::Synchronous,
-            Release::Jitter { jitter } => ReleaseGen::Jitter {
-                magnitudes: jitter.resolve(topo),
-                next_nominal: vec![0; topo.len()],
-            },
-            Release::Sporadic { jitter } => ReleaseGen::Sporadic {
-                magnitudes: jitter.resolve(topo),
-            },
-            Release::Bursty { burst, spread } => {
-                assert!(*burst >= 1, "a burst must contain at least one job");
-                for &t in &periods {
-                    assert!(
-                        *spread <= t,
-                        "burst spread must not exceed any task's period"
-                    );
-                }
-                ReleaseGen::Bursty {
-                    burst: *burst,
-                    spread: *spread,
-                    pos: vec![0; topo.len()],
-                }
-            }
+    /// Resolves `release` against the task set.
+    pub fn new(release: &Release, topo: &Topology) -> Self {
+        let magnitudes = match release {
+            Release::Synchronous => vec![0; topo.len()],
+            Release::Sporadic { jitter } => jitter.resolve(topo),
         };
         Self {
-            release,
-            suspension,
-            periods,
+            magnitudes,
+            periods: (0..topo.len()).map(|i| topo.task(i).period()).collect(),
         }
     }
 
     /// Draw in `[0, magnitude]`, touching the RNG only when the magnitude
-    /// is positive (the legacy-equivalence invariant).
+    /// is positive (see the module docs on determinism).
     fn draw(magnitude: Time, rng: &mut SmallRng) -> Time {
         if magnitude > 0 {
             rng.gen_range(0..=magnitude)
@@ -229,53 +106,13 @@ impl ScenarioState {
     }
 
     /// First release of `task`.
-    pub fn first_release(&mut self, task: usize, rng: &mut SmallRng) -> Time {
-        match &mut self.release {
-            ReleaseGen::Synchronous | ReleaseGen::Bursty { .. } => 0,
-            ReleaseGen::Jitter { magnitudes, .. } | ReleaseGen::Sporadic { magnitudes } => {
-                Self::draw(magnitudes[task], rng)
-            }
-        }
+    pub fn first_release(&self, task: usize, rng: &mut SmallRng) -> Time {
+        Self::draw(self.magnitudes[task], rng)
     }
 
     /// Release following the one of `task` that fired at `now`.
-    pub fn next_release(&mut self, task: usize, now: Time, rng: &mut SmallRng) -> Time {
-        let period = self.periods[task];
-        match &mut self.release {
-            ReleaseGen::Synchronous => now + period,
-            ReleaseGen::Jitter {
-                magnitudes,
-                next_nominal,
-            } => {
-                next_nominal[task] += period;
-                next_nominal[task] + Self::draw(magnitudes[task], rng)
-            }
-            ReleaseGen::Sporadic { magnitudes } => now + period + Self::draw(magnitudes[task], rng),
-            ReleaseGen::Bursty { burst, spread, pos } => {
-                pos[task] += 1;
-                if pos[task] < *burst {
-                    now + *spread
-                } else {
-                    pos[task] = 0;
-                    now + (period * *burst as Time - *spread * (*burst as Time - 1))
-                }
-            }
-        }
-    }
-
-    /// Suspension delay for a node whose precedence constraints were just
-    /// satisfied. [`Suspension::None`] returns 0 without touching the RNG.
-    pub fn suspension_delay(&mut self, rng: &mut SmallRng) -> Time {
-        match self.suspension {
-            Suspension::None => 0,
-            Suspension::Uniform { max } => Self::draw(max, rng),
-        }
-    }
-
-    /// `true` when no node can ever suspend (and no suspension draw is
-    /// ever made) — the engine readies nodes inline on this fast path.
-    pub fn never_suspends(&self) -> bool {
-        self.suspension == Suspension::None
+    pub fn next_release(&self, task: usize, now: Time, rng: &mut SmallRng) -> Time {
+        now + self.periods[task] + Self::draw(self.magnitudes[task], rng)
     }
 }
 
@@ -307,89 +144,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "length must match")]
-    fn per_task_vector_length_checked() {
-        let topo = topo(&[10, 20]);
-        Jitter::PerTask(vec![1]).resolve(&topo);
-    }
-
-    #[test]
-    fn bursty_preserves_the_long_run_rate() {
-        let topo = topo(&[10]);
-        let mut s = ScenarioState::new(
-            &Release::Bursty {
-                burst: 3,
-                spread: 2,
-            },
-            Suspension::None,
-            &topo,
-        );
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut t = s.first_release(0, &mut rng);
-        let mut times = vec![t];
-        for _ in 0..6 {
-            t = s.next_release(0, t, &mut rng);
-            times.push(t);
-        }
-        // Burst of 3 spaced 2 apart, then a gap of 30 − 4 = 26 from the
-        // burst's last job: 0, 2, 4, 30, 32, 34, 60.
-        assert_eq!(times, vec![0, 2, 4, 30, 32, 34, 60]);
-    }
-
-    #[test]
-    fn grid_jitter_stays_on_the_grid() {
-        let topo = topo(&[10]);
-        let mut s = ScenarioState::new(
-            &Release::Jitter {
-                jitter: Jitter::Uniform(3),
-            },
-            Suspension::None,
-            &topo,
-        );
-        let mut rng = SmallRng::seed_from_u64(42);
-        let first = s.first_release(0, &mut rng);
-        assert!(first <= 3);
-        for k in 1..50u64 {
-            let t = s.next_release(0, 0, &mut rng);
-            let nominal = k * 10;
-            assert!(
-                t >= nominal && t <= nominal + 3,
-                "release {t} off grid {nominal}"
-            );
-        }
-    }
-
-    #[test]
     fn zero_magnitudes_never_touch_the_rng() {
         let topo = topo(&[10]);
-        let mut s = ScenarioState::new(
-            &Release::Sporadic {
-                jitter: Jitter::Uniform(0),
-            },
-            Suspension::None,
-            &topo,
-        );
-        let mut a = SmallRng::seed_from_u64(7);
-        let mut b = SmallRng::seed_from_u64(7);
-        assert_eq!(s.first_release(0, &mut a), 0);
-        assert_eq!(s.next_release(0, 0, &mut a), 10);
-        assert_eq!(s.suspension_delay(&mut a), 0);
-        // The RNG state is untouched: both streams still agree.
-        assert_eq!(a.gen_range(0..=1_000_000u64), b.gen_range(0..=1_000_000u64));
-    }
-
-    #[test]
-    fn legacy_models_map_onto_the_scenario_layer() {
-        use crate::config::ReleaseModel;
-        assert_eq!(
-            Release::from_legacy(ReleaseModel::SynchronousPeriodic),
-            Release::Synchronous
-        );
-        assert_eq!(
-            Release::from_legacy(ReleaseModel::Sporadic { jitter: 5 }),
-            Release::Sporadic {
-                jitter: Jitter::Uniform(5)
-            }
-        );
+        let sporadic = Release::Sporadic {
+            jitter: Jitter::Uniform(0),
+        };
+        for release in [Release::Synchronous, sporadic] {
+            let s = ScenarioState::new(&release, &topo);
+            let mut a = SmallRng::seed_from_u64(7);
+            let mut b = SmallRng::seed_from_u64(7);
+            assert_eq!(s.first_release(0, &mut a), 0);
+            assert_eq!(s.next_release(0, 0, &mut a), 10);
+            // The RNG state is untouched: both streams still agree.
+            assert_eq!(a.gen_range(0..=1_000_000u64), b.gen_range(0..=1_000_000u64));
+        }
     }
 }

@@ -9,18 +9,19 @@
 //!
 //! 1. the equivalence proptests can pin the new core bit-identical
 //!    (stats *and* trace) to the original behavior across all preemption
-//!    policies and legacy release models, and
+//!    policies, the release models it knows and both execution models,
+//!    and
 //! 2. `BENCH_8.json` can measure the redesign's speedup against the real
 //!    former implementation rather than a strawman.
 //!
 //! Do not modify the scheduling logic here: it is the specification the
-//! deprecated wrappers are pinned against.
+//! event core is pinned against. It models synchronous releases and
+//! sporadic releases with one [`Jitter::Uniform`] magnitude for every
+//! task, and nothing else.
 
-// The reference implementation intentionally consumes the deprecated
-// legacy configuration type — that is the interface being pinned.
-#![allow(deprecated)]
-
-use crate::config::{ExecutionModel, PreemptionPolicy, ReleaseModel, SimConfig};
+use crate::config::{ExecutionModel, PreemptionPolicy};
+use crate::request::SimRequest;
+use crate::scenario::{Jitter, Release};
 use crate::stats::{SimResult, TaskStats};
 use crate::trace::{Trace, TraceEvent, TraceEventKind};
 use rand::rngs::SmallRng;
@@ -87,7 +88,9 @@ type ReadyKey = (usize, u64, usize, usize);
 
 struct Engine<'a> {
     task_set: &'a TaskSet,
-    config: &'a SimConfig,
+    config: &'a SimRequest,
+    /// The uniform release jitter; 0 (no draws) for synchronous releases.
+    jitter: Time,
     rng: SmallRng,
     heap: BinaryHeap<Reverse<Scheduled>>,
     tie: u64,
@@ -106,13 +109,26 @@ struct Engine<'a> {
 
 /// Runs one simulation with the frozen step-loop reference engine.
 ///
-/// Semantics are identical to the deprecated `simulate` entry point as it
-/// existed before the event-driven redesign; see the module docs for why
-/// this is kept.
-pub fn simulate_step_loop(task_set: &TaskSet, config: &SimConfig) -> SimResult {
+/// Semantics are those of the simulator before the event-driven redesign;
+/// see the module docs for why this is kept.
+///
+/// # Panics
+///
+/// Panics if `config` asks for a release model other than
+/// [`Release::Synchronous`] or [`Release::Sporadic`] with
+/// [`Jitter::Uniform`].
+pub fn simulate_step_loop(task_set: &TaskSet, config: &SimRequest) -> SimResult {
+    let jitter = match config.release {
+        Release::Synchronous => 0,
+        Release::Sporadic {
+            jitter: Jitter::Uniform(jitter),
+        } => jitter,
+        ref other => panic!("the step loop does not model {other:?}"),
+    };
     let mut engine = Engine {
         task_set,
         config,
+        jitter,
         rng: SmallRng::seed_from_u64(config.seed),
         heap: BinaryHeap::new(),
         tie: 0,
@@ -153,15 +169,10 @@ impl Engine<'_> {
     fn run(&mut self) {
         // Initial releases.
         for task in 0..self.task_set.len() {
-            let first = match self.config.release {
-                ReleaseModel::SynchronousPeriodic => 0,
-                ReleaseModel::Sporadic { jitter } => {
-                    if jitter > 0 {
-                        self.rng.gen_range(0..=jitter)
-                    } else {
-                        0
-                    }
-                }
+            let first = if self.jitter > 0 {
+                self.rng.gen_range(0..=self.jitter)
+            } else {
+                0
             };
             if first < self.config.horizon {
                 self.push_event(first, Event::Release { task });
@@ -228,17 +239,12 @@ impl Engine<'_> {
         });
 
         // Schedule the next release of this task.
-        let next = match self.config.release {
-            ReleaseModel::SynchronousPeriodic => now + t.period(),
-            ReleaseModel::Sporadic { jitter } => {
-                let extra = if jitter > 0 {
-                    self.rng.gen_range(0..=jitter)
-                } else {
-                    0
-                };
-                now + t.period() + extra
-            }
+        let extra = if self.jitter > 0 {
+            self.rng.gen_range(0..=self.jitter)
+        } else {
+            0
         };
+        let next = now + t.period() + extra;
         if next < self.config.horizon {
             self.push_event(next, Event::Release { task });
         }

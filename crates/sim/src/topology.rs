@@ -139,8 +139,6 @@ impl Topology {
 pub(crate) enum NodeState {
     /// Precedence constraints not yet satisfied.
     Waiting,
-    /// Predecessors done, but a self-suspension is still pending.
-    Suspended,
     /// Dispatchable.
     Ready,
     /// On a core.

@@ -1,22 +1,20 @@
 //! Pins the event-driven core bit-identical to the frozen pre-redesign
-//! engine, across all three preemption policies, the legacy release
-//! models and both execution models — statistics *and* trace bytes.
+//! engine, across all three preemption policies, the release models the
+//! step loop knows and both execution models — statistics *and* trace
+//! bytes.
 //!
 //! `rta_sim::step_loop::simulate_step_loop` is the original implementation
-//! kept verbatim; `rta_sim::simulate` is the deprecated wrapper over
-//! `SimRequest::evaluate`. Their results must be indistinguishable: same
-//! per-task max responses, misses and completion counts, same makespan,
-//! and the exact same trace event sequence.
-
-// The wrapper under test is deprecated by design.
-#![allow(deprecated)]
+//! kept verbatim; `SimRequest::evaluate` runs the event core. Their
+//! results must be indistinguishable: same per-task max responses, misses
+//! and completion counts, same makespan, and the exact same trace event
+//! sequence.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rta_model::{DagBuilder, DagTask, TaskSet, Time};
 use rta_sim::step_loop::simulate_step_loop;
-use rta_sim::{simulate, ExecutionModel, PreemptionPolicy, ReleaseModel, SimConfig};
+use rta_sim::{ExecutionModel, Jitter, PreemptionPolicy, Release, SimRequest, SimResult};
 use rta_taskgen::{generate_task_set, group1};
 
 const POLICIES: [PreemptionPolicy; 3] = [
@@ -25,18 +23,28 @@ const POLICIES: [PreemptionPolicy; 3] = [
     PreemptionPolicy::FullyPreemptive,
 ];
 
-/// The legacy release models: synchronous, small jitter (the validation
-/// campaign's "jitter" adversary) and period-scale jitter ("sporadic").
-const RELEASES: [ReleaseModel; 3] = [
-    ReleaseModel::SynchronousPeriodic,
-    ReleaseModel::Sporadic { jitter: 7 },
-    ReleaseModel::Sporadic { jitter: 401 },
+/// The release models the step loop knows: synchronous, small jitter
+/// (the validation campaign's "jitter" adversary) and period-scale jitter
+/// ("sporadic").
+const RELEASES: [Release; 3] = [
+    Release::Synchronous,
+    Release::Sporadic {
+        jitter: Jitter::Uniform(7),
+    },
+    Release::Sporadic {
+        jitter: Jitter::Uniform(401),
+    },
 ];
 
 const EXECUTIONS: [ExecutionModel; 2] = [
     ExecutionModel::Wcet,
     ExecutionModel::Randomized { fraction: 0.5 },
 ];
+
+/// The event core's answer in the step loop's result shape.
+fn event_core(ts: &TaskSet, request: &SimRequest) -> SimResult {
+    request.evaluate(ts).into_result()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -50,16 +58,16 @@ proptest! {
         let ts = generate_task_set(&mut rng, &group1(1.2));
         let horizon = ts.tasks().iter().map(|t| t.period()).max().unwrap_or(1) * 3;
         for policy in POLICIES {
-            for release in RELEASES {
+            for release in &RELEASES {
                 for execution in EXECUTIONS {
-                    let config = SimConfig::new(3, horizon)
+                    let request = SimRequest::new(3, horizon)
                         .with_policy(policy)
-                        .with_release(release)
+                        .with_release(release.clone())
                         .with_execution(execution)
                         .with_seed(seed ^ 0x5bd1_e995)
                         .with_trace(true);
-                    let reference = simulate_step_loop(&ts, &config);
-                    let redesigned = simulate(&ts, &config);
+                    let reference = simulate_step_loop(&ts, &request);
+                    let redesigned = event_core(&ts, &request);
                     prop_assert_eq!(
                         &reference, &redesigned,
                         "divergence under {:?} / {:?} / {:?}",
@@ -78,7 +86,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let ts = generate_task_set(&mut rng, &group1(1.0));
         let horizon = ts.tasks().iter().map(|t| t.period()).max().unwrap_or(1) * 4;
-        let outcome = rta_sim::SimRequest::new(4, horizon).evaluate(&ts);
+        let outcome = SimRequest::new(4, horizon).evaluate(&ts);
         let released: u64 = outcome.per_task().iter().map(|s| s.jobs_released).sum();
         prop_assert!(outcome.peak_live_jobs() as u64 <= released);
     }
@@ -101,9 +109,9 @@ fn single(wcet: Time, period: Time) -> DagTask {
 fn simultaneous_events_pop_in_scheduling_order() {
     use rta_sim::TraceEventKind as K;
     let ts = TaskSet::new(vec![single(2, 10), single(8, 100)]);
-    let config = SimConfig::new(1, 20).with_trace(true);
-    let reference = simulate_step_loop(&ts, &config);
-    let redesigned = simulate(&ts, &config);
+    let request = SimRequest::new(1, 20).with_trace(true);
+    let reference = simulate_step_loop(&ts, &request);
+    let redesigned = event_core(&ts, &request);
     assert_eq!(reference, redesigned);
 
     let trace = redesigned.trace.as_ref().expect("trace enabled");
@@ -135,9 +143,9 @@ fn simultaneous_events_pop_in_scheduling_order() {
 fn simultaneous_events_agree_under_full_preemption() {
     let ts = TaskSet::new(vec![single(2, 10), single(8, 100), single(5, 50)]);
     for cores in [1, 2] {
-        let config = SimConfig::new(cores, 40)
+        let request = SimRequest::new(cores, 40)
             .with_policy(PreemptionPolicy::FullyPreemptive)
             .with_trace(true);
-        assert_eq!(simulate_step_loop(&ts, &config), simulate(&ts, &config));
+        assert_eq!(simulate_step_loop(&ts, &request), event_core(&ts, &request));
     }
 }

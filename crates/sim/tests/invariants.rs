@@ -5,9 +5,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rta_model::Time;
-use rta_sim::{
-    ExecutionModel, Jitter, PreemptionPolicy, Release, SimRequest, Suspension, TraceEventKind,
-};
+use rta_sim::{ExecutionModel, Jitter, PreemptionPolicy, Release, SimRequest, TraceEventKind};
 use rta_taskgen::{generate_task_set, group1};
 
 proptest! {
@@ -53,19 +51,13 @@ proptest! {
     }
 
     /// Precedence causality: within a job, a node never starts before all
-    /// of its predecessors have finished — including under self-suspension
-    /// and bursty releases, which only ever *delay* readiness.
+    /// of its predecessors have finished.
     #[test]
     fn nodes_respect_precedence(seed in any::<u64>()) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let ts = generate_task_set(&mut rng, &group1(1.0));
         let horizon = ts.tasks().iter().map(|t| t.period()).max().unwrap_or(1) * 3;
-        let outcome = SimRequest::new(4, horizon)
-            .with_release(Release::Bursty { burst: 2, spread: 1 })
-            .with_suspension(Suspension::Uniform { max: 3 })
-            .with_seed(seed)
-            .with_trace(true)
-            .evaluate(&ts);
+        let outcome = SimRequest::new(4, horizon).with_trace(true).evaluate(&ts);
         prop_assume!(outcome.trace_dropped() == 0);
         let trace = outcome.trace().expect("trace enabled");
 
@@ -117,7 +109,6 @@ proptest! {
         let request = SimRequest::new(2, 5_000)
             .with_release(Release::Sporadic { jitter: Jitter::PeriodFraction { percent: 10 } })
             .with_execution(ExecutionModel::Randomized { fraction: 0.4 })
-            .with_suspension(Suspension::Uniform { max: 2 })
             .with_seed(seed);
         prop_assert_eq!(request.evaluate(&ts), request.evaluate(&ts));
     }

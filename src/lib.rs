@@ -66,9 +66,5 @@ pub mod prelude {
     };
     pub use rta_model::{Dag, DagBuilder, DagTask, ModelError, NodeId, TaskId, TaskSet, Time};
     pub use rta_sim::{PreemptionPolicy, Release, SimOutcome, SimRequest, SimResult};
-    // The deprecated pre-request entry points, re-exported for source
-    // compatibility; importing them still warns at the use site.
-    #[allow(deprecated)]
-    pub use rta_sim::{simulate, SimConfig};
     pub use rta_taskgen::{generate_task_set, group1, group2, TaskSetConfig};
 }
