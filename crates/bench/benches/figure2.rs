@@ -7,7 +7,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rta_analysis::{analyze, AnalysisConfig, Method};
-use rta_experiments::figure2::{run, run_task_count, SweepConfig};
+use rta_experiments::exec::Jobs;
+use rta_experiments::figure2::{run_task_count_with_jobs, run_with_jobs, SweepConfig};
 use rta_taskgen::{generate_task_set, group1, group2};
 use std::hint::black_box;
 
@@ -26,7 +27,7 @@ fn bench_fig2_panels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("group1", cores), &cores, |b, &m| {
             let config = reduced_panel(m);
             b.iter(|| {
-                let result = run(black_box(&config));
+                let result = run_with_jobs(black_box(&config), Jobs::Auto);
                 assert!(result.dominance_holds());
                 result
             })
@@ -34,11 +35,11 @@ fn bench_fig2_panels(c: &mut Criterion) {
     }
     group.bench_function("group2_m4", |b| {
         let config = reduced_panel(4).with_generator(group2);
-        b.iter(|| run(black_box(&config)))
+        b.iter(|| run_with_jobs(black_box(&config), Jobs::Auto))
     });
     group.bench_function("task_count_variant_m16", |b| {
         let config = reduced_panel(16);
-        b.iter(|| run_task_count(black_box(&config), &[2, 8, 16]))
+        b.iter(|| run_task_count_with_jobs(black_box(&config), &[2, 8, 16], Jobs::Auto))
     });
     group.finish();
 }

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rta_experiments::exec::Jobs;
-use rta_experiments::figure2::{run_serial, run_with_jobs, SweepConfig};
+use rta_experiments::figure2::{run_with_jobs, SweepConfig};
 use std::hint::black_box;
 
 /// Reduced Figure 2(a): m = 4, 5 utilization points, 8 sets per point.
@@ -22,13 +22,15 @@ fn bench_driver_comparison(c: &mut Criterion) {
     let config = reduced_fig2a();
 
     // The speedup claim is only meaningful if the outputs coincide.
-    let serial = run_serial(&config);
+    let serial = run_with_jobs(&config, Jobs::serial());
     assert_eq!(serial, run_with_jobs(&config, Jobs::Auto));
     assert!(serial.dominance_holds());
 
     let mut group = c.benchmark_group("fig2a_reduced_driver");
     group.sample_size(10);
-    group.bench_function("serial", |b| b.iter(|| run_serial(black_box(&config))));
+    group.bench_function("serial", |b| {
+        b.iter(|| run_with_jobs(black_box(&config), Jobs::serial()))
+    });
     for workers in [2usize, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("parallel", workers),

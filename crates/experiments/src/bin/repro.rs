@@ -120,49 +120,44 @@ use rta_experiments::campaign::{self, MethodMatrix, PanelKind};
 use rta_experiments::csv::CsvSink;
 use rta_experiments::exec::Jobs;
 use rta_experiments::figure2::{self, SweepConfig, SweepPoint, SweepResult};
+use rta_experiments::loadgen::{self, LoadgenOptions};
+use rta_experiments::serve::{self, ServeOptions};
 use rta_experiments::validate::{
     PolicyChoice, ReleaseChoice, ValidateOptions, ValidatePanel, ValidatePoint,
 };
 use rta_experiments::{tables, timing, validate};
 use std::path::PathBuf;
+use std::str::FromStr;
+use std::time::Duration;
 
-struct Options {
-    sets: usize,
-    samples: usize,
-    out: PathBuf,
-    seed: u64,
-    target: f64,
-    horizon: u64,
-    policy: PolicyChoice,
-    release: Option<ReleaseChoice>,
+/// A parsed command line. Flags land straight in the library option
+/// structs, which start from their `Default` impls; only the values the
+/// CLI sets on purpose are written here.
+#[derive(Debug)]
+struct Cli {
+    command: String,
+    selector: Option<String>,
+    /// Also holds `--sets` for every sweep (see [`Cli::sets`]).
+    validate: ValidateOptions,
+    serve: ServeOptions,
+    /// Also holds `--seed` and `--target` for `dump-set`.
+    loadgen: LoadgenOptions,
     /// `None` until `--jobs`/`--serial` is given: sweeps then default to
     /// one worker per core, while `timing` defaults to serial so its
     /// wall-clock averages are not skewed by worker contention.
     jobs: Option<Jobs>,
-    addr: String,
-    lru: usize,
-    conns: usize,
-    requests: usize,
-    repeat: u32,
-    simulate: u32,
-    competitors: u32,
-    bounds: bool,
-    bench: Option<PathBuf>,
-    metrics: Option<PathBuf>,
-    metrics_dump: Option<PathBuf>,
+    samples: usize,
+    out: PathBuf,
     width: usize,
-    shutdown: bool,
-    max_conns: usize,
-    /// `None` derives the shed watermark as 3/4 of `max_conns`.
-    watermark: Option<usize>,
-    idle_ms: u64,
-    frame_ms: u64,
-    drain_ms: u64,
-    retries: usize,
-    chaos: bool,
+    bench: Option<PathBuf>,
 }
 
-impl Options {
+impl Cli {
+    /// `--sets`: task sets per sweep point, for every sweep and panel.
+    fn sets(&self) -> usize {
+        self.validate.sets_per_point
+    }
+
     fn sweep_jobs(&self) -> Jobs {
         self.jobs.unwrap_or(Jobs::Auto)
     }
@@ -172,248 +167,169 @@ impl Options {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut command = None;
-    let mut selector: Option<String> = None;
-    let mut options = Options {
-        sets: 300,
+fn parsed<T: FromStr>(v: &str) -> Option<T> {
+    v.parse().ok()
+}
+
+fn positive<T: FromStr + Default + PartialOrd>(v: &str) -> Option<T> {
+    parsed(v).filter(|n| *n > T::default())
+}
+
+fn percent(v: &str) -> Option<u32> {
+    parsed(v).filter(|&n| n <= 100)
+}
+
+fn millis(v: &str) -> Option<Duration> {
+    positive(v).map(Duration::from_millis)
+}
+
+/// The value after a flag, converted and checked by `check`; `error` when
+/// the value is missing or `check` rejects it.
+fn value<'a, T>(
+    it: &mut impl Iterator<Item = &'a String>,
+    check: impl FnOnce(&str) -> Option<T>,
+    error: &str,
+) -> Result<T, String> {
+    it.next()
+        .and_then(|v| check(v))
+        .ok_or_else(|| error.to_string())
+}
+
+fn parse(args: &[String]) -> Result<Cli, String> {
+    let loadgen = LoadgenOptions::default();
+    let mut cli = Cli {
+        command: String::new(),
+        selector: None,
+        validate: ValidateOptions::default(),
+        // `serve` listens where `loadgen` connects by default.
+        serve: ServeOptions {
+            addr: loadgen.addr.clone(),
+            ..Default::default()
+        },
+        loadgen: LoadgenOptions { seed: 0, ..loadgen },
+        jobs: None,
         samples: 20,
         out: PathBuf::from("out"),
-        seed: 0,
-        target: 2.0,
-        horizon: validate::DEFAULT_HORIZON_FACTOR,
-        policy: PolicyChoice::Both,
-        release: None,
-        jobs: None,
-        addr: "127.0.0.1:7431".into(),
-        lru: rta_experiments::serve::DEFAULT_LRU_CAPACITY,
-        conns: 8,
-        requests: 200,
-        repeat: 80,
-        simulate: 0,
-        competitors: 0,
-        bounds: false,
-        bench: None,
-        metrics: None,
-        metrics_dump: None,
         width: 96,
-        shutdown: false,
-        max_conns: rta_experiments::serve::DEFAULT_MAX_CONNS,
-        watermark: None,
-        idle_ms: 30_000,
-        frame_ms: 10_000,
-        drain_ms: 5_000,
-        retries: 4,
-        chaos: false,
+        bench: None,
     };
+    let mut command = None;
+    let mut watermark = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let it = &mut it;
         match arg.as_str() {
-            "--sets" => {
-                options.sets = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--sets needs a number"));
-            }
-            "--samples" => {
-                options.samples = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--samples needs a number"));
-            }
-            "--out" => {
-                options.out = it
-                    .next()
-                    .map(PathBuf::from)
-                    .unwrap_or_else(|| usage("--out needs a path"));
-            }
-            "--seed" => {
-                options.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs a number"));
-            }
-            "--target" => {
-                options.target = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--target needs a number"));
-            }
+            "--sets" => cli.validate.sets_per_point = value(it, parsed, "--sets needs a number")?,
+            "--samples" => cli.samples = value(it, parsed, "--samples needs a number")?,
+            "--out" => cli.out = value(it, parsed, "--out needs a path")?,
+            "--seed" => cli.loadgen.seed = value(it, parsed, "--seed needs a number")?,
+            "--target" => cli.loadgen.target = value(it, parsed, "--target needs a number")?,
             "--horizon" => {
-                options.horizon = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("--horizon needs a positive number of period spans"));
+                cli.validate.horizon_factor = value(
+                    it,
+                    positive,
+                    "--horizon needs a positive number of period spans",
+                )?;
             }
             "--policy" => {
-                options.policy = it
-                    .next()
-                    .and_then(|v| PolicyChoice::from_flag(v))
-                    .unwrap_or_else(|| {
-                        usage("--policy must be limited, eager, lazy, full or both")
-                    });
+                cli.validate.policies = value(
+                    it,
+                    PolicyChoice::from_flag,
+                    "--policy must be limited, eager, lazy, full or both",
+                )?;
             }
             "--release" => {
-                options.release = Some(
-                    it.next()
-                        .and_then(|v| ReleaseChoice::from_flag(v))
-                        .unwrap_or_else(|| usage("--release must be sync, jitter or sporadic")),
-                );
+                cli.validate.release = Some(value(
+                    it,
+                    ReleaseChoice::from_flag,
+                    "--release must be sync, jitter or sporadic",
+                )?);
             }
             "--jobs" => {
-                let n: usize = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--jobs needs a number (0 = one per core)"));
-                options.jobs = Some(Jobs::from_flag(n));
+                let n = value(it, parsed, "--jobs needs a number (0 = one per core)")?;
+                cli.jobs = Some(Jobs::from_flag(n));
             }
-            "--serial" => {
-                options.jobs = Some(Jobs::serial());
-            }
+            "--serial" => cli.jobs = Some(Jobs::serial()),
             "--addr" => {
-                options.addr = it
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(|| usage("--addr needs a host:port address"));
+                cli.serve.addr = value(it, parsed, "--addr needs a host:port address")?;
+                cli.loadgen.addr = cli.serve.addr.clone();
             }
             "--lru" => {
-                options.lru = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("--lru needs a positive number of task sets"));
+                cli.serve.lru_capacity =
+                    value(it, positive, "--lru needs a positive number of task sets")?;
             }
             "--conns" => {
-                options.conns = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("--conns needs a positive number"));
+                cli.loadgen.connections = value(it, positive, "--conns needs a positive number")?;
             }
             "--requests" => {
-                options.requests = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("--requests needs a positive number"));
+                cli.loadgen.requests_per_connection =
+                    value(it, positive, "--requests needs a positive number")?;
             }
             "--repeat" => {
-                options.repeat = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n <= 100)
-                    .unwrap_or_else(|| usage("--repeat needs a percentage (0..=100)"));
+                cli.loadgen.repeat_percent =
+                    value(it, percent, "--repeat needs a percentage (0..=100)")?;
             }
             "--simulate" => {
-                options.simulate = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n <= 100)
-                    .unwrap_or_else(|| usage("--simulate needs a percentage (0..=100)"));
+                cli.loadgen.simulate_percent =
+                    value(it, percent, "--simulate needs a percentage (0..=100)")?;
             }
             "--competitors" => {
-                options.competitors = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n <= 100)
-                    .unwrap_or_else(|| usage("--competitors needs a percentage (0..=100)"));
+                cli.loadgen.competitor_percent =
+                    value(it, percent, "--competitors needs a percentage (0..=100)")?;
             }
-            "--bounds" => {
-                options.bounds = true;
-            }
-            "--bench" => {
-                options.bench = Some(
-                    it.next()
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| usage("--bench needs a path")),
-                );
-            }
-            "--metrics" => {
-                options.metrics = Some(
-                    it.next()
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| usage("--metrics needs a path")),
-                );
-            }
+            "--bounds" => cli.loadgen.bounds = true,
+            "--bench" => cli.bench = Some(value(it, parsed, "--bench needs a path")?),
+            "--metrics" => cli.loadgen.metrics = Some(value(it, parsed, "--metrics needs a path")?),
             "--metrics-dump" => {
-                options.metrics_dump = Some(
-                    it.next()
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| usage("--metrics-dump needs a path")),
-                );
+                cli.serve.metrics_dump = Some(value(it, parsed, "--metrics-dump needs a path")?);
             }
             "--width" => {
-                options.width = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 16)
-                    .unwrap_or_else(|| usage("--width needs a number of columns (>= 16)"));
+                cli.width = value(
+                    it,
+                    |v| parsed(v).filter(|&n| n >= 16),
+                    "--width needs a number of columns (>= 16)",
+                )?;
             }
-            "--shutdown" => {
-                options.shutdown = true;
-            }
+            "--shutdown" => cli.loadgen.shutdown = true,
             "--max-conns" => {
-                options.max_conns = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("--max-conns needs a positive number"));
+                cli.serve.max_conns = value(it, positive, "--max-conns needs a positive number")?;
             }
             "--watermark" => {
-                options.watermark = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| usage("--watermark needs a positive number")),
-                );
+                watermark = Some(value(it, positive, "--watermark needs a positive number")?);
             }
             "--idle-ms" => {
-                options.idle_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("--idle-ms needs a positive number of ms"));
+                cli.serve.idle_timeout =
+                    value(it, millis, "--idle-ms needs a positive number of ms")?;
             }
             "--frame-ms" => {
-                options.frame_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("--frame-ms needs a positive number of ms"));
+                cli.serve.frame_timeout =
+                    value(it, millis, "--frame-ms needs a positive number of ms")?;
             }
             "--drain-ms" => {
-                options.drain_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("--drain-ms needs a positive number of ms"));
+                cli.serve.drain_timeout =
+                    value(it, millis, "--drain-ms needs a positive number of ms")?;
             }
-            "--retries" => {
-                options.retries = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--retries needs a number"));
+            "--retries" => cli.loadgen.retries = value(it, parsed, "--retries needs a number")?,
+            "--chaos" => cli.loadgen.chaos = true,
+            cmd if command.is_none() && !cmd.starts_with('-') => command = Some(cmd.to_string()),
+            sel if cli.selector.is_none() && !sel.starts_with('-') => {
+                cli.selector = Some(sel.to_string());
             }
-            "--chaos" => {
-                options.chaos = true;
-            }
-            cmd if command.is_none() && !cmd.starts_with('-') => {
-                command = Some(cmd.to_string());
-            }
-            sel if selector.is_none() && !sel.starts_with('-') => {
-                selector = Some(sel.to_string());
-            }
-            other => usage(&format!("unknown argument: {other}")),
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
-    let Some(command) = command else {
-        usage("missing command");
-    };
-    if selector.is_some() && command != "campaign" && command != "validate" {
-        usage("only the campaign and validate commands take a panel selector");
+    cli.serve.shed_watermark =
+        watermark.unwrap_or_else(|| serve::default_watermark(cli.serve.max_conns));
+    cli.command = command.ok_or("missing command")?;
+    if cli.selector.is_some() && cli.command != "campaign" && cli.command != "validate" {
+        return Err("only the campaign and validate commands take a panel selector".into());
     }
+    Ok(cli)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let options = parse(&args).unwrap_or_else(|e| usage(&e));
 
     if !Jobs::parallelism_available() && matches!(options.jobs, Some(Jobs::Count(n)) if n > 1) {
         eprintln!(
@@ -423,7 +339,8 @@ fn main() {
     }
 
     std::fs::create_dir_all(&options.out).expect("create output directory");
-    match command.as_str() {
+    let selector = options.selector.as_deref().unwrap_or("all");
+    match options.command.as_str() {
         "table1" => table1(&options, &regenerate_tables(&options)),
         "table2" => table2(&regenerate_tables(&options)),
         "table3" => table3(&regenerate_tables(&options)),
@@ -434,8 +351,8 @@ fn main() {
         "group2" => group2(&options),
         "timing" => run_timing(&options),
         "sensitivity" => sensitivity(&options),
-        "campaign" => run_campaign(&options, selector.as_deref().unwrap_or("all")),
-        "validate" => run_validate(&options, selector.as_deref().unwrap_or("all")),
+        "campaign" => run_campaign(&options, selector),
+        "validate" => run_validate(&options, selector),
         "dump-set" => dump_set(&options),
         "trace" => run_trace(&options),
         "serve" => run_serve(&options),
@@ -460,14 +377,14 @@ fn main() {
 }
 
 /// Opens the streaming CSV sink of one panel in the output directory.
-fn open_sink(options: &Options, name: &str, header: &[&str]) -> CsvSink<impl std::io::Write> {
+fn open_sink(options: &Cli, name: &str, header: &[&str]) -> CsvSink<impl std::io::Write> {
     let path = options.out.join(format!("{name}.csv"));
     CsvSink::create(&path, header).unwrap_or_else(|e| panic!("create CSV {}: {e}", path.display()))
 }
 
 /// Runs the requested validation panels, streaming each CSV row as its
 /// sweep point completes, and exits non-zero on any invariant violation.
-fn run_validate(options: &Options, selector: &str) {
+fn run_validate(options: &Cli, selector: &str) {
     let jobs = options.sweep_jobs();
     let panels = match selector {
         "cores" => ValidatePanel::all()
@@ -483,12 +400,7 @@ fn run_validate(options: &Options, selector: &str) {
         "all" => ValidatePanel::all(),
         other => usage(&format!("unknown validate panel: {other}")),
     };
-    let vopts = ValidateOptions {
-        sets_per_point: options.sets,
-        horizon_factor: options.horizon,
-        policies: options.policy,
-        release: options.release,
-    };
+    let vopts = &options.validate;
     let mut total_violations = 0u64;
     let mut total_exceedances = 0u64;
     let mut total_lp_misses = 0u64;
@@ -508,7 +420,7 @@ fn run_validate(options: &Options, selector: &str) {
             &validate::csv_header(panel.x_label()),
         );
         let mut points = Vec::new();
-        panel.run_into(&vopts, jobs, &mut |p: &ValidatePoint| {
+        panel.run_into(vopts, jobs, &mut |p: &ValidatePoint| {
             sink.row(&p.csv_cells()).expect("write CSV row");
             points.push(p.clone());
         });
@@ -581,9 +493,9 @@ const SOUNDNESS_COST_HEADER: [&str; 7] = [
 /// additionally aggregates the per-point LP-ILP vs LP-sound acceptance
 /// gap into `soundness_cost.csv`; partial selectors leave any existing
 /// aggregate untouched rather than clobbering it with a subset.
-fn run_campaign(options: &Options, selector: &str) {
+fn run_campaign(options: &Cli, selector: &str) {
     let jobs = options.sweep_jobs();
-    let sets = options.sets;
+    let sets = options.sets();
     let panels: Vec<PanelKind> = match selector {
         "deadline" => vec![PanelKind::Deadline],
         "chains" => vec![PanelKind::Chains],
@@ -658,9 +570,9 @@ fn run_campaign(options: &Options, selector: &str) {
 /// written to `method_matrix.csv`. Both outputs are byte-identical for
 /// every worker count: the point fold runs in coordinate order and the
 /// matrix is a sum of per-set indicator contributions.
-fn run_campaign_compare(options: &Options) {
+fn run_campaign_compare(options: &Cli) {
     let jobs = options.sweep_jobs();
-    let sets = options.sets;
+    let sets = options.sets();
     let mut matrix = MethodMatrix::default();
     // Analysis-cost accounting: delta the process-global verdict-latency
     // histograms across the whole compare run. The verdict *counts* are
@@ -720,7 +632,7 @@ fn run_campaign_compare(options: &Options) {
 /// every point as it completes (side CSVs like the soundness-cost
 /// aggregate hook in here).
 fn streamed_sweep(
-    options: &Options,
+    options: &Cli,
     name: &str,
     x_label: &str,
     cores: usize,
@@ -738,9 +650,9 @@ fn streamed_sweep(
     SweepResult { cores, points }
 }
 
-fn sensitivity(options: &Options) {
+fn sensitivity(options: &Cli) {
     println!("== sensitivity: Figure 2(a) under alternative period models (DESIGN.md §5.3) ==");
-    let sets = options.sets.min(60); // three full panels; keep it bounded
+    let sets = options.sets().min(60); // three full panels; keep it bounded
     for (variant, result) in
         rta_experiments::sensitivity::run_all_with_jobs(sets, options.sweep_jobs())
     {
@@ -752,7 +664,7 @@ fn sensitivity(options: &Options) {
 /// Renders the frozen LP counterexample's witness schedule (see
 /// `rta_experiments::forensics`): the paper's LP bound says 300.5, the
 /// limited-preemptive schedule shows 304.
-fn run_trace(options: &Options) {
+fn run_trace(options: &Cli) {
     use rta_experiments::forensics;
     println!(
         "== trace: frozen LP counterexample — m = 2, horizon {}x the blocking task's period ==",
@@ -781,35 +693,24 @@ fn run_trace(options: &Options) {
 
 /// Runs the admission-control daemon in the foreground until a client's
 /// `{"shutdown":true}` frame stops it.
-fn run_serve(options: &Options) {
-    use std::time::Duration;
-    let serve_options = rta_experiments::serve::ServeOptions {
-        addr: options.addr.clone(),
-        lru_capacity: options.lru,
-        max_conns: options.max_conns,
-        shed_watermark: options.watermark.unwrap_or(options.max_conns * 3 / 4),
-        idle_timeout: Duration::from_millis(options.idle_ms),
-        frame_timeout: Duration::from_millis(options.frame_ms),
-        drain_timeout: Duration::from_millis(options.drain_ms),
-        metrics_dump: options.metrics_dump.clone(),
-        ..Default::default()
-    };
-    let handle = rta_experiments::serve::spawn(&serve_options)
+fn run_serve(options: &Cli) {
+    let serve_options = &options.serve;
+    let handle = serve::spawn(serve_options)
         .unwrap_or_else(|e| usage(&format!("cannot bind {}: {e}", serve_options.addr)));
     println!(
         "serving admission-control verdicts on {} (LRU capacity {}; \
          send {{\"shutdown\":true}} to stop)",
         handle.addr(),
-        options.lru
+        serve_options.lru_capacity
     );
     println!(
         "limits: {} connections (shedding past {}), idle timeout {}ms, \
          frame timeout {}ms, drain timeout {}ms",
         serve_options.max_conns,
         serve_options.shed_watermark,
-        options.idle_ms,
-        options.frame_ms,
-        options.drain_ms
+        serve_options.idle_timeout.as_millis(),
+        serve_options.frame_timeout.as_millis(),
+        serve_options.drain_timeout.as_millis()
     );
     let report = handle.join();
     println!("server stopped: {}", report.render());
@@ -821,23 +722,8 @@ fn run_serve(options: &Options) {
 
 /// Drives a running server with the configured request mix and prints
 /// (and optionally writes) the measurement report.
-fn run_loadgen(options: &Options) {
-    let loadgen_options = rta_experiments::loadgen::LoadgenOptions {
-        addr: options.addr.clone(),
-        connections: options.conns,
-        requests_per_connection: options.requests,
-        repeat_percent: options.repeat,
-        simulate_percent: options.simulate,
-        competitor_percent: options.competitors,
-        bounds: options.bounds,
-        seed: options.seed,
-        target: options.target,
-        metrics: options.metrics.clone(),
-        shutdown: options.shutdown,
-        retries: options.retries,
-        chaos: options.chaos,
-        ..Default::default()
-    };
+fn run_loadgen(options: &Cli) {
+    let loadgen_options = &options.loadgen;
     if loadgen_options.chaos {
         println!(
             "== loadgen --chaos: {} workers x {} seeded hostile actions, against {} ==",
@@ -854,11 +740,15 @@ fn run_loadgen(options: &Options) {
             loadgen_options.addr
         );
     }
-    let report = rta_experiments::loadgen::run(&loadgen_options)
-        .unwrap_or_else(|e| usage(&format!("loadgen against {} failed: {e}", options.addr)));
+    let report = loadgen::run(loadgen_options).unwrap_or_else(|e| {
+        usage(&format!(
+            "loadgen against {} failed: {e}",
+            loadgen_options.addr
+        ))
+    });
     println!("{}", report.render());
     if let Some(path) = &options.bench {
-        std::fs::write(path, report.to_bench_json(&loadgen_options)).expect("write BENCH JSON");
+        std::fs::write(path, report.to_bench_json(loadgen_options)).expect("write BENCH JSON");
         println!("wrote {}", path.display());
     }
     if report.errors > 0 {
@@ -867,18 +757,17 @@ fn run_loadgen(options: &Options) {
     }
 }
 
-fn dump_set(options: &Options) {
+fn dump_set(options: &Cli) {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    let mut rng = SmallRng::seed_from_u64(options.seed);
-    let ts = rta_taskgen::generate_task_set(&mut rng, &rta_taskgen::group1(options.target));
+    let LoadgenOptions { seed, target, .. } = options.loadgen;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let ts = rta_taskgen::generate_task_set(&mut rng, &rta_taskgen::group1(target));
     println!("{}", rta_model::json::task_set_to_json(&ts));
     eprintln!(
-        "# {} tasks, U = {:.3} (seed {}, target {})",
+        "# {} tasks, U = {:.3} (seed {seed}, target {target})",
         ts.len(),
         ts.total_utilization(),
-        options.seed,
-        options.target
     );
 }
 
@@ -904,11 +793,11 @@ fn usage(msg: &str) -> ! {
 /// All tables through the campaign engine (each `(table, solver)` pair is
 /// one cell on the worker pool). Called once per invocation — `repro all`
 /// shares one regeneration across the three table subcommands.
-fn regenerate_tables(options: &Options) -> tables::Tables {
+fn regenerate_tables(options: &Cli) -> tables::Tables {
     tables::run_all(options.sweep_jobs())
 }
 
-fn table1(options: &Options, t: &tables::Tables) {
+fn table1(options: &Cli, t: &tables::Tables) {
     println!("== Table I: worst-case workloads µ_i[c] of the Figure 1 tasks ==");
     println!("{}", t.table1.render());
     assert_eq!(t.table1, t.table1_ilp, "clique and ILP solvers must agree");
@@ -935,8 +824,8 @@ fn table3(t: &tables::Tables) {
     println!("(cross-checked against the paper's ILP formulation: identical)\n");
 }
 
-fn sweep(name: &str, config: SweepConfig, options: &Options) {
-    let config = config.with_sets_per_point(options.sets);
+fn sweep(name: &str, config: SweepConfig, options: &Cli) {
+    let config = config.with_sets_per_point(options.sets());
     println!(
         "== {name}: m = {}, {} sets/point (group 1), {} worker(s) ==",
         config.cores,
@@ -964,8 +853,8 @@ fn sweep(name: &str, config: SweepConfig, options: &Options) {
     );
 }
 
-fn task_count_sweep(options: &Options) {
-    let config = SweepConfig::paper_panel(16).with_sets_per_point(options.sets);
+fn task_count_sweep(options: &Cli) {
+    let config = SweepConfig::paper_panel(16).with_sets_per_point(options.sets());
     let counts: Vec<usize> = (1..=8).map(|i| 2 * i).collect();
     println!(
         "== fig2c-tasks: m = 16, U = 8, task-count sweep, {} sets/point ==",
@@ -983,11 +872,11 @@ fn task_count_sweep(options: &Options) {
     println!("wrote {}\n", options.out.join("fig2c_tasks.csv").display());
 }
 
-fn group2(options: &Options) {
+fn group2(options: &Cli) {
     println!("== group 2: uniformly parallel task sets (paper: LP-max ≈ LP-ILP) ==");
     for cores in [4usize, 8, 16] {
         let config = SweepConfig::paper_panel(cores)
-            .with_sets_per_point(options.sets)
+            .with_sets_per_point(options.sets())
             .with_generator(rta_taskgen::group2);
         let name = format!("group2_m{cores}");
         let result = streamed_sweep(
@@ -1015,7 +904,7 @@ fn group2(options: &Options) {
     }
 }
 
-fn run_timing(options: &Options) {
+fn run_timing(options: &Cli) {
     println!("== timing: average runtime of a positive schedulability test ==");
     let jobs = options.timing_jobs();
     if jobs.worker_count() > 1 {
@@ -1032,8 +921,146 @@ fn run_timing(options: &Options) {
     );
 }
 
-fn write_csv(options: &Options, name: &str, csv: &str) {
+fn write_csv(options: &Cli, name: &str, csv: &str) {
     let path = options.out.join(format!("{name}.csv"));
     std::fs::write(&path, csv).expect("write CSV");
     println!("wrote {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cli(args: &str) -> Result<Cli, String> {
+        let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn defaults_resolve_as_before() {
+        let c = cli("serve").expect("parses");
+        assert_eq!((c.command.as_str(), c.selector.as_deref()), ("serve", None));
+        assert_eq!(c.sets(), 300);
+        assert_eq!(c.samples, 20);
+        assert_eq!(c.out, PathBuf::from("out"));
+        assert_eq!(c.width, 96);
+        assert_eq!(c.bench, None);
+        assert_eq!(
+            (c.sweep_jobs(), c.timing_jobs()),
+            (Jobs::Auto, Jobs::Count(1))
+        );
+        assert_eq!(c.validate.horizon_factor, 3);
+        assert_eq!(c.validate.policies, PolicyChoice::Both);
+        assert_eq!(c.validate.release, None);
+        assert_eq!(c.serve.addr, "127.0.0.1:7431");
+        assert_eq!(c.serve.lru_capacity, 128);
+        assert_eq!(c.serve.max_conns, 64);
+        assert_eq!(c.serve.shed_watermark, 48);
+        assert_eq!(c.serve.idle_timeout, Duration::from_millis(30_000));
+        assert_eq!(c.serve.frame_timeout, Duration::from_millis(10_000));
+        assert_eq!(c.serve.drain_timeout, Duration::from_millis(5_000));
+        assert_eq!(c.serve.metrics_dump, None);
+        let l = &c.loadgen;
+        assert_eq!(l.addr, "127.0.0.1:7431");
+        assert_eq!((l.seed, l.target), (0, 2.0));
+        assert_eq!((l.connections, l.requests_per_connection), (8, 200));
+        assert_eq!(
+            (l.repeat_percent, l.simulate_percent, l.competitor_percent),
+            (80, 0, 0)
+        );
+        assert_eq!(l.retries, 4);
+        assert_eq!(l.metrics, None);
+        assert!(!l.bounds && !l.shutdown && !l.chaos);
+    }
+
+    #[test]
+    fn watermark_defaults_to_three_quarters_of_the_pool_in_any_flag_order() {
+        assert_eq!(
+            cli("serve --max-conns 20").unwrap().serve.shed_watermark,
+            15
+        );
+        for args in [
+            "serve --max-conns 20 --watermark 5",
+            "serve --watermark 5 --max-conns 20",
+        ] {
+            let serve = cli(args).unwrap().serve;
+            assert_eq!((serve.max_conns, serve.shed_watermark), (20, 5), "{args}");
+        }
+    }
+
+    #[test]
+    fn every_flag_lands_in_its_option() {
+        let c = cli(
+            "validate cores --sets 4 --horizon 30 --policy full --release jitter --jobs 3 \
+             --out o --samples 2 --width 16 --bench b.json",
+        )
+        .unwrap();
+        assert_eq!(
+            (c.command.as_str(), c.selector.as_deref()),
+            ("validate", Some("cores"))
+        );
+        assert_eq!((c.sets(), c.validate.horizon_factor), (4, 30));
+        assert_eq!(c.validate.policies, PolicyChoice::Fully);
+        assert_eq!(c.validate.release, Some(ReleaseChoice::Jitter));
+        assert_eq!(
+            (c.sweep_jobs(), c.timing_jobs()),
+            (Jobs::Count(3), Jobs::Count(3))
+        );
+        assert_eq!((c.out, c.samples, c.width), (PathBuf::from("o"), 2, 16));
+        assert_eq!(c.bench, Some(PathBuf::from("b.json")));
+        assert_eq!(cli("fig2a --serial").unwrap().jobs, Some(Jobs::Count(1)));
+        assert_eq!(cli("fig2a --jobs 0").unwrap().jobs, Some(Jobs::Auto));
+
+        let s = cli(
+            "serve --addr 0.0.0.0:9 --lru 4 --idle-ms 1 --frame-ms 2 --drain-ms 3 \
+             --metrics-dump m.prom",
+        )
+        .unwrap();
+        assert_eq!(
+            (s.serve.addr.as_str(), s.loadgen.addr.as_str()),
+            ("0.0.0.0:9", "0.0.0.0:9")
+        );
+        assert_eq!(s.serve.lru_capacity, 4);
+        assert_eq!(
+            [
+                s.serve.idle_timeout,
+                s.serve.frame_timeout,
+                s.serve.drain_timeout
+            ],
+            [1, 2, 3].map(Duration::from_millis)
+        );
+        assert_eq!(s.serve.metrics_dump, Some(PathBuf::from("m.prom")));
+
+        let l = cli(
+            "loadgen --seed 7 --target 1.5 --conns 2 --requests 3 --repeat 100 --simulate 10 \
+             --competitors 20 --bounds --metrics m.json --shutdown --retries 0 --chaos",
+        )
+        .unwrap()
+        .loadgen;
+        assert_eq!((l.seed, l.target), (7, 1.5));
+        assert_eq!((l.connections, l.requests_per_connection), (2, 3));
+        assert_eq!(
+            (l.repeat_percent, l.simulate_percent, l.competitor_percent),
+            (100, 10, 20)
+        );
+        assert_eq!((l.metrics, l.retries), (Some(PathBuf::from("m.json")), 0));
+        assert!(l.bounds && l.shutdown && l.chaos);
+    }
+
+    #[test]
+    fn rejected_inputs_return_errors() {
+        for (args, error) in [
+            ("validate --horizon 0", "--horizon needs a positive number"),
+            ("loadgen --repeat 101", "--repeat needs a percentage"),
+            ("trace --width 15", "--width needs a number of columns"),
+            ("serve --lru 0", "--lru needs a positive number"),
+            ("fig2a --sets", "--sets needs a number"),
+            ("fig2a --bogus", "unknown argument: --bogus"),
+            ("fig2a cores", "only the campaign and validate commands"),
+            ("--sets 4", "missing command"),
+        ] {
+            let message = cli(args).expect_err(args);
+            assert!(message.starts_with(error), "{args}: {message}");
+        }
+    }
 }

@@ -123,24 +123,14 @@ pub struct SweepResult {
     pub points: Vec<SweepPoint>,
 }
 
-/// Runs the sweep with one worker per core (see [`run_with_jobs`]).
-pub fn run(config: &SweepConfig) -> SweepResult {
-    run_with_jobs(config, Jobs::Auto)
-}
-
-/// Runs the sweep strictly serially — the reference the parallel driver is
-/// checked against (same bytes, see `tests/determinism.rs`).
-pub fn run_serial(config: &SweepConfig) -> SweepResult {
-    run_with_jobs(config, Jobs::serial())
-}
-
 /// Runs the sweep with an explicit worker budget, streaming the
 /// `(point, set)` cells over the campaign engine's thread pool.
 ///
-/// Results are **bit-identical across worker counts**: every task set's
-/// seed derives only from its sweep coordinates, every evaluation is pure,
-/// and the per-point aggregation folds the evaluations in coordinate order
-/// no matter which worker produced them.
+/// Results are **bit-identical across worker counts** (`Jobs::serial()`
+/// is the reference, see `tests/determinism.rs`): every task set's seed
+/// derives only from its sweep coordinates, every evaluation is pure, and
+/// the per-point aggregation folds the evaluations in coordinate order no
+/// matter which worker produced them.
 pub fn run_with_jobs(config: &SweepConfig, jobs: Jobs) -> SweepResult {
     let mut points = Vec::with_capacity(config.utilizations.len());
     run_into(config, jobs, &mut |p: &SweepPoint| points.push(p.clone()));
@@ -171,12 +161,7 @@ pub fn run_into(config: &SweepConfig, jobs: Jobs, on_point: &mut dyn FnMut(&Swee
 }
 
 /// The task-count variant (DESIGN.md §5.4): x-axis = number of tasks, total
-/// utilization fixed at `cores / 2`.
-pub fn run_task_count(config: &SweepConfig, task_counts: &[usize]) -> SweepResult {
-    run_task_count_with_jobs(config, task_counts, Jobs::Auto)
-}
-
-/// [`run_task_count`] with an explicit worker budget.
+/// utilization fixed at `cores / 2`, run with an explicit worker budget.
 pub fn run_task_count_with_jobs(
     config: &SweepConfig,
     task_counts: &[usize],
@@ -299,7 +284,7 @@ mod tests {
 
     #[test]
     fn tiny_sweep_runs_and_dominates() {
-        let result = run(&quick(4, 8));
+        let result = run_with_jobs(&quick(4, 8), Jobs::Auto);
         assert_eq!(result.points.len(), 13);
         assert!(result.dominance_holds());
         // Low utilization is almost always schedulable for FP-ideal.
@@ -310,15 +295,15 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let a = run(&quick(4, 6));
-        let b = run(&quick(4, 6));
+        let a = run_with_jobs(&quick(4, 6), Jobs::Auto);
+        let b = run_with_jobs(&quick(4, 6), Jobs::Auto);
         assert_eq!(a, b);
     }
 
     #[test]
     fn task_count_variant_runs() {
         let cfg = quick(4, 5);
-        let result = run_task_count(&cfg, &[2, 4, 6]);
+        let result = run_task_count_with_jobs(&cfg, &[2, 4, 6], Jobs::Auto);
         assert_eq!(result.points.len(), 3);
         assert_eq!(result.points[0].x, 2.0);
         assert!(result.dominance_holds());
@@ -326,7 +311,7 @@ mod tests {
 
     #[test]
     fn renders_csv_and_table() {
-        let result = run(&quick(4, 4));
+        let result = run_with_jobs(&quick(4, 4), Jobs::Auto);
         let csv = result.to_csv("utilization");
         assert!(csv.starts_with("utilization,achieved_utilization,fp_ideal_pct"));
         assert_eq!(csv.lines().count(), 14);

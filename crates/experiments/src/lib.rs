@@ -9,12 +9,12 @@
 //! | Table I (`µ_i[c]` of Figure 1)        | [`tables::table1`]   | `repro table1` |
 //! | Table II (scenarios `e_4`)            | [`tables::table2`]   | `repro table2` |
 //! | Table III (`ρ_k[s_l]`, `Δ⁴`, `Δ³`)    | [`tables::table3`]   | `repro table3` |
-//! | Figure 2(a) (`m = 4` sweep)           | [`figure2::run`]     | `repro fig2a` |
-//! | Figure 2(b) (`m = 8` sweep)           | [`figure2::run`]     | `repro fig2b` |
-//! | Figure 2(c) (`m = 16` sweep)          | [`figure2::run`]     | `repro fig2c` |
-//! | Figure 2(c) task-count variant        | [`figure2::run_task_count`] | `repro fig2c-tasks` |
-//! | Group-2 comparison (prose)            | [`figure2::run`] with [`rta_taskgen::group2`] | `repro group2` |
-//! | Runtime paragraph (`0.45 s / 4.75 s / 43 min`) | [`timing::run`] | `repro timing` |
+//! | Figure 2(a) (`m = 4` sweep)           | [`figure2::run_with_jobs`] | `repro fig2a` |
+//! | Figure 2(b) (`m = 8` sweep)           | [`figure2::run_with_jobs`] | `repro fig2b` |
+//! | Figure 2(c) (`m = 16` sweep)          | [`figure2::run_with_jobs`] | `repro fig2c` |
+//! | Figure 2(c) task-count variant        | [`figure2::run_task_count_with_jobs`] | `repro fig2c-tasks` |
+//! | Group-2 comparison (prose)            | [`figure2::run_with_jobs`] with [`rta_taskgen::group2`] | `repro group2` |
+//! | Runtime paragraph (`0.45 s / 4.75 s / 43 min`) | [`timing::run_with_jobs`] | `repro timing` |
 //!
 //! Beyond the paper, the [`campaign`] engine opens sweep panels the
 //! original evaluation did not chart — constrained deadlines (`D = f·T`),

@@ -61,13 +61,8 @@ pub fn variants() -> Vec<Variant> {
     ]
 }
 
-/// Runs the reduced m = 4 panel for every variant with one worker per
-/// core.
-pub fn run_all(sets_per_point: usize) -> Vec<(Variant, SweepResult)> {
-    run_all_with_jobs(sets_per_point, Jobs::Auto)
-}
-
-/// [`run_all`] with an explicit worker budget.
+/// Runs the reduced m = 4 panel for every variant with an explicit worker
+/// budget.
 pub fn run_all_with_jobs(sets_per_point: usize, jobs: Jobs) -> Vec<(Variant, SweepResult)> {
     variants()
         .into_iter()
@@ -87,7 +82,7 @@ mod tests {
 
     #[test]
     fn all_variants_run_and_dominate() {
-        for (variant, result) in run_all(6) {
+        for (variant, result) in run_all_with_jobs(6, Jobs::Auto) {
             assert!(
                 result.dominance_holds(),
                 "{}: ordering must hold under every generator",
@@ -101,7 +96,7 @@ mod tests {
     fn common_scale_collapses_earlier_for_fp() {
         // The carry-in collapse: by U = 3 (0.75·m) the common-scale variant
         // must be far below the slack-factor variant for FP-ideal.
-        let results = run_all(24);
+        let results = run_all_with_jobs(24, Jobs::Auto);
         let fp_at = |label: &str, idx: usize| -> f64 {
             results
                 .iter()

@@ -52,14 +52,16 @@
 //!
 //! `kind` is one of `syntax`, `schema`, `version`, `model`, `protocol`,
 //! `too_large`, `overloaded`, `timeout`. Three special frames bypass
-//! analysis: `{"stats":true}` reports counters, `{"metrics":true}`
-//! returns the process-global [`rta_obs`] registry (per-method verdict
-//! latency histograms, cache counters, simulator and server telemetry)
-//! as `{"v":1,"ok":true,"metrics":{...}}`, and `{"shutdown":true}`
+//! analysis: `{"stats":true}` reports this server's counters,
+//! `{"metrics":true}` returns the process-global [`rta_obs`] registry
+//! (per-method verdict latency histograms, cache counters, simulator
+//! telemetry, per-frame-kind latency histograms) merged with this
+//! server's counters as `serve_<name>_total`, as
+//! `{"v":1,"ok":true,"metrics":{...}}`, and `{"shutdown":true}`
 //! acknowledges and stops the server. When
-//! [`ServeOptions::metrics_dump`] names a path, the same registry is
-//! additionally written there in Prometheus text exposition format when
-//! the server drains.
+//! [`ServeOptions::metrics_dump`] names a path, the same merged snapshot
+//! is additionally written there in Prometheus text exposition format
+//! when the server drains.
 //!
 //! # Simulation frames
 //!
@@ -241,9 +243,16 @@ pub struct ServeOptions {
     pub drain_timeout: Duration,
     /// Seeded fault injection (test-only); `None` in production.
     pub fault: Option<FaultPlan>,
-    /// When set, the process-global metrics registry is written to this
-    /// path in Prometheus text exposition format when the server drains.
+    /// When set, the process-global metrics registry plus this server's
+    /// counters are written to this path in Prometheus text exposition
+    /// format when the server drains.
     pub metrics_dump: Option<std::path::PathBuf>,
+}
+
+/// The shed watermark for a pool of `max_conns` connections when none is
+/// configured: three quarters of the pool.
+pub fn default_watermark(max_conns: usize) -> usize {
+    max_conns * 3 / 4
 }
 
 impl Default for ServeOptions {
@@ -253,7 +262,7 @@ impl Default for ServeOptions {
             lru_capacity: DEFAULT_LRU_CAPACITY,
             max_frame: DEFAULT_MAX_FRAME,
             max_conns: DEFAULT_MAX_CONNS,
-            shed_watermark: DEFAULT_MAX_CONNS * 3 / 4,
+            shed_watermark: default_watermark(DEFAULT_MAX_CONNS),
             idle_timeout: Duration::from_secs(30),
             frame_timeout: Duration::from_secs(10),
             drain_timeout: Duration::from_secs(5),
@@ -263,25 +272,51 @@ impl Default for ServeOptions {
     }
 }
 
-/// The server's handles into the process-global [`rta_obs`] registry —
-/// counters mirroring the per-server atomics (the registry aggregates
-/// across server instances and alongside the analysis/sim metrics; the
-/// atomics stay authoritative for the `stats` frame), plus per-frame-kind
-/// latency histograms.
+/// Every counter a server keeps, stored once per server in
+/// [`ServerState::counters`]. Its entry in [`Stat::NAMES`] is the
+/// counter's key in the `{"stats":true}` frame and the stem of its
+/// `serve_<name>_total` entry in the metrics scrape and the Prometheus
+/// dump.
+#[derive(Clone, Copy)]
+enum Stat {
+    Requests,
+    SimRequests,
+    Errors,
+    Shed,
+    Timeouts,
+    Overruns,
+    Drained,
+    AcceptErrors,
+    InjectedDrops,
+    InjectedDelays,
+    CutOff,
+    Panicked,
+}
+
+impl Stat {
+    /// Indexed by `Stat as usize`.
+    const NAMES: [&'static str; 12] = [
+        "requests",
+        "sim_requests",
+        "errors",
+        "shed",
+        "timeouts",
+        "overruns",
+        "drained",
+        "accept_errors",
+        "injected_drops",
+        "injected_delays",
+        "cut_off",
+        "panicked",
+    ];
+}
+
+/// The server's per-frame-kind latency histograms in the process-global
+/// [`rta_obs`] registry.
 mod obs {
-    use rta_obs::{Counter, Histogram};
+    use rta_obs::Histogram;
     use std::sync::LazyLock;
 
-    pub static REQUESTS: LazyLock<Counter> =
-        LazyLock::new(|| rta_obs::counter("serve_requests_total"));
-    pub static SIM_REQUESTS: LazyLock<Counter> =
-        LazyLock::new(|| rta_obs::counter("serve_sim_requests_total"));
-    pub static ERRORS: LazyLock<Counter> = LazyLock::new(|| rta_obs::counter("serve_errors_total"));
-    pub static SHED: LazyLock<Counter> = LazyLock::new(|| rta_obs::counter("serve_shed_total"));
-    pub static TIMEOUTS: LazyLock<Counter> =
-        LazyLock::new(|| rta_obs::counter("serve_timeouts_total"));
-    pub static OVERRUNS: LazyLock<Counter> =
-        LazyLock::new(|| rta_obs::counter("serve_overruns_total"));
     pub static FRAME_NS_ANALYZE: LazyLock<Histogram> =
         LazyLock::new(|| rta_obs::histogram("serve_frame_ns_analyze"));
     pub static FRAME_NS_SIMULATE: LazyLock<Histogram> =
@@ -361,31 +396,43 @@ impl Drop for ConnGuard {
     }
 }
 
-/// Shared server state: the admission cache plus global counters.
+/// Shared server state: the admission cache plus the server's counters.
 struct ServerState {
     options: ServeOptions,
     lru: Mutex<AnalysisLru>,
     stop: AtomicBool,
     local_addr: SocketAddr,
     active: ActiveGauge,
-    requests: AtomicU64,
-    sim_requests: AtomicU64,
-    errors: AtomicU64,
-    shed: AtomicU64,
-    timeouts: AtomicU64,
-    overruns: AtomicU64,
-    accept_errors: AtomicU64,
-    drained: AtomicU64,
-    cut_off: AtomicU64,
-    panicked: AtomicU64,
-    injected_drops: AtomicU64,
-    injected_delays: AtomicU64,
+    /// Indexed by [`Stat`]; statistics only, so `Relaxed` throughout.
+    counters: [AtomicU64; Stat::NAMES.len()],
     fault: Option<Mutex<SmallRng>>,
 }
 
 impl ServerState {
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
+    }
+
+    fn bump(&self, stat: Stat) {
+        self.counters[stat as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn count(&self, stat: Stat) -> u64 {
+        self.counters[stat as usize].load(Ordering::Relaxed)
+    }
+
+    /// The process-global registry merged with this server's counters —
+    /// what the metrics frame and the Prometheus dump carry.
+    fn metrics(&self) -> rta_obs::Snapshot {
+        let mut snapshot = rta_obs::snapshot();
+        snapshot.counters.extend(
+            Stat::NAMES
+                .iter()
+                .zip(&self.counters)
+                .map(|(name, n)| (format!("serve_{name}_total"), n.load(Ordering::Relaxed))),
+        );
+        snapshot.counters.sort_by(|a, b| a.0.cmp(&b.0));
+        snapshot
     }
 
     /// Fault hook: should this freshly accepted connection be dropped?
@@ -397,7 +444,7 @@ impl ServerState {
         }
         let hit = rng.lock().expect("fault rng").gen_range(0..100u32) < plan.drop_accept_pct;
         if hit {
-            self.injected_drops.fetch_add(1, Ordering::Relaxed);
+            self.bump(Stat::InjectedDrops);
         }
         hit
     }
@@ -411,7 +458,7 @@ impl ServerState {
         }
         let mut rng = rng.lock().expect("fault rng");
         if rng.gen_range(0..100u32) < plan.delay_pct {
-            self.injected_delays.fetch_add(1, Ordering::Relaxed);
+            self.bump(Stat::InjectedDelays);
             Some(Duration::from_micros(
                 rng.gen_range(0..=plan.delay_max_micros),
             ))
@@ -472,7 +519,7 @@ impl ServerHandle {
         if let Some(path) = &self.state.options.metrics_dump {
             // Best effort: a failed dump must not turn a clean drain into
             // a crash, but it should not be silent either.
-            if let Err(e) = std::fs::write(path, rta_obs::snapshot().to_prometheus()) {
+            if let Err(e) = std::fs::write(path, self.state.metrics().to_prometheus()) {
                 eprintln!(
                     "warning: could not write metrics dump {}: {e}",
                     path.display()
@@ -480,9 +527,9 @@ impl ServerHandle {
             }
         }
         DrainReport {
-            drained: self.state.drained.load(Ordering::Relaxed),
-            cut_off: self.state.cut_off.load(Ordering::Relaxed),
-            panicked: self.state.panicked.load(Ordering::Relaxed),
+            drained: self.state.count(Stat::Drained),
+            cut_off: self.state.count(Stat::CutOff),
+            panicked: self.state.count(Stat::Panicked),
         }
     }
 }
@@ -490,18 +537,6 @@ impl ServerHandle {
 /// Binds the listener and spawns the accept loop (thread per connection,
 /// bounded by the pool).
 pub fn spawn(options: &ServeOptions) -> io::Result<ServerHandle> {
-    // Register the server's counter families up front so a metrics scrape
-    // reports explicit zeros rather than absent names.
-    for counter in [
-        &obs::REQUESTS,
-        &obs::SIM_REQUESTS,
-        &obs::ERRORS,
-        &obs::SHED,
-        &obs::TIMEOUTS,
-        &obs::OVERRUNS,
-    ] {
-        counter.add(0);
-    }
     let listener = TcpListener::bind(&options.addr)?;
     listener.set_nonblocking(true)?;
     let state = Arc::new(ServerState {
@@ -510,18 +545,7 @@ pub fn spawn(options: &ServeOptions) -> io::Result<ServerHandle> {
         stop: AtomicBool::new(false),
         local_addr: listener.local_addr()?,
         active: ActiveGauge::new(),
-        requests: AtomicU64::new(0),
-        sim_requests: AtomicU64::new(0),
-        errors: AtomicU64::new(0),
-        shed: AtomicU64::new(0),
-        timeouts: AtomicU64::new(0),
-        overruns: AtomicU64::new(0),
-        accept_errors: AtomicU64::new(0),
-        drained: AtomicU64::new(0),
-        cut_off: AtomicU64::new(0),
-        panicked: AtomicU64::new(0),
-        injected_drops: AtomicU64::new(0),
-        injected_delays: AtomicU64::new(0),
+        counters: Default::default(),
         fault: options
             .fault
             .as_ref()
@@ -558,15 +582,14 @@ fn accept_loop(state: &Arc<ServerState>, listener: TcpListener) {
                         let _ = serve_connection(&conn_state, stream);
                     }));
                 } else {
-                    state.shed.fetch_add(1, Ordering::Relaxed);
-                    obs::SHED.inc();
+                    state.bump(Stat::Shed);
                     refuse_overloaded(stream, state.options.frame_timeout);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_TICK),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => {
-                state.accept_errors.fetch_add(1, Ordering::Relaxed);
+                state.bump(Stat::AcceptErrors);
                 thread::sleep(ACCEPT_TICK);
             }
         }
@@ -588,10 +611,10 @@ fn reap_finished(state: &ServerState, registry: &mut Vec<thread::JoinHandle<()>>
 }
 
 fn finish(state: &ServerState, handle: thread::JoinHandle<()>) {
-    match handle.join() {
-        Ok(()) => state.drained.fetch_add(1, Ordering::Relaxed),
-        Err(_) => state.panicked.fetch_add(1, Ordering::Relaxed),
-    };
+    state.bump(match handle.join() {
+        Ok(()) => Stat::Drained,
+        Err(_) => Stat::Panicked,
+    });
 }
 
 /// The drain phase: wait for the pool to empty (connection threads see the
@@ -604,7 +627,7 @@ fn drain_connections(state: &ServerState, registry: Vec<thread::JoinHandle<()>>)
         if all_done || handle.is_finished() {
             finish(state, handle);
         } else {
-            state.cut_off.fetch_add(1, Ordering::Relaxed);
+            state.bump(Stat::CutOff);
         }
     }
 }
@@ -717,8 +740,7 @@ fn serve_connection(state: &Arc<ServerState>, stream: TcpStream) -> io::Result<(
         match read_frame(state, &mut reader, &mut line)? {
             FrameRead::Closed | FrameRead::Stopped => return Ok(()),
             FrameRead::IdleTimeout => {
-                state.timeouts.fetch_add(1, Ordering::Relaxed);
-                obs::TIMEOUTS.inc();
+                state.bump(Stat::Timeouts);
                 let _ = respond_error(
                     &mut writer,
                     None,
@@ -730,8 +752,7 @@ fn serve_connection(state: &Arc<ServerState>, stream: TcpStream) -> io::Result<(
                 return Ok(());
             }
             FrameRead::Stalled => {
-                state.timeouts.fetch_add(1, Ordering::Relaxed);
-                obs::TIMEOUTS.inc();
+                state.bump(Stat::Timeouts);
                 let _ = respond_error(
                     &mut writer,
                     None,
@@ -746,8 +767,7 @@ fn serve_connection(state: &Arc<ServerState>, stream: TcpStream) -> io::Result<(
                 // Answer the structured error, then drain the rest of the
                 // oversized line so the connection re-synchronizes at the
                 // next newline.
-                state.errors.fetch_add(1, Ordering::Relaxed);
-                obs::ERRORS.inc();
+                state.bump(Stat::Errors);
                 respond_error(
                     &mut writer,
                     None,
@@ -778,8 +798,7 @@ fn serve_connection(state: &Arc<ServerState>, stream: TcpStream) -> io::Result<(
 fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) -> io::Result<bool> {
     match parse_frame(text) {
         Err(error) => {
-            state.errors.fetch_add(1, Ordering::Relaxed);
-            obs::ERRORS.inc();
+            state.bump(Stat::Errors);
             respond_error(writer, None, &error)?;
         }
         Ok(Frame::Stats { id }) => {
@@ -790,7 +809,7 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
             };
             let mut out = String::from("{\"v\":1,");
             push_id(&mut out, id);
-            let _ = write_stats(&mut out, state, cached, stats);
+            write_stats(&mut out, state, cached, stats);
             writeln_frame(writer, out)?;
             obs::FRAME_NS_STATS.observe_since(started);
         }
@@ -799,7 +818,7 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
             let mut out = String::from("{\"v\":1,");
             push_id(&mut out, id);
             out.push_str("\"ok\":true,\"metrics\":");
-            out.push_str(&rta_obs::snapshot().to_json());
+            out.push_str(&state.metrics().to_json());
             out.push('}');
             writeln_frame(writer, out)?;
             obs::FRAME_NS_METRICS.observe_since(started);
@@ -817,8 +836,7 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
             task_set,
             request,
         }) => {
-            state.requests.fetch_add(1, Ordering::Relaxed);
-            obs::REQUESTS.inc();
+            state.bump(Stat::Requests);
             if let Some(delay) = state.inject_delay() {
                 thread::sleep(delay);
             }
@@ -837,8 +855,7 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
                         respond_outcome(writer, id, CacheOutcome::Hit, micros, &outcome)?;
                     }
                     None => {
-                        state.shed.fetch_add(1, Ordering::Relaxed);
-                        obs::SHED.inc();
+                        state.bump(Stat::Shed);
                         respond_error(writer, id, &WireError::overloaded())?;
                     }
                 }
@@ -867,8 +884,7 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
             };
             let elapsed = started.elapsed();
             if elapsed > state.options.frame_timeout {
-                state.overruns.fetch_add(1, Ordering::Relaxed);
-                obs::OVERRUNS.inc();
+                state.bump(Stat::Overruns);
             }
             obs::FRAME_NS_ANALYZE.observe(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
             respond_outcome(writer, id, status, elapsed.as_micros(), &outcome)?;
@@ -878,8 +894,7 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
             task_set,
             request,
         }) => {
-            state.sim_requests.fetch_add(1, Ordering::Relaxed);
-            obs::SIM_REQUESTS.inc();
+            state.bump(Stat::SimRequests);
             if let Some(delay) = state.inject_delay() {
                 thread::sleep(delay);
             }
@@ -887,8 +902,7 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
             // horizon-shaped, so hits would be coincidental), so under
             // pressure there is no degraded answer to give: shed outright.
             if state.active.current() >= state.options.shed_watermark {
-                state.shed.fetch_add(1, Ordering::Relaxed);
-                obs::SHED.inc();
+                state.bump(Stat::Shed);
                 respond_error(writer, id, &WireError::overloaded())?;
                 return Ok(true);
             }
@@ -896,8 +910,7 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
             let outcome = request.evaluate(&task_set);
             let elapsed = started.elapsed();
             if elapsed > state.options.frame_timeout {
-                state.overruns.fetch_add(1, Ordering::Relaxed);
-                obs::OVERRUNS.inc();
+                state.bump(Stat::Overruns);
             }
             obs::FRAME_NS_SIMULATE.observe(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
             respond_sim(writer, id, elapsed.as_micros(), &outcome)?;
@@ -976,8 +989,7 @@ fn drain_to_newline(state: &ServerState, reader: &mut BufReader<TcpStream>) -> i
         }
         let now = Instant::now();
         if now >= deadline {
-            state.timeouts.fetch_add(1, Ordering::Relaxed);
-            obs::TIMEOUTS.inc();
+            state.bump(Stat::Timeouts);
             return Ok(false);
         }
         let wait = (deadline - now).min(STOP_TICK).max(MIN_SOCKET_TIMEOUT);
@@ -1301,33 +1313,36 @@ fn write_stats(
     out: &mut String,
     state: &ServerState,
     cached_sets: usize,
-    stats: rta_analysis::LruStats,
-) -> std::fmt::Result {
+    lru: rta_analysis::LruStats,
+) {
     use std::fmt::Write as _;
-    write!(
-        out,
-        "\"ok\":true,\"stats\":{{\"requests\":{},\"sim_requests\":{},\"errors\":{},\
-         \"active_conns\":{},\
-         \"shed\":{},\"timeouts\":{},\"overruns\":{},\"drained\":{},\"accept_errors\":{},\
-         \"injected_drops\":{},\"injected_delays\":{},\"cached_sets\":{},\
-         \"hits\":{},\"near_hits\":{},\"misses\":{},\"evictions\":{}}}}}",
-        state.requests.load(Ordering::Relaxed),
-        state.sim_requests.load(Ordering::Relaxed),
-        state.errors.load(Ordering::Relaxed),
-        state.active.current(),
-        state.shed.load(Ordering::Relaxed),
-        state.timeouts.load(Ordering::Relaxed),
-        state.overruns.load(Ordering::Relaxed),
-        state.drained.load(Ordering::Relaxed),
-        state.accept_errors.load(Ordering::Relaxed),
-        state.injected_drops.load(Ordering::Relaxed),
-        state.injected_delays.load(Ordering::Relaxed),
-        cached_sets,
-        stats.hits,
-        stats.near_hits,
-        stats.misses,
-        stats.evictions,
-    )
+    let stat = |stat: Stat| (Stat::NAMES[stat as usize], state.count(stat));
+    let fields = [
+        stat(Stat::Requests),
+        stat(Stat::SimRequests),
+        stat(Stat::Errors),
+        ("active_conns", state.active.current() as u64),
+        stat(Stat::Shed),
+        stat(Stat::Timeouts),
+        stat(Stat::Overruns),
+        stat(Stat::Drained),
+        stat(Stat::AcceptErrors),
+        stat(Stat::InjectedDrops),
+        stat(Stat::InjectedDelays),
+        ("cached_sets", cached_sets as u64),
+        ("hits", lru.hits),
+        ("near_hits", lru.near_hits),
+        ("misses", lru.misses),
+        ("evictions", lru.evictions),
+    ];
+    out.push_str("\"ok\":true,\"stats\":{");
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{key}\":{value}");
+    }
+    out.push_str("}}");
 }
 
 #[cfg(test)]

@@ -35,13 +35,8 @@ pub struct TimingRow {
     pub samples: usize,
 }
 
-/// Runs the timing experiment for each core count with one worker per core
-/// (see [`run_with_jobs`]).
-pub fn run(core_counts: &[usize], samples_per_m: usize, seed: u64) -> Vec<TimingRow> {
-    run_with_jobs(core_counts, samples_per_m, seed, Jobs::Auto)
-}
-
-/// Runs the timing experiment with an explicit worker budget.
+/// Runs the timing experiment for each core count with an explicit worker
+/// budget.
 ///
 /// Mirrors the paper's setup: random group-1 task sets at a utilization
 /// where the LP-ILP test answers positively (we use `0.3·m`, inside the
@@ -171,7 +166,7 @@ mod tests {
 
     #[test]
     fn timing_produces_positive_rows() {
-        let rows = run(&[2, 4], 3, 1);
+        let rows = run_with_jobs(&[2, 4], 3, 1, Jobs::Auto);
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(row.samples > 0, "m = {}", row.cores);

@@ -10,7 +10,7 @@
 use rta_experiments::csv::CsvSink;
 use rta_experiments::exec::Jobs;
 use rta_experiments::figure2::{
-    self, run_serial, run_task_count_with_jobs, run_with_jobs, SweepConfig, SweepPoint,
+    self, run_task_count_with_jobs, run_with_jobs, SweepConfig, SweepPoint,
 };
 use rta_experiments::validate::{self, ValidateOptions, ValidatePanel, ValidatePoint};
 use rta_experiments::{campaign, tables, timing};
@@ -25,7 +25,7 @@ fn reduced_fig2a() -> SweepConfig {
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     let config = reduced_fig2a();
-    let serial = run_serial(&config);
+    let serial = run_with_jobs(&config, Jobs::serial());
     for jobs in [Jobs::Count(2), Jobs::Count(7), Jobs::Auto] {
         let parallel = run_with_jobs(&config, jobs);
         assert_eq!(parallel, serial, "jobs = {jobs:?}");
@@ -95,7 +95,9 @@ fn streamed_csv_bytes_equal_the_buffered_rendering() {
         sink.row(&p.csv_cells()).unwrap();
     });
     let streamed = sink.finish().unwrap();
-    let buffered = run_serial(&config).to_csv("utilization").into_bytes();
+    let buffered = run_with_jobs(&config, Jobs::serial())
+        .to_csv("utilization")
+        .into_bytes();
     assert_eq!(streamed, buffered);
 }
 

@@ -593,3 +593,105 @@ fn metrics_dump_writes_prometheus_text_on_drain() {
     assert!(text.contains("_bucket{le="), "{text}");
     let _ = std::fs::remove_file(&path);
 }
+
+/// The keys of a `{"stats":true}` response, in wire order.
+fn stats_keys(line: &str) -> Vec<&str> {
+    let (_, body) = line.split_once("\"stats\":{").expect("stats object");
+    let (body, _) = body.split_once('}').expect("flat stats object");
+    body.split(',')
+        .map(|field| {
+            field
+                .split_once(':')
+                .expect("key:value")
+                .0
+                .trim_matches('"')
+        })
+        .collect()
+}
+
+#[test]
+fn stats_frame_keeps_its_key_sequence() {
+    let handle = test_server(1 << 20);
+    let stats = Client::connect(&handle).send("{\"stats\":true}");
+    assert_eq!(
+        stats_keys(&stats),
+        [
+            "requests",
+            "sim_requests",
+            "errors",
+            "active_conns",
+            "shed",
+            "timeouts",
+            "overruns",
+            "drained",
+            "accept_errors",
+            "injected_drops",
+            "injected_delays",
+            "cached_sets",
+            "hits",
+            "near_hits",
+            "misses",
+            "evictions",
+        ],
+        "{stats}"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn each_server_counts_only_its_own_frames() {
+    let a = test_server(1 << 20);
+    let b = test_server(1 << 20);
+    let mut client = Client::connect(&a);
+    for _ in 0..3 {
+        let response = client.send(&analyze_frame(FIGURE1_SET));
+        assert!(response.contains("\"ok\":true"), "{response}");
+    }
+    for _ in 0..2 {
+        let response = client.send("{\"cores\":4}");
+        assert!(response.contains("\"ok\":false"), "{response}");
+    }
+    let stats = client.send("{\"stats\":true}");
+    assert_eq!(stat_field(&stats, "\"requests\":"), 3, "{stats}");
+    assert_eq!(stat_field(&stats, "\"errors\":"), 2, "{stats}");
+    let metrics = client.send("{\"metrics\":true}");
+    assert_eq!(stat_field(&metrics, "\"serve_requests_total\":"), 3);
+    assert_eq!(stat_field(&metrics, "\"serve_errors_total\":"), 2);
+    for name in [
+        "requests",
+        "sim_requests",
+        "errors",
+        "shed",
+        "timeouts",
+        "overruns",
+        "accept_errors",
+        "drained",
+        "cut_off",
+        "panicked",
+        "injected_drops",
+        "injected_delays",
+    ] {
+        assert!(
+            metrics.contains(&format!("\"serve_{name}_total\":")),
+            "serve_{name}_total missing: {metrics}"
+        );
+    }
+
+    // B saw none of it: every counter of its stats frame is zero (only
+    // the asking connection is active), and so are its metrics counters.
+    let mut other = Client::connect(&b);
+    let stats = other.send("{\"stats\":true}");
+    for key in stats_keys(&stats) {
+        let expected = u64::from(key == "active_conns");
+        assert_eq!(
+            stat_field(&stats, &format!("\"{key}\":")),
+            expected,
+            "{key}: {stats}"
+        );
+    }
+    let metrics = other.send("{\"metrics\":true}");
+    assert_eq!(stat_field(&metrics, "\"serve_requests_total\":"), 0);
+    assert_eq!(stat_field(&metrics, "\"serve_errors_total\":"), 0);
+    a.shutdown();
+    b.shutdown();
+}

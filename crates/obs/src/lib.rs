@@ -1,7 +1,9 @@
 //! Hand-rolled observability for the RTA stack: a metrics registry of
 //! monotonic **counters**, high-water **gauges** and fixed-bucket latency
 //! **histograms**, cheap enough to sit on the analysis and simulation hot
-//! paths and scraped wholesale by `repro serve`'s `{"metrics":true}` frame.
+//! paths and scraped wholesale by `repro serve`'s `{"metrics":true}` frame
+//! (the server adds its own per-instance counters to that scrape; they
+//! are not registered here).
 //!
 //! # Design
 //!
@@ -10,12 +12,17 @@
 //!   `AtomicU64` blocks, one block per metric. Recording is a
 //!   `thread_local` lookup plus relaxed atomic adds on memory no other
 //!   thread writes, so there is no cross-thread cache-line ping-pong and
-//!   no lock anywhere near a hot path. [`Registry::snapshot`] walks every
-//!   shard ever registered (shards outlive their threads) and folds them:
-//!   counters and histogram buckets merge by summation, gauges by maximum
-//!   — all three folds are commutative and associative, so the merged
-//!   snapshot is independent of thread interleaving (pinned by the
-//!   proptest in `tests/merge.rs`).
+//!   no lock anywhere near a hot path. [`Registry::snapshot`] folds the
+//!   shards of live threads: counters and histogram buckets merge by
+//!   summation, gauges by maximum — all three folds are commutative and
+//!   associative, so the merged snapshot is independent of thread
+//!   interleaving (pinned by the proptest in `tests/merge.rs`).
+//! * **Exited threads cost nothing.** When a thread exits, the registry
+//!   holds the only reference to its shard; the next shard attach (or
+//!   snapshot) folds it into one per-registry accumulator by the same
+//!   rules and frees it. Memory and scrape time therefore track the
+//!   threads alive now, not every thread a thread-per-connection server
+//!   has ever run.
 //! * **Fixed log₂ buckets.** Histograms bucket a sample by its bit length:
 //!   bucket `i ≥ 1` holds values in `[2^(i-1), 2^i)`, bucket 0 holds zero,
 //!   the last bucket is the overflow. Quantiles are therefore upper-bound
@@ -69,6 +76,20 @@ pub enum Kind {
     Histogram,
 }
 
+/// Merges one shard's block of a `kind` metric into `totals` (grown to
+/// the block's length): gauges and a histogram's max cell by maximum,
+/// every other cell by sum.
+fn fold(totals: &mut Vec<u64>, kind: Kind, cells: &[AtomicU64]) {
+    totals.resize(cells.len(), 0);
+    for (i, (total, cell)) in totals.iter_mut().zip(cells).enumerate() {
+        let v = cell.load(Ordering::Relaxed);
+        *total = match (kind, i) {
+            (Kind::Gauge, _) | (Kind::Histogram, IDX_MAX) => (*total).max(v),
+            _ => *total + v,
+        };
+    }
+}
+
 /// One thread's private block store: `slots[id]` is the metric's cells,
 /// allocated on the thread's first touch of that metric.
 struct Shard {
@@ -92,14 +113,48 @@ struct Descriptor {
     kind: Kind,
 }
 
-/// A metrics registry: the descriptor table plus every shard ever attached
-/// to it. All recording goes through the [`Counter`] / [`Gauge`] /
+/// The shards of one registry: one per thread that may still record, plus
+/// the folded totals of every thread that has exited.
+#[derive(Default)]
+struct Shards {
+    live: Vec<Arc<Shard>>,
+    /// `exited[id]` is metric `id`'s block folded over every exited
+    /// thread's shard; empty while no exited thread touched the metric.
+    exited: Vec<Vec<u64>>,
+}
+
+impl Shards {
+    /// Folds the shard of every exited thread into `exited` and frees it.
+    /// A thread's shard map drops its `Arc` when the thread exits, so a
+    /// shard only this list owns can never be written again; the
+    /// successful `try_unwrap` also synchronizes with that drop, making
+    /// the thread's last writes visible.
+    fn fold_exited(&mut self, descriptors: &[Descriptor]) {
+        self.exited.resize_with(descriptors.len(), Vec::new);
+        for shard in std::mem::take(&mut self.live) {
+            match Arc::try_unwrap(shard) {
+                Ok(shard) => {
+                    for (id, descriptor) in descriptors.iter().enumerate() {
+                        if let Some(cells) = shard.slots[id].get() {
+                            fold(&mut self.exited[id], descriptor.kind, cells);
+                        }
+                    }
+                }
+                Err(shard) => self.live.push(shard),
+            }
+        }
+    }
+}
+
+/// A metrics registry: the descriptor table plus the shards attached to
+/// it. All recording goes through the [`Counter`] / [`Gauge`] /
 /// [`Histogram`] handles it hands out.
 pub struct Registry {
     /// Distinguishes registries in the per-thread shard map.
     id: usize,
+    /// Locked before `shards` wherever both are held.
     descriptors: Mutex<Vec<Descriptor>>,
-    shards: Mutex<Vec<Arc<Shard>>>,
+    shards: Mutex<Shards>,
 }
 
 static NEXT_REGISTRY_ID: AtomicUsize = AtomicUsize::new(0);
@@ -119,7 +174,7 @@ impl Registry {
         Self {
             id: NEXT_REGISTRY_ID.fetch_add(1, Ordering::Relaxed),
             descriptors: Mutex::new(Vec::new()),
-            shards: Mutex::new(Vec::new()),
+            shards: Mutex::new(Shards::default()),
         }
     }
 
@@ -172,67 +227,62 @@ impl Registry {
             if let Some((_, shard)) = shards.iter().find(|(rid, _)| *rid == self.id) {
                 return f(shard.cells(id, len));
             }
-            let shard = Arc::new(Shard::new());
-            self.shards
-                .lock()
-                .expect("shard lock")
-                .push(Arc::clone(&shard));
+            let shard = self.attach();
             let result = f(shard.cells(id, len));
             shards.push((self.id, shard));
             result
         })
     }
 
+    /// A fresh shard for the calling thread, attached after folding the
+    /// shards of exited threads. It runs once per thread, so it stays out
+    /// of the recording fast path that every call site inlines.
+    #[cold]
+    #[inline(never)]
+    fn attach(&self) -> Arc<Shard> {
+        let shard = Arc::new(Shard::new());
+        let descriptors = self.descriptors.lock().expect("descriptor lock");
+        let mut attached = self.shards.lock().expect("shard lock");
+        attached.fold_exited(&descriptors);
+        attached.live.push(Arc::clone(&shard));
+        shard
+    }
+
     /// Merges every shard into one deterministic snapshot (entries sorted
     /// by metric name).
     pub fn snapshot(&self) -> Snapshot {
         let descriptors = self.descriptors.lock().expect("descriptor lock");
-        let shards = self.shards.lock().expect("shard lock");
-        let mut counters = Vec::new();
-        let mut gauges = Vec::new();
-        let mut histograms = Vec::new();
+        let mut shards = self.shards.lock().expect("shard lock");
+        shards.fold_exited(&descriptors);
+        let mut snapshot = Snapshot::default();
         for (id, descriptor) in descriptors.iter().enumerate() {
-            match descriptor.kind {
-                Kind::Counter | Kind::Gauge => {
-                    let mut value = 0u64;
-                    for shard in shards.iter() {
-                        if let Some(cells) = shard.slots[id].get() {
-                            let v = cells[0].load(Ordering::Relaxed);
-                            value = match descriptor.kind {
-                                Kind::Counter => value + v,
-                                _ => value.max(v),
-                            };
-                        }
-                    }
-                    match descriptor.kind {
-                        Kind::Counter => counters.push((descriptor.name.clone(), value)),
-                        _ => gauges.push((descriptor.name.clone(), value)),
-                    }
-                }
-                Kind::Histogram => {
-                    let mut h = HistogramSnapshot::default();
-                    for shard in shards.iter() {
-                        if let Some(cells) = shard.slots[id].get() {
-                            for (b, cell) in cells[..HIST_BUCKETS].iter().enumerate() {
-                                h.buckets[b] += cell.load(Ordering::Relaxed);
-                            }
-                            h.count += cells[IDX_COUNT].load(Ordering::Relaxed);
-                            h.sum += cells[IDX_SUM].load(Ordering::Relaxed);
-                            h.max = h.max.max(cells[IDX_MAX].load(Ordering::Relaxed));
-                        }
-                    }
-                    histograms.push((descriptor.name.clone(), h));
+            let mut cells = shards.exited[id].clone();
+            for shard in &shards.live {
+                if let Some(live) = shard.slots[id].get() {
+                    fold(&mut cells, descriptor.kind, live);
                 }
             }
+            // A metric no thread has recorded yet has no cells: all zero.
+            let cell = |i: usize| cells.get(i).copied().unwrap_or(0);
+            let name = descriptor.name.clone();
+            match descriptor.kind {
+                Kind::Counter => snapshot.counters.push((name, cell(0))),
+                Kind::Gauge => snapshot.gauges.push((name, cell(0))),
+                Kind::Histogram => snapshot.histograms.push((
+                    name,
+                    HistogramSnapshot {
+                        count: cell(IDX_COUNT),
+                        sum: cell(IDX_SUM),
+                        max: cell(IDX_MAX),
+                        buckets: std::array::from_fn(cell),
+                    },
+                )),
+            }
         }
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        Snapshot {
-            counters,
-            gauges,
-            histograms,
-        }
+        snapshot.counters.sort_by(|a, b| a.0.cmp(&b.0));
+        snapshot.gauges.sort_by(|a, b| a.0.cmp(&b.0));
+        snapshot.histograms.sort_by(|a, b| a.0.cmp(&b.0));
+        snapshot
     }
 }
 
@@ -683,6 +733,35 @@ mod tests {
         });
         c.inc();
         assert_eq!(r.snapshot().counter("spawned"), 41);
+    }
+
+    #[test]
+    fn exited_threads_fold_into_exact_totals() {
+        let r = fresh();
+        let c = r.counter("short_lived_total");
+        let g = r.gauge("short_lived_peak");
+        let h = r.histogram("short_lived_ns");
+        const THREADS: u64 = 10_000;
+        for i in 0..THREADS {
+            std::thread::spawn(move || {
+                c.inc();
+                g.record(i);
+                h.observe(i);
+            })
+            .join()
+            .expect("recording thread");
+        }
+        // Every recording thread has exited; only the newest shard can
+        // still be waiting for the next attach to fold it.
+        assert!(r.shards.lock().expect("shard lock").live.len() <= 1);
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("short_lived_total"), THREADS);
+        assert_eq!(snap.gauge("short_lived_peak"), THREADS - 1);
+        let hist = snap.histogram("short_lived_ns").expect("registered");
+        assert_eq!(hist.count, THREADS);
+        assert_eq!(hist.sum, THREADS * (THREADS - 1) / 2);
+        assert_eq!(hist.max, THREADS - 1);
+        assert_eq!(hist.buckets.iter().sum::<u64>(), THREADS);
     }
 
     #[test]
