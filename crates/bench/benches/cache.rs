@@ -6,7 +6,7 @@
 //! * the **utilization point**: `U = 3.5` of the Figure 2(a) panel
 //!   (group-1 sets, ~5 tasks each), and
 //! * the **task-count point**: `TASK_COUNT`-task sets at `U = m/2` (the
-//!   task-count variant of DESIGN.md §5.4), where the `O(n²)` per-task µ
+//!   `repro fig2c-tasks` variant of Figure 2(c)), where the `O(n²)` per-task µ
 //!   recomputation the cache eliminates dominates —
 //!
 //! each in four shapes: a single LP-ILP analysis uncached

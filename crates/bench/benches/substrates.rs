@@ -7,7 +7,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rta_analysis::workload::interfering_workload;
 use rta_combinatorics::{
-    max_weight_assignment, max_weight_clique_of_size, partition_count, partitions, BitSet,
+    max_weight_assignment_total, max_weight_clique_weight, partition_count, partitions,
+    AssignmentScratch, BitSet, CliqueScratch,
 };
 use rta_ilp::{IlpBuilder, Sense};
 use rta_sim::SimRequest;
@@ -44,7 +45,11 @@ fn bench_assignment(c: &mut Criterion) {
         .map(|r| (0..20).map(|c| ((r * 37 + c * 17) % 100) as u64).collect())
         .collect();
     c.bench_function("hungarian_12x20", |b| {
-        b.iter(|| max_weight_assignment(black_box(&weights)))
+        let mut scratch = AssignmentScratch::new();
+        b.iter(|| {
+            let weights = black_box(&weights);
+            max_weight_assignment_total(12, 20, |r, c| weights[r][c], &mut scratch)
+        })
     });
 }
 
@@ -63,7 +68,8 @@ fn bench_clique(c: &mut Criterion) {
     }
     let weights: Vec<u64> = (0..n as u64).map(|i| i * 7 % 97 + 1).collect();
     c.bench_function("max_weight_clique_size8_n24", |b| {
-        b.iter(|| max_weight_clique_of_size(black_box(&adj), &weights, 8))
+        let mut scratch = CliqueScratch::new();
+        b.iter(|| max_weight_clique_weight(black_box(&adj), &weights, 8, &mut scratch))
     });
 }
 

@@ -5,22 +5,20 @@
 //! regression check on the reproduced numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rta_analysis::{MuSolver, RhoSolver};
-use rta_experiments::tables::{table1, table2, table3};
-use std::hint::black_box;
+use rta_experiments::tables::{table1, table1_ilp, table2, table3, table3_ilp};
 
 fn bench_table1(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_mu_arrays");
     group.bench_function("clique_solver", |b| {
         b.iter(|| {
-            let t = table1(black_box(MuSolver::Clique));
+            let t = table1();
             assert_eq!(t.mu[3], vec![5, 9, 12, 0]);
             t
         })
     });
     group.bench_function("paper_ilp_solver", |b| {
         b.iter(|| {
-            let t = table1(black_box(MuSolver::PaperIlp));
+            let t = table1_ilp();
             assert_eq!(t.mu[3], vec![5, 9, 12, 0]);
             t
         })
@@ -42,14 +40,14 @@ fn bench_table3(c: &mut Criterion) {
     let mut group = c.benchmark_group("table3_rho");
     group.bench_function("hungarian_solver", |b| {
         b.iter(|| {
-            let t = table3(black_box(RhoSolver::Hungarian));
+            let t = table3();
             assert_eq!(t.delta_4_ilp, 19);
             t
         })
     });
     group.bench_function("paper_ilp_solver", |b| {
         b.iter(|| {
-            let t = table3(black_box(RhoSolver::PaperIlp));
+            let t = table3_ilp();
             assert_eq!(t.delta_4_ilp, 19);
             t
         })

@@ -1,6 +1,6 @@
 //! Benchmark-only crate: the Criterion benches under `benches/` regenerate
-//! every table and figure of the paper (see DESIGN.md §3 for the index)
-//! and the ablations of the design choices. The only library code is the
+//! every table and figure of the paper (indexed in `rta-experiments`' crate
+//! docs) and the ablations of the design choices. The only library code is the
 //! shared [`host_json_fields`] provenance block of the `BENCH_*.json`
 //! reports.
 //!

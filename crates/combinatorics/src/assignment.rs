@@ -8,17 +8,10 @@
 //! which the paper solves with CPLEX and we solve exactly with the Hungarian
 //! algorithm in `O(rows² · cols)`.
 //!
-//! The ILP path (the `rta-ilp` crate) solves the paper's original formulation; the
-//! two are cross-checked against each other in the analysis crate's tests.
-
-/// Result of a maximum-weight assignment.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Assignment {
-    /// Total weight of the optimal assignment.
-    pub total: u64,
-    /// `column_of[r]` is the column assigned to row `r`.
-    pub column_of: Vec<usize>,
-}
+//! Two independent references check it in tests: the exhaustive
+//! [`max_weight_assignment_bruteforce`] here, and the paper's ILP
+//! formulation in `rta-analysis` (`blocking::paper_ilp`, solved by
+//! `rta-ilp`).
 
 /// Reusable working memory for the Hungarian algorithm.
 ///
@@ -124,14 +117,17 @@ fn hungarian(
     }
 }
 
-/// The optimal total of a maximum-weight assignment, without materializing
-/// the weight matrix or the assignment itself.
+/// The optimal total of a maximum-weight assignment of every row to a
+/// distinct column, without materializing the weight matrix or the
+/// assignment itself.
 ///
 /// `weight(r, c)` is the gain of assigning row `r` to column `c` (callers
-/// typically close over µ-arrays and scenario parts). Returns `None` when
-/// `rows > cols` — the infeasible-scenario case of [`max_weight_assignment`].
-/// Reuses `scratch` across calls, so the sweep-campaign inner loop performs
-/// no allocation.
+/// typically close over µ-arrays and scenario parts); columns may be left
+/// unused. Weights are unsigned, so the optimum is always well-defined.
+/// Returns `Some(0)` for `rows == 0`, and `None` when `rows > cols` — in
+/// the paper's terms, when an execution scenario mentions more tasks than
+/// `lp(k)` contains, the scenario is infeasible. Reuses `scratch` across
+/// calls, so the sweep-campaign inner loop performs no allocation.
 ///
 /// # Example
 ///
@@ -166,72 +162,8 @@ pub fn max_weight_assignment_total(
     Some(total)
 }
 
-/// Computes a maximum-weight assignment of every row to a distinct column.
-///
-/// `weights` is a rectangular row-major matrix with `rows ≤ cols`; entry
-/// `weights[r][c]` is the gain of assigning row `r` to column `c`. Every row
-/// is assigned; columns may be left unused. Weights are unsigned, so the
-/// optimum is always well-defined.
-///
-/// Returns `None` when the matrix has more rows than columns (no perfect
-/// assignment of rows exists) — in the paper's terms, when an execution
-/// scenario mentions more tasks than `lp(k)` contains, the scenario is
-/// infeasible.
-///
-/// # Panics
-///
-/// Panics if the rows have inconsistent lengths.
-///
-/// # Example
-///
-/// ```
-/// use rta_combinatorics::max_weight_assignment;
-///
-/// // Two scenario parts, three candidate tasks.
-/// let weights = vec![
-///     vec![9, 7, 0], // part of 2 cores: µ values per task
-///     vec![4, 6, 5], // part of 1 core
-/// ];
-/// let a = max_weight_assignment(&weights).expect("feasible");
-/// assert_eq!(a.total, 15); // 9 (task 0 on 2 cores) + 6 (task 1 on 1 core)
-/// assert_eq!(a.column_of, vec![0, 1]);
-/// ```
-pub fn max_weight_assignment(weights: &[Vec<u64>]) -> Option<Assignment> {
-    let rows = weights.len();
-    if rows == 0 {
-        return Some(Assignment {
-            total: 0,
-            column_of: Vec::new(),
-        });
-    }
-    let cols = weights[0].len();
-    for row in weights {
-        assert_eq!(row.len(), cols, "assignment matrix must be rectangular");
-    }
-    if rows > cols {
-        return None;
-    }
-
-    let mut scratch = AssignmentScratch::new();
-    hungarian(rows, cols, &|r, c| weights[r][c], &mut scratch);
-
-    let mut column_of = vec![usize::MAX; rows];
-    for j in 1..=cols {
-        if scratch.row_of_col[j] != 0 {
-            column_of[scratch.row_of_col[j] - 1] = j - 1;
-        }
-    }
-    debug_assert!(column_of.iter().all(|&c| c != usize::MAX));
-    let total = column_of
-        .iter()
-        .enumerate()
-        .map(|(r, &c)| weights[r][c])
-        .sum();
-    Some(Assignment { total, column_of })
-}
-
-/// Exhaustive reference solver used to validate the Hungarian implementation
-/// in tests; exponential in the number of rows, exact.
+/// Exhaustive reference solver, called only by tests to validate the
+/// Hungarian implementation; exponential in the number of rows, exact.
 pub fn max_weight_assignment_bruteforce(weights: &[Vec<u64>]) -> Option<u64> {
     let rows = weights.len();
     if rows == 0 {
@@ -263,19 +195,21 @@ pub fn max_weight_assignment_bruteforce(weights: &[Vec<u64>]) -> Option<u64> {
 mod tests {
     use super::*;
 
+    /// The Hungarian total of a row-major matrix, with a fresh scratch.
+    fn total(w: &[Vec<u64>]) -> Option<u64> {
+        let cols = w.first().map_or(0, Vec::len);
+        max_weight_assignment_total(w.len(), cols, |r, c| w[r][c], &mut AssignmentScratch::new())
+    }
+
     #[test]
     fn empty_assignment() {
-        let a = max_weight_assignment(&[]).expect("empty is feasible");
-        assert_eq!(a.total, 0);
-        assert!(a.column_of.is_empty());
+        assert_eq!(total(&[]), Some(0));
     }
 
     #[test]
     fn square_identity() {
         let w = vec![vec![10, 1, 1], vec![1, 10, 1], vec![1, 1, 10]];
-        let a = max_weight_assignment(&w).expect("feasible");
-        assert_eq!(a.total, 30);
-        assert_eq!(a.column_of, vec![0, 1, 2]);
+        assert_eq!(total(&w), Some(30));
     }
 
     #[test]
@@ -283,37 +217,25 @@ mod tests {
         // Row 0 prefers col 0 (9) but row 1 needs it more (overall optimum
         // assigns row 0 -> col 1).
         let w = vec![vec![9, 8], vec![9, 1]];
-        let a = max_weight_assignment(&w).expect("feasible");
-        assert_eq!(a.total, 17);
-        assert_eq!(a.column_of, vec![1, 0]);
+        assert_eq!(total(&w), Some(17));
     }
 
     #[test]
     fn infeasible_when_more_rows_than_columns() {
         let w = vec![vec![1], vec![2]];
-        assert_eq!(max_weight_assignment(&w), None);
+        assert_eq!(total(&w), None);
     }
 
     #[test]
     fn rectangular_leaves_columns_unused() {
         let w = vec![vec![5, 100, 5, 7]];
-        let a = max_weight_assignment(&w).expect("feasible");
-        assert_eq!(a.total, 100);
-        assert_eq!(a.column_of, vec![1]);
+        assert_eq!(total(&w), Some(100));
     }
 
     #[test]
     fn zeros_are_fine() {
         let w = vec![vec![0, 0], vec![0, 0]];
-        let a = max_weight_assignment(&w).expect("feasible");
-        assert_eq!(a.total, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "rectangular")]
-    fn ragged_matrix_panics() {
-        let w = vec![vec![1, 2], vec![3]];
-        let _ = max_weight_assignment(&w);
+        assert_eq!(total(&w), Some(0));
     }
 
     #[test]
@@ -326,13 +248,12 @@ mod tests {
             vec![3, 4, 6, 5], // µ_i[1]
             vec![3, 4, 6, 5], // µ_i[1]
         ];
-        let a = max_weight_assignment(&w).expect("feasible");
         // ρ[s3] = µ4[2] + µ3[1] + µ2[1] = 9 + 6 + 4 = 19 (paper Table III).
-        assert_eq!(a.total, 19);
+        assert_eq!(total(&w), Some(19));
     }
 
     #[test]
-    fn total_agrees_with_full_assignment_and_reuses_scratch() {
+    fn matches_bruteforce_with_a_shared_scratch() {
         // One scratch across problems of different shapes, interleaved with
         // infeasible and empty cases.
         let mut scratch = AssignmentScratch::new();
@@ -343,28 +264,13 @@ mod tests {
             vec![vec![0, 0], vec![0, 0]],
             vec![vec![1], vec![2]], // infeasible: more rows than columns
             vec![],
-            vec![vec![10, 1, 1], vec![1, 10, 1], vec![1, 1, 10]],
-        ];
-        for w in cases {
-            let rows = w.len();
-            let cols = w.first().map_or(0, Vec::len);
-            let total = max_weight_assignment_total(rows, cols, |r, c| w[r][c], &mut scratch);
-            let full = max_weight_assignment(&w).map(|a| a.total);
-            assert_eq!(total, full, "matrix {w:?}");
-        }
-    }
-
-    #[test]
-    fn matches_bruteforce_on_fixed_cases() {
-        let cases: Vec<Vec<Vec<u64>>> = vec![
-            vec![vec![3, 1, 4], vec![1, 5, 9], vec![2, 6, 5]],
             vec![vec![7, 7, 7], vec![7, 7, 7]],
             vec![vec![1, 2, 3, 4], vec![4, 3, 2, 1], vec![2, 2, 2, 2]],
         ];
         for w in cases {
-            let fast = max_weight_assignment(&w).map(|a| a.total);
-            let slow = max_weight_assignment_bruteforce(&w);
-            assert_eq!(fast, slow, "matrix {w:?}");
+            let cols = w.first().map_or(0, Vec::len);
+            let fast = max_weight_assignment_total(w.len(), cols, |r, c| w[r][c], &mut scratch);
+            assert_eq!(fast, max_weight_assignment_bruteforce(&w), "matrix {w:?}");
         }
     }
 }

@@ -8,171 +8,23 @@
 //! Equivalently, it is a maximum-weight antichain of cardinality `c` of the
 //! DAG's reachability partial order.
 //!
-//! The paper solves this with an ILP; this module provides an exact
-//! branch-and-bound search that exploits the small node counts of DAG tasks
-//! (the paper caps DAGs at 30 nodes). The ILP path in the `rta-ilp` crate solves the
-//! paper's formulation verbatim and is cross-checked against this solver.
+//! The paper solves this with an ILP; this module provides the exact
+//! branch-and-bound search the analysis runs, which exploits the small node
+//! counts of DAG tasks (the paper caps DAGs at 30 nodes). Two independent
+//! references check it in tests: the exhaustive
+//! [`max_weight_clique_bruteforce`] here, and the paper's ILP formulation
+//! in `rta-analysis` (`blocking::paper_ilp`, solved by `rta-ilp`).
 
 use crate::bitset::BitSet;
 
-/// An optimal clique found by [`max_weight_clique_of_size`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CliqueSolution {
-    /// Sum of the weights of the clique members.
-    pub weight: u64,
-    /// Members, in increasing vertex order.
-    pub members: Vec<usize>,
-}
-
-/// Finds a maximum-weight clique with **exactly** `size` vertices.
-///
-/// `adjacency[v]` is the set of neighbours of `v` (must be symmetric and
-/// irreflexive); `weights[v]` the vertex weight. Returns `None` when the
-/// graph has no clique of the requested size — in the paper's terms, when a
-/// task cannot occupy `c` cores at once, in which case `µ_i[c] = 0`
-/// (cf. `µ_2[3] = µ_2[4] = 0` in Table I).
-///
-/// `size = 0` trivially yields the empty clique with weight 0.
-///
-/// # Panics
-///
-/// Panics if `adjacency` and `weights` have different lengths.
-///
-/// # Example
-///
-/// ```
-/// use rta_combinatorics::{max_weight_clique_of_size, BitSet};
-///
-/// // Path graph 0 - 1 - 2: cliques of size 2 are {0,1} and {1,2}.
-/// let adjacency = vec![
-///     [1].into_iter().collect::<BitSet>(),
-///     [0, 2].into_iter().collect(),
-///     [1].into_iter().collect(),
-/// ];
-/// let weights = [5, 1, 7];
-/// let best = max_weight_clique_of_size(&adjacency, &weights, 2).expect("exists");
-/// assert_eq!(best.weight, 8); // {1, 2}
-/// assert_eq!(best.members, vec![1, 2]);
-/// assert!(max_weight_clique_of_size(&adjacency, &weights, 3).is_none());
-/// ```
-pub fn max_weight_clique_of_size(
-    adjacency: &[BitSet],
-    weights: &[u64],
-    size: usize,
-) -> Option<CliqueSolution> {
-    assert_eq!(
-        adjacency.len(),
-        weights.len(),
-        "adjacency and weights must cover the same vertices"
-    );
-    let n = adjacency.len();
-    if size == 0 {
-        return Some(CliqueSolution {
-            weight: 0,
-            members: Vec::new(),
-        });
-    }
-    if size > n {
-        return None;
-    }
-
-    // Branch on vertices in descending weight order so good solutions are
-    // found early and the weight bound prunes aggressively.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| weights[b].cmp(&weights[a]).then(a.cmp(&b)));
-
-    let mut best: Option<(u64, Vec<usize>)> = None;
-    let mut chosen: Vec<usize> = Vec::with_capacity(size);
-
-    // `candidates` holds positions (into `order`) still eligible.
-    let initial: Vec<usize> = (0..n).collect();
-    search(
-        adjacency,
-        weights,
-        &order,
-        size,
-        &mut chosen,
-        0,
-        &initial,
-        &mut best,
-    );
-
-    best.map(|(weight, mut members)| {
-        members.sort_unstable();
-        CliqueSolution { weight, members }
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn search(
-    adjacency: &[BitSet],
-    weights: &[u64],
-    order: &[usize],
-    size: usize,
-    chosen: &mut Vec<usize>,
-    chosen_weight: u64,
-    candidates: &[usize],
-    best: &mut Option<(u64, Vec<usize>)>,
-) {
-    let need = size - chosen.len();
-    if need == 0 {
-        if best.as_ref().is_none_or(|(bw, _)| chosen_weight > *bw) {
-            *best = Some((chosen_weight, chosen.clone()));
-        }
-        return;
-    }
-    if candidates.len() < need {
-        return;
-    }
-    // Upper bound: current weight plus the `need` heaviest candidates
-    // (candidates are kept sorted by descending weight because they are
-    // positions filtered from `order`).
-    let optimistic: u64 = chosen_weight
-        + candidates
-            .iter()
-            .take(need)
-            .map(|&pos| weights[order[pos]])
-            .sum::<u64>();
-    if let Some((bw, _)) = best {
-        if optimistic <= *bw {
-            return;
-        }
-    }
-
-    for (idx, &pos) in candidates.iter().enumerate() {
-        // Even taking this and every later candidate cannot reach `need`.
-        if candidates.len() - idx < need {
-            break;
-        }
-        let v = order[pos];
-        chosen.push(v);
-        let next: Vec<usize> = candidates[idx + 1..]
-            .iter()
-            .copied()
-            .filter(|&p| adjacency[v].contains(order[p]))
-            .collect();
-        search(
-            adjacency,
-            weights,
-            order,
-            size,
-            chosen,
-            chosen_weight + weights[v],
-            &next,
-            best,
-        );
-        chosen.pop();
-    }
-}
-
-/// Reusable working memory for the weight-only clique search
+/// Reusable working memory for the clique search
 /// ([`max_weight_clique_weight`]).
 ///
-/// The branch-and-bound in [`max_weight_clique_of_size`] allocates a fresh
-/// candidate vector at every branch point; over a sweep campaign the µ-array
-/// searches dominate the allocator. This scratch keeps one candidate buffer
-/// per search depth (depth is bounded by the requested clique size, i.e. the
-/// core count), so repeated searches allocate nothing once warm.
+/// Over a sweep campaign the µ-array searches would dominate the allocator
+/// with a fresh candidate vector per branch point. This scratch keeps one
+/// candidate buffer per search depth (depth is bounded by the requested
+/// clique size, i.e. the core count), so repeated searches allocate nothing
+/// once warm.
 #[derive(Clone, Debug, Default)]
 pub struct CliqueScratch {
     /// Vertices sorted by descending weight (branch order).
@@ -191,15 +43,37 @@ impl CliqueScratch {
 /// The weight of a maximum-weight clique with **exactly** `size` vertices,
 /// reusing `scratch` across calls.
 ///
-/// Semantically identical to
-/// `max_weight_clique_of_size(..).map(|s| s.weight)` — same branch order,
-/// same pruning — but skips materializing the members and performs no
-/// allocation once the scratch buffers are warm. This is the solver behind
-/// the analysis cache's µ-arrays.
+/// `adjacency[v]` is the set of neighbours of `v` (must be symmetric and
+/// irreflexive); `weights[v]` the vertex weight. Returns `None` when the
+/// graph has no clique of the requested size — in the paper's terms, when a
+/// task cannot occupy `c` cores at once, in which case `µ_i[c] = 0`
+/// (cf. `µ_2[3] = µ_2[4] = 0` in Table I). `size = 0` yields `Some(0)`.
+///
+/// Branches on vertices in descending weight order and prunes on the sum of
+/// the heaviest remaining candidates; performs no allocation once the
+/// scratch buffers are warm. This is the solver behind the analysis cache's
+/// µ-arrays.
 ///
 /// # Panics
 ///
 /// Panics if `adjacency` and `weights` have different lengths.
+///
+/// # Example
+///
+/// ```
+/// use rta_combinatorics::{max_weight_clique_weight, BitSet, CliqueScratch};
+///
+/// // Path graph 0 - 1 - 2: cliques of size 2 are {0,1} and {1,2}.
+/// let adjacency = vec![
+///     [1].into_iter().collect::<BitSet>(),
+///     [0, 2].into_iter().collect(),
+///     [1].into_iter().collect(),
+/// ];
+/// let weights = [5, 1, 7];
+/// let mut scratch = CliqueScratch::new();
+/// assert_eq!(max_weight_clique_weight(&adjacency, &weights, 2, &mut scratch), Some(8));
+/// assert_eq!(max_weight_clique_weight(&adjacency, &weights, 3, &mut scratch), None);
+/// ```
 pub fn max_weight_clique_weight(
     adjacency: &[BitSet],
     weights: &[u64],
@@ -242,9 +116,9 @@ pub fn max_weight_clique_weight(
     best
 }
 
-/// Depth-first branch-and-bound identical to [`search`], but tracking only
-/// the best weight and drawing candidate storage from `levels` (one buffer
-/// per remaining slot; `levels[0]` holds the current candidates).
+/// Depth-first branch-and-bound tracking only the best weight and drawing
+/// candidate storage from `levels` (one buffer per remaining slot;
+/// `levels[0]` holds the current candidates).
 fn search_weight(
     adjacency: &[BitSet],
     weights: &[u64],
@@ -297,7 +171,7 @@ fn search_weight(
 }
 
 /// Exhaustive reference solver (all `C(n, size)` subsets); exact and
-/// exponential, used to validate the branch-and-bound in tests.
+/// exponential, called only by tests to validate the branch-and-bound.
 pub fn max_weight_clique_bruteforce(
     adjacency: &[BitSet],
     weights: &[u64],
@@ -352,26 +226,26 @@ mod tests {
         adj
     }
 
+    fn clique(adj: &[BitSet], weights: &[u64], size: usize) -> Option<u64> {
+        max_weight_clique_weight(adj, weights, size, &mut CliqueScratch::new())
+    }
+
     #[test]
     fn empty_size_zero() {
         let adj = graph(3, &[]);
-        let sol = max_weight_clique_of_size(&adj, &[1, 2, 3], 0).expect("empty clique");
-        assert_eq!(sol.weight, 0);
-        assert!(sol.members.is_empty());
+        assert_eq!(clique(&adj, &[1, 2, 3], 0), Some(0));
     }
 
     #[test]
     fn singleton_is_max_vertex() {
         let adj = graph(4, &[]);
-        let sol = max_weight_clique_of_size(&adj, &[3, 9, 1, 4], 1).expect("singleton");
-        assert_eq!(sol.weight, 9);
-        assert_eq!(sol.members, vec![1]);
+        assert_eq!(clique(&adj, &[3, 9, 1, 4], 1), Some(9));
     }
 
     #[test]
     fn no_edges_no_pairs() {
         let adj = graph(4, &[]);
-        assert!(max_weight_clique_of_size(&adj, &[3, 9, 1, 4], 2).is_none());
+        assert_eq!(clique(&adj, &[3, 9, 1, 4], 2), None);
     }
 
     #[test]
@@ -379,18 +253,15 @@ mod tests {
         // Triangle 0-1-2 plus pendant 3 attached to 0.
         let adj = graph(4, &[(0, 1), (1, 2), (0, 2), (0, 3)]);
         let w = [10, 1, 2, 100];
-        let pair = max_weight_clique_of_size(&adj, &w, 2).expect("pair");
-        assert_eq!(pair.weight, 110); // {0, 3}
-        let tri = max_weight_clique_of_size(&adj, &w, 3).expect("triangle");
-        assert_eq!(tri.weight, 13); // {0, 1, 2} — 3 has degree 1
-        assert_eq!(tri.members, vec![0, 1, 2]);
-        assert!(max_weight_clique_of_size(&adj, &w, 4).is_none());
+        assert_eq!(clique(&adj, &w, 2), Some(110)); // {0, 3}
+        assert_eq!(clique(&adj, &w, 3), Some(13)); // {0, 1, 2} — 3 has degree 1
+        assert_eq!(clique(&adj, &w, 4), None);
     }
 
     #[test]
     fn size_larger_than_graph() {
         let adj = graph(2, &[(0, 1)]);
-        assert!(max_weight_clique_of_size(&adj, &[1, 1], 3).is_none());
+        assert_eq!(clique(&adj, &[1, 1], 3), None);
     }
 
     #[test]
@@ -401,19 +272,18 @@ mod tests {
         // pattern where {v3,v4,v5} is the only 3-clique.)
         let adj = graph(5, &[(1, 2), (2, 3), (2, 4), (3, 4)]);
         let w = [5u64, 2, 4, 5, 3];
-        let mu1 = max_weight_clique_of_size(&adj, &w, 1).expect("µ[1]");
-        assert_eq!(mu1.weight, 5);
-        let mu2 = max_weight_clique_of_size(&adj, &w, 2).expect("µ[2]");
-        assert_eq!(mu2.weight, 9); // C4,3 + C4,4 (nodes 2 and 3)
-        let mu3 = max_weight_clique_of_size(&adj, &w, 3).expect("µ[3]");
-        assert_eq!(mu3.weight, 12); // nodes {2, 3, 4}
-        assert_eq!(mu3.members, vec![2, 3, 4]);
-        assert!(max_weight_clique_of_size(&adj, &w, 4).is_none()); // µ4[4] = 0
+        assert_eq!(clique(&adj, &w, 1), Some(5)); // µ4[1]
+        assert_eq!(clique(&adj, &w, 2), Some(9)); // C4,3 + C4,4 (nodes 2 and 3)
+        assert_eq!(clique(&adj, &w, 3), Some(12)); // nodes {2, 3, 4}
+        assert_eq!(clique(&adj, &w, 4), None); // µ4[4] = 0
     }
 
     #[test]
-    fn matches_bruteforce_on_dense_case() {
-        // Complete graph minus a perfect matching, n = 8.
+    fn matches_bruteforce_with_a_shared_scratch() {
+        // One scratch shared across graphs and sizes (the cache usage
+        // pattern): complete graph minus a perfect matching (n = 8), then
+        // the sparse τ4 graph.
+        let mut scratch = CliqueScratch::new();
         let n = 8;
         let mut edges = Vec::new();
         for a in 0..n {
@@ -423,40 +293,17 @@ mod tests {
                 }
             }
         }
-        let adj = graph(n, &edges);
-        let w: Vec<u64> = (0..n as u64).map(|i| i * i + 1).collect();
-        for size in 0..=n {
-            let fast = max_weight_clique_of_size(&adj, &w, size).map(|s| s.weight);
-            let slow = max_weight_clique_bruteforce(&adj, &w, size);
-            assert_eq!(fast, slow, "size {size}");
-        }
-    }
-
-    #[test]
-    fn weight_only_search_agrees_with_full_search() {
-        // One scratch shared across graphs and sizes (the cache usage
-        // pattern); results must match the members-returning solver.
-        let mut scratch = CliqueScratch::new();
-        let dense = {
-            let n = 8;
-            let mut edges = Vec::new();
-            for a in 0..n {
-                for b in a + 1..n {
-                    if b != a + n / 2 {
-                        edges.push((a, b));
-                    }
-                }
-            }
-            graph(n, &edges)
-        };
-        let dense_w: Vec<u64> = (0..8u64).map(|i| i * i + 1).collect();
+        let dense = graph(n, &edges);
+        let dense_w: Vec<u64> = (0..n as u64).map(|i| i * i + 1).collect();
         let sparse = graph(5, &[(1, 2), (2, 3), (2, 4), (3, 4)]);
         let sparse_w = vec![5u64, 2, 4, 5, 3];
         for (adj, w) in [(&dense, &dense_w), (&sparse, &sparse_w)] {
             for size in 0..=adj.len() + 1 {
-                let fast = max_weight_clique_weight(adj, w, size, &mut scratch);
-                let full = max_weight_clique_of_size(adj, w, size).map(|s| s.weight);
-                assert_eq!(fast, full, "size {size}");
+                assert_eq!(
+                    max_weight_clique_weight(adj, w, size, &mut scratch),
+                    max_weight_clique_bruteforce(adj, w, size),
+                    "size {size}"
+                );
             }
         }
     }
@@ -465,6 +312,6 @@ mod tests {
     #[should_panic(expected = "same vertices")]
     fn mismatched_inputs_panic() {
         let adj = graph(2, &[(0, 1)]);
-        let _ = max_weight_clique_of_size(&adj, &[1], 1);
+        let _ = clique(&adj, &[1], 1);
     }
 }

@@ -20,6 +20,10 @@
 //!   combinatorial equivalent of the paper's ILP formulation for the
 //!   per-task worst-case workload `µ_i[c]` (Section V-A2).
 //!
+//! Each kernel has one production entry point, fed a reusable scratch
+//! ([`max_weight_assignment_total`], [`max_weight_clique_weight`]), and one
+//! exhaustive brute-force solver that only tests call as its reference.
+//!
 //! Everything here is exact integer arithmetic; there is no floating point
 //! and no `unsafe`.
 //!
@@ -43,12 +47,8 @@ pub mod clique;
 pub mod partition_table;
 pub mod partitions;
 
-pub use assignment::{
-    max_weight_assignment, max_weight_assignment_total, Assignment, AssignmentScratch,
-};
+pub use assignment::{max_weight_assignment_total, AssignmentScratch};
 pub use bitset::BitSet;
-pub use clique::{
-    max_weight_clique_of_size, max_weight_clique_weight, CliqueScratch, CliqueSolution,
-};
+pub use clique::{max_weight_clique_weight, CliqueScratch};
 pub use partition_table::PartitionTable;
 pub use partitions::{partition_count, partitions, Partition, Partitions};

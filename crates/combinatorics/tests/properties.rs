@@ -1,10 +1,21 @@
 //! Property-based tests for the combinatorial substrate.
 
 use proptest::prelude::*;
-use rta_combinatorics::assignment::{max_weight_assignment, max_weight_assignment_bruteforce};
-use rta_combinatorics::clique::{max_weight_clique_bruteforce, max_weight_clique_of_size};
-use rta_combinatorics::{partition_count, partitions, BitSet};
+use rta_combinatorics::assignment::max_weight_assignment_bruteforce;
+use rta_combinatorics::clique::max_weight_clique_bruteforce;
+use rta_combinatorics::{
+    max_weight_assignment_total, max_weight_clique_weight, partition_count, partitions,
+    AssignmentScratch, BitSet, CliqueScratch,
+};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+
+thread_local! {
+    // One scratch per kernel, reused across every case and problem size —
+    // the way the analysis cache's per-thread scratch serves a whole sweep.
+    static ASSIGNMENT_SCRATCH: RefCell<AssignmentScratch> = RefCell::new(AssignmentScratch::new());
+    static CLIQUE_SCRATCH: RefCell<CliqueScratch> = RefCell::new(CliqueScratch::new());
+}
 
 proptest! {
     #[test]
@@ -61,19 +72,17 @@ proptest! {
         cols in 1usize..6,
         seed in proptest::collection::vec(0u64..1000, 30),
     ) {
-        prop_assume!(rows <= cols);
         let weights: Vec<Vec<u64>> = (0..rows)
             .map(|r| (0..cols).map(|c| seed[(r * cols + c) % seed.len()]).collect())
             .collect();
-        let fast = max_weight_assignment(&weights).map(|a| a.total);
-        let slow = max_weight_assignment_bruteforce(&weights);
-        prop_assert_eq!(fast, slow);
-        // The reported assignment must be consistent with the total.
-        if let Some(a) = max_weight_assignment(&weights) {
-            let recomputed: u64 = a.column_of.iter().enumerate().map(|(r, &c)| weights[r][c]).sum();
-            prop_assert_eq!(recomputed, a.total);
-            let distinct: BTreeSet<_> = a.column_of.iter().collect();
-            prop_assert_eq!(distinct.len(), rows);
+        // Every leading sub-matrix too, infeasible shapes (more rows than
+        // columns) included, through the same scratch.
+        for r in 0..=rows {
+            let sub: Vec<Vec<u64>> = weights[..r].to_vec();
+            let fast = ASSIGNMENT_SCRATCH.with(|scratch| {
+                max_weight_assignment_total(r, cols, |i, j| sub[i][j], &mut scratch.borrow_mut())
+            });
+            prop_assert_eq!(fast, max_weight_assignment_bruteforce(&sub), "{}x{}", r, cols);
         }
     }
 
@@ -95,40 +104,12 @@ proptest! {
             }
         }
         let weights: Vec<u64> = (0..n).map(|i| weight_seed[i]).collect();
-        for size in 0..=n {
-            let fast = max_weight_clique_of_size(&adj, &weights, size).map(|s| s.weight);
+        for size in 0..=n + 1 {
+            let fast = CLIQUE_SCRATCH.with(|scratch| {
+                max_weight_clique_weight(&adj, &weights, size, &mut scratch.borrow_mut())
+            });
             let slow = max_weight_clique_bruteforce(&adj, &weights, size);
             prop_assert_eq!(fast, slow, "size {}", size);
-        }
-    }
-
-    #[test]
-    fn clique_members_are_actually_a_clique(
-        n in 2usize..9,
-        edge_bits in any::<u64>(),
-        size in 1usize..5,
-    ) {
-        let mut adj = vec![BitSet::with_capacity(n); n];
-        let mut bit = 0;
-        for a in 0..n {
-            for b in a + 1..n {
-                if edge_bits >> (bit % 64) & 1 == 1 {
-                    adj[a].insert(b);
-                    adj[b].insert(a);
-                }
-                bit += 1;
-            }
-        }
-        let weights: Vec<u64> = (1..=n as u64).collect();
-        if let Some(sol) = max_weight_clique_of_size(&adj, &weights, size) {
-            prop_assert_eq!(sol.members.len(), size);
-            for (i, &a) in sol.members.iter().enumerate() {
-                for &b in &sol.members[i + 1..] {
-                    prop_assert!(adj[a].contains(b), "members {} and {} not adjacent", a, b);
-                }
-            }
-            let w: u64 = sol.members.iter().map(|&v| weights[v]).sum();
-            prop_assert_eq!(w, sol.weight);
         }
     }
 }

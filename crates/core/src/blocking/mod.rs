@@ -14,8 +14,8 @@
 //!
 //! * [`lpmax`] — Eq. (5), precedence-oblivious;
 //! * [`mu`] + [`scenarios`] — Eqs. (6)–(8), precedence-aware (the LP-ILP
-//!   method), with both combinatorial solvers and the paper's verbatim ILP
-//!   formulations ([`paper_ilp`]);
+//!   method), computed by the clique and Hungarian solvers; the paper's
+//!   verbatim ILP formulations ([`paper_ilp`]) are their test reference;
 //! * [`sound`] — the corrected term of the LP-sound method: Eq. (3)'s
 //!   event counting is provably optimistic (newly-started lower-priority
 //!   NPRs on cores the DAG leaves idle; Nasri et al., ECRTS 2019), so the

@@ -15,8 +15,11 @@
 //! every scenario, every task under analysis and every analysis method.
 //! (Each entry `µ_i[c]` is an independent fixed-cardinality search, so the
 //! array computed at `m` cores restricts to the array for any `c ≤ m`.)
+//!
+//! The only solver is the clique search of
+//! [`rta_combinatorics::max_weight_clique_weight`]; the paper's ILP
+//! formulation ([`super::paper_ilp::mu_array_ilp`]) is its test reference.
 
-use crate::config::MuSolver;
 use rta_combinatorics::{max_weight_clique_weight, BitSet, CliqueScratch};
 use rta_model::{parallel_adjacency, Dag, Time};
 use std::cell::Cell;
@@ -32,7 +35,7 @@ thread_local! {
 /// compute each task's µ-array at most once per task set, which tests assert
 /// by snapshotting this counter around a bound-carrying
 /// [`crate::AnalysisRequest`] evaluation. Every call to [`mu_array`] /
-/// [`mu_array_with`] increments it by one, whatever the solver.
+/// [`mu_array_with`] increments it by one.
 pub fn mu_array_computations() -> u64 {
     MU_ARRAY_COMPUTATIONS.with(Cell::get)
 }
@@ -53,53 +56,30 @@ fn record_computation() {
 ///
 /// ```
 /// use rta_analysis::blocking::mu::mu_array;
-/// use rta_analysis::MuSolver;
 /// use rta_model::examples::figure1_tau3;
 ///
-/// let mu = mu_array(&figure1_tau3(), 4, MuSolver::Clique);
+/// let mu = mu_array(&figure1_tau3(), 4);
 /// assert_eq!(mu, vec![6, 7, 9, 11]);
 /// ```
-pub fn mu_array(dag: &Dag, cores: usize, solver: MuSolver) -> Vec<Time> {
-    match solver {
-        MuSolver::Clique => {
-            let adjacency = parallel_adjacency(dag);
-            mu_array_with(dag, &adjacency, cores, solver, &mut CliqueScratch::new())
-        }
-        MuSolver::PaperIlp => {
-            record_computation();
-            super::paper_ilp::mu_array_ilp(dag, cores)
-        }
-    }
+pub fn mu_array(dag: &Dag, cores: usize) -> Vec<Time> {
+    let adjacency = parallel_adjacency(dag);
+    mu_array_with(dag, &adjacency, cores, &mut CliqueScratch::new())
 }
 
 /// As [`mu_array`], but from a pre-computed parallel adjacency and with
 /// reusable clique-search scratch — the entry point
 /// [`crate::cache::TaskSetCache`] uses so that neither the adjacency nor the
-/// search buffers are rebuilt per task under analysis. (The
-/// [`MuSolver::PaperIlp`] arm ignores both and solves from the DAG alone.)
+/// search buffers are rebuilt per task under analysis.
 pub fn mu_array_with(
     dag: &Dag,
     adjacency: &[BitSet],
     cores: usize,
-    solver: MuSolver,
     scratch: &mut CliqueScratch,
 ) -> Vec<Time> {
     record_computation();
-    match solver {
-        MuSolver::Clique => mu_array_clique(adjacency, dag.wcets(), cores, scratch),
-        MuSolver::PaperIlp => super::paper_ilp::mu_array_ilp(dag, cores),
-    }
-}
-
-fn mu_array_clique(
-    adjacency: &[BitSet],
-    weights: &[Time],
-    cores: usize,
-    scratch: &mut CliqueScratch,
-) -> Vec<Time> {
     let mut mu = Vec::with_capacity(cores);
     for c in 1..=cores {
-        match max_weight_clique_weight(adjacency, weights, c, scratch) {
+        match max_weight_clique_weight(adjacency, dag.wcets(), c, scratch) {
             Some(weight) => mu.push(weight),
             None => break,
         }
@@ -111,22 +91,15 @@ fn mu_array_clique(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocking::paper_ilp::mu_array_ilp;
     use rta_model::examples::{figure1_dags, TABLE_I};
     use rta_model::DagBuilder;
 
     #[test]
     fn table_i_clique_solver() {
         for (i, dag) in figure1_dags().iter().enumerate() {
-            let mu = mu_array(dag, 4, MuSolver::Clique);
+            let mu = mu_array(dag, 4);
             assert_eq!(mu.as_slice(), &TABLE_I[i], "µ_{} mismatch", i + 1);
-        }
-    }
-
-    #[test]
-    fn table_i_paper_ilp_solver() {
-        for (i, dag) in figure1_dags().iter().enumerate() {
-            let mu = mu_array(dag, 4, MuSolver::PaperIlp);
-            assert_eq!(mu.as_slice(), &TABLE_I[i], "µ_{} (ILP) mismatch", i + 1);
         }
     }
 
@@ -135,7 +108,7 @@ mod tests {
         let mut b = DagBuilder::new();
         let v = b.add_nodes([4, 9, 2]);
         b.add_chain(&v).unwrap();
-        let mu = mu_array(&b.build().unwrap(), 4, MuSolver::Clique);
+        let mu = mu_array(&b.build().unwrap(), 4);
         assert_eq!(mu, vec![9, 0, 0, 0]);
     }
 
@@ -147,14 +120,14 @@ mod tests {
         for &leaf in &v[1..] {
             b.add_edge(v[0], leaf).unwrap();
         }
-        let mu = mu_array(&b.build().unwrap(), 4, MuSolver::Clique);
+        let mu = mu_array(&b.build().unwrap(), 4);
         assert_eq!(mu, vec![5, 8, 10, 0]);
     }
 
     #[test]
     fn mu1_is_largest_npr() {
         for dag in figure1_dags() {
-            let mu = mu_array(&dag, 1, MuSolver::Clique);
+            let mu = mu_array(&dag, 1);
             assert_eq!(mu, vec![dag.max_wcet()]);
         }
     }
@@ -163,7 +136,7 @@ mod tests {
     fn cores_beyond_node_count_are_zero() {
         let mut b = DagBuilder::new();
         b.add_node(7);
-        let mu = mu_array(&b.build().unwrap(), 3, MuSolver::Clique);
+        let mu = mu_array(&b.build().unwrap(), 3);
         assert_eq!(mu, vec![7, 0, 0]);
     }
 
@@ -172,9 +145,9 @@ mod tests {
         // The slicing contract the cache relies on: µ computed at m cores,
         // truncated to c entries, equals µ computed at c cores.
         for dag in figure1_dags() {
-            let full = mu_array(&dag, 8, MuSolver::Clique);
+            let full = mu_array(&dag, 8);
             for c in 1..=8 {
-                assert_eq!(full[..c], mu_array(&dag, c, MuSolver::Clique), "c = {c}");
+                assert_eq!(full[..c], mu_array(&dag, c), "c = {c}");
             }
         }
     }
@@ -183,15 +156,9 @@ mod tests {
     fn computations_are_counted() {
         let dag = figure1_dags().remove(0);
         let before = mu_array_computations();
-        let _ = mu_array(&dag, 4, MuSolver::Clique);
+        let _ = mu_array(&dag, 4);
         let adjacency = parallel_adjacency(&dag);
-        let _ = mu_array_with(
-            &dag,
-            &adjacency,
-            4,
-            MuSolver::Clique,
-            &mut CliqueScratch::new(),
-        );
+        let _ = mu_array_with(&dag, &adjacency, 4, &mut CliqueScratch::new());
         assert_eq!(mu_array_computations(), before + 2);
     }
 
@@ -200,8 +167,8 @@ mod tests {
         for dag in figure1_dags() {
             for cores in 1..=5 {
                 assert_eq!(
-                    mu_array(&dag, cores, MuSolver::Clique),
-                    mu_array(&dag, cores, MuSolver::PaperIlp),
+                    mu_array(&dag, cores),
+                    mu_array_ilp(&dag, cores),
                     "solver mismatch at m = {cores}"
                 );
             }

@@ -1,18 +1,31 @@
 //! The paper's ILP formulations, verbatim (Sections V-A2 and V-B).
 //!
-//! The evaluation's hot path uses the combinatorial solvers ([`super::mu`]
+//! The analysis only ever runs the combinatorial solvers ([`super::mu`]
 //! and [`super::scenarios`]); these formulations exist for fidelity to the
-//! paper (it solved them with CPLEX) and as an independent implementation
-//! that the test suite cross-checks against the combinatorial path.
+//! paper (it solved them with CPLEX) and as the independent reference that
+//! tests, the ablation bench and `repro table1`/`table3` check the
+//! combinatorial path against.
 //!
-//! **Erratum applied** (DESIGN.md §5.5): constraint (2) of Section V-A2 is
+//! **Erratum applied**: constraint (2) of Section V-A2 is
 //! stated as `Σ_{j<k} b_{j,k}·IsPar_{j,k} = c`, but `c` pairwise-parallel
 //! nodes have `c(c−1)/2` parallel pairs; with constraint (1) in force the
 //! consistent right-hand side is `c(c−1)/2`, which reproduces every value of
 //! Table I (the stated `= c` makes even the paper's own examples
 //! infeasible for `c ≥ 4` and over-constrained for `c = 1`).
+//!
+//! One subtlety of the Section V-B ILP, found while cross-validating it
+//! against the Hungarian solver: it does not always pin the selected
+//! core-count multiset to the scenario — e.g. under `s_l = {2,2,2,1,1}` the
+//! assignment `{3,2,1,1,1}` satisfies all four constraints. Every such
+//! "leaked" multiset is itself a partition of `m` with as many parts, so
+//! `Δ^m` (the maximum over *all* scenarios) is unaffected, but individual
+//! `ρ_k[s_l]` values from the ILP can exceed the scenario's true optimum.
+//! Tests therefore compare the two solvers on `Δ` and on scenarios that pin
+//! their multiset (every partition of `m ≤ 5` does), such as Table III.
 
-use rta_combinatorics::Partition;
+use super::BlockingBounds;
+use crate::config::ScenarioSpace;
+use rta_combinatorics::{partitions, Partition};
 use rta_ilp::{IlpBuilder, Sense};
 use rta_model::{parallel_adjacency, Dag, Time};
 
@@ -137,10 +150,35 @@ pub fn rho_ilp(mu_arrays: &[Vec<Time>], scenario: &Partition) -> Option<Time> {
     }
 }
 
+/// The blocking pair `(Δ^m, Δ^{m−1})` of Eq. (8) over `space`, every `ρ`
+/// solved by [`rho_ilp`] — the reference for
+/// [`super::scenarios::blocking_from_mu`] and the analysis cache's Δ table.
+///
+/// `mu_arrays[i][c − 1]` is `µ_i[c]` for the `i`-th lower-priority task.
+pub fn blocking_from_mu_ilp(
+    mu_arrays: &[Vec<Time>],
+    cores: usize,
+    space: ScenarioSpace,
+) -> BlockingBounds {
+    let max_rho = |c: usize| {
+        partitions(c as u32)
+            .filter_map(|s| rho_ilp(mu_arrays, &s))
+            .max()
+            .unwrap_or(0)
+    };
+    let delta = |c: usize| match space {
+        ScenarioSpace::PaperExact => max_rho(c),
+        ScenarioSpace::Extended => (1..=c).map(max_rho).max().unwrap_or(0),
+    };
+    BlockingBounds {
+        delta_m: delta(cores),
+        delta_m_minus_one: delta(cores.saturating_sub(1)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rta_combinatorics::partitions;
     use rta_model::examples::{figure1_dags, TABLE_I};
 
     #[test]

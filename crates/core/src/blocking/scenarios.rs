@@ -10,24 +10,21 @@
 //! Δ^m_k = max_{s_l ∈ e_m} ρ_k[s_l]
 //! ```
 //!
-//! `ρ` is solved either with the Hungarian algorithm (exact, default) or
-//! with the paper's ILP formulation. One subtlety, discovered while
-//! cross-validating the two: the ILP of Section V-B does not always pin the
-//! selected core-count multiset to the scenario — e.g. under `s_l =
-//! {2,2,2,1,1}` the assignment `{3,2,1,1,1}` satisfies all four constraints.
-//! Every such "leaked" multiset is itself a partition of `m`, so `Δ^m`
-//! (the maximum over *all* scenarios) is unaffected, but individual
-//! `ρ_k[s_l]` values from the ILP can exceed the scenario's true optimum.
-//! Tests therefore compare the two solvers on `Δ` and on non-degenerate
-//! scenarios such as Table III.
+//! `ρ` is solved exactly with the Hungarian algorithm
+//! ([`rta_combinatorics::max_weight_assignment_total`]), or for every task
+//! under analysis at once by the suffix DP of [`rho_suffix_dp`]. The
+//! paper's ILP formulation ([`super::paper_ilp`]) is the test reference for
+//! both.
 
 use super::BlockingBounds;
-use crate::config::{MuSolver, RhoSolver, ScenarioSpace};
-use rta_combinatorics::{
-    max_weight_assignment, max_weight_assignment_total, partitions, AssignmentScratch, Partition,
-    PartitionTable,
-};
+use crate::config::ScenarioSpace;
+use rta_combinatorics::{max_weight_assignment_total, partitions, AssignmentScratch, Partition};
 use rta_model::{DagTask, Time};
+
+/// `µ[c]` of one task, 0 beyond its array (no antichain that large).
+fn mu_at(mu: &[Time], c: u32) -> Time {
+    mu.get(c as usize - 1).copied().unwrap_or(0)
+}
 
 /// The overall worst-case workload `ρ_k[s_l]` of one execution scenario
 /// (Eq. (7)). Returns `None` when the scenario involves more tasks than
@@ -41,63 +38,40 @@ use rta_model::{DagTask, Time};
 ///
 /// ```
 /// use rta_analysis::blocking::scenarios::rho;
-/// use rta_analysis::RhoSolver;
 /// use rta_combinatorics::Partition;
 /// use rta_model::examples::TABLE_I;
 ///
 /// let mu: Vec<Vec<u64>> = TABLE_I.iter().map(|r| r.to_vec()).collect();
 /// let s3 = Partition::new(vec![2, 1, 1]);
-/// assert_eq!(rho(&mu, &s3, RhoSolver::Hungarian), Some(19));
+/// assert_eq!(rho(&mu, &s3), Some(19));
 /// ```
-pub fn rho(mu_arrays: &[Vec<Time>], scenario: &Partition, solver: RhoSolver) -> Option<Time> {
-    match solver {
-        RhoSolver::Hungarian => rho_hungarian(mu_arrays, scenario),
-        RhoSolver::PaperIlp => super::paper_ilp::rho_ilp(mu_arrays, scenario),
-    }
-}
-
-fn rho_hungarian(mu_arrays: &[Vec<Time>], scenario: &Partition) -> Option<Time> {
-    if scenario.cardinality() > mu_arrays.len() {
-        return None;
-    }
-    let weights: Vec<Vec<u64>> = scenario
-        .parts()
-        .iter()
-        .map(|&c| {
-            mu_arrays
-                .iter()
-                .map(|mu| mu.get(c as usize - 1).copied().unwrap_or(0))
-                .collect()
-        })
-        .collect();
-    max_weight_assignment(&weights).map(|a| a.total)
+pub fn rho(mu_arrays: &[Vec<Time>], scenario: &Partition) -> Option<Time> {
+    let parts = scenario.parts();
+    max_weight_assignment_total(
+        parts.len(),
+        mu_arrays.len(),
+        |r, t| mu_at(&mu_arrays[t], parts[r]),
+        &mut AssignmentScratch::new(),
+    )
 }
 
 /// `Δ^c` over a scenario space: the maximum `ρ` across the chosen set of
 /// execution scenarios for a platform slice of `cores` cores (Eq. (8)).
-pub fn delta(
-    mu_arrays: &[Vec<Time>],
-    cores: usize,
-    space: ScenarioSpace,
-    solver: RhoSolver,
-) -> Time {
+pub fn delta(mu_arrays: &[Vec<Time>], cores: usize, space: ScenarioSpace) -> Time {
     if cores == 0 || mu_arrays.is_empty() {
         return 0;
     }
-    let max_rho = |m: u32| -> Option<Time> {
-        partitions(m)
-            .filter_map(|s| rho(mu_arrays, &s, solver))
-            .max()
-    };
+    let max_rho =
+        |m: u32| -> Option<Time> { partitions(m).filter_map(|s| rho(mu_arrays, &s)).max() };
     match space {
         ScenarioSpace::PaperExact => max_rho(cores as u32).unwrap_or(0),
         ScenarioSpace::Extended => (1..=cores as u32).filter_map(max_rho).max().unwrap_or(0),
     }
 }
 
-/// Reusable working memory for [`max_rho`] / [`max_rho_over`]: the
-/// Hungarian scratch plus a flat staging buffer for the per-scenario weight
-/// matrix, so the sweep-campaign inner loop performs no allocation.
+/// Reusable working memory for [`max_rho`]: the Hungarian scratch plus a
+/// flat staging buffer for the per-scenario weight matrix, so the
+/// sweep-campaign inner loop performs no allocation.
 #[derive(Debug, Default)]
 pub struct RhoScratch {
     assignment: AssignmentScratch,
@@ -112,94 +86,45 @@ impl RhoScratch {
     }
 }
 
-/// `max_{s_l ∈ e_c} ρ[s_l]` over the partitions of exactly `cores` — one
-/// cardinality row of the Δ table (Eq. (8) for a single platform slice).
+/// `max ρ[s_l]` over the given scenarios — for the partitions of exactly
+/// `c`, one cardinality row of the Δ table (Eq. (8) for a single platform
+/// slice). Returns 0 when no scenario is feasible (matching [`delta`]'s
+/// conventions).
 ///
 /// This is the primitive [`crate::cache::TaskSetCache`] memoizes: `Δ^m`
-/// under [`ScenarioSpace::PaperExact`] is this value at `m`, and under
-/// [`ScenarioSpace::Extended`] the maximum of this value over `1..=m` — so
-/// one table of per-cardinality maxima serves `Δ^m`, `Δ^{m−1}`, both
-/// scenario spaces and every method. Returns 0 when no scenario is feasible
-/// (matching [`delta`]'s conventions).
-pub fn max_rho(
-    mu_arrays: &[&[Time]],
-    cores: u32,
-    solver: RhoSolver,
-    scratch: &mut RhoScratch,
-) -> Time {
-    if cores == 0 {
-        return 0;
-    }
-    max_rho_over(PartitionTable::scenarios(cores), mu_arrays, solver, scratch)
-}
-
-/// As [`max_rho`], over an explicit scenario list (the cache reads each
-/// cardinality's list from the process-global [`PartitionTable`] and reuses
-/// it for every task under analysis).
+/// under [`ScenarioSpace::PaperExact`] is this value over the partitions of
+/// `m`, and under [`ScenarioSpace::Extended`] the maximum of the rows
+/// `1..=m` — so one table of per-cardinality maxima serves `Δ^m`,
+/// `Δ^{m−1}`, both scenario spaces and every method. The cache passes each
+/// row's scenarios from the process-global
+/// [`rta_combinatorics::PartitionTable`], or the part of a row its suffix DP
+/// leaves over.
 ///
 /// µ rows are borrowed slices so the cache can hand out its per-task arrays
-/// without copying; the Hungarian path stages each scenario's weight matrix
-/// in `scratch` and performs no allocation once warm.
-pub fn max_rho_over(
-    scenarios: &[Partition],
+/// without copying; each scenario's weight matrix is staged in `scratch`,
+/// with no allocation once warm.
+pub fn max_rho<'a>(
+    scenarios: impl IntoIterator<Item = &'a Partition>,
     mu_arrays: &[&[Time]],
-    solver: RhoSolver,
-    scratch: &mut RhoScratch,
-) -> Time {
-    max_rho_iter(scenarios.iter(), mu_arrays, solver, scratch)
-}
-
-/// As [`max_rho_over`], over borrowed scenario references — the cache's
-/// mixed suffix-DP path hands in the non-DP-eligible remainder of a
-/// cardinality class without cloning the partitions.
-pub fn max_rho_over_refs(
-    scenarios: &[&Partition],
-    mu_arrays: &[&[Time]],
-    solver: RhoSolver,
-    scratch: &mut RhoScratch,
-) -> Time {
-    max_rho_iter(scenarios.iter().copied(), mu_arrays, solver, scratch)
-}
-
-fn max_rho_iter<'a>(
-    scenarios: impl Iterator<Item = &'a Partition>,
-    mu_arrays: &[&[Time]],
-    solver: RhoSolver,
     scratch: &mut RhoScratch,
 ) -> Time {
     if mu_arrays.is_empty() {
         return 0;
     }
-    match solver {
-        RhoSolver::Hungarian => scenarios
-            .filter_map(|s| rho_hungarian_in(mu_arrays, s, scratch))
-            .max()
-            .unwrap_or(0),
-        RhoSolver::PaperIlp => {
-            // The ILP entry point wants owned rows; materialize them once
-            // for all scenarios, not per scenario.
-            let owned: Vec<Vec<Time>> = mu_arrays.iter().map(|mu| mu.to_vec()).collect();
-            scenarios
-                .filter_map(|s| super::paper_ilp::rho_ilp(&owned, s))
-                .max()
-                .unwrap_or(0)
-        }
-    }
+    scenarios
+        .into_iter()
+        .filter_map(|s| rho_in(mu_arrays, s, scratch))
+        .max()
+        .unwrap_or(0)
 }
 
-/// Scratch-backed Hungarian `ρ`: same optimum as [`rho`] with
-/// [`RhoSolver::Hungarian`], zero allocation once warm.
-fn rho_hungarian_in(
-    mu_arrays: &[&[Time]],
-    scenario: &Partition,
-    scratch: &mut RhoScratch,
-) -> Option<Time> {
+/// Scratch-backed `ρ`: same optimum as [`rho`], zero allocation once warm.
+fn rho_in(mu_arrays: &[&[Time]], scenario: &Partition, scratch: &mut RhoScratch) -> Option<Time> {
     let parts = scenario.parts();
     let (rows, cols) = (parts.len(), mu_arrays.len());
     if rows > cols {
         return None;
     }
-    let mu_at = |mu: &[Time], c: u32| mu.get(c as usize - 1).copied().unwrap_or(0);
     // A cardinality-1 scenario is a plain maximum — skip the assignment
     // machinery (every `e_c` contains `{c}`, so this path is always hot).
     if let [c] = parts {
@@ -234,8 +159,8 @@ fn rho_hungarian_in(
 /// `mu_tail[i]` is the µ-array of task `i + 1` (the highest-priority task
 /// blocks no one, so its µ is never consulted). Returns `out[k] = ρ_k[s]`
 /// for `k ∈ 0..=mu_tail.len()`, `None` where the scenario is infeasible
-/// (more parts than `lp(k)` tasks) — element-wise identical to [`rho`] with
-/// [`RhoSolver::Hungarian`] on each suffix.
+/// (more parts than `lp(k)` tasks) — element-wise identical to [`rho`] on
+/// each suffix.
 pub fn rho_suffix_dp(scenario: &Partition, mu_tail: &[&[Time]]) -> Vec<Option<Time>> {
     let parts = scenario.parts();
     let r = parts.len();
@@ -245,7 +170,6 @@ pub fn rho_suffix_dp(scenario: &Partition, mu_tail: &[&[Time]]) -> Vec<Option<Ti
     );
     let full: usize = (1 << r) - 1;
     let t = mu_tail.len();
-    let mu_at = |mu: &[Time], c: u32| mu.get(c as usize - 1).copied().unwrap_or(0);
 
     // `f[S]` for the empty suffix: only the empty part set is assignable.
     let mut f: Vec<Option<Time>> = vec![None; full + 1];
@@ -282,18 +206,12 @@ pub fn rho_suffix_dp(scenario: &Partition, mu_tail: &[&[Time]]) -> Vec<Option<Ti
 /// The full LP-ILP blocking bound for a task under analysis: computes
 /// `µ_i[c]` for every lower-priority task and maximizes `ρ` over the
 /// scenario spaces of `m` and `m−1` cores.
-pub fn lp_ilp_blocking(
-    lp_tasks: &[DagTask],
-    cores: usize,
-    mu_solver: MuSolver,
-    rho_solver: RhoSolver,
-    space: ScenarioSpace,
-) -> BlockingBounds {
+pub fn lp_ilp_blocking(lp_tasks: &[DagTask], cores: usize, space: ScenarioSpace) -> BlockingBounds {
     let mu_arrays: Vec<Vec<Time>> = lp_tasks
         .iter()
-        .map(|t| super::mu::mu_array(t.dag(), cores, mu_solver))
+        .map(|t| super::mu::mu_array(t.dag(), cores))
         .collect();
-    blocking_from_mu(&mu_arrays, cores, rho_solver, space)
+    blocking_from_mu(&mu_arrays, cores, space)
 }
 
 /// As [`lp_ilp_blocking`], but from pre-computed `µ` arrays (the arrays are
@@ -301,13 +219,12 @@ pub fn lp_ilp_blocking(
 pub fn blocking_from_mu(
     mu_arrays: &[Vec<Time>],
     cores: usize,
-    rho_solver: RhoSolver,
     space: ScenarioSpace,
 ) -> BlockingBounds {
     BlockingBounds {
-        delta_m: delta(mu_arrays, cores, space, rho_solver),
+        delta_m: delta(mu_arrays, cores, space),
         delta_m_minus_one: if cores >= 2 {
-            delta(mu_arrays, cores - 1, space, rho_solver)
+            delta(mu_arrays, cores - 1, space)
         } else {
             0
         },
@@ -318,6 +235,8 @@ pub fn blocking_from_mu(
 mod tests {
     use super::*;
     use crate::blocking::lpmax::lp_max_blocking;
+    use crate::blocking::paper_ilp::blocking_from_mu_ilp;
+    use rta_combinatorics::PartitionTable;
     use rta_model::examples::{figure1_dags, TABLE_I};
     use rta_model::DagTask;
 
@@ -330,22 +249,18 @@ mod tests {
         // Enumeration order: {4}, {3,1}, {2,2}, {2,1,1}, {1,1,1,1}.
         let expected = [11, 18, 16, 19, 18];
         for (scenario, want) in partitions(4).zip(expected) {
-            assert_eq!(
-                rho(&mu(), &scenario, RhoSolver::Hungarian),
-                Some(want),
-                "ρ[{scenario}]"
-            );
+            assert_eq!(rho(&mu(), &scenario), Some(want), "ρ[{scenario}]");
         }
     }
 
     #[test]
     fn paper_deltas() {
         // Δ⁴ = 19 and Δ³ = 15 (Section IV-B3).
-        let b = blocking_from_mu(&mu(), 4, RhoSolver::Hungarian, ScenarioSpace::PaperExact);
+        let b = blocking_from_mu(&mu(), 4, ScenarioSpace::PaperExact);
         assert_eq!(b.delta_m, 19);
         assert_eq!(b.delta_m_minus_one, 15);
         // The extended space agrees here (enough tasks to fill 4 cores).
-        let be = blocking_from_mu(&mu(), 4, RhoSolver::Hungarian, ScenarioSpace::Extended);
+        let be = blocking_from_mu(&mu(), 4, ScenarioSpace::Extended);
         assert_eq!(be, b);
     }
 
@@ -353,8 +268,8 @@ mod tests {
     fn ilp_and_hungarian_agree_on_deltas() {
         for cores in 1..=5 {
             for space in [ScenarioSpace::PaperExact, ScenarioSpace::Extended] {
-                let h = blocking_from_mu(&mu(), cores, RhoSolver::Hungarian, space);
-                let i = blocking_from_mu(&mu(), cores, RhoSolver::PaperIlp, space);
+                let h = blocking_from_mu(&mu(), cores, space);
+                let i = blocking_from_mu_ilp(&mu(), cores, space);
                 assert_eq!(h, i, "m = {cores}, {space:?}");
             }
         }
@@ -367,21 +282,15 @@ mod tests {
         let mu_vecs = mu();
         let refs: Vec<&[Time]> = mu_vecs.iter().map(Vec::as_slice).collect();
         let mut scratch = RhoScratch::new();
-        for solver in [RhoSolver::Hungarian, RhoSolver::PaperIlp] {
-            for cores in 0..=6usize {
-                let exact = delta(&mu_vecs, cores, ScenarioSpace::PaperExact, solver);
-                assert_eq!(
-                    max_rho(&refs, cores as u32, solver, &mut scratch),
-                    exact,
-                    "{solver:?} exact at m = {cores}"
-                );
-                let extended = delta(&mu_vecs, cores, ScenarioSpace::Extended, solver);
-                let from_rows = (1..=cores as u32)
-                    .map(|c| max_rho(&refs, c, solver, &mut scratch))
-                    .max()
-                    .unwrap_or(0);
-                assert_eq!(from_rows, extended, "{solver:?} extended at m = {cores}");
-            }
+        let row = |c: usize, scratch: &mut RhoScratch| {
+            max_rho(PartitionTable::scenarios(c as u32), &refs, scratch)
+        };
+        for cores in 0..=6usize {
+            let exact = delta(&mu_vecs, cores, ScenarioSpace::PaperExact);
+            assert_eq!(row(cores, &mut scratch), exact, "exact at m = {cores}");
+            let extended = delta(&mu_vecs, cores, ScenarioSpace::Extended);
+            let from_rows = (1..=cores).map(|c| row(c, &mut scratch)).max().unwrap_or(0);
+            assert_eq!(from_rows, extended, "extended at m = {cores}");
         }
     }
 
@@ -404,7 +313,7 @@ mod tests {
                 assert_eq!(dp.len(), mu_tail.len() + 1);
                 for (k, &got) in dp.iter().enumerate() {
                     let suffix: Vec<Vec<Time>> = mu_vecs[k..].to_vec();
-                    let want = rho(&suffix, &scenario, RhoSolver::Hungarian);
+                    let want = rho(&suffix, &scenario);
                     assert_eq!(got, want, "k = {k}, scenario {scenario}");
                 }
             }
@@ -418,13 +327,7 @@ mod tests {
             .map(|d| DagTask::with_implicit_deadline(d, 1_000).unwrap())
             .collect();
         for cores in 1..=8 {
-            let ilp = lp_ilp_blocking(
-                &tasks,
-                cores,
-                MuSolver::Clique,
-                RhoSolver::Hungarian,
-                ScenarioSpace::Extended,
-            );
+            let ilp = lp_ilp_blocking(&tasks, cores, ScenarioSpace::Extended);
             let max = lp_max_blocking(&tasks, cores);
             assert!(ilp.delta_m <= max.delta_m, "Δ^m at m = {cores}");
             assert!(
@@ -441,21 +344,21 @@ mod tests {
         // {1,1,1,1}; with one task only {4} is feasible and µ[4] = 0, so
         // PaperExact reports no blocking. The extended space finds µ[2].
         let mu_one = vec![vec![5u64, 8, 0, 0]];
-        let exact = delta(&mu_one, 4, ScenarioSpace::PaperExact, RhoSolver::Hungarian);
-        let extended = delta(&mu_one, 4, ScenarioSpace::Extended, RhoSolver::Hungarian);
+        let exact = delta(&mu_one, 4, ScenarioSpace::PaperExact);
+        let extended = delta(&mu_one, 4, ScenarioSpace::Extended);
         assert_eq!(exact, 0);
         assert_eq!(extended, 8);
     }
 
     #[test]
     fn no_lp_tasks_means_no_blocking() {
-        let b = blocking_from_mu(&[], 4, RhoSolver::Hungarian, ScenarioSpace::Extended);
+        let b = blocking_from_mu(&[], 4, ScenarioSpace::Extended);
         assert_eq!(b, BlockingBounds::default());
     }
 
     #[test]
     fn single_core_delta() {
-        let b = blocking_from_mu(&mu(), 1, RhoSolver::Hungarian, ScenarioSpace::Extended);
+        let b = blocking_from_mu(&mu(), 1, ScenarioSpace::Extended);
         // Largest µ_i[1] = 6 (τ3); Δ⁰ = 0.
         assert_eq!(b.delta_m, 6);
         assert_eq!(b.delta_m_minus_one, 0);
@@ -465,8 +368,7 @@ mod tests {
     fn rho_infeasible_scenarios() {
         let one_task = vec![vec![3u64, 5]];
         let s = Partition::new(vec![1, 1]);
-        assert_eq!(rho(&one_task, &s, RhoSolver::Hungarian), None);
-        assert_eq!(rho(&one_task, &s, RhoSolver::PaperIlp), None);
+        assert_eq!(rho(&one_task, &s), None);
     }
 
     #[test]
@@ -474,18 +376,8 @@ mod tests {
         // On arbitrary µ arrays the extended space is ≥ the exact space.
         let arrays = vec![vec![4u64, 6, 0, 0], vec![2, 0, 0, 0]];
         for cores in 1..=4 {
-            let e = delta(
-                &arrays,
-                cores,
-                ScenarioSpace::Extended,
-                RhoSolver::Hungarian,
-            );
-            let p = delta(
-                &arrays,
-                cores,
-                ScenarioSpace::PaperExact,
-                RhoSolver::Hungarian,
-            );
+            let e = delta(&arrays, cores, ScenarioSpace::Extended);
+            let p = delta(&arrays, cores, ScenarioSpace::PaperExact);
             assert!(e >= p, "m = {cores}");
         }
     }

@@ -97,28 +97,6 @@ impl std::fmt::Display for Method {
     }
 }
 
-/// How to compute the per-task worst-case workloads `µ_i[c]`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum MuSolver {
-    /// Exact branch-and-bound over max-weight parallel cliques (default;
-    /// orders of magnitude faster than the ILP on DAG-sized problems).
-    #[default]
-    Clique,
-    /// The paper's ILP formulation (Section V-A2), solved by [`rta_ilp`],
-    /// with the `c(c−1)/2` erratum applied (see DESIGN.md §5.5).
-    PaperIlp,
-}
-
-/// How to compute the per-scenario overall workloads `ρ_k[s_l]`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum RhoSolver {
-    /// Hungarian maximum-weight assignment (default).
-    #[default]
-    Hungarian,
-    /// The paper's ILP formulation (Section V-B), solved by [`rta_ilp`].
-    PaperIlp,
-}
-
 /// Which execution scenarios to maximize over when computing `Δ^m` and
 /// `Δ^{m−1}`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -126,9 +104,9 @@ pub enum ScenarioSpace {
     /// Partitions of every `m' ≤ m` with at most `|lp(k)|` parts (default).
     ///
     /// This dominates the paper's space whenever the latter is feasible and
-    /// remains sound when fewer lower-priority tasks than cores exist (the
-    /// paper's formulation would silently report zero blocking there; see
-    /// DESIGN.md §6).
+    /// remains sound when fewer lower-priority tasks than cores exist: the
+    /// paper's formulation would silently report zero blocking there,
+    /// because no partition of exactly `m` names few enough tasks.
     #[default]
     Extended,
     /// Exactly the paper's `e_m`: partitions of exactly `m`; scenarios
@@ -153,22 +131,12 @@ pub struct AnalysisConfig {
     pub cores: usize,
     /// Analysis method.
     pub method: Method,
-    /// Solver for `µ_i[c]` (LP-ILP only).
-    pub mu_solver: MuSolver,
-    /// Solver for `ρ_k[s_l]` (LP-ILP only).
-    pub rho_solver: RhoSolver,
     /// Scenario space for `Δ^m` / `Δ^{m−1}` (LP-ILP only).
     pub scenario_space: ScenarioSpace,
-    /// Extension (paper future work (ii)): once the final NPR of the task
-    /// under analysis has started it cannot be preempted, so preemptions —
-    /// and hence `Δ^{m−1}` blocking events — are only counted in the window
-    /// `R_k − min_{sink} C_sink`. Off by default; evaluated in the ablation
-    /// benches and validated against the simulator.
-    pub final_npr_refinement: bool,
 }
 
 impl AnalysisConfig {
-    /// Creates a configuration with default solver choices.
+    /// Creates a configuration over the default scenario space.
     ///
     /// # Panics
     ///
@@ -178,38 +146,14 @@ impl AnalysisConfig {
         Self {
             cores,
             method,
-            mu_solver: MuSolver::default(),
-            rho_solver: RhoSolver::default(),
             scenario_space: ScenarioSpace::default(),
-            final_npr_refinement: false,
         }
-    }
-
-    /// Selects the `µ_i[c]` solver.
-    #[must_use]
-    pub fn with_mu_solver(mut self, solver: MuSolver) -> Self {
-        self.mu_solver = solver;
-        self
-    }
-
-    /// Selects the `ρ_k[s_l]` solver.
-    #[must_use]
-    pub fn with_rho_solver(mut self, solver: RhoSolver) -> Self {
-        self.rho_solver = solver;
-        self
     }
 
     /// Selects the scenario space.
     #[must_use]
     pub fn with_scenario_space(mut self, space: ScenarioSpace) -> Self {
         self.scenario_space = space;
-        self
-    }
-
-    /// Enables the final-NPR preemption-window refinement.
-    #[must_use]
-    pub fn with_final_npr_refinement(mut self, enabled: bool) -> Self {
-        self.final_npr_refinement = enabled;
         self
     }
 }
@@ -239,15 +183,9 @@ mod tests {
 
     #[test]
     fn builder_chain() {
-        let c = AnalysisConfig::new(4, Method::LpIlp)
-            .with_mu_solver(MuSolver::PaperIlp)
-            .with_rho_solver(RhoSolver::PaperIlp)
-            .with_scenario_space(ScenarioSpace::PaperExact)
-            .with_final_npr_refinement(true);
-        assert_eq!(c.mu_solver, MuSolver::PaperIlp);
-        assert_eq!(c.rho_solver, RhoSolver::PaperIlp);
+        let c =
+            AnalysisConfig::new(4, Method::LpIlp).with_scenario_space(ScenarioSpace::PaperExact);
         assert_eq!(c.scenario_space, ScenarioSpace::PaperExact);
-        assert!(c.final_npr_refinement);
     }
 
     #[test]
@@ -257,11 +195,8 @@ mod tests {
     }
 
     #[test]
-    fn defaults_are_fast_solvers() {
+    fn default_scenario_space_is_extended() {
         let c = AnalysisConfig::new(2, Method::LpIlp);
-        assert_eq!(c.mu_solver, MuSolver::Clique);
-        assert_eq!(c.rho_solver, RhoSolver::Hungarian);
         assert_eq!(c.scenario_space, ScenarioSpace::Extended);
-        assert!(!c.final_npr_refinement);
     }
 }

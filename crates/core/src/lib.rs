@@ -43,13 +43,16 @@
 //! once per task set in a [`cache::TaskSetCache`] and shared across tasks
 //! under analysis, platform slices and methods. [`analyze`] builds the
 //! cache internally; [`analyze_uncached`] keeps the original
-//! recompute-per-task path as a pinned reference.
+//! recompute-per-task path as a pinned reference. Each LP-ILP quantity has
+//! one solver — the clique search for `µ`, the Hungarian assignment for
+//! `ρ` — and the paper's ILP formulations ([`blocking::paper_ilp`]) are
+//! their test reference.
 //!
 //! # The request API
 //!
 //! Batch analysis goes through **one** entry point: build an
 //! [`AnalysisRequest`] (platform + method selection + bounds on/off +
-//! solver knobs) and call [`AnalysisRequest::evaluate`] (or
+//! scenario space) and call [`AnalysisRequest::evaluate`] (or
 //! [`AnalysisRequest::evaluate_with`] to share a [`TaskSetCache`]); it
 //! resolves to an [`AnalysisOutcome`] carrying one verdict — and, on
 //! request, the per-task response bounds — per method. Verdict-only
@@ -89,7 +92,7 @@ pub mod rta;
 pub mod workload;
 
 pub use cache::TaskSetCache;
-pub use config::{AnalysisConfig, Method, MuSolver, RhoSolver, ScenarioSpace};
+pub use config::{AnalysisConfig, Method, ScenarioSpace};
 pub use lru::{AnalysisLru, CacheOutcome, LruStats};
 pub use report::{AnalysisReport, ResponseBound, TaskReport};
 pub use request::{AnalysisOutcome, AnalysisRequest, MethodOutcome};

@@ -64,7 +64,7 @@ use std::collections::HashMap;
 
 /// Per-entry bound on remembered per-method facts. A cooperating client
 /// reuses a handful of configurations; only an adversarial stream of
-/// ever-new solver knobs could grow an entry without bound, so past the
+/// ever-new core counts could grow an entry without bound, so past the
 /// cap the entry's facts are simply reset.
 const MAX_FACTS_PER_SET: usize = 256;
 

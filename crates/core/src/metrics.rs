@@ -3,8 +3,9 @@
 //!
 //! Everything here is deliberately coarse so the analysis hot paths stay
 //! un-measurable in the CI perf gates: per-method verdict latency is timed
-//! around whole `verdict_with` / `analyze_with_impl` calls (two `Instant`
-//! reads per method evaluation, which itself costs microseconds), the
+//! around each whole cached analysis — `analyze`, `verdict_with` and the
+//! bound-carrying request shape (two `Instant` reads per method
+//! evaluation, which itself costs microseconds), the
 //! fixed-point iteration counter is flushed **once** per fixed point from
 //! its local tally, and the cache counters ride inside `get_or_init`
 //! closures that run once per materialized table. Nothing in a per-iterate
@@ -53,7 +54,7 @@ pub(crate) static LRU_EVICTIONS: LazyLock<Counter> =
 pub(crate) static CACHE_BUILDS: LazyLock<Counter> =
     LazyLock::new(|| rta_obs::counter("cache_builds_total"));
 
-/// µ-arrays materialized (first touch of a `(task, solver)` cell).
+/// µ-arrays materialized (first touch of a task's cell).
 pub(crate) static CACHE_MU_BUILDS: LazyLock<Counter> =
     LazyLock::new(|| rta_obs::counter("cache_mu_builds_total"));
 

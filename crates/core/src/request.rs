@@ -48,13 +48,13 @@
 //! ```
 
 use crate::cache::TaskSetCache;
-use crate::config::{AnalysisConfig, Method, MuSolver, RhoSolver, ScenarioSpace};
+use crate::config::{AnalysisConfig, Method, ScenarioSpace};
 use crate::report::ResponseBound;
 use crate::rta;
 use rta_model::TaskSet;
 
 /// One analysis question, fully specified: task-set-independent platform
-/// and method selection plus the solver knobs every method shares.
+/// and method selection plus LP-ILP's scenario space.
 ///
 /// Requests are cheap to clone and hash — the admission-control layers key
 /// their memoization on `(task-set hash, request)`.
@@ -69,19 +69,13 @@ pub struct AnalysisRequest {
     /// method then runs its own fixed point); `false` for verdicts only,
     /// short-circuited through the method-dominance chain.
     pub want_bounds: bool,
-    /// Solver for `µ_i[c]` (LP-ILP only).
-    pub mu_solver: MuSolver,
-    /// Solver for `ρ_k[s_l]` (LP-ILP only).
-    pub rho_solver: RhoSolver,
     /// Scenario space for `Δ^m` / `Δ^{m−1}` (LP-ILP only).
     pub scenario_space: ScenarioSpace,
-    /// The final-NPR preemption-window refinement (see
-    /// [`AnalysisConfig::final_npr_refinement`]).
-    pub final_npr_refinement: bool,
 }
 
 impl AnalysisRequest {
-    /// A verdict-only request for all six methods with default solvers.
+    /// A verdict-only request for all six methods over the default
+    /// scenario space.
     ///
     /// # Panics
     ///
@@ -92,10 +86,7 @@ impl AnalysisRequest {
             cores,
             methods: Method::ALL.to_vec(),
             want_bounds: false,
-            mu_solver: MuSolver::default(),
-            rho_solver: RhoSolver::default(),
             scenario_space: ScenarioSpace::default(),
-            final_npr_refinement: false,
         }
     }
 
@@ -113,31 +104,10 @@ impl AnalysisRequest {
         self
     }
 
-    /// Selects the `µ_i[c]` solver.
-    #[must_use]
-    pub fn with_mu_solver(mut self, solver: MuSolver) -> Self {
-        self.mu_solver = solver;
-        self
-    }
-
-    /// Selects the `ρ_k[s_l]` solver.
-    #[must_use]
-    pub fn with_rho_solver(mut self, solver: RhoSolver) -> Self {
-        self.rho_solver = solver;
-        self
-    }
-
     /// Selects the scenario space.
     #[must_use]
     pub fn with_scenario_space(mut self, space: ScenarioSpace) -> Self {
         self.scenario_space = space;
-        self
-    }
-
-    /// Enables the final-NPR preemption-window refinement.
-    #[must_use]
-    pub fn with_final_npr_refinement(mut self, enabled: bool) -> Self {
-        self.final_npr_refinement = enabled;
         self
     }
 
@@ -146,10 +116,7 @@ impl AnalysisRequest {
         AnalysisConfig {
             cores: self.cores,
             method,
-            mu_solver: self.mu_solver,
-            rho_solver: self.rho_solver,
             scenario_space: self.scenario_space,
-            final_npr_refinement: self.final_npr_refinement,
         }
     }
 

@@ -25,6 +25,7 @@ use crate::long_paths::long_path_bound;
 use crate::report::{AnalysisReport, ResponseBound, TaskReport};
 use crate::workload::interfering_workload;
 use rta_model::{TaskId, TaskSet, Time};
+use std::borrow::Cow;
 
 /// Analyzes a task set, producing per-task response-time bounds and the
 /// overall schedulability verdict.
@@ -46,231 +47,146 @@ use rta_model::{TaskId, TaskSet, Time};
 /// [`AnalysisConfig::new`]).
 pub fn analyze(task_set: &TaskSet, config: &AnalysisConfig) -> AnalysisReport {
     let cache = TaskSetCache::new(task_set, config.cores);
-    analyze_with_impl(&cache, config)
+    analyze_cached(&cache, config)
 }
 
 /// The schedulability verdict of one configuration through a caller-owned
-/// cache: the `schedulable` flag of [`analyze`] without building the
-/// per-task reports. No dominance shortcuts — callers wanting those use a
-/// verdict-only [`AnalysisRequest`](crate::AnalysisRequest).
+/// cache: the `schedulable` flag of [`analyze`]. No dominance shortcuts —
+/// callers wanting those use a verdict-only
+/// [`AnalysisRequest`](crate::AnalysisRequest).
 ///
 /// # Panics
 ///
 /// Panics if `config.cores == 0` or `config.cores > cache.max_cores()`.
 pub fn verdict_with(cache: &TaskSetCache<'_>, config: &AnalysisConfig) -> bool {
-    let start = std::time::Instant::now();
-    let verdict = verdict_with_impl(cache, config);
-    crate::metrics::verdict_ns(config.method).observe_since(start);
-    verdict
-}
-
-fn verdict_with_impl(cache: &TaskSetCache<'_>, config: &AnalysisConfig) -> bool {
-    assert!(config.cores >= 1, "at least one core required");
-    assert!(
-        config.cores <= cache.max_cores(),
-        "config wants {} cores but the cache was built for {}",
-        config.cores,
-        cache.max_cores()
-    );
-    let task_set = cache.task_set();
-    let mut hp_bounds: Vec<u128> = Vec::with_capacity(task_set.len());
-    for k in 0..task_set.len() {
-        let blocking = cache.blocking_for(k, config);
-        let sound = cache.sound_blocking_for(k, config);
-        let task = FixedPointTask {
-            longest_path: cache.longest_path(k),
-            volume: cache.volume(k),
-            deadline: cache.deadline(k),
-            preemption_points: cache.preemption_points(k),
-            single_sink_wcet: cache.single_sink_wcet(k),
-        };
-        let outcome = if config.method == Method::LongPaths {
-            long_paths_outcome(
-                &task,
-                task_set,
-                k,
-                &hp_bounds,
-                cache.long_path_decomposition(k),
-                config,
-            )
-        } else {
-            fixed_point(
-                &task,
-                task_set,
-                k,
-                &hp_bounds,
-                blocking.as_ref(),
-                sound.as_ref(),
-                config,
-            )
-        };
-        if !outcome.schedulable {
-            return false;
-        }
-        hp_bounds.push(outcome.scaled);
-    }
-    true
+    analyze_cached(cache, config).schedulable
 }
 
 /// Per-task response bounds and the verdict of one configuration — the
 /// bound-carrying evaluation behind
 /// [`AnalysisRequest::evaluate_with`](crate::AnalysisRequest::evaluate_with):
 /// the `(schedulable, response bounds of the analyzed prefix)` projection
-/// of [`analyze_with_impl`], bit-identical to projecting the full report.
+/// of the full report.
 pub(crate) fn bounds_with(
     cache: &TaskSetCache<'_>,
     config: &AnalysisConfig,
 ) -> (bool, Vec<ResponseBound>) {
-    let report = analyze_with_impl(cache, config);
+    let report = analyze_cached(cache, config);
     (
         report.schedulable,
         report.tasks.iter().map(|t| t.response_bound).collect(),
     )
 }
 
-/// The full-report workhorse behind [`analyze`] and the bound-carrying
-/// request shape.
-pub(crate) fn analyze_with_impl(
-    cache: &TaskSetCache<'_>,
-    config: &AnalysisConfig,
-) -> AnalysisReport {
-    let start = std::time::Instant::now();
-    let report = analyze_with_inner(cache, config);
-    crate::metrics::verdict_ns(config.method).observe_since(start);
-    report
-}
-
-fn analyze_with_inner(cache: &TaskSetCache<'_>, config: &AnalysisConfig) -> AnalysisReport {
-    assert!(config.cores >= 1, "at least one core required");
+/// The full report through `cache`, timed into the method's verdict
+/// histogram: the one entry behind [`analyze`], [`verdict_with`] and the
+/// bound-carrying request shape.
+fn analyze_cached(cache: &TaskSetCache<'_>, config: &AnalysisConfig) -> AnalysisReport {
     assert!(
         config.cores <= cache.max_cores(),
         "config wants {} cores but the cache was built for {}",
         config.cores,
         cache.max_cores()
     );
-    let task_set = cache.task_set();
-    let mut tasks = Vec::with_capacity(task_set.len());
-    let mut schedulable = true;
-    // Scaled response bounds of already-analyzed (higher-priority) tasks.
-    let mut hp_bounds: Vec<u128> = Vec::with_capacity(task_set.len());
-
-    for k in 0..task_set.len() {
-        let blocking = cache.blocking_for(k, config);
-        let sound = cache.sound_blocking_for(k, config);
-        let task = FixedPointTask {
-            longest_path: cache.longest_path(k),
-            volume: cache.volume(k),
-            deadline: cache.deadline(k),
-            preemption_points: cache.preemption_points(k),
-            single_sink_wcet: cache.single_sink_wcet(k),
-        };
-        let outcome = if config.method == Method::LongPaths {
-            long_paths_outcome(
-                &task,
-                task_set,
-                k,
-                &hp_bounds,
-                cache.long_path_decomposition(k),
-                config,
-            )
-        } else {
-            fixed_point(
-                &task,
-                task_set,
-                k,
-                &hp_bounds,
-                blocking.as_ref(),
-                sound.as_ref(),
-                config,
-            )
-        };
-        let report = TaskReport {
-            task: TaskId::new(k),
-            response_bound: ResponseBound::from_scaled(outcome.scaled, config.cores as u32),
-            schedulable: outcome.schedulable,
-            blocking,
-            preemption_bound: outcome.preemptions,
-            iterations: outcome.iterations,
-        };
-        let ok = report.schedulable;
-        tasks.push(report);
-        if !ok {
-            schedulable = false;
-            break;
-        }
-        hp_bounds.push(outcome.scaled);
-    }
-
-    AnalysisReport {
-        schedulable,
-        cores: config.cores,
-        method: config.method,
-        tasks,
-    }
+    let start = std::time::Instant::now();
+    let report = analyze_tasks(cache.task_set(), config, |k| TaskInputs {
+        longest_path: cache.longest_path(k),
+        volume: cache.volume(k),
+        deadline: cache.deadline(k),
+        preemption_points: cache.preemption_points(k),
+        blocking: cache.blocking_for(k, config),
+        sound: cache.sound_blocking_for(k, config),
+        long_path_decomposition: (config.method == Method::LongPaths)
+            .then(|| Cow::Borrowed(cache.long_path_decomposition(k))),
+    });
+    crate::metrics::verdict_ns(config.method).observe_since(start);
+    report
 }
 
-/// The original per-call analysis: recomputes every lower-priority task's
-/// µ-array and both Δ bounds from scratch for each task under analysis.
+/// The per-call reference analysis: recomputes every input of every task
+/// straight from the model — each lower-priority task's µ-array and both Δ
+/// bounds included, per task under analysis.
 ///
-/// Kept as the reference the cached path is pinned against (tests assert
-/// bit-identical [`AnalysisReport`]s) and as the baseline of
+/// Kept as the independent check the cached path is pinned against (tests
+/// assert bit-identical [`AnalysisReport`]s) and as the baseline of
 /// `benches/cache.rs`. Use [`analyze`] everywhere else.
 ///
 /// # Panics
 ///
 /// Panics if `config.cores == 0`.
 pub fn analyze_uncached(task_set: &TaskSet, config: &AnalysisConfig) -> AnalysisReport {
+    analyze_tasks(task_set, config, |k| {
+        let task = task_set.task(k);
+        let dag = task.dag();
+        let lp = task_set.lower_priority(k);
+        TaskInputs {
+            longest_path: dag.longest_path(),
+            volume: dag.volume(),
+            deadline: task.deadline(),
+            preemption_points: dag.preemption_points(),
+            blocking: match config.method {
+                // LP-sound has no (Δ^m, Δ^{m−1}) pair — its window-dependent
+                // term is built separately and evaluated per fixed-point
+                // iterate. The two fully-preemptive competitor methods have
+                // no blocking at all.
+                Method::FpIdeal | Method::LpSound | Method::LongPaths | Method::GenSporadic => None,
+                Method::LpMax => Some(lp_max_blocking(lp, config.cores)),
+                Method::LpIlp => Some(lp_ilp_blocking(lp, config.cores, config.scenario_space)),
+            },
+            sound: (config.method == Method::LpSound).then(|| SoundBlocking::new(lp, config.cores)),
+            long_path_decomposition: (config.method == Method::LongPaths)
+                .then(|| Cow::Owned(dag.long_path_decomposition())),
+        }
+    })
+}
+
+/// Everything the fixed point reads about one task under analysis,
+/// gathered by the caller — from the [`TaskSetCache`] or straight from the
+/// model.
+struct TaskInputs<'a> {
+    longest_path: Time,
+    volume: Time,
+    deadline: Time,
+    preemption_points: usize,
+    /// The `(Δ^m, Δ^{m−1})` pair (LP-ILP and LP-max only).
+    blocking: Option<BlockingBounds>,
+    /// The window-dependent sound term (LP-sound only).
+    sound: Option<SoundBlocking>,
+    /// The long-chain decomposition (Long-paths only).
+    long_path_decomposition: Option<Cow<'a, [Time]>>,
+}
+
+/// The per-task loop every analysis runs: tasks in priority order, each
+/// one's inputs taken from `inputs(k)`, stopping after the first
+/// unschedulable task.
+fn analyze_tasks<'a>(
+    task_set: &TaskSet,
+    config: &AnalysisConfig,
+    inputs: impl Fn(usize) -> TaskInputs<'a>,
+) -> AnalysisReport {
     assert!(config.cores >= 1, "at least one core required");
     let mut tasks = Vec::with_capacity(task_set.len());
     let mut schedulable = true;
+    // Scaled response bounds of already-analyzed (higher-priority) tasks.
     let mut hp_bounds: Vec<u128> = Vec::with_capacity(task_set.len());
 
     for k in 0..task_set.len() {
-        let blocking = blocking_for_uncached(task_set, k, config);
-        let sound = (config.method == Method::LpSound)
-            .then(|| SoundBlocking::new(task_set.lower_priority(k), config.cores));
-        let dag = task_set.task(k).dag();
-        let task = FixedPointTask {
-            longest_path: dag.longest_path(),
-            volume: dag.volume(),
-            deadline: task_set.task(k).deadline(),
-            preemption_points: dag.preemption_points(),
-            single_sink_wcet: match dag.sinks().as_slice() {
-                [only] => Some(dag.wcet(*only)),
-                _ => None,
-            },
+        let task = inputs(k);
+        let outcome = match &task.long_path_decomposition {
+            Some(decomposition) => {
+                long_paths_outcome(&task, task_set, k, &hp_bounds, decomposition, config)
+            }
+            None => fixed_point(&task, task_set, k, &hp_bounds, config),
         };
-        let outcome = if config.method == Method::LongPaths {
-            long_paths_outcome(
-                &task,
-                task_set,
-                k,
-                &hp_bounds,
-                &dag.long_path_decomposition(),
-                config,
-            )
-        } else {
-            fixed_point(
-                &task,
-                task_set,
-                k,
-                &hp_bounds,
-                blocking.as_ref(),
-                sound.as_ref(),
-                config,
-            )
-        };
-        let report = TaskReport {
+        tasks.push(TaskReport {
             task: TaskId::new(k),
             response_bound: ResponseBound::from_scaled(outcome.scaled, config.cores as u32),
             schedulable: outcome.schedulable,
-            blocking,
+            blocking: task.blocking,
             preemption_bound: outcome.preemptions,
             iterations: outcome.iterations,
-        };
-        let ok = report.schedulable;
-        tasks.push(report);
-        if !ok {
+        });
+        if !outcome.schedulable {
             schedulable = false;
             break;
         }
@@ -283,38 +199,6 @@ pub fn analyze_uncached(task_set: &TaskSet, config: &AnalysisConfig) -> Analysis
         method: config.method,
         tasks,
     }
-}
-
-fn blocking_for_uncached(
-    task_set: &TaskSet,
-    k: usize,
-    config: &AnalysisConfig,
-) -> Option<BlockingBounds> {
-    let lp = task_set.lower_priority(k);
-    match config.method {
-        // LP-sound has no (Δ^m, Δ^{m−1}) pair — its window-dependent term
-        // is built separately and evaluated per fixed-point iterate. The
-        // two fully-preemptive competitor methods have no blocking at all.
-        Method::FpIdeal | Method::LpSound | Method::LongPaths | Method::GenSporadic => None,
-        Method::LpMax => Some(lp_max_blocking(lp, config.cores)),
-        Method::LpIlp => Some(lp_ilp_blocking(
-            lp,
-            config.cores,
-            config.mu_solver,
-            config.rho_solver,
-            config.scenario_space,
-        )),
-    }
-}
-
-/// The per-task quantities the fixed point reads, pre-fetched by the caller
-/// (from the [`TaskSetCache`] or straight from the model).
-struct FixedPointTask {
-    longest_path: Time,
-    volume: Time,
-    deadline: Time,
-    preemption_points: usize,
-    single_sink_wcet: Option<Time>,
 }
 
 struct FixedPointOutcome {
@@ -353,7 +237,7 @@ fn hp_interference(
 /// diverges (see the module docs there for why both windows are sound and
 /// why an FP-ideal failure does not settle this method).
 fn long_paths_outcome(
-    task: &FixedPointTask,
+    task: &TaskInputs<'_>,
     task_set: &TaskSet,
     k: usize,
     hp_bounds: &[u128],
@@ -362,7 +246,7 @@ fn long_paths_outcome(
 ) -> FixedPointOutcome {
     let m = config.cores as u128;
     let deadline_scaled = m * task.deadline as u128;
-    let base = fixed_point(task, task_set, k, hp_bounds, None, None, config);
+    let base = fixed_point(task, task_set, k, hp_bounds, config);
     if base.schedulable {
         // The converged window certifies its own interference; the `min`
         // makes per-task dominance over the Graham value structural.
@@ -392,12 +276,10 @@ fn long_paths_outcome(
 }
 
 fn fixed_point(
-    task: &FixedPointTask,
+    task: &TaskInputs<'_>,
     task_set: &TaskSet,
     k: usize,
     hp_bounds: &[u128],
-    blocking: Option<&BlockingBounds>,
-    sound: Option<&SoundBlocking>,
     config: &AnalysisConfig,
 ) -> FixedPointOutcome {
     let m = config.cores as u128;
@@ -407,15 +289,6 @@ fn fixed_point(
     let q = task.preemption_points as u128;
     // R⁰ = L + (vol − L)/m, scaled: m·L + (vol − L).
     let base = m * longest + (volume - longest);
-
-    // Final-NPR refinement (extension, DESIGN.md §6): in a single-sink DAG
-    // the sink is the last node to start, and once started it cannot be
-    // preempted, so preemptions only occur in the first R − C_sink units.
-    let preemption_window_shrink: u128 = if config.final_npr_refinement {
-        task.single_sink_wcet.map_or(0, |w| m * w as u128)
-    } else {
-        0
-    };
 
     // Loop-invariant higher-priority quantities, hoisted out of the
     // iteration: the scaled period `m·T_i` behind every ⌈·⌉, plus the
@@ -439,16 +312,15 @@ fn fixed_point(
         iterations += 1;
         // h_k = Σ_{i ∈ hp(k)} ⌈t/T_i⌉ with t the current response window;
         // ⌈(r/m)/T⌉ = ⌈r/(m·T)⌉ exactly.
-        let window = r.saturating_sub(preemption_window_shrink);
         let h: u128 = hp_invariants
             .iter()
-            .map(|&(scaled_period, ..)| window.div_ceil(scaled_period))
+            .map(|&(scaled_period, ..)| r.div_ceil(scaled_period))
             .sum();
         let p = q.min(h);
         // Event-counted blocking (LP-ILP / LP-max) or the sound
         // window-workload term (LP-sound) — at most one is present.
-        let i_lp: u128 =
-            blocking.map_or(0, |b| b.interference(p)) + sound.map_or(0, |s| s.interference(r));
+        let i_lp: u128 = task.blocking.map_or(0, |b| b.interference(p))
+            + task.sound.as_ref().map_or(0, |s| s.interference(r));
         let i_hp: u128 = if config.method == Method::GenSporadic {
             // Contract-anchored interference ([`crate::gen_sporadic`]):
             // deadline-anchored Melani windows, independent of the
@@ -496,7 +368,7 @@ fn fixed_point(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Method, MuSolver, RhoSolver, ScenarioSpace};
+    use crate::config::{Method, ScenarioSpace};
     use crate::request::AnalysisRequest;
     use rta_model::examples::figure1_task_set;
     use rta_model::{DagBuilder, DagTask, NodeId};
@@ -782,38 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn final_npr_refinement_never_hurts() {
-        let ts = figure1_task_set();
-        let base_cfg = AnalysisConfig::new(4, Method::LpIlp);
-        let refined_cfg = AnalysisConfig::new(4, Method::LpIlp).with_final_npr_refinement(true);
-        let base = analyze(&ts, &base_cfg);
-        let refined = analyze(&ts, &refined_cfg);
-        for (b, r) in base.tasks.iter().zip(&refined.tasks) {
-            assert!(r.response_bound.scaled() <= b.response_bound.scaled());
-        }
-    }
-
-    #[test]
-    fn solver_choices_agree_end_to_end() {
-        // Like-for-like: same scenario space, combinatorial vs ILP solvers.
-        let ts = figure1_task_set();
-        let fast = analyze(
-            &ts,
-            &AnalysisConfig::new(4, Method::LpIlp).with_scenario_space(ScenarioSpace::PaperExact),
-        );
-        let paper = analyze(
-            &ts,
-            &AnalysisConfig::new(4, Method::LpIlp)
-                .with_mu_solver(MuSolver::PaperIlp)
-                .with_rho_solver(RhoSolver::PaperIlp)
-                .with_scenario_space(ScenarioSpace::PaperExact),
-        );
-        for (a, b) in fast.tasks.iter().zip(&paper.tasks) {
-            assert_eq!(a.response_bound, b.response_bound);
-        }
-    }
-
-    #[test]
     fn extended_space_is_at_least_as_conservative() {
         // The default Extended scenario space accounts for blocking that the
         // paper's exact space misses when |lp(k)| < |s_l| for every feasible
@@ -857,18 +697,15 @@ mod tests {
     fn cached_paths_are_bit_identical_to_uncached() {
         // `analyze`, requests sharing one cache across methods and
         // `analyze_uncached` must agree to the bit on every method, core
-        // count and solver/space combination.
+        // count and scenario space.
         let ts = figure1_task_set();
         for cores in 1..=6 {
             let cache = TaskSetCache::new(&ts, cores);
             let all = AnalysisRequest::new(cores).with_bounds(true);
             let requests = [
                 all.clone(),
-                all.clone()
-                    .with_methods([Method::LpIlp])
-                    .with_scenario_space(ScenarioSpace::PaperExact),
                 all.with_methods([Method::LpIlp])
-                    .with_final_npr_refinement(true),
+                    .with_scenario_space(ScenarioSpace::PaperExact),
             ];
             for request in &requests {
                 for (config, schedulable, bounds) in request_bounds(request, &cache) {

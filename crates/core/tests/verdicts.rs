@@ -9,9 +9,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rta_analysis::{
-    analyze_uncached, AnalysisRequest, Method, MuSolver, ResponseBound, RhoSolver, ScenarioSpace,
-};
+use rta_analysis::{analyze_uncached, AnalysisRequest, Method, ResponseBound, ScenarioSpace};
 use rta_combinatorics::PartitionTable;
 use rta_model::examples::figure1_task_set;
 use rta_model::TaskSet;
@@ -154,18 +152,13 @@ proptest! {
 }
 
 #[test]
-fn verdicts_match_across_core_counts_and_solver_variants() {
-    // Requests on different platforms and with every solver/refinement
-    // knob the CLI can reach, each against the uncached reference.
+fn verdicts_match_across_core_counts_and_scenario_spaces() {
+    // Requests on different platforms and under both scenario spaces, each
+    // against the uncached reference.
     let ts = figure1_task_set();
     let mut requests: Vec<AnalysisRequest> =
         [2usize, 4].into_iter().map(AnalysisRequest::new).collect();
-    requests.push(
-        AnalysisRequest::new(4)
-            .with_mu_solver(MuSolver::PaperIlp)
-            .with_rho_solver(RhoSolver::PaperIlp),
-    );
-    requests.push(AnalysisRequest::new(4).with_final_npr_refinement(true));
+    requests.push(AnalysisRequest::new(4).with_scenario_space(ScenarioSpace::PaperExact));
     for request in &requests {
         assert_eq!(
             request.evaluate(&ts).verdicts(),

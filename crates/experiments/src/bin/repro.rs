@@ -14,7 +14,7 @@
 //!   fig2c-tasks  Figure 2(c) variant: task-count sweep at U = m/2
 //!   group2       group-2 sweep (uniformly parallel task sets)
 //!   timing       average analysis runtime for m = 4, 8, 16
-//!   sensitivity  generator sensitivity study (DESIGN.md §5.3)
+//!   sensitivity  generator sensitivity study (period models)
 //!   campaign     scenario panels beyond the paper; optional selector:
 //!                  deadline  constrained deadlines (D = f·T, f swept)
 //!                  chains    chain-heavy task mixtures
@@ -651,7 +651,7 @@ fn streamed_sweep(
 }
 
 fn sensitivity(options: &Cli) {
-    println!("== sensitivity: Figure 2(a) under alternative period models (DESIGN.md §5.3) ==");
+    println!("== sensitivity: Figure 2(a) under alternative period models ==");
     let sets = options.sets().min(60); // three full panels; keep it bounded
     for (variant, result) in
         rta_experiments::sensitivity::run_all_with_jobs(sets, options.sweep_jobs())

@@ -443,8 +443,9 @@ pub enum PeriodFamily {
     /// The calibrated default: heterogeneous periods via log-uniform slack
     /// factors (the [`group1`] preset).
     SlackFactor,
-    /// Near-homogeneous periods on a common scale — the carry-in-collapse
-    /// regime of DESIGN.md §5.3.
+    /// Near-homogeneous periods on a common scale — the regime where the
+    /// carry-in term alone consumes a `U/m` share of every deadline (see
+    /// [`rta_taskgen::PeriodModel::SlackFactor`]).
     CommonScale,
     /// Independent heavy per-task utilizations — the fragile-small-task
     /// regime.

@@ -160,8 +160,10 @@ pub fn run_into(config: &SweepConfig, jobs: Jobs, on_point: &mut dyn FnMut(&Swee
     );
 }
 
-/// The task-count variant (DESIGN.md §5.4): x-axis = number of tasks, total
-/// utilization fixed at `cores / 2`, run with an explicit worker budget.
+/// The task-count variant of Figure 2(c) (`repro fig2c-tasks`): x-axis =
+/// number of tasks, total utilization fixed at `cores / 2`, so each added
+/// task makes every task lighter and adds a blocking candidate; run with an
+/// explicit worker budget.
 pub fn run_task_count_with_jobs(
     config: &SweepConfig,
     task_counts: &[usize],

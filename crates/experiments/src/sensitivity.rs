@@ -1,6 +1,6 @@
 //! Sensitivity of the Figure 2 curves to the generator's unpublished
-//! knobs — the executable version of the calibration story in
-//! DESIGN.md §5.3. Runs through the same batched [`crate::figure2`] driver
+//! knobs — the executable version of the period-model calibration
+//! documented on [`rta_taskgen::PeriodModel`]. Runs through the same batched [`crate::figure2`] driver
 //! as the main sweeps, so every variant shares one analysis cache per
 //! generated set across the three methods.
 //!
@@ -43,7 +43,7 @@ fn per_task_utilization(target: f64) -> TaskSetConfig {
     config
 }
 
-/// The three variants of DESIGN.md §5.3.
+/// The three period-model variants listed in the module docs.
 pub fn variants() -> Vec<Variant> {
     vec![
         Variant {

@@ -3,15 +3,19 @@
 //! Both µ-dependent tables are read off one [`TaskSetCache`] over the
 //! Figure 1 example set — the same precomputation layer the full analysis
 //! runs on — so the tables exercise exactly the code path of `analyze`.
-//! [`run_all`] regenerates every table (under both combinatorial and
-//! paper-ILP solvers) as one campaign of cells on the shared engine.
+//! [`table1_ilp`] and [`table3_ilp`] recompute them from the paper's ILP
+//! formulations alone, the reference `repro table1`/`table3` assert
+//! against; [`run_all`] regenerates all of them as one campaign of cells
+//! on the shared engine.
 
 use crate::ascii;
 use crate::campaign;
 use crate::exec::Jobs;
+use rta_analysis::blocking::paper_ilp::{blocking_from_mu_ilp, mu_array_ilp, rho_ilp};
 use rta_analysis::blocking::scenarios::rho;
+use rta_analysis::blocking::BlockingBounds;
 use rta_analysis::cache::TaskSetCache;
-use rta_analysis::{MuSolver, RhoSolver, ScenarioSpace};
+use rta_analysis::ScenarioSpace;
 use rta_combinatorics::{partition_count, partitions, Partition};
 use rta_model::examples::figure1_task_set;
 use rta_model::Time;
@@ -23,17 +27,33 @@ pub struct Table1 {
     pub mu: Vec<Vec<Time>>,
 }
 
-/// Computes Table I with the given solver.
-pub fn table1(solver: MuSolver) -> Table1 {
+/// Computes Table I with the analysis cache's clique solver.
+pub fn table1() -> Table1 {
     let ts = figure1_task_set();
     let cache = TaskSetCache::new(&ts, 4);
     Table1 {
-        // Tasks 1..=4 of the example set are the Figure 1 DAGs (task 0 is
-        // the task under analysis, which Table I does not cover).
-        mu: (1..ts.len())
-            .map(|i| cache.mu(i, solver).to_vec())
+        mu: figure1_mu(&cache),
+    }
+}
+
+/// Computes Table I with the paper's ILP formulation (Section V-A2).
+pub fn table1_ilp() -> Table1 {
+    let ts = figure1_task_set();
+    Table1 {
+        mu: ts.tasks()[1..]
+            .iter()
+            .map(|t| mu_array_ilp(t.dag(), 4))
             .collect(),
     }
+}
+
+/// `µ_i[1..=4]` of the four Figure 1 tasks, read off `cache`: tasks 1..=4
+/// of the example set are the Figure 1 DAGs (task 0 is the task under
+/// analysis, which Table I does not cover).
+fn figure1_mu(cache: &TaskSetCache<'_>) -> Vec<Vec<Time>> {
+    (1..cache.task_set().len())
+        .map(|i| cache.mu(i).to_vec())
+        .collect()
 }
 
 impl Table1 {
@@ -113,33 +133,50 @@ pub struct Table3 {
     pub delta_3_max: Time,
 }
 
-/// Computes Table III with the given `ρ` solver.
-pub fn table3(solver: RhoSolver) -> Table3 {
+/// Computes Table III with the Hungarian `ρ` solver; the Δ values are read
+/// off the analysis cache.
+pub fn table3() -> Table3 {
     let ts = figure1_task_set();
     let cache = TaskSetCache::new(&ts, 4);
     // The four Figure 1 tasks are exactly `lp(0)` of the example set, so
     // task 0's cached blocking bounds are the paper's Δ⁴ / Δ³.
-    let mu: Vec<Vec<Time>> = (1..ts.len())
-        .map(|i| cache.mu(i, MuSolver::Clique).to_vec())
-        .collect();
-    let rho_values: Vec<(Partition, Time)> = partitions(4)
-        .map(|s| {
-            let v = rho(&mu, &s, solver).expect("four tasks fill every scenario");
-            (s, v)
-        })
-        .collect();
-    let ilp = cache.lp_ilp_blocking(0, 4, MuSolver::Clique, solver, ScenarioSpace::PaperExact);
-    let max = cache.lp_max_blocking(0, 4);
-    Table3 {
-        rho: rho_values,
-        delta_4_ilp: ilp.delta_m,
-        delta_3_ilp: ilp.delta_m_minus_one,
-        delta_4_max: max.delta_m,
-        delta_3_max: max.delta_m_minus_one,
-    }
+    let ilp = cache.lp_ilp_blocking(0, 4, ScenarioSpace::PaperExact);
+    Table3::from_parts(&figure1_mu(&cache), rho, ilp, cache.lp_max_blocking(0, 4))
+}
+
+/// Computes Table III with every `ρ`, and both LP-ILP Δ values, solved by
+/// the paper's ILP formulation (Section V-B) over the same µ.
+pub fn table3_ilp() -> Table3 {
+    let ts = figure1_task_set();
+    let cache = TaskSetCache::new(&ts, 4);
+    let mu = figure1_mu(&cache);
+    let ilp = blocking_from_mu_ilp(&mu, 4, ScenarioSpace::PaperExact);
+    Table3::from_parts(&mu, rho_ilp, ilp, cache.lp_max_blocking(0, 4))
 }
 
 impl Table3 {
+    /// Assembles the table from the Figure 1 µ-arrays, a `ρ` solver and
+    /// the two blocking pairs.
+    fn from_parts(
+        mu: &[Vec<Time>],
+        rho: fn(&[Vec<Time>], &Partition) -> Option<Time>,
+        ilp: BlockingBounds,
+        max: BlockingBounds,
+    ) -> Self {
+        Table3 {
+            rho: partitions(4)
+                .map(|s| {
+                    let v = rho(mu, &s).expect("four tasks fill every scenario");
+                    (s, v)
+                })
+                .collect(),
+            delta_4_ilp: ilp.delta_m,
+            delta_3_ilp: ilp.delta_m_minus_one,
+            delta_4_max: max.delta_m,
+            delta_3_max: max.delta_m_minus_one,
+        }
+    }
+
     /// ASCII rendering with the Δ summary row.
     pub fn render(&self) -> String {
         let header = ["scenario", "rho"];
@@ -157,7 +194,8 @@ impl Table3 {
     }
 }
 
-/// Every table of the paper under every solver, regenerated in one pass.
+/// Every table of the paper plus the ILP references of Tables I and III,
+/// regenerated in one pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Tables {
     /// Table I via the clique solver.
@@ -172,9 +210,9 @@ pub struct Tables {
     pub table3_ilp: Table3,
 }
 
-/// Regenerates all tables as one campaign: each `(table, solver)` pair is
-/// an independent cell on the shared engine, so the five cache builds and
-/// solver runs spread over the worker pool (and collapse to the plain
+/// Regenerates all tables as one campaign: each table and each ILP
+/// reference is an independent cell on the shared engine, so the five
+/// computations spread over the worker pool (and collapse to the plain
 /// serial loop under `--jobs 1`, bit-identically).
 pub fn run_all(jobs: Jobs) -> Tables {
     /// The output of one table cell.
@@ -185,11 +223,11 @@ pub fn run_all(jobs: Jobs) -> Tables {
     }
     let cells = [0usize, 1, 2, 3, 4];
     let mut outputs = campaign::run_cells(&cells, jobs, |&i| match i {
-        0 => Cell::One(table1(MuSolver::Clique)),
-        1 => Cell::One(table1(MuSolver::PaperIlp)),
+        0 => Cell::One(table1()),
+        1 => Cell::One(table1_ilp()),
         2 => Cell::Two(table2()),
-        3 => Cell::Three(table3(RhoSolver::Hungarian)),
-        _ => Cell::Three(table3(RhoSolver::PaperIlp)),
+        3 => Cell::Three(table3()),
+        _ => Cell::Three(table3_ilp()),
     })
     .into_iter();
     let mut next = || outputs.next().expect("five cells");
@@ -225,10 +263,9 @@ mod tests {
 
     #[test]
     fn table1_matches_paper_both_solvers() {
-        for solver in [MuSolver::Clique, MuSolver::PaperIlp] {
-            let t = table1(solver);
+        for (solver, t) in [("clique", table1()), ("ILP", table1_ilp())] {
             for (i, row) in t.mu.iter().enumerate() {
-                assert_eq!(row.as_slice(), &TABLE_I[i], "{solver:?} µ_{}", i + 1);
+                assert_eq!(row.as_slice(), &TABLE_I[i], "{solver} µ_{}", i + 1);
             }
         }
     }
@@ -243,8 +280,7 @@ mod tests {
 
     #[test]
     fn table3_matches_paper_both_solvers() {
-        for solver in [RhoSolver::Hungarian, RhoSolver::PaperIlp] {
-            let t = table3(solver);
+        for t in [table3(), table3_ilp()] {
             let by_scenario: std::collections::BTreeMap<String, Time> =
                 t.rho.iter().map(|(s, v)| (s.to_string(), *v)).collect();
             assert_eq!(by_scenario["{1,1,1,1}"], 18);
@@ -261,13 +297,13 @@ mod tests {
 
     #[test]
     fn renders_are_nonempty() {
-        assert!(table1(MuSolver::Clique).render().contains("µ3[c]"));
-        assert!(table3(RhoSolver::Hungarian).render().contains("Δ⁴"));
+        assert!(table1().render().contains("µ3[c]"));
+        assert!(table3().render().contains("Δ⁴"));
     }
 
     #[test]
     fn table1_csv_is_table_i() {
-        let csv = table1(MuSolver::Clique).to_csv();
+        let csv = table1().to_csv();
         assert!(csv.starts_with("c,mu1,mu2,mu3,mu4\n"));
         assert_eq!(csv.lines().count(), 5);
         // Row c = 4 of Table I: µ1[4] = 5, µ2[4] = 0, µ3[4] = 11, µ4[4] = 0.
@@ -277,10 +313,10 @@ mod tests {
     #[test]
     fn run_all_matches_individual_tables_under_every_driver() {
         let serial = run_all(Jobs::serial());
-        assert_eq!(serial.table1, table1(MuSolver::Clique));
+        assert_eq!(serial.table1, table1());
         assert_eq!(serial.table1, serial.table1_ilp);
         assert_eq!(serial.table2, table2());
-        assert_eq!(serial.table3, table3(RhoSolver::Hungarian));
+        assert_eq!(serial.table3, table3());
         assert_eq!(serial.table3, serial.table3_ilp);
         assert_eq!(run_all(Jobs::Count(3)), serial);
     }

@@ -140,10 +140,7 @@ fn tables_campaign_is_identical_to_serial() {
     for jobs in [Jobs::Count(2), Jobs::Auto] {
         assert_eq!(tables::run_all(jobs), serial, "{jobs:?}");
     }
-    assert_eq!(
-        serial.table1.to_csv(),
-        tables::table1(rta_analysis::MuSolver::Clique).to_csv()
-    );
+    assert_eq!(serial.table1.to_csv(), tables::table1().to_csv());
 }
 
 #[test]

@@ -122,6 +122,27 @@ fn hostile_inputs_get_structured_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn a_volume_past_u64_is_a_model_error_not_a_wrapped_verdict() {
+    // A 3-node chain of 7·10¹⁸ each: the critical path, 2.1·10¹⁹, exceeds
+    // both u64::MAX and D = T = 10¹⁹. Summed with wrapping arithmetic, the
+    // volume would be 2.1·10¹⁹ mod 2⁶⁴ and every method would accept the set.
+    let handle = test_server(4096);
+    let mut client = Client::connect(&handle);
+    let response = client.send(
+        "{\"v\":1,\"id\":7,\"cores\":1,\"task_set\":{\"version\":1,\"tasks\":[\
+         {\"period\":10000000000000000000,\"deadline\":10000000000000000000,\
+         \"dag\":{\"wcets\":[7000000000000000000,7000000000000000000,7000000000000000000],\
+         \"edges\":[[0,1],[1,2]]}}]}}",
+    );
+    assert!(response.contains("\"ok\":false"), "{response}");
+    assert!(response.contains("\"kind\":\"model\""), "{response}");
+    // The connection survives the rejection.
+    let response = client.send(&analyze_frame(FIGURE1_SET));
+    assert!(response.contains("\"ok\":true"), "{response}");
+    handle.shutdown();
+}
+
+#[test]
 fn oversized_frames_error_and_resynchronize() {
     let handle = test_server(512);
     let mut client = Client::connect(&handle);

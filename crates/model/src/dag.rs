@@ -3,7 +3,7 @@
 use crate::error::ModelError;
 use crate::ids::NodeId;
 use crate::time::Time;
-use rta_combinatorics::BitSet;
+use rta_combinatorics::{max_weight_clique_weight, BitSet, CliqueScratch};
 use std::sync::OnceLock;
 
 /// A directed acyclic graph of non-preemptive regions (paper Section III-A).
@@ -289,15 +289,13 @@ impl Dag {
     pub fn max_parallelism(&self) -> usize {
         let adjacency = crate::parallel::parallel_adjacency(self);
         let weights = vec![1u64; self.node_count()];
-        let mut best = 1;
-        for size in 2..=self.node_count() {
-            if rta_combinatorics::max_weight_clique_of_size(&adjacency, &weights, size).is_some() {
-                best = size;
-            } else {
-                break;
-            }
-        }
-        best
+        let mut scratch = CliqueScratch::new();
+        (2..=self.node_count())
+            .take_while(|&size| {
+                max_weight_clique_weight(&adjacency, &weights, size, &mut scratch).is_some()
+            })
+            .last()
+            .unwrap_or(1)
     }
 }
 
@@ -386,8 +384,9 @@ impl DagBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::EmptyDag`] for a graph without nodes, or
-    /// [`ModelError::CycleDetected`] if the edges are not acyclic.
+    /// Returns [`ModelError::EmptyDag`] for a graph without nodes,
+    /// [`ModelError::CycleDetected`] if the edges are not acyclic, or
+    /// [`ModelError::VolumeOverflow`] if the WCETs sum past `u64::MAX`.
     pub fn build(self) -> Result<Dag, ModelError> {
         build_dag(self.wcets, &self.edges)
     }
@@ -415,6 +414,12 @@ fn build_dag(wcets: Vec<Time>, edges: &[(NodeId, NodeId)]) -> Result<Dag, ModelE
     if n == 0 {
         return Err(ModelError::EmptyDag);
     }
+    // The longest path sums a subset of these WCETs, so it cannot overflow
+    // once the volume fits.
+    let volume = wcets
+        .iter()
+        .try_fold(0 as Time, |sum, &w| sum.checked_add(w))
+        .ok_or(ModelError::VolumeOverflow)?;
     let mut succ = vec![BitSet::with_capacity(n); n];
     let mut pred = vec![BitSet::with_capacity(n); n];
     for (from, to) in edges {
@@ -453,7 +458,7 @@ fn build_dag(wcets: Vec<Time>, edges: &[(NodeId, NodeId)]) -> Result<Dag, ModelE
     }
 
     Ok(Dag {
-        volume: wcets.iter().sum(),
+        volume,
         longest_path: longest,
         wcets,
         succ,
@@ -535,6 +540,21 @@ mod tests {
         assert_eq!(dag.volume(), 7);
         assert_eq!(dag.longest_path(), 7);
         assert_eq!(dag.max_parallelism(), 1);
+    }
+
+    #[test]
+    fn volume_overflow_is_rejected() {
+        // Three WCETs of 7·10¹⁸ sum past u64::MAX; the wrapped sum would be
+        // 2.1·10¹⁹ mod 2⁶⁴.
+        let mut b = DagBuilder::new();
+        let v: Vec<NodeId> = b.add_nodes([7_000_000_000_000_000_000; 3]);
+        b.add_chain(&v).unwrap();
+        assert_eq!(b.clone().build().unwrap_err(), ModelError::VolumeOverflow);
+        assert_eq!(b.build_reset().unwrap_err(), ModelError::VolumeOverflow);
+        // Exactly u64::MAX still fits.
+        let mut b = DagBuilder::new();
+        b.add_nodes([u64::MAX - 1, 1]);
+        assert_eq!(b.build().unwrap().volume(), u64::MAX);
     }
 
     #[test]

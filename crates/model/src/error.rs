@@ -35,6 +35,9 @@ pub enum ModelError {
         /// The period (minimum inter-arrival time).
         period: u64,
     },
+    /// The DAG's WCETs sum past `u64::MAX`, so its volume is not
+    /// representable.
+    VolumeOverflow,
 }
 
 impl fmt::Display for ModelError {
@@ -53,6 +56,7 @@ impl fmt::Display for ModelError {
                 f,
                 "deadline {deadline} exceeds period {period}; constrained deadlines required"
             ),
+            ModelError::VolumeOverflow => write!(f, "DAG volume overflows u64"),
         }
     }
 }
@@ -74,6 +78,7 @@ mod tests {
                 period: 5,
             }
             .to_string(),
+            ModelError::VolumeOverflow.to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

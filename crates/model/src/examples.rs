@@ -231,14 +231,12 @@ pub const TABLE_I: [[u64; 4]; 4] = [
 mod tests {
     use super::*;
     use crate::parallel::parallel_sets_exact;
-    use rta_combinatorics::max_weight_clique_of_size;
+    use rta_combinatorics::{max_weight_clique_weight, CliqueScratch};
 
     /// Recompute µ_i[c] from a DAG with the clique solver.
     fn mu(dag: &Dag, c: usize) -> u64 {
         let adj = parallel_sets_exact(dag);
-        max_weight_clique_of_size(&adj, dag.wcets(), c)
-            .map(|s| s.weight)
-            .unwrap_or(0)
+        max_weight_clique_weight(&adj, dag.wcets(), c, &mut CliqueScratch::new()).unwrap_or(0)
     }
 
     #[test]

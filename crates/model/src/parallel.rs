@@ -16,8 +16,8 @@
 //! in `rta-taskgen`). On arbitrary DAGs Algorithm 1 can over-approximate:
 //! its sibling seed (line 5) only excludes *direct* edges, so a sibling
 //! reachable through a longer path (e.g. `a→b, a→c, b→d, d→c`) is wrongly
-//! classified parallel. See DESIGN.md §5.6; `rta-analysis` uses the exact
-//! sets, which are also what Definition 1 of the paper requires.
+//! classified parallel. `rta-analysis` therefore uses the exact sets, which
+//! are also what Definition 1 of the paper requires.
 
 use crate::dag::Dag;
 use crate::ids::NodeId;
@@ -112,7 +112,7 @@ pub fn parallel_sets_algorithm1(dag: &Dag) -> Vec<BitSet> {
 }
 
 /// Symmetric adjacency of the "can execute in parallel" relation, suitable
-/// for [`rta_combinatorics::max_weight_clique_of_size`]. Uses the exact
+/// for [`rta_combinatorics::max_weight_clique_weight`]. Uses the exact
 /// parallel sets.
 pub fn parallel_adjacency(dag: &Dag) -> Vec<BitSet> {
     parallel_sets_exact(dag)
@@ -219,7 +219,7 @@ mod tests {
 
     #[test]
     fn algorithm1_misses_parallel_sources() {
-        // Documented divergence (DESIGN.md §5.6): Algorithm 1 seeds from
+        // A divergence from the exact sets: Algorithm 1 seeds from
         // siblings, so independent sources are never discovered as parallel.
         let mut b = DagBuilder::new();
         b.add_nodes([1, 1]);

@@ -127,6 +127,31 @@ proptest! {
         prop_assert_eq!(width > 1, any_parallel);
     }
 
+    /// The width equals the largest antichain of the precedence order,
+    /// found by brute force over every node subset.
+    #[test]
+    fn max_parallelism_is_the_largest_antichain(
+        nodes in 1usize..=10,
+        edges in proptest::collection::vec(any::<bool>(), 1..60),
+    ) {
+        let dag = arbitrary_dag(nodes, &edges);
+        let ids: Vec<NodeId> = dag.nodes().collect();
+        let incomparable = |u: NodeId, w: NodeId| !dag.reaches(u, w) && !dag.reaches(w, u);
+        let largest = (1u32..1 << nodes)
+            .filter(|&mask| {
+                let members: Vec<NodeId> =
+                    ids.iter().copied().filter(|v| mask >> v.index() & 1 == 1).collect();
+                members
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &u)| members[i + 1..].iter().all(|&w| incomparable(u, w)))
+            })
+            .map(|mask| mask.count_ones() as usize)
+            .max()
+            .expect("every singleton is an antichain");
+        prop_assert_eq!(dag.max_parallelism(), largest);
+    }
+
     #[test]
     fn json_round_trip(
         nodes in 1usize..10,

@@ -11,7 +11,7 @@
 //!   node WCETs are uniform in `[1, 100]`;
 //! * periods give every task real slack: `T_i = vol_i · s_i` with
 //!   log-uniform slack factors, anchored by the paper's `β = 0.5` (see
-//!   [`PeriodModel::SlackFactor`] and DESIGN.md §5.3 for the calibration),
+//!   [`PeriodModel::SlackFactor`] for the calibration),
 //!   with implicit deadlines `D = T`;
 //! * task sets are rescaled onto the target utilization by a common
 //!   correction of the slack factors ([`generate_task_set`]);

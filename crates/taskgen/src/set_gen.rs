@@ -69,7 +69,7 @@ pub enum PeriodModel {
     /// paper's wording corresponds to slack factors in `[L/vol, 1/β]`; the
     /// log-uniform draw plus the floor `min_slack > 1` keeps every task a
     /// real amount of slack, which the paper's near-100% low-utilization
-    /// plateau implies (see DESIGN.md §5.3).
+    /// plateau implies.
     ///
     /// This yields heterogeneous periods (small tasks get small periods and
     /// proportionally small utilizations), which is essential for
@@ -599,8 +599,8 @@ pub fn generate_task_set<R: Rng>(rng: &mut R, config: &TaskSetConfig) -> TaskSet
 /// Generates a task set with exactly `count` tasks and total utilization ≈
 /// `target_utilization`.
 ///
-/// Used by the task-count sweep variant of the paper's Figure 2(c) (see
-/// DESIGN.md §5.4). Allocating convenience wrapper around
+/// Used by the task-count sweep variant of the paper's Figure 2(c)
+/// (`repro fig2c-tasks`). Allocating convenience wrapper around
 /// [`TaskSetGenerator::generate_with_count`].
 ///
 /// # Panics

@@ -1,5 +1,6 @@
-//! Property tests over generated workloads, including the Algorithm 1
-//! cross-validation promised in DESIGN.md (A2) and the generator-invariant
+//! Property tests over generated workloads, including the check that the
+//! paper's Algorithm 1 equals the exact parallel sets on the fork-join
+//! class the generator produces (see `rta_model::parallel`), and the generator-invariant
 //! pins of the streaming campaign engine: configured structural limits
 //! (`max_width`, `max_path_nodes`, `max_nodes`, WCET range), period-model
 //! utilization tolerance, and bit-identity of scratch-reusing streaming

@@ -13,7 +13,7 @@
 //! | [`taskgen`] | `rta-taskgen` | the random workload generator of the evaluation |
 //! | [`sim`] | `rta-sim` | discrete-event multicore scheduler simulator |
 //! | [`combinatorics`] | `rta-combinatorics` | partitions, assignment, cliques, bitsets |
-//! | [`ilp`] | `rta-ilp` | from-scratch 0/1 ILP solver (the CPLEX substitute) |
+//! | [`ilp`] | `rta-ilp` | from-scratch 0/1 ILP solver for the paper's formulations, the test reference |
 //!
 //! # Quickstart
 //!
@@ -61,8 +61,7 @@ pub use rta_taskgen as taskgen;
 /// The most common imports in one place.
 pub mod prelude {
     pub use rta_analysis::{
-        analyze, AnalysisConfig, AnalysisReport, Method, MuSolver, ResponseBound, RhoSolver,
-        ScenarioSpace, TaskReport,
+        analyze, AnalysisConfig, AnalysisReport, Method, ResponseBound, ScenarioSpace, TaskReport,
     };
     pub use rta_model::{Dag, DagBuilder, DagTask, ModelError, NodeId, TaskId, TaskSet, Time};
     pub use rta_sim::{PreemptionPolicy, Release, SimOutcome, SimRequest, SimResult};

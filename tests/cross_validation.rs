@@ -3,6 +3,7 @@
 
 use dag_lp_rta::analysis::blocking::lpmax::lp_max_blocking;
 use dag_lp_rta::analysis::blocking::mu::mu_array;
+use dag_lp_rta::analysis::blocking::paper_ilp::{mu_array_ilp, rho_ilp};
 use dag_lp_rta::analysis::blocking::scenarios::{blocking_from_mu, rho};
 use dag_lp_rta::combinatorics::partitions;
 use dag_lp_rta::prelude::*;
@@ -21,11 +22,7 @@ proptest! {
         let config = DagGenConfig { max_nodes: 14, ..DagGenConfig::default() };
         let dag = generate_dag(&mut rng, &config);
         for cores in [1usize, 2, 4] {
-            prop_assert_eq!(
-                mu_array(&dag, cores, MuSolver::Clique),
-                mu_array(&dag, cores, MuSolver::PaperIlp),
-                "m = {}", cores
-            );
+            prop_assert_eq!(mu_array(&dag, cores), mu_array_ilp(&dag, cores), "m = {}", cores);
         }
     }
 
@@ -36,12 +33,10 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let config = DagGenConfig { max_nodes: 10, ..DagGenConfig::default() };
         let mu: Vec<Vec<u64>> = (0..n_tasks)
-            .map(|_| mu_array(&generate_dag(&mut rng, &config), 4, MuSolver::Clique))
+            .map(|_| mu_array(&generate_dag(&mut rng, &config), 4))
             .collect();
         for scenario in partitions(4) {
-            let h = rho(&mu, &scenario, RhoSolver::Hungarian);
-            let i = rho(&mu, &scenario, RhoSolver::PaperIlp);
-            prop_assert_eq!(h, i, "scenario {}", scenario);
+            prop_assert_eq!(rho(&mu, &scenario), rho_ilp(&mu, &scenario), "scenario {}", scenario);
         }
     }
 
@@ -58,10 +53,10 @@ proptest! {
             .collect();
         let mu: Vec<Vec<u64>> = tasks
             .iter()
-            .map(|t| mu_array(t.dag(), cores, MuSolver::Clique))
+            .map(|t| mu_array(t.dag(), cores))
             .collect();
-        let exact = blocking_from_mu(&mu, cores, RhoSolver::Hungarian, ScenarioSpace::PaperExact);
-        let extended = blocking_from_mu(&mu, cores, RhoSolver::Hungarian, ScenarioSpace::Extended);
+        let exact = blocking_from_mu(&mu, cores, ScenarioSpace::PaperExact);
+        let extended = blocking_from_mu(&mu, cores, ScenarioSpace::Extended);
         let lpmax = lp_max_blocking(&tasks, cores);
         prop_assert!(exact.delta_m <= extended.delta_m);
         prop_assert!(exact.delta_m_minus_one <= extended.delta_m_minus_one);
@@ -107,30 +102,6 @@ proptest! {
                 prop_assert!(value <= prev, "m = {}: {} > {}", cores, value, prev);
             }
             last = Some(value);
-        }
-    }
-
-    /// The final-NPR refinement (paper future work (ii)) only ever tightens
-    /// bounds, and the simulator still respects the refined bounds.
-    #[test]
-    fn final_npr_refinement_sound_and_tighter(seed in any::<u64>()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let ts = rta_taskgen::generate_task_set(&mut rng, &group1(1.5));
-        let base_config = AnalysisConfig::new(4, Method::LpIlp);
-        let refined_config = AnalysisConfig::new(4, Method::LpIlp).with_final_npr_refinement(true);
-        let base = analyze(&ts, &base_config);
-        let refined = analyze(&ts, &refined_config);
-        for (b, r) in base.tasks.iter().zip(&refined.tasks) {
-            prop_assert!(r.response_bound.scaled() <= b.response_bound.scaled());
-        }
-        if refined.schedulable {
-            let horizon = ts.tasks().iter().map(|t| t.period()).max().unwrap_or(1) * 8;
-            let sim = SimRequest::new(4, horizon).evaluate(&ts);
-            prop_assert_eq!(sim.total_deadline_misses(), 0);
-            for (k, stats) in sim.per_task().iter().enumerate() {
-                let bound = refined.tasks[k].response_bound;
-                prop_assert!((stats.max_response as u128) * 4 <= bound.scaled());
-            }
         }
     }
 }

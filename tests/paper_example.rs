@@ -3,6 +3,7 @@
 
 use dag_lp_rta::analysis::blocking::lpmax::lp_max_blocking;
 use dag_lp_rta::analysis::blocking::mu::mu_array;
+use dag_lp_rta::analysis::blocking::paper_ilp::{mu_array_ilp, rho_ilp};
 use dag_lp_rta::analysis::blocking::scenarios::{blocking_from_mu, rho};
 use dag_lp_rta::combinatorics::{partition_count, partitions, Partition};
 use dag_lp_rta::model::examples::{figure1_dags, figure1_task_set, TABLE_I};
@@ -10,14 +11,13 @@ use dag_lp_rta::model::parallel_sets_algorithm1;
 use dag_lp_rta::model::NodeId;
 use dag_lp_rta::prelude::*;
 
-/// Table I: the per-task worst-case workloads µ_i[c], both solvers.
+/// Table I: the per-task worst-case workloads µ_i[c], via the clique
+/// solver and the paper's ILP.
 #[test]
 fn table_i() {
-    for solver in [MuSolver::Clique, MuSolver::PaperIlp] {
-        for (i, dag) in figure1_dags().iter().enumerate() {
-            let mu = mu_array(dag, 4, solver);
-            assert_eq!(mu.as_slice(), &TABLE_I[i], "µ_{} via {solver:?}", i + 1);
-        }
+    for (i, dag) in figure1_dags().iter().enumerate() {
+        assert_eq!(mu_array(dag, 4), TABLE_I[i], "µ_{} via clique", i + 1);
+        assert_eq!(mu_array_ilp(dag, 4), TABLE_I[i], "µ_{} via ILP", i + 1);
     }
 }
 
@@ -33,7 +33,8 @@ fn table_ii() {
     }
 }
 
-/// Table III: the overall worst-case workloads per scenario, both solvers.
+/// Table III: the overall worst-case workloads per scenario, via the
+/// Hungarian solver and the paper's ILP.
 #[test]
 fn table_iii() {
     let mu: Vec<Vec<u64>> = TABLE_I.iter().map(|r| r.to_vec()).collect();
@@ -44,17 +45,20 @@ fn table_iii() {
         ("{3,1}", 18),
         ("{4}", 11),
     ];
-    for solver in [RhoSolver::Hungarian, RhoSolver::PaperIlp] {
-        for (scenario_str, want) in expected {
-            let scenario = partitions(4)
-                .find(|p| p.to_string() == scenario_str)
-                .expect("scenario exists");
-            assert_eq!(
-                rho(&mu, &scenario, solver),
-                Some(want),
-                "ρ[{scenario_str}] via {solver:?}"
-            );
-        }
+    for (scenario_str, want) in expected {
+        let scenario = partitions(4)
+            .find(|p| p.to_string() == scenario_str)
+            .expect("scenario exists");
+        assert_eq!(
+            rho(&mu, &scenario),
+            Some(want),
+            "ρ[{scenario_str}] via Hungarian"
+        );
+        assert_eq!(
+            rho_ilp(&mu, &scenario),
+            Some(want),
+            "ρ[{scenario_str}] via ILP"
+        );
     }
 }
 
@@ -62,7 +66,7 @@ fn table_iii() {
 #[test]
 fn delta_comparison() {
     let mu: Vec<Vec<u64>> = TABLE_I.iter().map(|r| r.to_vec()).collect();
-    let ilp = blocking_from_mu(&mu, 4, RhoSolver::Hungarian, ScenarioSpace::PaperExact);
+    let ilp = blocking_from_mu(&mu, 4, ScenarioSpace::PaperExact);
     assert_eq!(ilp.delta_m, 19);
     assert_eq!(ilp.delta_m_minus_one, 15);
 
