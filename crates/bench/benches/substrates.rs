@@ -1,6 +1,6 @@
 //! Microbenches of the substrates everything else stands on: the workload
 //! bound, integer partitions, the Hungarian assignment, clique search, the
-//! ILP engine and the simulator.
+//! ILP engine, the simulator and the wire decoder.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
@@ -10,7 +10,9 @@ use rta_combinatorics::{
     max_weight_assignment_total, max_weight_clique_weight, partition_count, partitions,
     AssignmentScratch, BitSet, CliqueScratch,
 };
+use rta_experiments::campaign::utilization_grid;
 use rta_ilp::{IlpBuilder, Sense};
+use rta_model::json::{parse, task_set_from_json, task_set_from_value, task_set_to_json_compact};
 use rta_sim::SimRequest;
 use rta_taskgen::{generate_task_set, group1};
 use std::hint::black_box;
@@ -102,6 +104,35 @@ fn bench_simulator(c: &mut Criterion) {
     });
 }
 
+/// Decoding one `repro serve` task set: the one-pass decoder against the
+/// `Value`-tree reference it replaced, each timed per frame over 16 group-1
+/// sets at m = 4 spread across the campaign's utilization grid (parse,
+/// build and drop). The benchmark's traced replay still times the tree
+/// path, so this is where the decoder's saving shows.
+fn bench_wire(c: &mut Criterion) {
+    let grid = utilization_grid(4);
+    let mut rng = SmallRng::seed_from_u64(16);
+    let frames: Vec<String> = (0..16)
+        .map(|i| {
+            let config = group1(grid[i * grid.len() / 16]);
+            task_set_to_json_compact(&generate_task_set(&mut rng, &config))
+        })
+        .collect();
+    let mut group = c.benchmark_group("wire");
+    group.bench_function("one_pass_decode", |b| {
+        let mut next = frames.iter().cycle();
+        b.iter(|| task_set_from_json(black_box(next.next().expect("endless cycle"))))
+    });
+    group.bench_function("value_tree_reference", |b| {
+        let mut next = frames.iter().cycle();
+        b.iter(|| {
+            parse(black_box(next.next().expect("endless cycle")))
+                .and_then(|tree| task_set_from_value(&tree))
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     substrates,
     bench_workload_function,
@@ -109,6 +140,7 @@ criterion_group!(
     bench_assignment,
     bench_clique,
     bench_ilp_engine,
-    bench_simulator
+    bench_simulator,
+    bench_wire
 );
 criterion_main!(substrates);

@@ -819,7 +819,9 @@ fn run_chaos_action(
             let Some(mut stream) = chaos_connect(&options.addr, chaos) else {
                 return;
             };
-            for junk in ["{\"cores\":", "definitely not json", "[1,2,"] {
+            // The last line nests far past the reader's depth bound.
+            let deep = "[".repeat(100_000);
+            for junk in ["{\"cores\":", "definitely not json", "[1,2,", &deep] {
                 if stream.write_all(junk.as_bytes()).is_err() || stream.write_all(b"\n").is_err() {
                     break;
                 }

@@ -152,7 +152,7 @@ use crate::validate::ReleaseChoice;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rta_analysis::{AnalysisLru, AnalysisRequest, CacheOutcome, Method};
-use rta_model::json::{self, JsonError, Value};
+use rta_model::json::{self, Decoded, JsonError, Value};
 use rta_model::{TaskSet, Time};
 use rta_sim::{PreemptionPolicy, SimOutcome, SimRequest};
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -646,7 +646,7 @@ fn refuse_overloaded(stream: TcpStream, write_timeout: Duration) {
 // ---------------------------------------------------------------------------
 
 /// What one request frame asks for.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 enum Frame {
     Analyze {
         id: Option<u64>,
@@ -671,6 +671,7 @@ enum Frame {
 
 /// A structured wire error: `kind` is part of the protocol, `message` is
 /// for humans.
+#[derive(Debug, PartialEq)]
 struct WireError {
     kind: &'static str,
     message: String,
@@ -1013,83 +1014,194 @@ fn method_from_label(label: &str) -> Option<Method> {
     Method::ALL.into_iter().find(|m| m.label() == label)
 }
 
+/// Decodes one request frame in a single pass over its bytes: a
+/// [`json::Reader`] walks the envelope's members and hands each embedded
+/// task set to [`json::Reader::task_set`], which builds it straight into
+/// the model. The answer is the one the `Value`-tree reference
+/// (`reference::parse_frame`) gives, errors included: a syntax error
+/// anywhere in the frame wins, and the members are checked in the order
+/// [`Envelope::frame`] lists, whatever the document's.
 fn parse_frame(text: &str) -> Result<Frame, WireError> {
-    let doc = json::parse(text)?;
-    let Value::Object(_) = &doc else {
-        return Err(WireError::protocol("a request must be a JSON object"));
-    };
-    match doc.get("v") {
-        None => {}
-        Some(v) if v.as_u64() == Some(1) => {}
-        Some(other) => {
-            return Err(WireError::protocol(format!(
-                "unsupported envelope version {other:?} (this server speaks v=1)"
-            )));
+    let mut reader = json::Reader::new(text);
+    let frame = decode_envelope(&mut reader)?;
+    reader.finish()?;
+    frame
+}
+
+/// A request envelope's members, as read (the last of duplicates wins).
+#[derive(Default)]
+struct Envelope {
+    v: Option<Value>,
+    id: Option<Value>,
+    stats: Option<Value>,
+    metrics: Option<Value>,
+    shutdown: Option<Value>,
+    simulate: Option<Result<(TaskSet, SimRequest), WireError>>,
+    cores: Option<Value>,
+    methods: Option<Value>,
+    bounds: Option<Value>,
+    task_set: Option<Decoded<TaskSet>>,
+}
+
+/// Reads a frame's envelope. The outer `Result` carries syntax errors, the
+/// inner one everything else, which waits for the frame to end.
+fn decode_envelope(reader: &mut json::Reader<'_>) -> Result<Result<Frame, WireError>, JsonError> {
+    if reader.peek() != Some(b'{') {
+        reader.value()?;
+        return Ok(Err(WireError::protocol("a request must be a JSON object")));
+    }
+    let mut envelope = Envelope::default();
+    if reader.begin_object()? {
+        loop {
+            match &*reader.key()? {
+                "v" => envelope.v = Some(reader.value()?),
+                "id" => envelope.id = Some(reader.value()?),
+                "stats" => envelope.stats = Some(reader.value()?),
+                "metrics" => envelope.metrics = Some(reader.value()?),
+                "shutdown" => envelope.shutdown = Some(reader.value()?),
+                "simulate" => envelope.simulate = Some(decode_simulate(reader)?),
+                "cores" => envelope.cores = Some(reader.value()?),
+                "methods" => envelope.methods = Some(reader.value()?),
+                "bounds" => envelope.bounds = Some(reader.value()?),
+                "task_set" => envelope.task_set = Some(reader.task_set()?),
+                _ => drop(reader.value()?),
+            }
+            if !reader.next_member()? {
+                break;
+            }
         }
     }
-    let id = match doc.get("id") {
-        None => None,
-        Some(v) => Some(
-            v.as_u64()
-                .ok_or_else(|| WireError::protocol("\"id\" must be a non-negative integer"))?,
-        ),
-    };
-    if doc.get("stats").and_then(Value::as_bool) == Some(true) {
-        return Ok(Frame::Stats { id });
+    Ok(envelope.frame())
+}
+
+impl Envelope {
+    /// The frame the members ask for. `"stats":true` makes a stats frame
+    /// whatever else the envelope holds, then `metrics`, `shutdown` and
+    /// `simulate`; only then is it an analyze frame.
+    fn frame(self) -> Result<Frame, WireError> {
+        check_envelope_version(self.v.as_ref())?;
+        let id = parse_id(self.id.as_ref())?;
+        if is_true(self.stats.as_ref()) {
+            return Ok(Frame::Stats { id });
+        }
+        if is_true(self.metrics.as_ref()) {
+            return Ok(Frame::Metrics { id });
+        }
+        if is_true(self.shutdown.as_ref()) {
+            return Ok(Frame::Shutdown { id });
+        }
+        if let Some(simulate) = self.simulate {
+            let (task_set, request) = simulate?;
+            return Ok(Frame::Simulate {
+                id,
+                task_set,
+                request,
+            });
+        }
+        let cores = parse_cores(self.cores.as_ref())?;
+        let methods = parse_methods(self.methods.as_ref())?;
+        let want_bounds = parse_bounds(self.bounds.as_ref())?;
+        let task_set = self
+            .task_set
+            .ok_or_else(|| WireError::protocol("request is missing \"task_set\""))??;
+        Ok(Frame::Analyze {
+            id,
+            task_set,
+            request: AnalysisRequest::new(cores)
+                .with_methods(methods)
+                .with_bounds(want_bounds),
+        })
     }
-    if doc.get("metrics").and_then(Value::as_bool) == Some(true) {
-        return Ok(Frame::Metrics { id });
+}
+
+/// A `"simulate"` object's members, as read.
+#[derive(Default)]
+struct SimulateMembers {
+    cores: Option<Value>,
+    horizon: Option<Value>,
+    policy: Option<Value>,
+    release: Option<Value>,
+    seed: Option<Value>,
+    task_set: Option<Decoded<TaskSet>>,
+}
+
+/// Reads the `"simulate"` member of a frame (syntax errors in the outer
+/// `Result`, as for [`decode_envelope`]).
+fn decode_simulate(
+    reader: &mut json::Reader<'_>,
+) -> Result<Result<(TaskSet, SimRequest), WireError>, JsonError> {
+    if reader.peek() != Some(b'{') {
+        reader.value()?;
+        return Ok(Err(WireError::protocol(
+            "\"simulate\" must be a JSON object",
+        )));
     }
-    if doc.get("shutdown").and_then(Value::as_bool) == Some(true) {
-        return Ok(Frame::Shutdown { id });
+    let mut members = SimulateMembers::default();
+    if reader.begin_object()? {
+        loop {
+            match &*reader.key()? {
+                "cores" => members.cores = Some(reader.value()?),
+                "horizon" => members.horizon = Some(reader.value()?),
+                "policy" => members.policy = Some(reader.value()?),
+                "release" => members.release = Some(reader.value()?),
+                "seed" => members.seed = Some(reader.value()?),
+                "task_set" => members.task_set = Some(reader.task_set()?),
+                _ => drop(reader.value()?),
+            }
+            if !reader.next_member()? {
+                break;
+            }
+        }
     }
-    if let Some(sim) = doc.get("simulate") {
-        return parse_simulate(id, sim);
+    Ok(members.request())
+}
+
+impl SimulateMembers {
+    /// The simulation the members ask for, checked in field order.
+    fn request(self) -> Result<(TaskSet, SimRequest), WireError> {
+        let cores = parse_cores(self.cores.as_ref())?;
+        let horizon = parse_horizon(self.horizon.as_ref())?;
+        let policy = parse_policy(self.policy.as_ref())?;
+        let release = parse_release(self.release.as_ref())?;
+        let seed = parse_seed(self.seed.as_ref())?;
+        let task_set = self
+            .task_set
+            .ok_or_else(|| WireError::protocol("\"simulate\" is missing \"task_set\""))??;
+        Ok((task_set, sim_request(cores, horizon, policy, release, seed)))
     }
-    let cores = parse_cores(&doc)?;
-    let methods: Vec<Method> = match doc.get("methods") {
-        None => Method::ALL.to_vec(),
-        Some(v) => v
-            .as_array()
-            .ok_or_else(|| WireError::protocol("\"methods\" must be an array of labels"))?
-            .iter()
-            .map(|item| {
-                item.as_str().and_then(method_from_label).ok_or_else(|| {
-                    WireError::protocol(format!(
-                        "unknown method {item:?}; expected one of \
-                         \"FP-ideal\", \"LP-ILP\", \"LP-max\", \"LP-sound\", \
-                         \"Long-paths\", \"Gen-sporadic\""
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let want_bounds = match doc.get("bounds") {
-        None => false,
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| WireError::protocol("\"bounds\" must be a boolean"))?,
-    };
-    let task_set = json::task_set_from_value(
-        doc.get("task_set")
-            .ok_or_else(|| WireError::protocol("request is missing \"task_set\""))?,
-    )?;
-    let request = AnalysisRequest::new(cores)
-        .with_methods(methods)
-        .with_bounds(want_bounds);
-    Ok(Frame::Analyze {
-        id,
-        task_set,
-        request,
+}
+
+// One check per envelope or `"simulate"` member, shared by the decoder and
+// its reference.
+
+fn check_envelope_version(v: Option<&Value>) -> Result<(), WireError> {
+    match v {
+        None => Ok(()),
+        Some(v) if v.as_u64() == Some(1) => Ok(()),
+        Some(other) => Err(WireError::protocol(format!(
+            "unsupported envelope version {other:?} (this server speaks v=1)"
+        ))),
+    }
+}
+
+fn parse_id(id: Option<&Value>) -> Result<Option<u64>, WireError> {
+    id.map(|v| {
+        v.as_u64()
+            .ok_or_else(|| WireError::protocol("\"id\" must be a non-negative integer"))
     })
+    .transpose()
+}
+
+/// A special-frame flag: only `true` counts; any other value is ignored.
+fn is_true(flag: Option<&Value>) -> bool {
+    flag.and_then(Value::as_bool) == Some(true)
 }
 
 /// Validates the `cores` field of an analyze frame or a `simulate`
 /// object (shared bounds: a core count is a platform description, not an
 /// allocation license).
-fn parse_cores(doc: &Value) -> Result<usize, WireError> {
-    let cores = doc
-        .get("cores")
+fn parse_cores(cores: Option<&Value>) -> Result<usize, WireError> {
+    let cores = cores
         .ok_or_else(|| WireError::protocol("request is missing \"cores\""))?
         .as_u64()
         .ok_or_else(|| WireError::protocol("\"cores\" must be a non-negative integer"))?;
@@ -1101,16 +1213,35 @@ fn parse_cores(doc: &Value) -> Result<usize, WireError> {
     Ok(cores as usize)
 }
 
-/// Parses the `"simulate"` object of a simulate frame into a
-/// [`SimRequest`] (never with tracing: traces are bounded but large, and
-/// no client needs them over the wire).
-fn parse_simulate(id: Option<u64>, sim: &Value) -> Result<Frame, WireError> {
-    let Value::Object(_) = sim else {
-        return Err(WireError::protocol("\"simulate\" must be a JSON object"));
+fn parse_methods(methods: Option<&Value>) -> Result<Vec<Method>, WireError> {
+    let Some(methods) = methods else {
+        return Ok(Method::ALL.to_vec());
     };
-    let cores = parse_cores(sim)?;
-    let horizon = sim
-        .get("horizon")
+    methods
+        .as_array()
+        .ok_or_else(|| WireError::protocol("\"methods\" must be an array of labels"))?
+        .iter()
+        .map(|item| {
+            item.as_str().and_then(method_from_label).ok_or_else(|| {
+                WireError::protocol(format!(
+                    "unknown method {item:?}; expected one of \
+                     \"FP-ideal\", \"LP-ILP\", \"LP-max\", \"LP-sound\", \
+                     \"Long-paths\", \"Gen-sporadic\""
+                ))
+            })
+        })
+        .collect()
+}
+
+fn parse_bounds(bounds: Option<&Value>) -> Result<bool, WireError> {
+    bounds.map_or(Ok(false), |v| {
+        v.as_bool()
+            .ok_or_else(|| WireError::protocol("\"bounds\" must be a boolean"))
+    })
+}
+
+fn parse_horizon(horizon: Option<&Value>) -> Result<Time, WireError> {
+    let horizon = horizon
         .ok_or_else(|| WireError::protocol("\"simulate\" is missing \"horizon\""))?
         .as_u64()
         .ok_or_else(|| WireError::protocol("\"horizon\" must be a non-negative integer"))?;
@@ -1120,49 +1251,120 @@ fn parse_simulate(id: Option<u64>, sim: &Value) -> Result<Frame, WireError> {
              (the horizon is capped server-side)"
         )));
     }
-    let policy = match sim.get("policy") {
-        None => PreemptionPolicy::LimitedPreemptive,
-        Some(v) => match v.as_str() {
-            Some("eager") => PreemptionPolicy::LimitedPreemptive,
-            Some("lazy") => PreemptionPolicy::LazyPreemptive,
-            Some("full") => PreemptionPolicy::FullyPreemptive,
-            _ => {
-                return Err(WireError::protocol(format!(
-                    "unknown policy {v:?}; expected \"eager\", \"lazy\" or \"full\""
-                )));
-            }
-        },
+    Ok(horizon)
+}
+
+fn parse_policy(policy: Option<&Value>) -> Result<PreemptionPolicy, WireError> {
+    let Some(v) = policy else {
+        return Ok(PreemptionPolicy::LimitedPreemptive);
     };
-    let release = match sim.get("release") {
-        None => ReleaseChoice::Sync,
-        Some(v) => v
-            .as_str()
-            .and_then(ReleaseChoice::from_flag)
-            .ok_or_else(|| {
-                WireError::protocol(format!(
-                    "unknown release {v:?}; expected \"sync\", \"jitter\" or \"sporadic\""
-                ))
-            })?,
+    match v.as_str() {
+        Some("eager") => Ok(PreemptionPolicy::LimitedPreemptive),
+        Some("lazy") => Ok(PreemptionPolicy::LazyPreemptive),
+        Some("full") => Ok(PreemptionPolicy::FullyPreemptive),
+        _ => Err(WireError::protocol(format!(
+            "unknown policy {v:?}; expected \"eager\", \"lazy\" or \"full\""
+        ))),
+    }
+}
+
+fn parse_release(release: Option<&Value>) -> Result<ReleaseChoice, WireError> {
+    let Some(v) = release else {
+        return Ok(ReleaseChoice::Sync);
     };
-    let seed = match sim.get("seed") {
-        None => 0,
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| WireError::protocol("\"seed\" must be a non-negative integer"))?,
-    };
-    let task_set = json::task_set_from_value(
-        sim.get("task_set")
-            .ok_or_else(|| WireError::protocol("\"simulate\" is missing \"task_set\""))?,
-    )?;
-    let request = SimRequest::new(cores, horizon)
+    v.as_str()
+        .and_then(ReleaseChoice::from_flag)
+        .ok_or_else(|| {
+            WireError::protocol(format!(
+                "unknown release {v:?}; expected \"sync\", \"jitter\" or \"sporadic\""
+            ))
+        })
+}
+
+fn parse_seed(seed: Option<&Value>) -> Result<u64, WireError> {
+    seed.map_or(Ok(0), |v| {
+        v.as_u64()
+            .ok_or_else(|| WireError::protocol("\"seed\" must be a non-negative integer"))
+    })
+}
+
+/// The [`SimRequest`] of a simulate frame (never with tracing: traces are
+/// bounded but large, and no client needs them over the wire).
+fn sim_request(
+    cores: usize,
+    horizon: Time,
+    policy: PreemptionPolicy,
+    release: ReleaseChoice,
+    seed: u64,
+) -> SimRequest {
+    SimRequest::new(cores, horizon)
         .with_policy(policy)
         .with_release(release.release())
-        .with_seed(seed);
-    Ok(Frame::Simulate {
-        id,
-        task_set,
-        request,
-    })
+        .with_seed(seed)
+}
+
+/// The `Value`-tree frame parser the one-pass decoder replaced, kept as the
+/// decoder's test reference: parse the whole frame into a tree, then pick
+/// the members off it.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn parse_frame(text: &str) -> Result<Frame, WireError> {
+        let doc = json::parse(text)?;
+        let Value::Object(_) = &doc else {
+            return Err(WireError::protocol("a request must be a JSON object"));
+        };
+        check_envelope_version(doc.get("v"))?;
+        let id = parse_id(doc.get("id"))?;
+        if is_true(doc.get("stats")) {
+            return Ok(Frame::Stats { id });
+        }
+        if is_true(doc.get("metrics")) {
+            return Ok(Frame::Metrics { id });
+        }
+        if is_true(doc.get("shutdown")) {
+            return Ok(Frame::Shutdown { id });
+        }
+        if let Some(sim) = doc.get("simulate") {
+            return parse_simulate(id, sim);
+        }
+        let cores = parse_cores(doc.get("cores"))?;
+        let methods = parse_methods(doc.get("methods"))?;
+        let want_bounds = parse_bounds(doc.get("bounds"))?;
+        let task_set = json::task_set_from_value(
+            doc.get("task_set")
+                .ok_or_else(|| WireError::protocol("request is missing \"task_set\""))?,
+        )?;
+        let request = AnalysisRequest::new(cores)
+            .with_methods(methods)
+            .with_bounds(want_bounds);
+        Ok(Frame::Analyze {
+            id,
+            task_set,
+            request,
+        })
+    }
+
+    fn parse_simulate(id: Option<u64>, sim: &Value) -> Result<Frame, WireError> {
+        let Value::Object(_) = sim else {
+            return Err(WireError::protocol("\"simulate\" must be a JSON object"));
+        };
+        let cores = parse_cores(sim.get("cores"))?;
+        let horizon = parse_horizon(sim.get("horizon"))?;
+        let policy = parse_policy(sim.get("policy"))?;
+        let release = parse_release(sim.get("release"))?;
+        let seed = parse_seed(sim.get("seed"))?;
+        let task_set = json::task_set_from_value(
+            sim.get("task_set")
+                .ok_or_else(|| WireError::protocol("\"simulate\" is missing \"task_set\""))?,
+        )?;
+        Ok(Frame::Simulate {
+            id,
+            task_set,
+            request: sim_request(cores, horizon, policy, release, seed),
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1345,9 +1547,17 @@ fn write_stats(
     out.push_str("}}");
 }
 
+/// Seeded JSON noise, shared with the model crate's decoder test.
+#[cfg(test)]
+#[path = "../../model/tests/noise/mod.rs"]
+mod noise;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rta_model::json::{task_set_to_json, task_set_to_json_compact};
+    use rta_taskgen::{generate_task_set, group1, group2};
 
     #[test]
     fn method_labels_round_trip() {
@@ -1446,6 +1656,159 @@ mod tests {
         for text in &bad {
             let err = parse_frame(text).expect_err(text);
             assert_eq!(err.kind, "protocol", "{text}: {}", err.message);
+        }
+    }
+
+    /// One member value, drawn from `options` (JSON texts).
+    fn pick<'a>(rng: &mut SmallRng, options: &[&'a str]) -> &'a str {
+        options[rng.gen_range(0..options.len())]
+    }
+
+    fn coin(rng: &mut SmallRng) -> bool {
+        rng.gen_range(0..2u32) == 0
+    }
+
+    /// A frame of one of the five kinds, as a client writes it: the embedded
+    /// task set is a generated group-1 or group-2 set as the compact or the
+    /// pretty writer renders it, the other members are drawn at random,
+    /// some out of range or of the wrong type.
+    fn frame_text(rng: &mut SmallRng, max_utilization: f64) -> String {
+        let utilization = rng.gen_range(1.0..max_utilization);
+        let config = if coin(rng) {
+            group1(utilization)
+        } else {
+            group2(utilization)
+        };
+        let task_set: TaskSet = generate_task_set(rng, &config)
+            .into_iter()
+            .enumerate()
+            .map(|(i, task)| {
+                if i % 2 == 0 {
+                    task.named(format!("τ{i}"))
+                } else {
+                    task
+                }
+            })
+            .collect();
+        let set = if coin(rng) {
+            task_set_to_json_compact(&task_set)
+        } else {
+            task_set_to_json(&task_set)
+        };
+        let cores = ["4", "4", "1", "16", "0", "1025", "\"4\""];
+        let mut members = Vec::new();
+        if coin(rng) {
+            members.push(format!("\"v\":{}", pick(rng, &["1", "1", "2", "1.0"])));
+        }
+        if coin(rng) {
+            members.push(format!("\"id\":{}", pick(rng, &["7", "0", "-7", "null"])));
+        }
+        match rng.gen_range(0..5u32) {
+            kind @ 0..=2 => {
+                let flag = ["stats", "metrics", "shutdown"][kind as usize];
+                members.push(format!(
+                    "\"{flag}\":{}",
+                    pick(rng, &["true", "true", "false", "1"])
+                ));
+                if coin(rng) {
+                    members.push(format!("\"cores\":4,\"task_set\":{set}"));
+                }
+            }
+            3 => {
+                let mut sim = vec![
+                    format!("\"cores\":{}", pick(rng, &cores)),
+                    format!(
+                        "\"horizon\":{}",
+                        pick(rng, &["20000", "500", "0", "10000001"])
+                    ),
+                ];
+                if coin(rng) {
+                    sim.push(format!(
+                        "\"policy\":{}",
+                        pick(rng, &["\"eager\"", "\"lazy\"", "\"full\"", "\"np\""])
+                    ));
+                }
+                if coin(rng) {
+                    sim.push(format!(
+                        "\"release\":{}",
+                        pick(rng, &["\"sync\"", "\"jitter\"", "\"sporadic\"", "3"])
+                    ));
+                }
+                if coin(rng) {
+                    sim.push(format!("\"seed\":{}", pick(rng, &["7", "0", "true"])));
+                }
+                sim.push(format!("\"task_set\":{set}"));
+                members.push(format!("\"simulate\":{{{}}}", sim.join(",")));
+            }
+            _ => {
+                members.push(format!("\"cores\":{}", pick(rng, &cores)));
+                if coin(rng) {
+                    members.push(format!(
+                        "\"methods\":{}",
+                        pick(
+                            rng,
+                            &[
+                                "[\"FP-ideal\",\"LP-sound\"]",
+                                "[]",
+                                "[\"fp\"]",
+                                "\"LP-ILP\""
+                            ]
+                        )
+                    ));
+                }
+                if coin(rng) {
+                    members.push(format!("\"bounds\":{}", pick(rng, &["true", "false", "1"])));
+                }
+                members.push(format!("\"task_set\":{set}"));
+            }
+        }
+        format!("{{{}}}", members.join(","))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn one_pass_decoder_matches_the_value_tree_reference(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let text = frame_text(&mut rng, 8.0);
+            let tree = json::parse(&text).expect("generated frames are well-formed");
+            let rate = rng.gen_range(0..30u32);
+            let noisy = noise::render(&tree, rate, &mut rng);
+            let texts = [
+                noise::damage(&text, &mut rng),
+                noise::damage(&noisy, &mut rng),
+                noisy,
+                text,
+            ];
+            for text in &texts {
+                prop_assert_eq!(parse_frame(text), reference::parse_frame(text), "{}", text);
+            }
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_and_accepted_frames_round_trip(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut bytes: Vec<u8> = if coin(&mut rng) {
+                (0..rng.gen_range(0..=4096usize)).map(|_| rng.gen_range(0..=255u8)).collect()
+            } else {
+                let frame = frame_text(&mut rng, 3.0);
+                noise::damage(&frame, &mut rng).into_bytes()
+            };
+            bytes.truncate(4096);
+            // As `serve_connection` reads a frame.
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = json::parse(&text);
+            if let Ok(Frame::Analyze { task_set, .. } | Frame::Simulate { task_set, .. }) =
+                parse_frame(&text)
+            {
+                let back = json::task_set_from_json(&task_set_to_json_compact(&task_set));
+                prop_assert_eq!(
+                    back.as_ref().map(TaskSet::stable_hash),
+                    Ok(task_set.stable_hash())
+                );
+                prop_assert_eq!(back, Ok(task_set));
+            }
         }
     }
 

@@ -143,6 +143,25 @@ fn a_volume_past_u64_is_a_model_error_not_a_wrapped_verdict() {
 }
 
 #[test]
+fn a_deeply_nested_frame_is_a_syntax_error_not_a_dead_server() {
+    // Well inside the default 1 MiB frame cap; reading it by plain
+    // recursion would overflow the connection thread's stack and abort the
+    // whole process.
+    let handle = serve_with(|_| {});
+    let mut client = Client::connect(&handle);
+    let response = client.send(&"[".repeat(100_000));
+    assert!(response.contains("\"kind\":\"syntax\""), "{response}");
+    assert!(
+        response.contains("nest deeper than 128 levels"),
+        "{response}"
+    );
+    // The same connection still answers a well-formed request.
+    let response = client.send(&analyze_frame(FIGURE1_SET));
+    assert!(response.contains("\"ok\":true"), "{response}");
+    handle.shutdown();
+}
+
+#[test]
 fn oversized_frames_error_and_resynchronize() {
     let handle = test_server(512);
     let mut client = Client::connect(&handle);

@@ -18,10 +18,11 @@
 //! }
 //! ```
 //!
-//! `name` is omitted for unnamed tasks. Parsing accepts standard JSON
-//! (insignificant whitespace, string escapes, any key order) and validates
-//! through the usual [`DagBuilder`] / [`DagTask::new`] constructors, so a
-//! parsed task upholds every model invariant.
+//! `name` is omitted for unnamed tasks. Reading accepts standard JSON
+//! (insignificant whitespace, string escapes, any key order; the last of
+//! duplicate keys wins) and validates through the usual [`DagBuilder`] /
+//! [`DagTask::new`] constructors, so a parsed task upholds every model
+//! invariant. Containers nest at most [`MAX_DEPTH`] levels deep.
 //!
 //! Task-**set** payloads are versioned: writers stamp the current
 //! [`TASK_SET_SCHEMA_VERSION`], readers accept version-less legacy payloads
@@ -30,10 +31,21 @@
 //! new client's payload degrades into a clean protocol error.
 //!
 //! Besides the pretty printers there are single-line compact writers
-//! ([`task_set_to_json_compact`]) for line-delimited wire framing, and the
-//! generic JSON layer ([`Value`], [`parse`], [`task_set_from_value`]) is
-//! public so protocol envelopes that *embed* a task set (the `repro serve`
-//! request format) can parse once and pick fields off the tree.
+//! ([`task_set_to_json_compact`]) for line-delimited wire framing.
+//!
+//! # Reading
+//!
+//! The text entry points, [`task_set_from_json`] and [`task_from_json`],
+//! decode in one pass: a [`Reader`] walks the bytes once and feeds every
+//! task's WCETs and edges straight into a [`DagBuilder`], with no tree in
+//! between. A protocol envelope that embeds a task set (the `repro serve`
+//! request format) walks its own members with the same [`Reader`] and hands
+//! the embedded set to [`Reader::task_set`].
+//!
+//! The generic reader, [`parse`], reads any document into a [`Value`] tree
+//! through the same tokenizer, and [`task_set_from_value`] maps such a tree
+//! to a task set. Together they are the decoder's test reference: for every
+//! input both paths give the same task set or the same error.
 //!
 //! # Example
 //!
@@ -56,6 +68,7 @@ use crate::error::ModelError;
 use crate::ids::NodeId;
 use crate::task::DagTask;
 use crate::taskset::TaskSet;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -255,15 +268,25 @@ pub fn task_set_to_json_compact(task_set: &TaskSet) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Parsing: a minimal recursive-descent JSON reader
+// Reading: one tokenizer under the Value tree and the one-pass decoders
 // ---------------------------------------------------------------------------
 
-/// A parsed JSON value.
-///
-/// Public so that protocol layers embedding a task set in a larger
-/// envelope (the `repro serve` request format) can [`parse`] the document
-/// once, pick their own fields off the tree, and hand the `"task_set"`
-/// subtree to [`task_set_from_value`].
+/// The deepest container nesting a [`Reader`] accepts. Reading recurses
+/// once per level, so without a bound one line of `[` could exhaust the
+/// reading thread's stack; a deeper document is a [`JsonError::Syntax`] at
+/// the first bracket past the bound. Task-set documents nest 5 levels and
+/// the deepest `repro serve` frame 8.
+pub const MAX_DEPTH: usize = 128;
+
+/// A decoded model value, or the schema or model error its (well-formed)
+/// JSON maps to. The decoders return it inside an outer `Result` that
+/// carries syntax errors only: a syntax error stops reading at once, while
+/// a schema or model error travels as a value until the document ends, so
+/// a syntax error anywhere in the document wins over it.
+pub type Decoded<T> = Result<T, JsonError>;
+
+/// A parsed JSON value: what [`parse`] returns, and how the decoders quote
+/// an offending value in a schema error.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -278,7 +301,8 @@ pub enum Value {
     Str(String),
     /// An array.
     Array(Vec<Value>),
-    /// An object. Key order is not preserved (nor significant).
+    /// An object. Key order is not preserved (nor significant); the last of
+    /// duplicate keys wins.
     Object(BTreeMap<String, Value>),
 }
 
@@ -324,12 +348,65 @@ impl Value {
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A cursor over one JSON document: the recursive-descent tokenizer that
+/// both [`parse`]'s [`Value`] tree and the one-pass decoders read through,
+/// so every reader reports the same syntax error at the same byte offset.
+///
+/// A decoder walks an object as [`begin_object`](Reader::begin_object),
+/// then [`key`](Reader::key), the member's value and
+/// [`next_member`](Reader::next_member) until that returns `false`.
+/// [`peek`](Reader::peek) tells which kind of value comes next;
+/// [`value`](Reader::value) reads any value whole (a member the decoder
+/// does not know, or one it must quote in an error) and
+/// [`task_set`](Reader::task_set) decodes an embedded task set;
+/// [`finish`](Reader::finish) rejects trailing characters.
+///
+/// ```
+/// use rta_model::json::Reader;
+///
+/// # fn main() -> Result<(), rta_model::json::JsonError> {
+/// let mut reader = Reader::new(r#"{"cores": 4, "task_set": {"tasks": []}}"#);
+/// let (mut cores, mut task_set) = (None, None);
+/// if reader.begin_object()? {
+///     loop {
+///         match &*reader.key()? {
+///             "cores" => cores = reader.value()?.as_u64(),
+///             "task_set" => task_set = Some(reader.task_set()?),
+///             _ => drop(reader.value()?),
+///         }
+///         if !reader.next_member()? {
+///             break;
+///         }
+///     }
+/// }
+/// reader.finish()?;
+/// assert_eq!(cores, Some(4));
+/// assert!(task_set.unwrap()?.is_empty());
+/// # Ok(())
+/// # }
+/// ```
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    /// Containers open at the cursor.
+    depth: usize,
+    /// The `(from, to)` pairs of the DAG being decoded, kept until its
+    /// `"wcets"` are known (the members may come in either order). Reused
+    /// across the document's DAGs.
+    pairs: Vec<(u64, u64)>,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            pos: 0,
+            depth: 0,
+            pairs: Vec::new(),
+        }
+    }
+
     fn err<T>(&self, message: impl Into<String>) -> Result<T, JsonError> {
         Err(JsonError::Syntax {
             offset: self.pos,
@@ -337,19 +414,19 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
         self.skip_ws();
-        if self.peek() == Some(byte) {
+        if self.byte() == Some(byte) {
             self.pos += 1;
             Ok(())
         } else {
@@ -357,12 +434,60 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, JsonError> {
+    /// Skips insignificant whitespace and returns the byte the next value
+    /// starts with (`{`, `[`, `"`, a digit, ...), or `None` at the end.
+    pub fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
+        self.byte()
+    }
+
+    /// Checks that only whitespace follows the document.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError::Syntax`] at the first trailing character.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return self.err("trailing characters after JSON document");
+        }
+        Ok(())
+    }
+
+    /// Reads the next value whole, as a [`Value`] tree.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError::Syntax`] when the value is not well-formed JSON.
+    pub fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                if self.begin_object()? {
+                    loop {
+                        let key = self.key()?.into_owned();
+                        let value = self.value()?;
+                        map.insert(key, value);
+                        if !self.next_member()? {
+                            break;
+                        }
+                    }
+                }
+                Ok(Value::Object(map))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                if self.begin_array()? {
+                    loop {
+                        items.push(self.value()?);
+                        if !self.next_element()? {
+                            break;
+                        }
+                    }
+                }
+                Ok(Value::Array(items))
+            }
+            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
@@ -372,8 +497,89 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Enters an object; `true` when a member follows, `false` when the
+    /// object is empty (and already closed).
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError::Syntax`] when no `{` comes next, or when it would nest
+    /// deeper than [`MAX_DEPTH`].
+    pub fn begin_object(&mut self) -> Result<bool, JsonError> {
+        self.open(b'{', b'}')
+    }
+
+    /// Enters an array; `true` when an element follows, `false` when the
+    /// array is empty (and already closed).
+    fn begin_array(&mut self) -> Result<bool, JsonError> {
+        self.open(b'[', b']')
+    }
+
+    fn open(&mut self, open: u8, close: u8) -> Result<bool, JsonError> {
+        self.skip_ws();
+        if self.byte() != Some(open) {
+            return self.err(format!("expected '{}'", open as char));
+        }
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("containers nest deeper than {MAX_DEPTH} levels"));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        self.skip_ws();
+        if self.byte() == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// Reads an object member's key and the `:` after it. The key borrows
+    /// from the document unless it holds escapes.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError::Syntax`] when no well-formed key and `:` come next.
+    pub fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.skip_ws();
+        let key = self.string()?;
+        self.expect(b':')?;
+        Ok(key)
+    }
+
+    /// After an object member's value: `true` when another member follows,
+    /// `false` when the object closes.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError::Syntax`] when neither `,` nor `}` comes next.
+    pub fn next_member(&mut self) -> Result<bool, JsonError> {
+        self.close_or_continue(b'}', "expected ',' or '}'")
+    }
+
+    /// After an array element: `true` when another element follows,
+    /// `false` when the array closes.
+    fn next_element(&mut self) -> Result<bool, JsonError> {
+        self.close_or_continue(b']', "expected ',' or ']'")
+    }
+
+    fn close_or_continue(&mut self, close: u8, message: &str) -> Result<bool, JsonError> {
+        self.skip_ws();
+        match self.byte() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(c) if c == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ => self.err(message),
+        }
+    }
+
     fn literal(&mut self, text: &str, value: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -381,69 +587,38 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        if self.peek() != Some(b'"') {
+    /// Reads a string, borrowing it from the document up to its first
+    /// escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        if self.byte() != Some(b'"') {
             return self.err("expected string");
         }
         self.pos += 1;
-        let mut out = String::new();
+        let start = self.pos;
+        // The text is a `str`, so every byte up to the closing quote is
+        // part of a valid character; only quotes, escapes and control
+        // characters need a closer look.
+        while let Some(c) = self.byte() {
+            match c {
+                b'"' => {
+                    self.pos += 1;
+                    return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+                }
+                b'\\' => break,
+                c if c < 0x20 => break,
+                _ => self.pos += 1,
+            }
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
-            let Some(c) = self.peek() else {
+            let Some(c) = self.byte() else {
                 return self.err("unterminated string");
             };
             self.pos += 1;
             match c {
-                b'"' => return Ok(out),
+                b'"' => return Ok(Cow::Owned(out)),
                 b'\\' => {
-                    let Some(escape) = self.peek() else {
+                    let Some(escape) = self.byte() else {
                         return self.err("unterminated escape");
                     };
                     self.pos += 1;
@@ -463,7 +638,9 @@ impl<'a> Parser<'a> {
                                 // non-BMP characters as a \uXXXX\uXXXX
                                 // pair (e.g. Python's ensure_ascii).
                                 0xD800..=0xDBFF => {
-                                    if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
+                                    if self.text.as_bytes().get(self.pos..self.pos + 2)
+                                        != Some(b"\\u")
+                                    {
                                         return self
                                             .err("high surrogate not followed by \\u escape");
                                     }
@@ -490,16 +667,11 @@ impl<'a> Parser<'a> {
                 }
                 c if c < 0x20 => return self.err("control character in string"),
                 _ => {
-                    // Re-decode UTF-8 from the byte stream.
+                    // A whole character: the text is a `str`, so `c` starts
+                    // a valid UTF-8 sequence.
                     let start = self.pos - 1;
                     let len = utf8_len(c);
-                    let Some(slice) = self.bytes.get(start..start + len) else {
-                        return self.err("truncated UTF-8 sequence");
-                    };
-                    let Ok(s) = std::str::from_utf8(slice) else {
-                        return self.err("invalid UTF-8 in string");
-                    };
-                    out.push_str(s);
+                    out.push_str(&self.text[start..start + len]);
                     self.pos = start + len;
                 }
             }
@@ -510,10 +682,9 @@ impl<'a> Parser<'a> {
     /// `from_str_radix` alone would also accept a leading `+`.
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let code = self
-            .bytes
+            .text
             .get(self.pos..self.pos + 4)
-            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-            .and_then(|h| std::str::from_utf8(h).ok())
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
             .and_then(|h| u32::from_str_radix(h, 16).ok());
         let Some(code) = code else {
             return self.err("invalid \\u escape");
@@ -524,40 +695,227 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.byte() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        // Accumulate the integer while scanning: a plain run of digits
+        // that fits a u64 needs no second look.
+        let digits = self.pos;
+        let mut exact = Some(0u64);
+        while let Some(c) = self.byte().filter(u8::is_ascii_digit) {
+            exact = exact
+                .and_then(|v| v.checked_mul(10))
+                .and_then(|v| v.checked_add(u64::from(c - b'0')));
             self.pos += 1;
         }
         let mut is_float = false;
-        if self.peek() == Some(b'.') {
+        if self.byte() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            while matches!(self.byte(), Some(c) if c.is_ascii_digit()) {
                 self.pos += 1;
             }
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
+        if matches!(self.byte(), Some(b'e' | b'E')) {
             is_float = true;
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
+            if matches!(self.byte(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            while matches!(self.byte(), Some(c) if c.is_ascii_digit()) {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        if !is_float {
-            if let Ok(v) = text.parse::<u64>() {
+        if !is_float && !negative && self.pos > digits {
+            if let Some(v) = exact {
                 return Ok(Value::UInt(v));
             }
         }
+        // Negative, fractional, exponent form, or past u64::MAX.
+        let text = &self.text[start..self.pos];
         match text.parse::<f64>() {
             Ok(v) => Ok(Value::Float(v)),
             Err(_) => self.err(format!("invalid number '{text}'")),
         }
+    }
+
+    /// Decodes the task set at the cursor, reading its bytes once: every
+    /// task's WCETs and edges go straight into a [`DagBuilder`], with no
+    /// intermediate tree. Gives the answer [`task_set_from_value`] gives
+    /// for the same text; unknown members are skipped but must be
+    /// well-formed.
+    ///
+    /// # Errors
+    ///
+    /// The outer `Result` carries syntax errors, the [`Decoded`] one schema,
+    /// version and model errors (see [`Decoded`]).
+    pub fn task_set(&mut self) -> Result<Decoded<TaskSet>, JsonError> {
+        if self.peek() != Some(b'{') {
+            self.value()?;
+            return Ok(Err(schema("a task set must be a JSON object")));
+        }
+        let (mut version, mut tasks) = (None, None);
+        if self.begin_object()? {
+            loop {
+                match &*self.key()? {
+                    "version" => version = Some(self.value()?),
+                    "tasks" => tasks = Some(self.tasks()?),
+                    _ => drop(self.value()?),
+                }
+                if !self.next_member()? {
+                    break;
+                }
+            }
+        }
+        Ok(task_set_from_members(version, tasks.flatten()))
+    }
+
+    /// The `"tasks"` member: `None` when it is not an array, else the tasks
+    /// or the first task's error.
+    fn tasks(&mut self) -> Result<Option<Decoded<Vec<DagTask>>>, JsonError> {
+        if self.peek() != Some(b'[') {
+            self.value()?;
+            return Ok(None);
+        }
+        let mut tasks = Ok(Vec::new());
+        if self.begin_array()? {
+            loop {
+                match &mut tasks {
+                    Ok(list) => match self.task()? {
+                        Ok(task) => list.push(task),
+                        Err(e) => tasks = Err(e),
+                    },
+                    Err(_) => drop(self.value()?),
+                }
+                if !self.next_element()? {
+                    break;
+                }
+            }
+        }
+        Ok(Some(tasks))
+    }
+
+    fn task(&mut self) -> Result<Decoded<DagTask>, JsonError> {
+        if self.peek() != Some(b'{') {
+            self.value()?;
+            return Ok(Err(schema("a task must be an object")));
+        }
+        let (mut period, mut deadline, mut dag, mut name) = (None, None, None, None);
+        if self.begin_object()? {
+            loop {
+                match &*self.key()? {
+                    "period" => period = Some(self.value()?),
+                    "deadline" => deadline = Some(self.value()?),
+                    "dag" => dag = Some(self.dag()?),
+                    "name" => name = Some(self.value()?),
+                    _ => drop(self.value()?),
+                }
+                if !self.next_member()? {
+                    break;
+                }
+            }
+        }
+        Ok(task_from_members(period, deadline, dag, name))
+    }
+
+    fn dag(&mut self) -> Result<Decoded<Dag>, JsonError> {
+        if self.peek() != Some(b'{') {
+            self.value()?;
+            return Ok(Err(schema("\"dag\" must be an object")));
+        }
+        // `None` while the member is missing or not an array, else its
+        // first bad element, if any.
+        let (mut wcets, mut edges) = (None, None);
+        let mut builder = DagBuilder::new();
+        if self.begin_object()? {
+            loop {
+                match &*self.key()? {
+                    "wcets" => {
+                        builder = DagBuilder::new();
+                        wcets = self.wcets(&mut builder)?;
+                    }
+                    "edges" => edges = self.edges()?,
+                    _ => drop(self.value()?),
+                }
+                if !self.next_member()? {
+                    break;
+                }
+            }
+        }
+        Ok(dag_from_members(builder, wcets, edges, &self.pairs))
+    }
+
+    /// The `"wcets"` member, added to `builder` as it is read.
+    fn wcets(&mut self, builder: &mut DagBuilder) -> Result<Option<Decoded<()>>, JsonError> {
+        if self.peek() != Some(b'[') {
+            self.value()?;
+            return Ok(None);
+        }
+        let mut read = Ok(());
+        if self.begin_array()? {
+            loop {
+                let wcet = self.value()?;
+                if read.is_ok() {
+                    read = as_u64(&wcet, "a WCET").map(|w| {
+                        builder.add_node(w);
+                    });
+                }
+                if !self.next_element()? {
+                    break;
+                }
+            }
+        }
+        Ok(Some(read))
+    }
+
+    /// The `"edges"` member, kept in `self.pairs` up to its first bad edge.
+    fn edges(&mut self) -> Result<Option<Decoded<()>>, JsonError> {
+        self.pairs.clear();
+        if self.peek() != Some(b'[') {
+            self.value()?;
+            return Ok(None);
+        }
+        let mut read = Ok(());
+        if self.begin_array()? {
+            loop {
+                let edge = self.edge()?;
+                if read.is_ok() {
+                    read = edge.map(|pair| self.pairs.push(pair));
+                }
+                if !self.next_element()? {
+                    break;
+                }
+            }
+        }
+        Ok(Some(read))
+    }
+
+    fn edge(&mut self) -> Result<Decoded<(u64, u64)>, JsonError> {
+        let not_a_pair = || schema("an edge must be a [from, to] pair");
+        if self.peek() != Some(b'[') {
+            self.value()?;
+            return Ok(Err(not_a_pair()));
+        }
+        let mut ends = [Value::Null, Value::Null];
+        let mut len = 0;
+        if self.begin_array()? {
+            loop {
+                let end = self.value()?;
+                if let Some(slot) = ends.get_mut(len) {
+                    *slot = end;
+                }
+                len += 1;
+                if !self.next_element()? {
+                    break;
+                }
+            }
+        }
+        if len != 2 {
+            return Ok(Err(not_a_pair()));
+        }
+        Ok(as_u64(&ends[0], "an edge endpoint")
+            .and_then(|from| Ok((from, as_u64(&ends[1], "an edge endpoint")?))))
     }
 }
 
@@ -574,24 +932,19 @@ fn utf8_len(first: u8) -> usize {
 ///
 /// # Errors
 ///
-/// Returns [`JsonError::Syntax`] when the text is not well-formed JSON or
-/// has trailing characters after the document.
+/// Returns [`JsonError::Syntax`] when the text is not well-formed JSON,
+/// nests deeper than [`MAX_DEPTH`], or has trailing characters after the
+/// document.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return parser.err("trailing characters after JSON document");
-    }
+    let mut reader = Reader::new(text);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
 }
 
-// ---------------------------------------------------------------------------
-// Schema mapping
-// ---------------------------------------------------------------------------
+fn schema(message: &str) -> JsonError {
+    JsonError::Schema(message.into())
+}
 
 fn as_u64(value: &Value, what: &str) -> Result<u64, JsonError> {
     match value {
@@ -601,6 +954,109 @@ fn as_u64(value: &Value, what: &str) -> Result<u64, JsonError> {
         ))),
     }
 }
+
+/// The task set a decoded object's members map to, checked in
+/// [`task_set_from_value`]'s order whatever the document's.
+fn task_set_from_members(
+    version: Option<Value>,
+    tasks: Option<Decoded<Vec<DagTask>>>,
+) -> Decoded<TaskSet> {
+    match version {
+        None | Some(Value::UInt(TASK_SET_SCHEMA_VERSION)) => {}
+        Some(Value::UInt(found)) => {
+            return Err(JsonError::UnknownVersion {
+                found,
+                supported: TASK_SET_SCHEMA_VERSION,
+            });
+        }
+        Some(other) => {
+            return Err(JsonError::Schema(format!(
+                "\"version\" must be a non-negative integer, got {other:?}"
+            )));
+        }
+    }
+    let tasks = tasks.ok_or_else(|| schema("\"tasks\" must be an array"))?;
+    Ok(TaskSet::new(tasks?))
+}
+
+/// The task a decoded object's members map to, checked in
+/// `task_from_value`'s order.
+fn task_from_members(
+    period: Option<Value>,
+    deadline: Option<Value>,
+    dag: Option<Decoded<Dag>>,
+    name: Option<Value>,
+) -> Decoded<DagTask> {
+    let period = period.ok_or_else(|| schema("task is missing \"period\""))?;
+    let period = as_u64(&period, "\"period\"")?;
+    let deadline = deadline.ok_or_else(|| schema("task is missing \"deadline\""))?;
+    let deadline = as_u64(&deadline, "\"deadline\"")?;
+    let dag = dag.ok_or_else(|| schema("task is missing \"dag\""))??;
+    let task = DagTask::new(dag, period, deadline)?;
+    match name {
+        None | Some(Value::Null) => Ok(task),
+        Some(Value::Str(name)) => Ok(task.named(name)),
+        Some(other) => Err(JsonError::Schema(format!(
+            "\"name\" must be a string, got {other:?}"
+        ))),
+    }
+}
+
+/// The DAG a decoded object's members map to, checked in
+/// `dag_from_value`'s order: `builder` holds the WCETs, `pairs` the edges
+/// up to the first malformed one.
+fn dag_from_members(
+    mut builder: DagBuilder,
+    wcets: Option<Decoded<()>>,
+    edges: Option<Decoded<()>>,
+    pairs: &[(u64, u64)],
+) -> Decoded<Dag> {
+    let wcets = wcets.ok_or_else(|| schema("\"dag.wcets\" must be an array"))?;
+    let edges = edges.ok_or_else(|| schema("\"dag.edges\" must be an array"))?;
+    wcets?;
+    let n = builder.node_count();
+    for &(from, to) in pairs {
+        if from >= n as u64 || to >= n as u64 {
+            return Err(JsonError::Schema(format!(
+                "edge [{from}, {to}] references a node out of range (|V| = {n})"
+            )));
+        }
+        builder.add_edge(NodeId::new(from as usize), NodeId::new(to as usize))?;
+    }
+    edges?;
+    Ok(builder.build()?)
+}
+
+/// Parses one task from JSON (the format of [`task_to_json`]), in one pass.
+///
+/// # Errors
+///
+/// Returns [`JsonError`] for malformed JSON, schema mismatches, or inputs
+/// rejected by the model constructors.
+pub fn task_from_json(text: &str) -> Result<DagTask, JsonError> {
+    let mut reader = Reader::new(text);
+    let task = reader.task()?;
+    reader.finish()?;
+    task
+}
+
+/// Parses a task set from JSON (the format of [`task_set_to_json`]), in one
+/// pass: [`Reader::task_set`] over the whole text.
+///
+/// # Errors
+///
+/// Returns [`JsonError`] for malformed JSON, schema mismatches, unknown
+/// schema versions, or inputs rejected by the model constructors.
+pub fn task_set_from_json(text: &str) -> Result<TaskSet, JsonError> {
+    let mut reader = Reader::new(text);
+    let task_set = reader.task_set()?;
+    reader.finish()?;
+    task_set
+}
+
+// ---------------------------------------------------------------------------
+// Schema mapping of a Value tree: the decoders' test reference
+// ---------------------------------------------------------------------------
 
 fn dag_from_value(value: &Value) -> Result<Dag, JsonError> {
     let Value::Object(obj) = value else {
@@ -669,16 +1125,6 @@ fn task_from_value(value: &Value) -> Result<DagTask, JsonError> {
     }
 }
 
-/// Parses one task from JSON (the format of [`task_to_json`]).
-///
-/// # Errors
-///
-/// Returns [`JsonError`] for malformed JSON, schema mismatches, or inputs
-/// rejected by the model constructors.
-pub fn task_from_json(text: &str) -> Result<DagTask, JsonError> {
-    task_from_value(&parse(text)?)
-}
-
 /// Maps an already-parsed [`Value`] to a task set, enforcing the schema
 /// version: a missing `"version"` reads as the legacy version 1, a declared
 /// version must equal [`TASK_SET_SCHEMA_VERSION`].
@@ -715,16 +1161,6 @@ pub fn task_set_from_value(value: &Value) -> Result<TaskSet, JsonError> {
             .map(task_from_value)
             .collect::<Result<_, _>>()?,
     ))
-}
-
-/// Parses a task set from JSON (the format of [`task_set_to_json`]).
-///
-/// # Errors
-///
-/// Returns [`JsonError`] for malformed JSON, schema mismatches, unknown
-/// schema versions, or inputs rejected by the model constructors.
-pub fn task_set_from_json(text: &str) -> Result<TaskSet, JsonError> {
-    task_set_from_value(&parse(text)?)
 }
 
 #[cfg(test)]
@@ -906,6 +1342,38 @@ mod tests {
         let one = task_to_json_compact(&task);
         assert!(!one.contains('\n'), "{one}");
         assert_eq!(task_from_json(&one).unwrap(), task);
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_a_syntax_error_not_a_stack_overflow() {
+        // On a spawned thread's default stack, like a server connection's.
+        let deep = std::thread::spawn(|| parse(&"[".repeat(100_000)))
+            .join()
+            .expect("the reader returns instead of overflowing its stack");
+        assert_eq!(
+            deep,
+            Err(JsonError::Syntax {
+                offset: MAX_DEPTH,
+                message: format!("containers nest deeper than {MAX_DEPTH} levels"),
+            })
+        );
+        let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(matches!(
+            parse(&nested(MAX_DEPTH + 1)),
+            Err(JsonError::Syntax {
+                offset: MAX_DEPTH,
+                ..
+            })
+        ));
+        // The decoders skip unknown members through the same bound: inside
+        // an object, the array MAX_DEPTH levels down is one too deep.
+        let text = format!("{{\"tasks\": [], \"x\": {}}}", nested(MAX_DEPTH));
+        let first = text.find(": [[").expect("the nested member") + 2;
+        assert!(matches!(
+            task_set_from_json(&text),
+            Err(JsonError::Syntax { offset, .. }) if offset == first + MAX_DEPTH - 1
+        ));
     }
 
     #[test]
