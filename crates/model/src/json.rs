@@ -274,7 +274,7 @@ pub fn task_set_to_json_compact(task_set: &TaskSet) -> String {
 /// The deepest container nesting a [`Reader`] accepts. Reading recurses
 /// once per level, so without a bound one line of `[` could exhaust the
 /// reading thread's stack; a deeper document is a [`JsonError::Syntax`] at
-/// the first bracket past the bound. Task-set documents nest 5 levels and
+/// the first bracket past the bound. Task-set documents nest 6 levels and
 /// the deepest `repro serve` frame 8.
 pub const MAX_DEPTH: usize = 128;
 
@@ -1342,6 +1342,35 @@ mod tests {
         let one = task_to_json_compact(&task);
         assert!(!one.contains('\n'), "{one}");
         assert_eq!(task_from_json(&one).unwrap(), task);
+    }
+
+    #[test]
+    fn numbers_and_escaped_keys_read_as_the_tree_reader_always_has() {
+        for (text, value) in [
+            ("007", Value::UInt(7)),
+            ("18446744073709551615", Value::UInt(u64::MAX)),
+            ("18446744073709551616", Value::Float(18446744073709551616.0)),
+            ("1.", Value::Float(1.0)),
+            ("2e3", Value::Float(2000.0)),
+            ("-0", Value::Float(-0.0)),
+            ("-3", Value::Float(-3.0)),
+        ] {
+            assert_eq!(parse(text), Ok(value), "{text}");
+        }
+        assert!(matches!(parse("-"), Err(JsonError::Syntax { .. })));
+        let err =
+            task_from_json(r#"{"period": 9, "deadline": 9, "dag": {"wcets": [-3], "edges": []}}"#)
+                .unwrap_err();
+        assert_eq!(
+            err,
+            JsonError::Schema("a WCET must be a non-negative integer, got Float(-3.0)".into())
+        );
+        // Keys are compared after unescaping.
+        let task = task_from_json(
+            r#"{"p\u0065riod": 9, "deadline": 9, "dag": {"wcets": [1], "edges": []}}"#,
+        )
+        .unwrap();
+        assert_eq!(task.period(), 9);
     }
 
     #[test]
