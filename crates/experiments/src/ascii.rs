@@ -56,19 +56,6 @@ pub fn sparkline(percentages: &[f64]) -> String {
         .collect()
 }
 
-/// CSV rendering (header + rows), RFC-4180-lite: our cells never contain
-/// commas or quotes.
-pub fn csv(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str(&header.join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,11 +76,5 @@ mod tests {
     fn sparkline_extremes() {
         assert_eq!(sparkline(&[0.0, 100.0]), "·█");
         assert_eq!(sparkline(&[50.0]).chars().count(), 1);
-    }
-
-    #[test]
-    fn csv_shape() {
-        let c = csv(&["u", "pct"], &[vec!["1.5".into(), "98.3".into()]]);
-        assert_eq!(c, "u,pct\n1.5,98.3\n");
     }
 }

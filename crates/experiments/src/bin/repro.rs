@@ -330,14 +330,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = parse(&args).unwrap_or_else(|e| usage(&e));
-
-    if !Jobs::parallelism_available() && matches!(options.jobs, Some(Jobs::Count(n)) if n > 1) {
-        eprintln!(
-            "note: built without the `parallel` feature; sweeps run serially \
-             (output is identical either way)"
-        );
-    }
-
     std::fs::create_dir_all(&options.out).expect("create output directory");
     let selector = options.selector.as_deref().unwrap_or("all");
     match options.command.as_str() {
@@ -382,6 +374,26 @@ fn open_sink(options: &Cli, name: &str, header: &[&str]) -> CsvSink<impl std::io
     CsvSink::create(&path, header).unwrap_or_else(|e| panic!("create CSV {}: {e}", path.display()))
 }
 
+/// Streams one panel into `<out>/<name>.csv`, writing each point's row as
+/// it completes, and returns the points for the terminal rendering. `run`
+/// drives the panel, handing every completed point to its callback.
+fn streamed<P: Clone>(
+    options: &Cli,
+    name: &str,
+    header: &[&str],
+    cells: fn(&P) -> Vec<String>,
+    run: impl FnOnce(&mut dyn FnMut(&P)),
+) -> Vec<P> {
+    let mut sink = open_sink(options, name, header);
+    let mut points = Vec::new();
+    run(&mut |p: &P| {
+        sink.row(&cells(p)).expect("write CSV row");
+        points.push(p.clone());
+    });
+    sink.finish().expect("flush CSV");
+    points
+}
+
 /// Runs the requested validation panels, streaming each CSV row as its
 /// sweep point completes, and exits non-zero on any invariant violation.
 fn run_validate(options: &Cli, selector: &str) {
@@ -406,25 +418,21 @@ fn run_validate(options: &Cli, selector: &str) {
     let mut total_lp_misses = 0u64;
     let mut total_truncated = 0u64;
     for panel in panels {
+        let name = panel.name();
         println!(
-            "== validate/{}: {} — {} sets/point, horizon {}x max period, {} worker(s) ==",
-            panel.name(),
+            "== validate/{name}: {} — {} sets/point, horizon {}x max period, {} worker(s) ==",
             panel.title(),
             vopts.sets_per_point,
             vopts.horizon_factor,
             jobs.worker_count()
         );
-        let mut sink = open_sink(
+        let points = streamed(
             options,
-            panel.name(),
+            &name,
             &validate::csv_header(panel.x_label()),
+            ValidatePoint::csv_cells,
+            |emit| panel.run_into(vopts, jobs, emit),
         );
-        let mut points = Vec::new();
-        panel.run_into(vopts, jobs, &mut |p: &ValidatePoint| {
-            sink.row(&p.csv_cells()).expect("write CSV row");
-            points.push(p.clone());
-        });
-        sink.finish().expect("flush CSV");
         let result = validate::ValidateResult {
             cores: panel.cores(),
             points,
@@ -439,7 +447,7 @@ fn run_validate(options: &Cli, selector: &str) {
             result.total_violations(),
             result.total_lp_exceedances(),
             result.total_lp_misses(),
-            options.out.join(format!("{}.csv", panel.name())).display()
+            options.out.join(format!("{name}.csv")).display()
         );
     }
     if total_exceedances > 0 {
@@ -515,35 +523,40 @@ fn run_campaign(options: &Cli, selector: &str) {
     let mut cost_sink =
         (selector == "all").then(|| open_sink(options, "soundness_cost", &SOUNDNESS_COST_HEADER));
     for kind in panels {
+        let name = kind.name();
         println!(
-            "== campaign/{}: {} — {} sets/point, {} worker(s) ==",
-            kind.name(),
+            "== campaign/{name}: {} — {} sets/point, {} worker(s) ==",
             kind.title(),
             sets,
             jobs.worker_count()
         );
-        let cost_sink = &mut cost_sink;
-        let result = streamed_sweep(
+        let points = streamed(
             options,
-            kind.name(),
-            kind.x_label(),
-            kind.cores(),
-            |emit| kind.run_into(sets, jobs, emit),
-            |p| {
-                if let Some(sink) = cost_sink {
-                    sink.row(&[
-                        kind.name().to_string(),
-                        format!("{:.4}", p.x),
-                        format!("{:.2}", p.schedulable_pct[0]),
-                        format!("{:.2}", p.schedulable_pct[1]),
-                        format!("{:.2}", p.schedulable_pct[2]),
-                        format!("{:.2}", p.schedulable_pct[3]),
-                        format!("{:.2}", p.schedulable_pct[1] - p.schedulable_pct[3]),
-                    ])
-                    .expect("write soundness-cost row");
-                }
+            &name,
+            &figure2::csv_header(kind.x_label()),
+            SweepPoint::csv_cells,
+            |emit| {
+                kind.run_into(sets, jobs, &mut |p: &SweepPoint| {
+                    if let Some(sink) = &mut cost_sink {
+                        sink.row(&[
+                            name.clone(),
+                            format!("{:.4}", p.x),
+                            format!("{:.2}", p.schedulable_pct[0]),
+                            format!("{:.2}", p.schedulable_pct[1]),
+                            format!("{:.2}", p.schedulable_pct[2]),
+                            format!("{:.2}", p.schedulable_pct[3]),
+                            format!("{:.2}", p.schedulable_pct[1] - p.schedulable_pct[3]),
+                        ])
+                        .expect("write soundness-cost row");
+                    }
+                    emit(p);
+                })
             },
         );
+        let result = SweepResult {
+            cores: kind.cores(),
+            points,
+        };
         println!("{}", result.render(kind.x_label()));
         println!(
             "dominance (LP-max ≤ LP-ILP ≤ FP-ideal ≥ LP-sound; Gen-sporadic ≤ FP-ideal ≤ Long-paths): {}",
@@ -551,7 +564,7 @@ fn run_campaign(options: &Cli, selector: &str) {
         );
         println!(
             "wrote {}\n",
-            options.out.join(format!("{}.csv", kind.name())).display()
+            options.out.join(format!("{name}.csv")).display()
         );
     }
     if let Some(sink) = cost_sink {
@@ -580,24 +593,20 @@ fn run_campaign_compare(options: &Cli) {
     // in their own method_costs.csv outside the byte-pinned goldens.
     let costs_before = rta_obs::snapshot();
     for kind in campaign::compare_panels() {
+        let name = kind.compare_name();
         println!(
-            "== campaign/{}: {} — {} sets/point, {} worker(s) ==",
-            kind.compare_name(),
+            "== campaign/{name}: {} — {} sets/point, {} worker(s) ==",
             kind.title(),
             sets,
             jobs.worker_count()
         );
-        let mut sink = open_sink(
+        let points = streamed(
             options,
-            kind.compare_name(),
+            &name,
             &figure2::csv_header(kind.x_label()),
+            SweepPoint::csv_cells,
+            |emit| kind.run_compare_into(sets, jobs, &mut matrix, emit),
         );
-        let mut points = Vec::new();
-        kind.run_compare_into(sets, jobs, &mut matrix, &mut |p: &SweepPoint| {
-            sink.row(&p.csv_cells()).expect("write CSV row");
-            points.push(p.clone());
-        });
-        sink.finish().expect("flush CSV");
         let result = SweepResult {
             cores: kind.cores(),
             points,
@@ -605,10 +614,7 @@ fn run_campaign_compare(options: &Cli) {
         println!("{}", result.render(kind.x_label()));
         println!(
             "wrote {}\n",
-            options
-                .out
-                .join(format!("{}.csv", kind.compare_name()))
-                .display()
+            options.out.join(format!("{name}.csv")).display()
         );
     }
     println!(
@@ -625,29 +631,6 @@ fn run_campaign_compare(options: &Cli) {
     let path = options.out.join("method_costs.csv");
     std::fs::write(&path, costs.to_csv()).expect("write method costs CSV");
     println!("wrote {}\n", path.display());
-}
-
-/// Streams one schedulability sweep into its CSV file (row per completed
-/// point) while collecting the points for terminal rendering; `tap` sees
-/// every point as it completes (side CSVs like the soundness-cost
-/// aggregate hook in here).
-fn streamed_sweep(
-    options: &Cli,
-    name: &str,
-    x_label: &str,
-    cores: usize,
-    run: impl FnOnce(&mut dyn FnMut(&SweepPoint)),
-    mut tap: impl FnMut(&SweepPoint),
-) -> SweepResult {
-    let mut sink = open_sink(options, name, &figure2::csv_header(x_label));
-    let mut points = Vec::new();
-    run(&mut |p: &SweepPoint| {
-        sink.row(&p.csv_cells()).expect("write CSV row");
-        tap(p);
-        points.push(p.clone());
-    });
-    sink.finish().expect("flush CSV");
-    SweepResult { cores, points }
 }
 
 fn sensitivity(options: &Cli) {
@@ -833,14 +816,16 @@ fn sweep(name: &str, config: SweepConfig, options: &Cli) {
         options.sweep_jobs().worker_count()
     );
     let start = std::time::Instant::now();
-    let result = streamed_sweep(
-        options,
-        name,
-        "utilization",
-        config.cores,
-        |emit| figure2::run_into(&config, options.sweep_jobs(), emit),
-        |_| {},
-    );
+    let result = SweepResult {
+        cores: config.cores,
+        points: streamed(
+            options,
+            name,
+            &figure2::csv_header("utilization"),
+            SweepPoint::csv_cells,
+            |emit| figure2::run_into(&config, options.sweep_jobs(), emit),
+        ),
+    };
     println!("{}", result.render("U"));
     println!(
         "dominance (LP-max ≤ LP-ILP ≤ FP-ideal; Gen-sporadic ≤ FP-ideal ≤ Long-paths): {}; computed in {:.1}s",
@@ -860,14 +845,16 @@ fn task_count_sweep(options: &Cli) {
         "== fig2c-tasks: m = 16, U = 8, task-count sweep, {} sets/point ==",
         config.sets_per_point
     );
-    let result = streamed_sweep(
-        options,
-        "fig2c_tasks",
-        "tasks",
-        config.cores,
-        |emit| figure2::run_task_count_into(&config, &counts, options.sweep_jobs(), emit),
-        |_| {},
-    );
+    let result = SweepResult {
+        cores: config.cores,
+        points: streamed(
+            options,
+            "fig2c_tasks",
+            &figure2::csv_header("tasks"),
+            SweepPoint::csv_cells,
+            |emit| figure2::run_task_count_into(&config, &counts, options.sweep_jobs(), emit),
+        ),
+    };
     println!("{}", result.render("tasks"));
     println!("wrote {}\n", options.out.join("fig2c_tasks.csv").display());
 }
@@ -879,14 +866,16 @@ fn group2(options: &Cli) {
             .with_sets_per_point(options.sets())
             .with_generator(rta_taskgen::group2);
         let name = format!("group2_m{cores}");
-        let result = streamed_sweep(
-            options,
-            &name,
-            "utilization",
+        let result = SweepResult {
             cores,
-            |emit| figure2::run_into(&config, options.sweep_jobs(), emit),
-            |_| {},
-        );
+            points: streamed(
+                options,
+                &name,
+                &figure2::csv_header("utilization"),
+                SweepPoint::csv_cells,
+                |emit| figure2::run_into(&config, options.sweep_jobs(), emit),
+            ),
+        };
         println!("m = {cores}:");
         println!("{}", result.render("U"));
         // Quantify the gap between LP-ILP and LP-max, which the paper says

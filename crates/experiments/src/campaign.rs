@@ -1,15 +1,15 @@
 //! The streaming campaign engine: every experiment driver's substrate.
 //!
-//! A *campaign* is a list of independent, deterministic cells fanned over
-//! the [`exec`] worker pool. Three cell types exist today: the
-//! **schedulability cell** (generate one task set, evaluate the three
-//! analyses through the verdict fast path — this module's [`sweep_into`]),
-//! the **table cell** (regenerate one paper table — [`crate::tables`]),
+//! A *campaign* is a grid of independent, deterministic cells fanned over
+//! the [`exec`] worker pool and folded per sweep point by
+//! [`exec::fold_points`]. Two cell types exist today: the
+//! **schedulability cell** (generate one task set, evaluate the six
+//! analyses through the verdict fast path — this module's [`sweep_into`])
 //! and the **validation cell** (generate, analyze *with per-task bounds*,
-//! simulate under both preemption policies and check the soundness
+//! simulate under every preemption policy and check the soundness
 //! invariants — [`crate::validate`]). The engine owns the properties every
-//! driver (figure2, tables, timing, sensitivity, `repro campaign`, `repro
-//! validate`) relies on:
+//! sweep driver (figure2, sensitivity, `repro campaign`, `repro validate`)
+//! relies on:
 //!
 //! * **Streaming evaluation, end to end.** Generation is not a separate
 //!   phase: each cell generates its task set *on the worker that claims
@@ -60,7 +60,7 @@
 //! ordinary coordinate-ordered point fold alongside it.
 
 use crate::exec::{self, Jobs};
-use crate::figure2::{SweepPoint, SweepResult, METHODS};
+use crate::figure2::{SweepPoint, METHODS};
 use crate::set_seed;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -71,9 +71,9 @@ use std::cell::RefCell;
 
 thread_local! {
     /// The calling worker's reusable generation scratch. Worker threads are
-    /// scoped per [`exec::par_map`] call, so the scratch lives exactly as
-    /// long as its worker; under the serial driver the main thread keeps
-    /// one scratch across the whole campaign.
+    /// scoped per [`exec::stream_indexed`] call, so the scratch lives
+    /// exactly as long as its worker; under the serial driver the main
+    /// thread keeps one scratch across the whole campaign.
     static GENERATOR: RefCell<TaskSetGenerator> = RefCell::new(TaskSetGenerator::new());
 }
 
@@ -96,19 +96,6 @@ pub fn generate_on_worker_with_count(seed: u64, config: &TaskSetConfig, count: u
     })
 }
 
-/// Runs a list of independent campaign cells over the worker pool,
-/// returning results in input order — the substrate every experiment
-/// driver fans its work through (one schedulability evaluation, one table
-/// regeneration, one timing attempt per cell).
-pub fn run_cells<T, R, F>(cells: &[T], jobs: Jobs, eval: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    exec::par_map(cells, jobs, eval)
-}
-
 /// One sweep described to the streaming engine: analysis platform,
 /// x-coordinates, sets per point, base seed, and how to generate a set
 /// from `(per-set seed, x)`.
@@ -127,24 +114,6 @@ pub struct SweepSpec<'a, F> {
     /// it on any worker); use [`generate_on_worker`] inside for scratch
     /// reuse.
     pub make_set: F,
-}
-
-/// Streams a sweep: every `(point, set)` cell generates and analyzes its
-/// task set on the worker that claims it, and the per-point fold runs in
-/// coordinate order — bit-identical across worker counts.
-///
-/// Collecting wrapper around [`sweep_into`]; the points vector it builds
-/// is small (one entry per x value), the cell outcomes never materialize.
-pub fn sweep<F>(spec: &SweepSpec<'_, F>, jobs: Jobs) -> SweepResult
-where
-    F: Fn(u64, f64) -> TaskSet + Sync,
-{
-    let mut points = Vec::with_capacity(spec.xs.len());
-    sweep_into(spec, jobs, &mut |p: &SweepPoint| points.push(p.clone()));
-    SweepResult {
-        cores: spec.cores,
-        points,
-    }
 }
 
 /// The streaming heart of every sweep: cells flow through the
@@ -178,45 +147,40 @@ pub fn sweep_cells_into<F>(
     F: Fn(u64, f64) -> TaskSet + Sync,
 {
     let sets = spec.sets_per_point;
-    if sets == 0 {
-        return;
-    }
     let request = AnalysisRequest::new(spec.cores).with_scenario_space(spec.space);
-
-    // Rolling accumulator of the point currently being folded; cells
-    // arrive in coordinate order, so a point completes exactly when its
-    // last set index is consumed.
-    let mut counts = [0usize; METHODS];
-    let mut achieved = 0.0f64;
-    exec::stream_indexed(
-        spec.xs.len() * sets,
+    exec::fold_points(
+        spec.xs.len(),
+        sets,
         jobs,
-        |index| {
-            let (p, s) = (index / sets, index % sets);
+        |p, s| {
             let ts = (spec.make_set)(set_seed(spec.seed, p, s), spec.xs[p]);
-            let schedulable = request.evaluate(&ts).verdicts();
-            (ts.total_utilization(), schedulable)
+            (ts.total_utilization(), request.evaluate(&ts).verdicts())
         },
-        |index, (utilization, schedulable)| {
-            on_cell(&schedulable);
-            achieved += utilization;
-            for (mi, &ok) in schedulable.iter().enumerate() {
-                if ok {
-                    counts[mi] += 1;
-                }
+        |acc: &mut SweepFold, (utilization, verdicts)| {
+            on_cell(&verdicts);
+            acc.achieved += utilization;
+            for (count, ok) in acc.accepted.iter_mut().zip(verdicts) {
+                *count += usize::from(ok);
             }
-            if index % sets == sets - 1 {
-                let pct = |c: usize| 100.0 * c as f64 / sets as f64;
-                on_point(&SweepPoint {
-                    x: spec.xs[index / sets],
-                    achieved_utilization: achieved / sets as f64,
-                    schedulable_pct: std::array::from_fn(|mi| pct(counts[mi])),
-                });
-                counts = [0; METHODS];
-                achieved = 0.0;
-            }
+        },
+        |p, acc| {
+            let pct = |c: usize| 100.0 * c as f64 / sets as f64;
+            on_point(&SweepPoint {
+                x: spec.xs[p],
+                achieved_utilization: acc.achieved / sets as f64,
+                schedulable_pct: acc.accepted.map(pct),
+            });
         },
     );
+}
+
+/// The per-point accumulator of a schedulability sweep.
+#[derive(Default)]
+struct SweepFold {
+    /// Sets each method accepted, in [`Method::ALL`] order.
+    accepted: [usize; METHODS],
+    /// Sum of the sets' achieved utilizations.
+    achieved: f64,
 }
 
 /// The pairwise wins/losses matrix of `repro campaign compare`:
@@ -398,18 +362,6 @@ impl MethodCosts {
     }
 }
 
-/// One named campaign panel: a sweep plus its presentation metadata.
-pub struct Panel {
-    /// CSV file stem and display name.
-    pub name: &'static str,
-    /// Human-readable description printed above the table.
-    pub title: &'static str,
-    /// X-axis label of the rendered table / CSV header.
-    pub x_label: &'static str,
-    /// The sweep result.
-    pub result: SweepResult,
-}
-
 /// Base seed of the campaign panels (distinct from the Figure 2 seed so
 /// the panels are a fresh population, not a re-analysis).
 const CAMPAIGN_SEED: u64 = 0xCA4A_161C;
@@ -453,9 +405,10 @@ pub enum PeriodFamily {
 }
 
 impl PeriodFamily {
-    /// The `group1(2.0)` preset with this family's period model.
-    fn config(self) -> TaskSetConfig {
-        let mut config = group1(2.0);
+    /// The group-1 preset at `target` utilization with this family's
+    /// period model.
+    pub fn config(self, target: f64) -> TaskSetConfig {
+        let mut config = group1(target);
         config.period_model = match self {
             PeriodFamily::SlackFactor => return config,
             PeriodFamily::CommonScale => rta_taskgen::PeriodModel::CommonScale { spread: 2.0 },
@@ -465,6 +418,30 @@ impl PeriodFamily {
         };
         config
     }
+
+    /// The `D = f·T` sweep at `U = 2` under this family's periods.
+    pub(crate) fn deadline_sweep(self) -> Box<dyn Fn(f64) -> TaskSetConfig + Sync> {
+        Box::new(move |f| self.config(2.0).with_deadline_factor(f))
+    }
+}
+
+/// What tells one sweep panel from another — a campaign panel or a
+/// validation panel — so each panel enum answers all of it in one match.
+pub(crate) struct Layout {
+    /// CSV file stem and display name.
+    pub(crate) name: String,
+    /// Human-readable description printed above the table.
+    pub(crate) title: String,
+    /// X-axis label of the rendered table and CSV header.
+    pub(crate) x_label: &'static str,
+    /// Core count the panel analyzes on.
+    pub(crate) cores: usize,
+    /// The x-axis values.
+    pub(crate) xs: Vec<f64>,
+    /// Base seed of the panel's population.
+    pub(crate) seed: u64,
+    /// The generator configuration of a set at `x`.
+    pub(crate) config: Box<dyn Fn(f64) -> TaskSetConfig + Sync>,
 }
 
 /// One of the scenario panels, identified ahead of running it — the CLI
@@ -472,18 +449,21 @@ impl PeriodFamily {
 /// the sweep through [`PanelKind::run_into`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PanelKind {
-    /// Constrained deadlines: `m = 4`, `U = 2`, `D = f·T` with `f` swept.
+    /// Constrained deadlines: `m = 4`, `U = 2`, `D = f·T` with `f` swept —
+    /// how quickly each analysis sheds schedulability as the slack between
+    /// response bound and deadline is removed.
     Deadline,
-    /// Chain-heavy mixtures: `m = 4`, `U = 2`, chain share swept.
+    /// Chain-heavy mixtures: `m = 4`, `U = 2`, chain share swept from 0 to
+    /// 1 — the regime where DAGs degenerate into control-flow chains and
+    /// LP-max's pooled-NPR bound over-counts hardest relative to LP-ILP.
     Chains,
     /// Core-count utilization sweep on `m` cores (the panels are `m ∈
     /// {2, 8, 16}`; see [`PanelKind::all`]).
     Cores(usize),
     /// The `PeriodModel × deadline_factor` cross: the deadline sweep of
     /// [`PanelKind::Deadline`] re-run under each period-derivation family,
-    /// so the deadline sensitivity of the four analyses can be compared
-    /// across generator regimes rather than only under the calibrated
-    /// default.
+    /// so the deadline sensitivity of the analyses can be compared across
+    /// generator regimes rather than only under the calibrated default.
     Cross(PeriodFamily),
 }
 
@@ -502,73 +482,81 @@ impl PanelKind {
         ]
     }
 
-    /// CSV file stem and display name.
-    pub fn name(self) -> &'static str {
+    fn layout(self) -> Layout {
         match self {
-            PanelKind::Deadline => "campaign_deadline",
-            PanelKind::Chains => "campaign_chains",
-            PanelKind::Cores(2) => "campaign_cores_m2",
-            PanelKind::Cores(8) => "campaign_cores_m8",
-            PanelKind::Cores(16) => "campaign_cores_m16",
-            PanelKind::Cores(_) => "campaign_cores",
-            PanelKind::Cross(PeriodFamily::SlackFactor) => "campaign_cross_slack",
-            PanelKind::Cross(PeriodFamily::CommonScale) => "campaign_cross_common",
-            PanelKind::Cross(PeriodFamily::PerTaskUtilization) => "campaign_cross_pertask",
+            PanelKind::Deadline => Layout {
+                name: "campaign_deadline".into(),
+                title: "constrained deadlines: m = 4, U = 2, D = f*T, f swept".into(),
+                x_label: "deadline_factor",
+                cores: 4,
+                xs: deadline_factor_grid(),
+                seed: CAMPAIGN_SEED,
+                config: PeriodFamily::SlackFactor.deadline_sweep(),
+            },
+            PanelKind::Chains => Layout {
+                name: "campaign_chains".into(),
+                title: "chain-heavy mixtures: m = 4, U = 2, chain share swept".into(),
+                x_label: "chain_share",
+                cores: 4,
+                xs: chain_share_grid(),
+                seed: CAMPAIGN_SEED ^ 1,
+                config: Box::new(|share| chain_mix(2.0, share)),
+            },
+            PanelKind::Cores(m) => Layout {
+                name: format!("campaign_cores_m{m}"),
+                title: format!("core count: m = {m} utilization sweep (group 1)"),
+                x_label: "utilization",
+                cores: m,
+                xs: utilization_grid(m),
+                seed: CAMPAIGN_SEED ^ (m as u64),
+                config: Box::new(group1),
+            },
+            PanelKind::Cross(family) => {
+                let (slug, periods) = match family {
+                    PeriodFamily::SlackFactor => ("slack", "slack-factor"),
+                    PeriodFamily::CommonScale => ("common", "common-scale"),
+                    PeriodFamily::PerTaskUtilization => ("pertask", "per-task-utilization"),
+                };
+                Layout {
+                    name: format!("campaign_cross_{slug}"),
+                    title: format!("period model x deadline: {periods} periods, D = f*T, f swept"),
+                    x_label: "deadline_factor",
+                    cores: 4,
+                    xs: deadline_factor_grid(),
+                    seed: CAMPAIGN_SEED ^ (0x100 + family as u64),
+                    config: family.deadline_sweep(),
+                }
+            }
         }
+    }
+
+    /// CSV file stem and display name (`campaign_cores_m4` for
+    /// `Cores(4)`).
+    pub fn name(self) -> String {
+        self.layout().name
     }
 
     /// CSV file stem of the panel's `repro campaign compare` acceptance
-    /// sweep (same rows as the ordinary panel CSV, fresh file so the two
-    /// runs never clobber each other).
-    pub fn compare_name(self) -> &'static str {
-        match self {
-            PanelKind::Deadline => "compare_deadline",
-            PanelKind::Chains => "compare_chains",
-            PanelKind::Cores(2) => "compare_cores_m2",
-            PanelKind::Cores(8) => "compare_cores_m8",
-            PanelKind::Cores(16) => "compare_cores_m16",
-            PanelKind::Cores(_) => "compare_cores",
-            PanelKind::Cross(PeriodFamily::SlackFactor) => "compare_cross_slack",
-            PanelKind::Cross(PeriodFamily::CommonScale) => "compare_cross_common",
-            PanelKind::Cross(PeriodFamily::PerTaskUtilization) => "compare_cross_pertask",
-        }
+    /// sweep: [`name`](Self::name) with `compare_` for `campaign_` (same
+    /// rows as the ordinary panel CSV, fresh file so the two runs never
+    /// clobber each other).
+    pub fn compare_name(self) -> String {
+        self.name().replacen("campaign_", "compare_", 1)
     }
 
     /// Human-readable description printed above the table.
-    pub fn title(self) -> &'static str {
-        match self {
-            PanelKind::Deadline => "constrained deadlines: m = 4, U = 2, D = f*T, f swept",
-            PanelKind::Chains => "chain-heavy mixtures: m = 4, U = 2, chain share swept",
-            PanelKind::Cores(2) => "core count: m = 2 utilization sweep (group 1)",
-            PanelKind::Cores(8) => "core count: m = 8 utilization sweep (group 1)",
-            PanelKind::Cores(_) => "core count: m = 16 utilization sweep (group 1)",
-            PanelKind::Cross(PeriodFamily::SlackFactor) => {
-                "period model x deadline: slack-factor periods, D = f*T, f swept"
-            }
-            PanelKind::Cross(PeriodFamily::CommonScale) => {
-                "period model x deadline: common-scale periods, D = f*T, f swept"
-            }
-            PanelKind::Cross(PeriodFamily::PerTaskUtilization) => {
-                "period model x deadline: per-task-utilization periods, D = f*T, f swept"
-            }
-        }
+    pub fn title(self) -> String {
+        self.layout().title
     }
 
     /// X-axis label of the rendered table / CSV header.
     pub fn x_label(self) -> &'static str {
-        match self {
-            PanelKind::Deadline | PanelKind::Cross(_) => "deadline_factor",
-            PanelKind::Chains => "chain_share",
-            PanelKind::Cores(_) => "utilization",
-        }
+        self.layout().x_label
     }
 
     /// Core count the panel analyzes on.
     pub fn cores(self) -> usize {
-        match self {
-            PanelKind::Deadline | PanelKind::Chains | PanelKind::Cross(_) => 4,
-            PanelKind::Cores(m) => m,
-        }
+        self.layout().cores
     }
 
     /// Streams the panel's sweep, delivering each completed point to
@@ -600,8 +588,6 @@ impl PanelKind {
         );
     }
 
-    /// The single match over the panel variants both streaming entries
-    /// share.
     fn stream(
         self,
         sets_per_point: usize,
@@ -609,150 +595,21 @@ impl PanelKind {
         on_cell: &mut dyn FnMut(&[bool]),
         on_point: &mut dyn FnMut(&SweepPoint),
     ) {
-        match self {
-            PanelKind::Deadline => {
-                let factors = deadline_factor_grid();
-                sweep_cells_into(
-                    &SweepSpec {
-                        cores: 4,
-                        xs: &factors,
-                        sets_per_point,
-                        seed: CAMPAIGN_SEED,
-                        space: ScenarioSpace::PaperExact,
-                        make_set: |seed, f| {
-                            let config = group1(2.0).with_deadline_factor(f);
-                            generate_on_worker(seed, &config)
-                        },
-                    },
-                    jobs,
-                    on_cell,
-                    on_point,
-                );
-            }
-            PanelKind::Chains => {
-                let shares = chain_share_grid();
-                sweep_cells_into(
-                    &SweepSpec {
-                        cores: 4,
-                        xs: &shares,
-                        sets_per_point,
-                        seed: CAMPAIGN_SEED ^ 1,
-                        space: ScenarioSpace::PaperExact,
-                        make_set: |seed, share| generate_on_worker(seed, &chain_mix(2.0, share)),
-                    },
-                    jobs,
-                    on_cell,
-                    on_point,
-                );
-            }
-            PanelKind::Cores(cores) => {
-                let xs = utilization_grid(cores);
-                sweep_cells_into(
-                    &SweepSpec {
-                        cores,
-                        xs: &xs,
-                        sets_per_point,
-                        seed: CAMPAIGN_SEED ^ (cores as u64),
-                        space: ScenarioSpace::PaperExact,
-                        make_set: |seed, target| generate_on_worker(seed, &group1(target)),
-                    },
-                    jobs,
-                    on_cell,
-                    on_point,
-                );
-            }
-            PanelKind::Cross(family) => {
-                let factors = deadline_factor_grid();
-                let base = family.config();
-                sweep_cells_into(
-                    &SweepSpec {
-                        cores: 4,
-                        xs: &factors,
-                        sets_per_point,
-                        seed: CAMPAIGN_SEED ^ (0x100 + family as u64),
-                        space: ScenarioSpace::PaperExact,
-                        make_set: |seed, f| {
-                            generate_on_worker(seed, &base.clone().with_deadline_factor(f))
-                        },
-                    },
-                    jobs,
-                    on_cell,
-                    on_point,
-                );
-            }
-        }
-    }
-
-    /// Runs the panel, collecting the sweep into a [`Panel`].
-    pub fn run(self, sets_per_point: usize, jobs: Jobs) -> Panel {
-        let mut points = Vec::new();
-        self.run_into(sets_per_point, jobs, &mut |p: &SweepPoint| {
-            points.push(p.clone())
-        });
-        Panel {
-            name: self.name(),
-            title: self.title(),
-            x_label: self.x_label(),
-            result: SweepResult {
-                cores: self.cores(),
-                points,
+        let layout = self.layout();
+        sweep_cells_into(
+            &SweepSpec {
+                cores: layout.cores,
+                xs: &layout.xs,
+                sets_per_point,
+                seed: layout.seed,
+                space: ScenarioSpace::PaperExact,
+                make_set: |seed, x| generate_on_worker(seed, &(layout.config)(x)),
             },
-        }
+            jobs,
+            on_cell,
+            on_point,
+        );
     }
-}
-
-/// The constrained-deadline panel: `m = 4`, `U = m/2`, deadlines
-/// `D_i = f·T_i` with the factor `f` swept — charts how quickly each
-/// analysis sheds schedulability as slack between response bound and
-/// deadline is removed.
-pub fn deadline_panel(sets_per_point: usize, jobs: Jobs) -> Panel {
-    PanelKind::Deadline.run(sets_per_point, jobs)
-}
-
-/// The chain-heavy mixture panel: `m = 4`, `U = m/2`, the sequential-chain
-/// share of the task mixture swept from 0 to 1 — the regime where DAGs
-/// degenerate into control-flow chains and LP-max's pooled-NPR bound
-/// over-counts hardest relative to LP-ILP.
-pub fn chain_panel(sets_per_point: usize, jobs: Jobs) -> Panel {
-    PanelKind::Chains.run(sets_per_point, jobs)
-}
-
-/// The core-count panels: the paper's utilization sweep on `m = 2` (where
-/// `p(m)` collapses to 2 scenarios and the paper's three analyses nearly
-/// coincide), `m = 8`, and `m = 16` (the platform the validation campaign
-/// already covered; its schedulability panel rides the same mixed
-/// suffix-DP cache path) — all re-generated from the campaign seed
-/// population.
-pub fn core_count_panels(sets_per_point: usize, jobs: Jobs) -> Vec<Panel> {
-    [
-        PanelKind::Cores(2),
-        PanelKind::Cores(8),
-        PanelKind::Cores(16),
-    ]
-    .into_iter()
-    .map(|kind| kind.run(sets_per_point, jobs))
-    .collect()
-}
-
-/// The `PeriodModel × deadline_factor` cross panels, one per period
-/// family.
-pub fn cross_panels(sets_per_point: usize, jobs: Jobs) -> Vec<Panel> {
-    [
-        PanelKind::Cross(PeriodFamily::SlackFactor),
-        PanelKind::Cross(PeriodFamily::CommonScale),
-        PanelKind::Cross(PeriodFamily::PerTaskUtilization),
-    ]
-    .into_iter()
-    .map(|kind| kind.run(sets_per_point, jobs))
-    .collect()
-}
-
-/// All campaign panels, in CLI order.
-pub fn run_all(sets_per_point: usize, jobs: Jobs) -> Vec<Panel> {
-    PanelKind::all()
-        .into_iter()
-        .map(|kind| kind.run(sets_per_point, jobs))
-        .collect()
 }
 
 /// The panels `repro campaign compare` streams its wins/losses matrix
@@ -768,34 +625,20 @@ pub fn compare_panels() -> Vec<PanelKind> {
     ]
 }
 
-/// Runs the full comparison: every [`compare_panels`] sweep streamed into
-/// one shared [`MethodMatrix`], the per-panel acceptance sweeps collected
-/// alongside. The collecting counterpart of the CLI's streaming loop
-/// (which feeds each panel's points to a CSV sink as they complete).
-pub fn run_compare(sets_per_point: usize, jobs: Jobs) -> (Vec<Panel>, MethodMatrix) {
-    let mut matrix = MethodMatrix::default();
-    let mut panels = Vec::new();
-    for kind in compare_panels() {
-        let mut points = Vec::new();
-        kind.run_compare_into(sets_per_point, jobs, &mut matrix, &mut |p: &SweepPoint| {
-            points.push(p.clone())
-        });
-        panels.push(Panel {
-            name: kind.compare_name(),
-            title: kind.title(),
-            x_label: kind.x_label(),
-            result: SweepResult {
-                cores: kind.cores(),
-                points,
-            },
-        });
-    }
-    (panels, matrix)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figure2::SweepResult;
+
+    /// Collects one panel's streamed points.
+    fn collect(kind: PanelKind, sets: usize, jobs: Jobs) -> SweepResult {
+        let mut points = Vec::new();
+        kind.run_into(sets, jobs, &mut |p: &SweepPoint| points.push(p.clone()));
+        SweepResult {
+            cores: kind.cores(),
+            points,
+        }
+    }
 
     #[test]
     fn deadline_panel_tightening_costs_schedulability() {
@@ -803,49 +646,54 @@ mod tests {
         // f does not hold: shrinking deadlines also reshuffles the
         // deadline-monotonic priority order, which can locally help a small
         // sample — only the trend is a theorem-like expectation.)
-        let panel = deadline_panel(12, Jobs::serial());
-        assert_eq!(panel.result.points.len(), 11);
-        assert!(panel.result.dominance_holds());
-        let fp: Vec<f64> = panel
-            .result
-            .points
-            .iter()
-            .map(|p| p.schedulable_pct[0])
-            .collect();
+        let result = collect(PanelKind::Deadline, 12, Jobs::serial());
+        assert_eq!(result.points.len(), 11);
+        assert!(result.dominance_holds());
+        let fp: Vec<f64> = result.points.iter().map(|p| p.schedulable_pct[0]).collect();
         let (first, last) = (fp[0], *fp.last().unwrap());
         assert!(
             first < last,
             "f = 0.5 ({first}%) must schedule fewer sets than f = 1 ({last}%)"
         );
         // f = 1 is the implicit-deadline population: identical generation.
-        assert!((panel.result.points.last().unwrap().x - 1.0).abs() < 1e-12);
+        assert!((result.points.last().unwrap().x - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn chain_panel_runs_and_dominates() {
-        let panel = chain_panel(8, Jobs::serial());
-        assert_eq!(panel.result.points.len(), 9);
-        assert!(panel.result.dominance_holds());
+        let result = collect(PanelKind::Chains, 8, Jobs::serial());
+        assert_eq!(result.points.len(), 9);
+        assert!(result.dominance_holds());
     }
 
     #[test]
     fn core_count_panels_cover_m2_m8_and_m16() {
-        let panels = core_count_panels(4, Jobs::serial());
-        assert_eq!(panels.len(), 3);
-        assert_eq!(panels[0].result.cores, 2);
-        assert_eq!(panels[1].result.cores, 8);
-        assert_eq!(panels[2].result.cores, 16);
-        for panel in &panels {
-            assert!(panel.result.dominance_holds(), "{}", panel.name);
-            assert_eq!(panel.result.points.len(), 13);
+        let kinds: Vec<PanelKind> = PanelKind::all()
+            .into_iter()
+            .filter(|k| matches!(k, PanelKind::Cores(_)))
+            .collect();
+        assert_eq!(kinds.len(), 3);
+        let results: Vec<SweepResult> = kinds
+            .iter()
+            .map(|&k| collect(k, 4, Jobs::serial()))
+            .collect();
+        assert_eq!(results[0].cores, 2);
+        assert_eq!(results[1].cores, 8);
+        assert_eq!(results[2].cores, 16);
+        for (kind, result) in kinds.iter().zip(&results) {
+            assert!(result.dominance_holds(), "{}", kind.name());
+            assert_eq!(result.points.len(), 13);
         }
     }
 
     #[test]
     fn cross_panels_cover_every_period_family() {
-        let panels = cross_panels(4, Jobs::serial());
-        assert_eq!(panels.len(), 3);
-        let names: Vec<&str> = panels.iter().map(|p| p.name).collect();
+        let kinds: Vec<PanelKind> = PanelKind::all()
+            .into_iter()
+            .filter(|k| matches!(k, PanelKind::Cross(_)))
+            .collect();
+        assert_eq!(kinds.len(), 3);
+        let names: Vec<String> = kinds.iter().map(|k| k.name()).collect();
         assert_eq!(
             names,
             [
@@ -854,16 +702,40 @@ mod tests {
                 "campaign_cross_pertask"
             ]
         );
-        for panel in &panels {
-            assert_eq!(panel.x_label, "deadline_factor");
-            assert_eq!(panel.result.points.len(), 11);
-            assert!(panel.result.dominance_holds(), "{}", panel.name);
+        let results: Vec<SweepResult> = kinds
+            .iter()
+            .map(|&k| collect(k, 4, Jobs::serial()))
+            .collect();
+        for (kind, result) in kinds.iter().zip(&results) {
+            assert_eq!(kind.x_label(), "deadline_factor");
+            assert_eq!(result.points.len(), 11);
+            assert!(result.dominance_holds(), "{}", kind.name());
         }
         // The slack-factor cross panel shares generation with the plain
         // deadline panel's family but uses its own seed: a fresh
         // population, not a re-analysis.
-        let deadline = deadline_panel(4, Jobs::serial());
-        assert_ne!(panels[0].result, deadline.result);
+        let deadline = collect(PanelKind::Deadline, 4, Jobs::serial());
+        assert_ne!(results[0], deadline);
+    }
+
+    #[test]
+    fn panel_names_and_titles_carry_the_core_count() {
+        for m in [3usize, 4, 32] {
+            let kind = PanelKind::Cores(m);
+            assert_eq!(kind.name(), format!("campaign_cores_m{m}"));
+            assert_eq!(kind.compare_name(), format!("compare_cores_m{m}"));
+            assert!(
+                kind.title().contains(&format!("m = {m} ")),
+                "{}",
+                kind.title()
+            );
+            assert_eq!(kind.cores(), m);
+        }
+        let names: Vec<String> = PanelKind::all().into_iter().map(PanelKind::name).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "panel name collision");
     }
 
     #[test]
@@ -891,10 +763,24 @@ mod tests {
 
     #[test]
     fn compare_matrix_respects_the_dominance_edges() {
-        let (panels, matrix) = run_compare(4, Jobs::serial());
+        // Every compare panel streamed into one matrix, the per-panel
+        // acceptance sweeps collected alongside.
+        let run_compare = |jobs: Jobs| {
+            let mut matrix = MethodMatrix::default();
+            let mut panels = Vec::new();
+            for kind in compare_panels() {
+                let mut points = Vec::new();
+                kind.run_compare_into(4, jobs, &mut matrix, &mut |p: &SweepPoint| {
+                    points.push(p.clone())
+                });
+                panels.push((kind.compare_name(), points));
+            }
+            (panels, matrix)
+        };
+        let (panels, matrix) = run_compare(Jobs::serial());
         assert_eq!(panels.len(), 5);
-        assert_eq!(panels[0].name, "compare_deadline");
-        let total_cells: usize = panels.iter().map(|p| p.result.points.len() * 4).sum();
+        assert_eq!(panels[0].0, "compare_deadline");
+        let total_cells: usize = panels.iter().map(|(_, points)| points.len() * 4).sum();
         assert_eq!(matrix.sets, total_cells as u64);
         // Provable edges are structurally zero columns of the winner:
         // nobody ever beats Long-paths' superset-acceptance over FP-ideal,
@@ -907,11 +793,11 @@ mod tests {
         // The comparison is deterministic: a second serial run folds the
         // same bytes, and the parallel run must match it (the per-set
         // indicator sum is order-independent).
-        let (panels2, matrix2) = run_compare(4, Jobs::Count(3));
+        let (panels2, matrix2) = run_compare(Jobs::Count(3));
         assert_eq!(matrix2, matrix);
         assert_eq!(panels2.len(), panels.len());
         for (a, b) in panels.iter().zip(&panels2) {
-            assert_eq!(a.result, b.result, "{}", a.name);
+            assert_eq!(a.1, b.1, "{}", a.0);
         }
     }
 

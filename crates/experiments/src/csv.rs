@@ -4,10 +4,11 @@
 //! appends one row at a time — the consumer side of the order-preserving
 //! worker channel ([`crate::exec::stream_indexed`]) feeds it as sweep
 //! points complete, so a panel's CSV hits the disk incrementally instead
-//! of accumulating rows in memory first. The byte format is identical to
-//! [`crate::ascii::csv`] (RFC-4180-lite: cells never contain commas or
-//! quotes), which is what keeps the streamed files byte-identical to the
-//! committed goldens and to the in-memory `to_csv` renderings.
+//! of accumulating rows in memory first. It is the crate's one CSV writer
+//! (RFC-4180-lite: cells never contain commas or quotes); [`to_string`]
+//! renders a whole row set through it for the small in-memory tables, so
+//! every CSV the crate writes — and every one the tests compare against
+//! the committed goldens — comes out of the same bytes.
 //!
 //! # Example
 //!
@@ -25,7 +26,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// An incremental CSV writer: header on construction, then one
-/// [`row`](Self::row) per record, bytes identical to [`crate::ascii::csv`].
+/// [`row`](Self::row) per record.
 #[derive(Debug)]
 pub struct CsvSink<W: Write> {
     out: W,
@@ -67,7 +68,8 @@ impl<W: Write> CsvSink<W> {
 
 /// Renders a full row set through a [`CsvSink`] into a `String` — the
 /// in-memory counterpart of the streaming path, used by the `to_csv`
-/// renderings so both produce the same bytes by construction.
+/// renderings of the small tables so both produce the same bytes by
+/// construction.
 pub fn to_string(header: &[&str], rows: impl IntoIterator<Item = Vec<String>>) -> String {
     let mut sink = CsvSink::new(Vec::new(), header).expect("in-memory CSV cannot fail");
     for row in rows {
@@ -80,7 +82,6 @@ pub fn to_string(header: &[&str], rows: impl IntoIterator<Item = Vec<String>>) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ascii;
 
     #[test]
     fn matches_ascii_csv_bytes() {
@@ -89,7 +90,13 @@ mod tests {
             vec!["1".to_string(), "2".to_string(), "3".to_string()],
             vec!["x".to_string(), "y".to_string(), "z".to_string()],
         ];
-        assert_eq!(to_string(&header, rows.clone()), ascii::csv(&header, &rows));
+        assert_eq!(to_string(&header, rows), "a,b,c\n1,2,3\nx,y,z\n");
+    }
+
+    #[test]
+    fn csv_shape() {
+        let c = to_string(&["u", "pct"], [vec!["1.5".into(), "98.3".into()]]);
+        assert_eq!(c, "u,pct\n1.5,98.3\n");
     }
 
     #[test]

@@ -3,27 +3,29 @@
 //! Every experiment in this crate reduces to "evaluate a list of
 //! independent, deterministic jobs" — one schedulability test per generated
 //! task set, seeded purely from its sweep coordinates (see
-//! [`set_seed`](crate::set_seed)). Two drivers run such lists:
+//! [`set_seed`](crate::set_seed)). One worker pool runs every such list:
 //!
-//! * [`par_map`] evaluates a list and returns all results in **input
-//!   order** (the right shape when the caller folds the whole batch, as
-//!   the tables and timing experiments do);
 //! * [`stream_indexed`] is the **order-preserving worker channel**: it
 //!   delivers each result to a consumer callback *on the calling thread,
 //!   in index order, as soon as it is ready*, holding at most a bounded
 //!   reorder window in memory — so a sweep of a million cells feeds its
 //!   per-point fold (and the streaming [`CsvSink`](crate::csv::CsvSink))
-//!   without ever materializing the result list.
+//!   without ever materializing the result list;
+//! * [`fold_points`] runs a `points × sets` grid through it and folds each
+//!   point's cells into a per-point accumulator — the loop every sweep
+//!   panel shares;
+//! * [`par_map`] collects a short list through it, in input order (the
+//!   tables and timing experiments fold the whole batch).
 //!
-//! Both drivers make the same promise: results reach the caller in input
-//! order, so any fold over them is bit-identical regardless of the worker
-//! count. That property is what lets `repro --jobs 1` and `repro --jobs
-//! 32` print the same bytes.
-//!
-//! Parallelism lives behind the crate's `parallel` feature (on by
-//! default): with the feature disabled this module compiles to the plain
-//! serial loop and the crate has no threading dependency at all, keeping
-//! `rta-analysis` and the rest of the analysis stack dependency-light.
+//! Results reach the caller in input order, so any fold over them is
+//! bit-identical regardless of the worker count. That property is what
+//! lets `repro --jobs 1` and `repro --jobs 32` print the same bytes. The
+//! pool is `std::thread::scope` over the standard library alone; with one
+//! worker it is the plain serial loop, evaluation and fold interleaved.
+
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 
 /// How many workers a campaign may use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -50,32 +52,17 @@ impl Jobs {
         Jobs::Count(1)
     }
 
-    /// Whether this build can actually run workers in parallel (the
-    /// `parallel` feature is enabled).
-    pub fn parallelism_available() -> bool {
-        cfg!(feature = "parallel")
-    }
-
-    /// The worker count this setting resolves to on this machine. Without
-    /// the `parallel` feature everything resolves to 1.
+    /// The worker count this setting resolves to on this machine.
     pub fn worker_count(self) -> usize {
-        #[cfg(feature = "parallel")]
-        {
-            match self {
-                Jobs::Auto => rayon::current_num_threads(),
-                Jobs::Count(n) => n.max(1),
-            }
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            let _ = self;
-            1
+        match self {
+            Jobs::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            Jobs::Count(n) => n.max(1),
         }
     }
 }
 
-/// Maps `f` over `items`, spreading the calls over [`Jobs::worker_count`]
-/// workers, and returns the results in input order.
+/// Maps `f` over `items` on the worker pool and returns the results in
+/// input order.
 ///
 /// `f` must be pure modulo interior timing (it may measure wall-clock time,
 /// as the timing experiment does, but the returned *decisions* must depend
@@ -87,30 +74,59 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = jobs.worker_count().min(items.len());
-    #[cfg(feature = "parallel")]
-    if workers > 1 {
-        use rayon::prelude::*;
-        return rayon::ThreadPoolBuilder::new()
-            .num_threads(workers)
-            .build()
-            .expect("worker pool construction cannot fail")
-            .install(|| items.par_iter().map(&f).collect());
-    }
-    let _ = workers;
-    items.iter().map(f).collect()
+    let mut out = Vec::with_capacity(items.len());
+    stream_indexed(items.len(), jobs, |i| f(&items[i]), |_, r| out.push(r));
+    out
 }
 
-/// Streams `len` independent evaluations over the worker pool, delivering
-/// each result to `consume` **on the calling thread, in index order**, as
-/// soon as it (and all its predecessors) is ready.
+/// Streams a grid of `points × sets` cells over the pool and folds each
+/// point's cells into a fresh accumulator: `eval(point, set)` runs on a
+/// worker, `add(&mut acc, cell)` on the calling thread in coordinate
+/// order, and `emit(point, acc)` the moment the point's last set has
+/// folded. Every sweep panel is this loop; only its accumulator differs.
 ///
-/// Unlike [`par_map`] this never materializes the result list: at most a
-/// bounded reorder window (a small multiple of the worker count) of
-/// results exists at any instant, with workers back-pressured once they
-/// run that far ahead of the consumer — the memory footprint of a sweep no
-/// longer grows with its cell count. Work indices are claimed dynamically,
-/// so load balancing matches [`par_map`]'s.
+/// Folding in coordinate order keeps even floating-point sums
+/// bit-identical for every worker count.
+pub fn fold_points<R, A, F>(
+    points: usize,
+    sets: usize,
+    jobs: Jobs,
+    eval: F,
+    mut add: impl FnMut(&mut A, R),
+    mut emit: impl FnMut(usize, A),
+) where
+    R: Send,
+    A: Default,
+    F: Fn(usize, usize) -> R + Sync,
+{
+    if sets == 0 {
+        return;
+    }
+    let mut acc = A::default();
+    stream_indexed(
+        points * sets,
+        jobs,
+        |index| eval(index / sets, index % sets),
+        |index, cell| {
+            add(&mut acc, cell);
+            if index % sets == sets - 1 {
+                emit(index / sets, std::mem::take(&mut acc));
+            }
+        },
+    );
+}
+
+/// Streams `len` independent evaluations over [`Jobs::worker_count`]
+/// workers, delivering each result to `consume` **on the calling thread,
+/// in index order**, as soon as it (and all its predecessors) is ready.
+///
+/// The result list never materializes: at most a bounded reorder window
+/// (a small multiple of the worker count) of results exists at any
+/// instant, with workers back-pressured once they run that far ahead of
+/// the consumer — the memory footprint of a sweep does not grow with its
+/// cell count. Work indices are claimed dynamically, so the load balances
+/// itself. A panic in `eval` or `consume` releases every waiting thread
+/// and reaches the caller.
 ///
 /// `eval` must be pure modulo interior timing (same contract as
 /// [`par_map`]); `consume` runs strictly sequentially and may hold `&mut`
@@ -122,28 +138,21 @@ where
     C: FnMut(usize, R),
 {
     let workers = jobs.worker_count().min(len);
-    #[cfg(feature = "parallel")]
     if workers > 1 {
         stream_parallel(len, workers, &eval, &mut consume);
-        return;
-    }
-    let _ = workers;
-    for index in 0..len {
-        consume(index, eval(index));
+    } else {
+        for index in 0..len {
+            consume(index, eval(index));
+        }
     }
 }
 
-#[cfg(feature = "parallel")]
 fn stream_parallel<R, F, C>(len: usize, workers: usize, eval: &F, consume: &mut C)
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
     C: FnMut(usize, R),
 {
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Condvar, Mutex};
-
     /// Consumer-side cursor plus the reorder buffer, under one lock so the
     /// condition variable's predicate is race-free. `dead` releases every
     /// waiter when either side unwinds (a blocked worker must never
@@ -327,5 +336,70 @@ mod tests {
     #[test]
     fn stream_empty_is_a_no_op() {
         stream_indexed(0, Jobs::Auto, |_| 0u8, |_, _| panic!("no cells to consume"));
+    }
+
+    #[test]
+    fn fold_points_emits_each_point_in_order_for_every_driver() {
+        for jobs in [Jobs::serial(), Jobs::Count(3), Jobs::Auto] {
+            let mut emitted = Vec::new();
+            fold_points(
+                5,
+                7,
+                jobs,
+                |point, set| point * 100 + set,
+                |acc: &mut Vec<usize>, cell| acc.push(cell),
+                |point, acc| emitted.push((point, acc)),
+            );
+            let expected: Vec<(usize, Vec<usize>)> = (0..5)
+                .map(|p| (p, (0..7).map(|s| p * 100 + s).collect()))
+                .collect();
+            assert_eq!(emitted, expected, "jobs = {jobs:?}");
+        }
+        fold_points(
+            4,
+            0,
+            Jobs::Auto,
+            |_, _| 0u8,
+            |_: &mut u8, _| panic!("no cells"),
+            |_, _| panic!("no points"),
+        );
+    }
+
+    // A panic on either side of the channel must reach the caller rather
+    // than leave a thread waiting on a result that never arrives.
+
+    #[test]
+    #[should_panic(expected = "stream worker panicked")]
+    fn a_panicking_eval_reaches_the_caller() {
+        stream_indexed(
+            400,
+            Jobs::Count(4),
+            |i| {
+                assert_ne!(i, 137, "cell 137 fails");
+                i
+            },
+            |_, _| {},
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "consumer fails at 50")]
+    fn a_panicking_consumer_reaches_the_caller() {
+        stream_indexed(
+            400,
+            Jobs::Count(4),
+            |i| i,
+            |i, _| assert_ne!(i, 50, "consumer fails at 50"),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "stream worker panicked")]
+    fn a_panicking_par_map_reaches_the_caller() {
+        let items: Vec<u64> = (0..200).collect();
+        par_map(&items, Jobs::Count(4), |&x| {
+            assert_ne!(x, 77, "item 77 fails");
+            x
+        });
     }
 }

@@ -85,9 +85,8 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
-    /// The point as CSV cells, in [`csv_header`] column order — shared by
-    /// the in-memory [`SweepResult::to_csv`] and the streaming
-    /// [`CsvSink`](crate::csv::CsvSink) path so both emit identical bytes.
+    /// The point as CSV cells, in [`csv_header`] column order — the row the
+    /// `repro` CLI streams through a [`CsvSink`](crate::csv::CsvSink).
     pub fn csv_cells(&self) -> Vec<String> {
         let mut cells = vec![
             format!("{:.4}", self.x),
@@ -248,15 +247,6 @@ impl SweepResult {
         out
     }
 
-    /// CSV rendering (same bytes as streaming the points through a
-    /// [`CsvSink`](crate::csv::CsvSink) with [`csv_header`]).
-    pub fn to_csv(&self, x_label: &str) -> String {
-        crate::csv::to_string(
-            &csv_header(x_label),
-            self.points.iter().map(SweepPoint::csv_cells),
-        )
-    }
-
     /// Checks the theorem-backed qualitative shape: at every point,
     /// `LP-max ≤ LP-ILP ≤ FP-ideal` and `LP-sound ≤ FP-ideal` (percentage
     /// of schedulable sets; no per-point ordering connects LP-sound to the
@@ -314,7 +304,10 @@ mod tests {
     #[test]
     fn renders_csv_and_table() {
         let result = run_with_jobs(&quick(4, 4), Jobs::Auto);
-        let csv = result.to_csv("utilization");
+        let csv = crate::csv::to_string(
+            &csv_header("utilization"),
+            result.points.iter().map(SweepPoint::csv_cells),
+        );
         assert!(csv.starts_with("utilization,achieved_utilization,fp_ideal_pct"));
         assert_eq!(csv.lines().count(), 14);
         let txt = result.render("U");

@@ -34,9 +34,9 @@
 //! through the dominance-short-circuited verdict path. Sweeps are
 //! deterministic: every task set's seed derives from `(base seed, point
 //! index, set index)` only, so results do not depend on thread scheduling.
-//! The execution substrate ([`exec`]) fans cells over a thread pool — or
-//! runs them serially with `--jobs 1`, with bit-identical output — behind
-//! the crate's `parallel` feature (enabled by default).
+//! The execution substrate ([`exec`]) is one worker pool on the standard
+//! library's scoped threads: it fans cells over the cores, or runs them
+//! serially with `--jobs 1`, with bit-identical output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

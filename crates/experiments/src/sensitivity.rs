@@ -14,9 +14,10 @@
 //! * `PerTaskUtilization` — independent heavy utilizations: demonstrates
 //!   the fragile-small-task failure mode that destroys the LP plateau.
 
+use crate::campaign::PeriodFamily;
 use crate::exec::Jobs;
 use crate::figure2::{run_with_jobs, SweepConfig, SweepResult};
-use rta_taskgen::{group1, PeriodModel, TaskSetConfig};
+use rta_taskgen::TaskSetConfig;
 
 /// One sensitivity variant: a label and a generator.
 #[derive(Clone, Debug)]
@@ -27,36 +28,21 @@ pub struct Variant {
     pub generator: fn(f64) -> TaskSetConfig,
 }
 
-fn slack_factor_default(target: f64) -> TaskSetConfig {
-    group1(target)
-}
-
-fn common_scale(target: f64) -> TaskSetConfig {
-    let mut config = group1(target);
-    config.period_model = PeriodModel::CommonScale { spread: 2.0 };
-    config
-}
-
-fn per_task_utilization(target: f64) -> TaskSetConfig {
-    let mut config = group1(target);
-    config.period_model = PeriodModel::PerTaskUtilization { max: 1.0 };
-    config
-}
-
-/// The three period-model variants listed in the module docs.
+/// The three period-model variants listed in the module docs, each the
+/// group-1 preset under one [`PeriodFamily`].
 pub fn variants() -> Vec<Variant> {
     vec![
         Variant {
             label: "slack-factor (default)",
-            generator: slack_factor_default,
+            generator: |target| PeriodFamily::SlackFactor.config(target),
         },
         Variant {
             label: "common-scale periods",
-            generator: common_scale,
+            generator: |target| PeriodFamily::CommonScale.config(target),
         },
         Variant {
             label: "per-task utilization",
-            generator: per_task_utilization,
+            generator: |target| PeriodFamily::PerTaskUtilization.config(target),
         },
     ]
 }

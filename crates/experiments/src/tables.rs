@@ -9,8 +9,7 @@
 //! on the shared engine.
 
 use crate::ascii;
-use crate::campaign;
-use crate::exec::Jobs;
+use crate::exec::{self, Jobs};
 use rta_analysis::blocking::paper_ilp::{blocking_from_mu_ilp, mu_array_ilp, rho_ilp};
 use rta_analysis::blocking::scenarios::rho;
 use rta_analysis::blocking::BlockingBounds;
@@ -65,8 +64,7 @@ impl Table1 {
 
     /// CSV rendering (the golden-output CI gate diffs these bytes).
     pub fn to_csv(&self) -> String {
-        let header = ["c", "mu1", "mu2", "mu3", "mu4"];
-        ascii::csv(&header, &self.rows())
+        crate::csv::to_string(&["c", "mu1", "mu2", "mu3", "mu4"], self.rows())
     }
 
     fn rows(&self) -> Vec<Vec<String>> {
@@ -222,7 +220,7 @@ pub fn run_all(jobs: Jobs) -> Tables {
         Three(Table3),
     }
     let cells = [0usize, 1, 2, 3, 4];
-    let mut outputs = campaign::run_cells(&cells, jobs, |&i| match i {
+    let mut outputs = exec::par_map(&cells, jobs, |&i| match i {
         0 => Cell::One(table1()),
         1 => Cell::One(table1_ilp()),
         2 => Cell::Two(table2()),

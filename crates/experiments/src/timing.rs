@@ -5,10 +5,12 @@
 //! (`m = 16`) in MATLAB + CPLEX. We reproduce the *trend* (cost growing
 //! steeply with `m`, driven by the `p(m)` execution scenarios and the
 //! per-task `µ` searches); absolute numbers are not comparable across
-//! implementations — see EXPERIMENTS.md.
+//! implementations: the paper's come from a MATLAB front end over a
+//! general-purpose ILP solver on 2016 hardware, ours from combinatorial
+//! solvers compiled to native code.
 
 use crate::campaign;
-use crate::exec::Jobs;
+use crate::exec::{self, Jobs};
 use crate::set_seed;
 use rta_analysis::{analyze, AnalysisConfig, AnalysisRequest, Method};
 use rta_taskgen::group1;
@@ -71,7 +73,7 @@ pub fn run_with_jobs(
             while accepted < samples_per_m && attempt < budget {
                 let hi = (attempt + chunk).min(budget);
                 let attempts: Vec<usize> = (attempt..hi).collect();
-                let outcomes = campaign::run_cells(&attempts, jobs, |&a| {
+                let outcomes = exec::par_map(&attempts, jobs, |&a| {
                     measure_attempt(cores, target, seed, a)
                 });
                 // Consume in attempt order; acceptance is deterministic.

@@ -109,7 +109,7 @@
 //! panels, and the two release-model sweeps.
 
 use crate::ascii;
-use crate::campaign::generate_on_worker;
+use crate::campaign::{self, generate_on_worker, Layout, PeriodFamily};
 use crate::exec::{self, Jobs};
 use crate::set_seed;
 use rta_analysis::{AnalysisRequest, Method, ScenarioSpace};
@@ -611,14 +611,6 @@ impl ValidateResult {
             .collect();
         ascii::table(&header, &rows)
     }
-
-    /// CSV rendering (same bytes as the streaming sink path).
-    pub fn to_csv(&self, x_label: &str) -> String {
-        crate::csv::to_string(
-            &csv_header(x_label),
-            self.points.iter().map(ValidatePoint::csv_cells),
-        )
-    }
 }
 
 /// One validation panel, identified ahead of running it (metadata first,
@@ -653,97 +645,95 @@ impl ValidatePanel {
         ]
     }
 
-    /// CSV file stem and display name.
-    pub fn name(self) -> &'static str {
+    /// The panel's layout and its own release pattern. The grids are
+    /// shared with the `repro campaign` panels so the reproduction and
+    /// validation populations sweep the same coordinates.
+    fn layout(self) -> (Layout, ReleaseChoice) {
+        let prefix = "bounds vs simulation:";
         match self {
-            ValidatePanel::Cores(2) => "validate_cores_m2",
-            ValidatePanel::Cores(4) => "validate_cores_m4",
-            ValidatePanel::Cores(8) => "validate_cores_m8",
-            ValidatePanel::Cores(_) => "validate_cores_m16",
-            ValidatePanel::Deadline => "validate_deadline",
-            ValidatePanel::Chains => "validate_chains",
-            ValidatePanel::Release(ReleaseChoice::Jitter) => "validate_release_jitter",
-            ValidatePanel::Release(ReleaseChoice::Sporadic) => "validate_release_sporadic",
-            ValidatePanel::Release(ReleaseChoice::Sync) => "validate_release_sync",
+            ValidatePanel::Cores(m) => (
+                Layout {
+                    name: format!("validate_cores_m{m}"),
+                    title: format!("{prefix} m = {m} utilization sweep (group 1)"),
+                    x_label: "utilization",
+                    cores: m,
+                    xs: campaign::utilization_grid(m),
+                    seed: VALIDATE_SEED ^ (m as u64),
+                    config: Box::new(group1),
+                },
+                ReleaseChoice::Sync,
+            ),
+            ValidatePanel::Deadline => (
+                Layout {
+                    name: "validate_deadline".into(),
+                    title: format!("{prefix} m = 4, U = 2, D = f*T, f swept"),
+                    x_label: "deadline_factor",
+                    cores: 4,
+                    xs: campaign::deadline_factor_grid(),
+                    seed: VALIDATE_SEED ^ 0x1_0000,
+                    config: PeriodFamily::SlackFactor.deadline_sweep(),
+                },
+                ReleaseChoice::Sync,
+            ),
+            ValidatePanel::Chains => (
+                Layout {
+                    name: "validate_chains".into(),
+                    title: format!("{prefix} m = 4, U = 2, chain share swept"),
+                    x_label: "chain_share",
+                    cores: 4,
+                    xs: campaign::chain_share_grid(),
+                    seed: VALIDATE_SEED ^ 0x2_0000,
+                    config: Box::new(|share| chain_mix(2.0, share)),
+                },
+                ReleaseChoice::Sync,
+            ),
+            ValidatePanel::Release(release) => {
+                let (seed, pattern) = match release {
+                    ReleaseChoice::Jitter => (0x3_0000, "sporadic releases with small jitter"),
+                    ReleaseChoice::Sporadic => (0x4_0000, "strongly sporadic releases"),
+                    ReleaseChoice::Sync => (0x5_0000, "synchronous periodic releases"),
+                };
+                (
+                    Layout {
+                        name: format!("validate_release_{}", release.label()),
+                        title: format!("{prefix} m = 4 sweep, {pattern}"),
+                        x_label: "utilization",
+                        cores: 4,
+                        xs: campaign::utilization_grid(4),
+                        seed: VALIDATE_SEED ^ seed,
+                        config: Box::new(group1),
+                    },
+                    release,
+                )
+            }
         }
     }
 
+    /// CSV file stem and display name (`validate_cores_m4` for
+    /// `Cores(4)`).
+    pub fn name(self) -> String {
+        self.layout().0.name
+    }
+
     /// Human-readable description printed above the table.
-    pub fn title(self) -> &'static str {
-        match self {
-            ValidatePanel::Cores(2) => "bounds vs simulation: m = 2 utilization sweep (group 1)",
-            ValidatePanel::Cores(4) => "bounds vs simulation: m = 4 utilization sweep (group 1)",
-            ValidatePanel::Cores(8) => "bounds vs simulation: m = 8 utilization sweep (group 1)",
-            ValidatePanel::Cores(_) => "bounds vs simulation: m = 16 utilization sweep (group 1)",
-            ValidatePanel::Deadline => "bounds vs simulation: m = 4, U = 2, D = f*T, f swept",
-            ValidatePanel::Chains => "bounds vs simulation: m = 4, U = 2, chain share swept",
-            ValidatePanel::Release(ReleaseChoice::Jitter) => {
-                "bounds vs simulation: m = 4 sweep, sporadic releases with small jitter"
-            }
-            ValidatePanel::Release(_) => {
-                "bounds vs simulation: m = 4 sweep, strongly sporadic releases"
-            }
-        }
+    pub fn title(self) -> String {
+        self.layout().0.title
     }
 
     /// X-axis label of the rendered table / CSV header.
     pub fn x_label(self) -> &'static str {
-        match self {
-            ValidatePanel::Cores(_) | ValidatePanel::Release(_) => "utilization",
-            ValidatePanel::Deadline => "deadline_factor",
-            ValidatePanel::Chains => "chain_share",
-        }
+        self.layout().0.x_label
     }
 
     /// Core count the panel analyzes and simulates on.
     pub fn cores(self) -> usize {
-        match self {
-            ValidatePanel::Cores(m) => m,
-            ValidatePanel::Deadline | ValidatePanel::Chains | ValidatePanel::Release(_) => 4,
-        }
+        self.layout().0.cores
     }
 
     /// The panel's own release pattern when no `--release` override is
     /// given.
     pub fn default_release(self) -> ReleaseChoice {
-        match self {
-            ValidatePanel::Release(release) => release,
-            _ => ReleaseChoice::Sync,
-        }
-    }
-
-    fn xs(self) -> Vec<f64> {
-        // The grids are shared with the `repro campaign` panels so the
-        // reproduction and validation populations sweep the same
-        // coordinates.
-        match self {
-            ValidatePanel::Cores(cores) => crate::campaign::utilization_grid(cores),
-            ValidatePanel::Release(_) => crate::campaign::utilization_grid(4),
-            ValidatePanel::Deadline => crate::campaign::deadline_factor_grid(),
-            ValidatePanel::Chains => crate::campaign::chain_share_grid(),
-        }
-    }
-
-    fn seed(self) -> u64 {
-        match self {
-            ValidatePanel::Cores(cores) => VALIDATE_SEED ^ (cores as u64),
-            ValidatePanel::Deadline => VALIDATE_SEED ^ 0x1_0000,
-            ValidatePanel::Chains => VALIDATE_SEED ^ 0x2_0000,
-            ValidatePanel::Release(ReleaseChoice::Jitter) => VALIDATE_SEED ^ 0x3_0000,
-            ValidatePanel::Release(_) => VALIDATE_SEED ^ 0x4_0000,
-        }
-    }
-
-    fn make_set(self, seed: u64, x: f64) -> TaskSet {
-        match self {
-            ValidatePanel::Cores(_) | ValidatePanel::Release(_) => {
-                generate_on_worker(seed, &group1(x))
-            }
-            ValidatePanel::Deadline => {
-                generate_on_worker(seed, &group1(2.0).with_deadline_factor(x))
-            }
-            ValidatePanel::Chains => generate_on_worker(seed, &chain_mix(2.0, x)),
-        }
+        self.layout().1
     }
 
     /// Streams the panel: each cell generates, analyzes (bounds included)
@@ -756,100 +746,85 @@ impl ValidatePanel {
         jobs: Jobs,
         on_point: &mut dyn FnMut(&ValidatePoint),
     ) {
+        let (layout, default_release) = self.layout();
+        let release = options.release.unwrap_or(default_release);
         let sets = options.sets_per_point;
-        if sets == 0 {
-            return;
-        }
-        let xs = self.xs();
-        let cores = self.cores();
-        let seed = self.seed();
-        let release = options.release.unwrap_or_else(|| self.default_release());
-
-        // Rolling per-point accumulator (see `campaign::sweep_into`).
-        let mut accepted = [0usize; METHODS];
-        let mut achieved = 0.0f64;
-        let mut violations = 0u64;
-        let mut lp_exceedances = 0u64;
-        let mut lp_misses = 0u64;
-        let mut tight_sum = [0.0f64; METHODS];
-        let mut tight_n = [0usize; METHODS];
-        let mut tight_max = [0.0f64; METHODS];
-        let mut truncated = 0u64;
-        exec::stream_indexed(
-            xs.len() * sets,
+        exec::fold_points(
+            layout.xs.len(),
+            sets,
             jobs,
-            |index| {
-                let (p, s) = (index / sets, index % sets);
-                let ts = self.make_set(set_seed(seed, p, s), xs[p]);
+            |p, s| {
+                let x = layout.xs[p];
+                let ts = generate_on_worker(set_seed(layout.seed, p, s), &(layout.config)(x));
                 validate_set(
                     &ts,
-                    cores,
+                    layout.cores,
                     options.horizon_factor,
                     options.policies,
                     release,
                 )
             },
-            |index, outcome| {
-                achieved += outcome.utilization;
-                violations += outcome.hard_violations;
-                lp_exceedances += outcome.lp_exceedances;
-                lp_misses += outcome.lp_misses;
-                truncated += outcome.truncated_traces;
-                for mi in 0..METHODS {
-                    if outcome.accepted[mi] {
-                        accepted[mi] += 1;
-                    }
-                    if let Some(ratio) = outcome.tightness[mi] {
-                        tight_sum[mi] += ratio;
-                        tight_n[mi] += 1;
-                        tight_max[mi] = tight_max[mi].max(ratio);
-                    }
-                }
-                if index % sets == sets - 1 {
-                    let pct = |c: usize| 100.0 * c as f64 / sets as f64;
-                    let mean = |mi: usize| {
-                        if tight_n[mi] > 0 {
-                            tight_sum[mi] / tight_n[mi] as f64
-                        } else {
-                            0.0
-                        }
-                    };
-                    on_point(&ValidatePoint {
-                        x: xs[index / sets],
-                        release,
-                        jitter: release.jitter_fraction(),
-                        achieved_utilization: achieved / sets as f64,
-                        accepted_pct: std::array::from_fn(|mi| pct(accepted[mi])),
-                        violations,
-                        lp_exceedances,
-                        lp_misses,
-                        tightness_mean: std::array::from_fn(mean),
-                        tightness_max: tight_max,
-                        truncated_traces: truncated,
-                    });
-                    accepted = [0; METHODS];
-                    achieved = 0.0;
-                    violations = 0;
-                    lp_exceedances = 0;
-                    lp_misses = 0;
-                    tight_sum = [0.0; METHODS];
-                    tight_n = [0; METHODS];
-                    tight_max = [0.0; METHODS];
-                    truncated = 0;
-                }
-            },
+            PointFold::add,
+            |p, fold| on_point(&fold.point(layout.xs[p], release, sets)),
         );
     }
+}
 
-    /// Runs the panel, collecting the points into a [`ValidateResult`].
-    pub fn run(self, options: &ValidateOptions, jobs: Jobs) -> ValidateResult {
-        let mut points = Vec::new();
-        self.run_into(options, jobs, &mut |p: &ValidatePoint| {
-            points.push(p.clone())
-        });
-        ValidateResult {
-            cores: self.cores(),
-            points,
+/// The per-point accumulator of a validation panel.
+#[derive(Default)]
+struct PointFold {
+    accepted: [usize; METHODS],
+    achieved: f64,
+    violations: u64,
+    lp_exceedances: u64,
+    lp_misses: u64,
+    tight_sum: [f64; METHODS],
+    tight_n: [usize; METHODS],
+    tight_max: [f64; METHODS],
+    truncated: u64,
+}
+
+impl PointFold {
+    fn add(&mut self, outcome: SetValidation) {
+        self.achieved += outcome.utilization;
+        self.violations += outcome.hard_violations;
+        self.lp_exceedances += outcome.lp_exceedances;
+        self.lp_misses += outcome.lp_misses;
+        self.truncated += outcome.truncated_traces;
+        for mi in 0..METHODS {
+            if outcome.accepted[mi] {
+                self.accepted[mi] += 1;
+            }
+            if let Some(ratio) = outcome.tightness[mi] {
+                self.tight_sum[mi] += ratio;
+                self.tight_n[mi] += 1;
+                self.tight_max[mi] = self.tight_max[mi].max(ratio);
+            }
+        }
+    }
+
+    /// The aggregated point of `sets` folded cells at `x`.
+    fn point(self, x: f64, release: ReleaseChoice, sets: usize) -> ValidatePoint {
+        let pct = |c: usize| 100.0 * c as f64 / sets as f64;
+        let mean = |mi: usize| {
+            if self.tight_n[mi] > 0 {
+                self.tight_sum[mi] / self.tight_n[mi] as f64
+            } else {
+                0.0
+            }
+        };
+        ValidatePoint {
+            x,
+            release,
+            jitter: release.jitter_fraction(),
+            achieved_utilization: self.achieved / sets as f64,
+            accepted_pct: self.accepted.map(pct),
+            violations: self.violations,
+            lp_exceedances: self.lp_exceedances,
+            lp_misses: self.lp_misses,
+            tightness_mean: std::array::from_fn(mean),
+            tightness_max: self.tight_max,
+            truncated_traces: self.truncated,
         }
     }
 }
@@ -862,6 +837,18 @@ mod tests {
     use rta_model::examples::{figure1_task_set, lp_counterexample_task_set};
     use rta_model::{DagBuilder, DagTask};
     use rta_taskgen::generate_task_set;
+
+    /// Collects one panel's streamed points.
+    fn collect(panel: ValidatePanel, options: &ValidateOptions, jobs: Jobs) -> ValidateResult {
+        let mut points = Vec::new();
+        panel.run_into(options, jobs, &mut |p: &ValidatePoint| {
+            points.push(p.clone())
+        });
+        ValidateResult {
+            cores: panel.cores(),
+            points,
+        }
+    }
 
     #[test]
     fn figure1_set_validates_cleanly() {
@@ -1028,11 +1015,36 @@ mod tests {
 
     #[test]
     fn panel_seeds_are_distinct() {
-        let seeds: Vec<u64> = ValidatePanel::all().iter().map(|p| p.seed()).collect();
+        let mut panels = ValidatePanel::all();
+        panels.push(ValidatePanel::Release(ReleaseChoice::Sync));
+        let seeds: Vec<u64> = panels.iter().map(|p| p.layout().0.seed).collect();
         let mut unique = seeds.clone();
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), seeds.len(), "panel seed collision");
+        let names: Vec<String> = panels.iter().map(|p| p.name()).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "panel name collision");
+    }
+
+    #[test]
+    fn panel_names_and_titles_carry_the_core_count() {
+        for m in [3usize, 4, 32] {
+            let panel = ValidatePanel::Cores(m);
+            assert_eq!(panel.name(), format!("validate_cores_m{m}"));
+            assert!(
+                panel.title().contains(&format!("m = {m} ")),
+                "{}",
+                panel.title()
+            );
+            assert_eq!(panel.cores(), m);
+        }
+        let sync = ValidatePanel::Release(ReleaseChoice::Sync);
+        assert_eq!(sync.name(), "validate_release_sync");
+        assert_eq!(sync.default_release(), ReleaseChoice::Sync);
+        assert!(!sync.title().contains("sporadic"), "{}", sync.title());
     }
 
     #[test]
@@ -1071,14 +1083,15 @@ mod tests {
         let panel = ValidatePanel::Release(ReleaseChoice::Jitter);
         assert_eq!(panel.name(), "validate_release_jitter");
         assert_eq!(panel.default_release(), ReleaseChoice::Jitter);
-        let result = panel.run(&options, Jobs::serial());
+        let result = collect(panel, &options, Jobs::serial());
         assert_eq!(result.total_violations(), 0);
         assert!(result
             .points
             .iter()
             .all(|p| p.release == ReleaseChoice::Jitter));
         // An explicit --release override wins over the panel default.
-        let overridden = ValidatePanel::Cores(2).run(
+        let overridden = collect(
+            ValidatePanel::Cores(2),
             &ValidateOptions {
                 sets_per_point: 2,
                 release: Some(ReleaseChoice::Sporadic),
@@ -1099,14 +1112,15 @@ mod tests {
             sets_per_point: 3,
             ..ValidateOptions::default()
         };
-        let result = ValidatePanel::Cores(2).run(&options, Jobs::serial());
+        let result = collect(ValidatePanel::Cores(2), &options, Jobs::serial());
         assert_eq!(result.cores, 2);
         assert_eq!(result.total_violations(), 0);
         let header = csv_header("utilization");
         for p in &result.points {
             assert_eq!(p.csv_cells().len(), header.len());
         }
-        let csv = result.to_csv("utilization");
+        let csv =
+            crate::csv::to_string(&header, result.points.iter().map(ValidatePoint::csv_cells));
         assert_eq!(csv.lines().count(), result.points.len() + 1);
         assert!(csv.starts_with("utilization,release,jitter,achieved_utilization,fp_ideal_pct"));
     }
@@ -1122,7 +1136,11 @@ mod tests {
             sets_per_point: 2,
             ..ValidateOptions::default()
         };
-        let result = ValidatePanel::Release(ReleaseChoice::Sporadic).run(&options, Jobs::serial());
+        let result = collect(
+            ValidatePanel::Release(ReleaseChoice::Sporadic),
+            &options,
+            Jobs::serial(),
+        );
         assert!(result.points.iter().all(|p| p.jitter == 1.0));
         for p in &result.points {
             assert_eq!(p.csv_cells()[2], "1.0");

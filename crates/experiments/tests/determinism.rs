@@ -7,13 +7,14 @@
 //! thread scheduling. These tests pin that property on a reduced
 //! Figure 2(a) grid.
 
+use rta_experiments::campaign::PanelKind;
 use rta_experiments::csv::CsvSink;
 use rta_experiments::exec::Jobs;
 use rta_experiments::figure2::{
     self, run_task_count_with_jobs, run_with_jobs, SweepConfig, SweepPoint,
 };
 use rta_experiments::validate::{self, ValidateOptions, ValidatePanel, ValidatePoint};
-use rta_experiments::{campaign, tables, timing};
+use rta_experiments::{tables, timing};
 
 /// A reduced Figure 2(a) grid: m = 4, 4 utilization points, 6 sets each.
 fn reduced_fig2a() -> SweepConfig {
@@ -22,16 +23,43 @@ fn reduced_fig2a() -> SweepConfig {
     config
 }
 
+/// The bytes the `repro` CLI writes for a sweep: every point's row
+/// through a [`CsvSink`] under `header`.
+fn sweep_csv(header: &[&str], points: &[SweepPoint]) -> Vec<u8> {
+    let mut sink = CsvSink::new(Vec::new(), header).unwrap();
+    for p in points {
+        sink.row(&p.csv_cells()).unwrap();
+    }
+    sink.finish().unwrap()
+}
+
+/// Streams one validation panel through `run_into`, collecting its points
+/// and the CSV bytes the `repro` CLI writes for them.
+fn validate_panel(
+    panel: ValidatePanel,
+    options: &ValidateOptions,
+    jobs: Jobs,
+) -> (Vec<ValidatePoint>, Vec<u8>) {
+    let mut sink = CsvSink::new(Vec::new(), &validate::csv_header(panel.x_label())).unwrap();
+    let mut points = Vec::new();
+    panel.run_into(options, jobs, &mut |p: &ValidatePoint| {
+        sink.row(&p.csv_cells()).unwrap();
+        points.push(p.clone());
+    });
+    (points, sink.finish().unwrap())
+}
+
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     let config = reduced_fig2a();
+    let header = figure2::csv_header("utilization");
     let serial = run_with_jobs(&config, Jobs::serial());
     for jobs in [Jobs::Count(2), Jobs::Count(7), Jobs::Auto] {
         let parallel = run_with_jobs(&config, jobs);
         assert_eq!(parallel, serial, "jobs = {jobs:?}");
         assert_eq!(
-            parallel.to_csv("utilization").into_bytes(),
-            serial.to_csv("utilization").into_bytes(),
+            sweep_csv(&header, &parallel.points),
+            sweep_csv(&header, &serial.points),
             "CSV bytes must match for jobs = {jobs:?}"
         );
         assert_eq!(
@@ -46,12 +74,13 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 fn task_count_variant_is_byte_identical_to_serial() {
     let config = reduced_fig2a();
     let counts = [2usize, 4, 6];
+    let header = figure2::csv_header("tasks");
     let serial = run_task_count_with_jobs(&config, &counts, Jobs::serial());
     let parallel = run_task_count_with_jobs(&config, &counts, Jobs::Count(5));
     assert_eq!(parallel, serial);
     assert_eq!(
-        parallel.to_csv("tasks").into_bytes(),
-        serial.to_csv("tasks").into_bytes()
+        sweep_csv(&header, &parallel.points),
+        sweep_csv(&header, &serial.points)
     );
 }
 
@@ -61,76 +90,49 @@ fn campaign_panels_are_byte_identical_to_serial() {
     // worker count — the property the golden-CSV CI gate also pins from
     // the outside.
     let build = |jobs: Jobs| {
-        let mut panels = vec![
-            campaign::deadline_panel(5, jobs),
-            campaign::chain_panel(5, jobs),
-        ];
-        panels.extend(campaign::core_count_panels(4, jobs));
+        let mut panels = vec![(PanelKind::Deadline, 5), (PanelKind::Chains, 5)];
+        panels.extend([2, 8, 16].map(|m| (PanelKind::Cores(m), 4)));
         panels
+            .into_iter()
+            .map(|(kind, sets)| {
+                let mut points = Vec::new();
+                kind.run_into(sets, jobs, &mut |p: &SweepPoint| points.push(p.clone()));
+                let csv = sweep_csv(&figure2::csv_header(kind.x_label()), &points);
+                (kind.name(), csv)
+            })
+            .collect::<Vec<_>>()
     };
     let serial = build(Jobs::serial());
     for jobs in [Jobs::Count(3), Jobs::Auto] {
         let parallel = build(jobs);
         assert_eq!(parallel.len(), serial.len());
         for (p, s) in parallel.iter().zip(&serial) {
-            assert_eq!(p.name, s.name);
+            assert_eq!(p.0, s.0);
             assert_eq!(
-                p.result.to_csv(p.x_label).into_bytes(),
-                s.result.to_csv(s.x_label).into_bytes(),
+                p.1, s.1,
                 "panel {} must be byte-identical under {jobs:?}",
-                p.name
+                p.0
             );
         }
     }
 }
 
 #[test]
-fn streamed_csv_bytes_equal_the_buffered_rendering() {
-    // The CLI streams rows through a `CsvSink` as points complete; the
-    // in-memory `to_csv` must produce the very same bytes (this is what
-    // keeps the committed goldens stable across the refactor).
-    let config = reduced_fig2a();
-    let mut sink = CsvSink::new(Vec::new(), &figure2::csv_header("utilization")).unwrap();
-    figure2::run_into(&config, Jobs::Count(3), &mut |p: &SweepPoint| {
-        sink.row(&p.csv_cells()).unwrap();
-    });
-    let streamed = sink.finish().unwrap();
-    let buffered = run_with_jobs(&config, Jobs::serial())
-        .to_csv("utilization")
-        .into_bytes();
-    assert_eq!(streamed, buffered);
-}
-
-#[test]
 fn validate_panels_are_byte_identical_to_serial() {
     // The validation campaign folds sim + analysis outcomes (including
     // floating tightness ratios) in coordinate order; any worker count
-    // must emit the same CSV bytes, streamed or buffered.
+    // must emit the same CSV bytes.
     let options = ValidateOptions {
         sets_per_point: 4,
         ..ValidateOptions::default()
     };
     for panel in [ValidatePanel::Chains, ValidatePanel::Cores(2)] {
-        let serial = panel.run(&options, Jobs::serial());
-        for jobs in [Jobs::Count(3), Jobs::Auto] {
-            let parallel = panel.run(&options, jobs);
-            assert_eq!(parallel, serial, "{panel:?} under {jobs:?}");
-            assert_eq!(
-                parallel.to_csv(panel.x_label()).into_bytes(),
-                serial.to_csv(panel.x_label()).into_bytes(),
-                "{panel:?} CSV bytes under {jobs:?}"
-            );
+        let serial = validate_panel(panel, &options, Jobs::serial());
+        for jobs in [Jobs::Count(2), Jobs::Count(3), Jobs::Auto] {
+            let parallel = validate_panel(panel, &options, jobs);
+            assert_eq!(parallel.0, serial.0, "{panel:?} under {jobs:?}");
+            assert_eq!(parallel.1, serial.1, "{panel:?} CSV bytes under {jobs:?}");
         }
-        // Streamed bytes equal the buffered rendering here too.
-        let mut sink = CsvSink::new(Vec::new(), &validate::csv_header(panel.x_label())).unwrap();
-        panel.run_into(&options, Jobs::Count(2), &mut |p: &ValidatePoint| {
-            sink.row(&p.csv_cells()).unwrap();
-        });
-        assert_eq!(
-            sink.finish().unwrap(),
-            serial.to_csv(panel.x_label()).into_bytes(),
-            "{panel:?} streamed vs buffered"
-        );
     }
 }
 

@@ -657,7 +657,8 @@ mod tests {
         // unit), per-task utilization is capped at 1/min_slack, so sets
         // saturate at tasks/min_slack ≈ 0.75·target for high targets; the
         // sweep harness reports the achieved utilization alongside the
-        // nominal target (EXPERIMENTS.md). Low targets must land exactly.
+        // nominal target (the `achieved_utilization` CSV column). Low
+        // targets must land exactly.
         for target in [1.0f64, 2.5, 6.0, 12.0] {
             let config = group1(target);
             for seed in 0..20u64 {
