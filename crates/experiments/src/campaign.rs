@@ -407,7 +407,7 @@ pub enum PeriodFamily {
 impl PeriodFamily {
     /// The group-1 preset at `target` utilization with this family's
     /// period model.
-    pub fn config(self, target: f64) -> TaskSetConfig {
+    pub(crate) fn config(self, target: f64) -> TaskSetConfig {
         let mut config = group1(target);
         config.period_model = match self {
             PeriodFamily::SlackFactor => return config,
