@@ -2,7 +2,7 @@
 //!
 //! A *campaign* is a grid of independent, deterministic cells fanned over
 //! the [`exec`] worker pool and folded per sweep point by
-//! [`exec::fold_points`]. Two cell types exist today: the
+//! `exec::fold_points`. Two cell types exist today: the
 //! **schedulability cell** (generate one task set, evaluate the six
 //! analyses through the verdict fast path — this module's [`sweep_into`])
 //! and the **validation cell** (generate, analyze *with per-task bounds*,

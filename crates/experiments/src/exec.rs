@@ -11,7 +11,7 @@
 //!   reorder window in memory — so a sweep of a million cells feeds its
 //!   per-point fold (and the streaming [`CsvSink`](crate::csv::CsvSink))
 //!   without ever materializing the result list;
-//! * [`fold_points`] runs a `points × sets` grid through it and folds each
+//! * `fold_points` runs a `points × sets` grid through it and folds each
 //!   point's cells into a per-point accumulator — the loop every sweep
 //!   panel shares;
 //! * [`par_map`] collects a short list through it, in input order (the
@@ -20,8 +20,8 @@
 //! Results reach the caller in input order, so any fold over them is
 //! bit-identical regardless of the worker count. That property is what
 //! lets `repro --jobs 1` and `repro --jobs 32` print the same bytes. The
-//! pool is `std::thread::scope` over the standard library alone; with one
-//! worker it is the plain serial loop, evaluation and fold interleaved.
+//! pool runs on the standard library's scoped threads; with one worker it
+//! is the plain serial loop, evaluation and fold interleaved.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -87,7 +87,7 @@ where
 ///
 /// Folding in coordinate order keeps even floating-point sums
 /// bit-identical for every worker count.
-pub fn fold_points<R, A, F>(
+pub(crate) fn fold_points<R, A, F>(
     points: usize,
     sets: usize,
     jobs: Jobs,
