@@ -425,15 +425,12 @@ struct WorkerTally {
     chaos: ChaosTally,
 }
 
-/// Fetches one `{"metrics":true}` response line over a fresh connection.
-fn scrape_metrics(addr: &str) -> io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(b"{\"v\":1,\"metrics\":true}\n")?;
+/// Sends one control frame (`{"metrics":true}`, `{"shutdown":true}`) over
+/// a fresh connection and returns the response line, under the same read
+/// timeout as the burst's requests.
+fn control(addr: &str, frame: &str) -> io::Result<String> {
     let mut line = String::new();
-    BufReader::new(&stream).read_line(&mut line)?;
-    if line.is_empty() {
-        return Err(io::Error::other("server closed without answering"));
-    }
+    Conn::connect(addr)?.round_trip(frame, &mut line)?;
     Ok(line)
 }
 
@@ -493,7 +490,7 @@ pub fn run(options: &LoadgenOptions) -> io::Result<LoadgenReport> {
     if let Some(path) = &options.metrics {
         // Scrape before any shutdown: the registry lives in the server
         // process and the frame needs a live socket.
-        match scrape_metrics(&options.addr) {
+        match control(&options.addr, "{\"v\":1,\"metrics\":true}\n") {
             Ok(line) => {
                 std::fs::write(path, line)?;
             }
@@ -501,11 +498,9 @@ pub fn run(options: &LoadgenOptions) -> io::Result<LoadgenReport> {
         }
     }
     if options.shutdown {
-        // Separate control connection; best effort (the burst is done).
-        if let Ok(mut stream) = TcpStream::connect(&options.addr) {
-            let _ = stream.write_all(b"{\"shutdown\":true}\n");
-            let mut line = String::new();
-            let _ = BufReader::new(&stream).read_line(&mut line);
+        // Best effort: the burst is done.
+        if let Err(e) = control(&options.addr, "{\"shutdown\":true}\n") {
+            eprintln!("warning: shutdown of {} failed: {e}", options.addr);
         }
     }
     let successes = tally.requests - tally.errors;
@@ -559,17 +554,20 @@ impl Conn {
         })
     }
 
-    /// Sends one frame and reads one response line. `false` means the
-    /// connection is unusable (dropped, reset, or timed out) and the
-    /// caller should reconnect.
-    fn round_trip(&mut self, frame: &str, line: &mut String) -> bool {
-        if self.writer.write_all(frame.as_bytes()).is_err() || self.writer.flush().is_err() {
-            return false;
-        }
+    /// Sends one frame and reads one response line. An error means the
+    /// connection is unusable (dropped, reset, timed out, or closed before
+    /// a whole line) and the caller should reconnect.
+    fn round_trip(&mut self, frame: &str, line: &mut String) -> io::Result<()> {
+        self.writer.write_all(frame.as_bytes())?;
         line.clear();
-        match self.reader.read_line(line) {
-            Ok(0) | Err(_) => false,
-            Ok(_) => line.ends_with('\n'),
+        self.reader.read_line(line)?;
+        if line.ends_with('\n') {
+            Ok(())
+        } else {
+            Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed without a whole response line",
+            ))
         }
     }
 }
@@ -647,7 +645,7 @@ fn run_worker(options: &LoadgenOptions, worker: usize, pool: &[String]) -> io::R
             let mut answered = false;
             let sent = Instant::now();
             if let Some(c) = conn.as_mut() {
-                answered = c.round_trip(&frame, &mut line);
+                answered = c.round_trip(&frame, &mut line).is_ok();
                 if !answered {
                     conn = None;
                 }
@@ -912,6 +910,46 @@ mod tests {
             );
             assert!(delay.as_micros() <= u128::from(ceiling), "{i}: {delay:?}");
         }
+    }
+
+    #[test]
+    fn control_frames_to_a_silent_server_time_out() {
+        use std::net::TcpListener;
+        // A server that accepts and never answers.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let silent = thread::spawn(move || {
+            (0..2)
+                .map(|_| listener.accept().expect("accept").0)
+                .collect::<Vec<_>>()
+        });
+        let started = Instant::now();
+        let calls: Vec<_> = ["{\"v\":1,\"metrics\":true}\n", "{\"shutdown\":true}\n"]
+            .into_iter()
+            .map(|frame| {
+                let addr = addr.clone();
+                thread::spawn(move || control(&addr, frame))
+            })
+            .collect();
+        for call in calls {
+            let err = call
+                .join()
+                .expect("control thread")
+                .expect_err("no answer came");
+            assert!(
+                matches!(
+                    err.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ),
+                "{err}"
+            );
+        }
+        assert!(
+            started.elapsed() < CLIENT_READ_TIMEOUT + Duration::from_secs(2),
+            "{:?}",
+            started.elapsed()
+        );
+        drop(silent.join().expect("listener thread"));
     }
 
     #[test]

@@ -63,6 +63,18 @@
 //! is additionally written there in Prometheus text exposition format
 //! when the server drains.
 //!
+//! # Pipelining
+//!
+//! A client may send frames without waiting for answers: every non-blank
+//! frame gets exactly one response, in the order the frames arrived. A
+//! connection renders its responses back to back into one buffer (at most
+//! 64 KiB before it is written) and sends them in one socket
+//! write once no complete frame is left to read, before any work longer
+//! than a lookup (a cold analysis, a simulation, an injected delay), and
+//! when the connection ends. `TCP_NODELAY` is set, so a write leaves at
+//! once instead of waiting for the ACK of the one before. The registry's
+//! `serve_write_frames` histogram counts the responses each write carried.
+//!
 //! # Simulation frames
 //!
 //! Besides analysis verdicts, the server runs the event-driven simulator
@@ -190,6 +202,10 @@ const ACCEPT_TICK: Duration = Duration::from_millis(5);
 
 /// Smallest socket timeout we ever set (zero would disable the timeout).
 const MIN_SOCKET_TIMEOUT: Duration = Duration::from_millis(1);
+
+/// Response bytes a connection buffers before it writes them even though
+/// more buffered frames are waiting to be answered.
+const OUTBOX_BYTES: usize = 64 * 1024;
 
 /// Seeded fault injection — the test-only knob behind the chaos suite.
 ///
@@ -325,6 +341,9 @@ mod obs {
         LazyLock::new(|| rta_obs::histogram("serve_frame_ns_stats"));
     pub static FRAME_NS_METRICS: LazyLock<Histogram> =
         LazyLock::new(|| rta_obs::histogram("serve_frame_ns_metrics"));
+    /// Responses per socket write.
+    pub static WRITE_FRAMES: LazyLock<Histogram> =
+        LazyLock::new(|| rta_obs::histogram("serve_write_frames"));
 }
 
 /// Gauge of live connections: the pool bound, the shed signal, and the
@@ -637,8 +656,9 @@ fn drain_connections(state: &ServerState, registry: Vec<thread::JoinHandle<()>>)
 /// cannot stall the acceptor.
 fn refuse_overloaded(stream: TcpStream, write_timeout: Duration) {
     let _ = stream.set_write_timeout(Some(write_timeout.max(MIN_SOCKET_TIMEOUT)));
-    let mut stream = stream;
-    let _ = respond_error(&mut stream, None, &WireError::overloaded());
+    let mut out = Outbox::new(stream);
+    let _ = respond_error(&mut out, None, &WireError::overloaded());
+    let _ = out.flush();
 }
 
 // ---------------------------------------------------------------------------
@@ -732,18 +752,36 @@ enum FrameRead {
 }
 
 fn serve_connection(state: &Arc<ServerState>, stream: TcpStream) -> io::Result<()> {
+    // With Nagle's algorithm on, a response to a pipelined frame would wait
+    // for the client's ACK of the response before it.
+    stream.set_nodelay(true)?;
     // A client that stops *reading* must not park this thread forever.
     stream.set_write_timeout(Some(state.options.frame_timeout.max(MIN_SOCKET_TIMEOUT)))?;
-    let mut writer = stream.try_clone()?;
+    let mut out = Outbox::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
+    let served = serve_frames(state, &mut reader, &mut out);
+    // Whatever ended the conversation, the answers already computed leave
+    // before the thread does.
+    let flushed = out.flush();
+    served.and(flushed)
+}
+
+/// Answers frames until the connection closes, times out or the server
+/// stops; responses collect in `out`, which the caller flushes last.
+fn serve_frames(
+    state: &Arc<ServerState>,
+    reader: &mut BufReader<TcpStream>,
+    out: &mut Outbox,
+) -> io::Result<()> {
     let mut line = Vec::new();
     loop {
-        match read_frame(state, &mut reader, &mut line)? {
+        flush_before_read(reader, out)?;
+        match read_frame(state, reader, &mut line)? {
             FrameRead::Closed | FrameRead::Stopped => return Ok(()),
             FrameRead::IdleTimeout => {
                 state.bump(Stat::Timeouts);
                 let _ = respond_error(
-                    &mut writer,
+                    out,
                     None,
                     &WireError::timeout(format!(
                         "no frame within the {}ms idle budget",
@@ -755,7 +793,7 @@ fn serve_connection(state: &Arc<ServerState>, stream: TcpStream) -> io::Result<(
             FrameRead::Stalled => {
                 state.bump(Stat::Timeouts);
                 let _ = respond_error(
-                    &mut writer,
+                    out,
                     None,
                     &WireError::timeout(format!(
                         "frame did not complete within the {}ms frame budget",
@@ -770,14 +808,15 @@ fn serve_connection(state: &Arc<ServerState>, stream: TcpStream) -> io::Result<(
                 // next newline.
                 state.bump(Stat::Errors);
                 respond_error(
-                    &mut writer,
+                    out,
                     None,
                     &WireError {
                         kind: "too_large",
                         message: format!("frame exceeds {} bytes", state.options.max_frame),
                     },
                 )?;
-                if !drain_to_newline(state, &mut reader)? {
+                flush_before_read(reader, out)?;
+                if !drain_to_newline(state, reader)? {
                     return Ok(()); // EOF or stall inside the oversized frame
                 }
             }
@@ -786,7 +825,7 @@ fn serve_connection(state: &Arc<ServerState>, stream: TcpStream) -> io::Result<(
                 if text.trim().is_empty() {
                     continue; // bare keep-alive newline
                 }
-                if !handle_frame(state, &mut writer, text.trim())? {
+                if !handle_frame(state, out, text.trim())? {
                     return Ok(());
                 }
             }
@@ -794,13 +833,23 @@ fn serve_connection(state: &Arc<ServerState>, stream: TcpStream) -> io::Result<(
     }
 }
 
+/// Sends the buffered answers unless another complete frame is already
+/// buffered: the next read may block, and no answer waits behind it.
+fn flush_before_read(reader: &BufReader<TcpStream>, out: &mut Outbox) -> io::Result<()> {
+    if reader.buffer().contains(&b'\n') {
+        Ok(())
+    } else {
+        out.flush()
+    }
+}
+
 /// Parses and answers one complete frame; returns `false` when the
 /// connection should close (wire shutdown).
-fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) -> io::Result<bool> {
+fn handle_frame(state: &Arc<ServerState>, out: &mut Outbox, text: &str) -> io::Result<bool> {
     match parse_frame(text) {
         Err(error) => {
             state.bump(Stat::Errors);
-            respond_error(writer, None, &error)?;
+            respond_error(out, None, &error)?;
         }
         Ok(Frame::Stats { id }) => {
             let started = Instant::now();
@@ -808,27 +857,20 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
                 let lru = state.lru.lock().expect("lru lock");
                 (lru.stats(), lru.len())
             };
-            let mut out = String::from("{\"v\":1,");
-            push_id(&mut out, id);
-            write_stats(&mut out, state, cached, stats);
-            writeln_frame(writer, out)?;
+            out.respond(id, |buf| write_stats(buf, state, cached, stats))?;
             obs::FRAME_NS_STATS.observe_since(started);
         }
         Ok(Frame::Metrics { id }) => {
             let started = Instant::now();
-            let mut out = String::from("{\"v\":1,");
-            push_id(&mut out, id);
-            out.push_str("\"ok\":true,\"metrics\":");
-            out.push_str(&state.metrics().to_json());
-            out.push('}');
-            writeln_frame(writer, out)?;
+            out.respond(id, |buf| {
+                buf.push_str("\"ok\":true,\"metrics\":");
+                buf.push_str(&state.metrics().to_json());
+                buf.push('}');
+            })?;
             obs::FRAME_NS_METRICS.observe_since(started);
         }
         Ok(Frame::Shutdown { id }) => {
-            let mut out = String::from("{\"v\":1,");
-            push_id(&mut out, id);
-            out.push_str("\"ok\":true,\"shutdown\":true}");
-            writeln_frame(writer, out)?;
+            out.respond(id, |buf| buf.push_str("\"ok\":true,\"shutdown\":true}"))?;
             state.stop.store(true, Ordering::SeqCst);
             return Ok(false);
         }
@@ -839,6 +881,7 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
         }) => {
             state.bump(Stat::Requests);
             if let Some(delay) = state.inject_delay() {
+                out.flush()?;
                 thread::sleep(delay);
             }
             let started = Instant::now();
@@ -853,11 +896,11 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
                 match cached {
                     Some(outcome) => {
                         let micros = started.elapsed().as_micros();
-                        respond_outcome(writer, id, CacheOutcome::Hit, micros, &outcome)?;
+                        respond_outcome(out, id, CacheOutcome::Hit, micros, &outcome)?;
                     }
                     None => {
                         state.bump(Stat::Shed);
-                        respond_error(writer, id, &WireError::overloaded())?;
+                        respond_error(out, id, &WireError::overloaded())?;
                     }
                 }
                 obs::FRAME_NS_ANALYZE.observe_since(started);
@@ -871,24 +914,28 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
                 .lock()
                 .expect("lru lock")
                 .fetch(&task_set, &request);
-            let (outcome, status) = match fetched {
-                (Some(outcome), status) => (outcome, status),
+            let (outcome, status, elapsed) = match fetched {
+                (Some(outcome), status) => (outcome, status, started.elapsed()),
                 (None, status) => {
+                    // The answers ahead of a cold analysis leave first; the
+                    // write is not part of this frame's time.
+                    let lookup = started.elapsed();
+                    out.flush()?;
+                    let cold = Instant::now();
                     let outcome = request.evaluate(&task_set);
                     state
                         .lru
                         .lock()
                         .expect("lru lock")
                         .store(&task_set, &request, &outcome);
-                    (outcome, status)
+                    (outcome, status, lookup + cold.elapsed())
                 }
             };
-            let elapsed = started.elapsed();
             if elapsed > state.options.frame_timeout {
                 state.bump(Stat::Overruns);
             }
             obs::FRAME_NS_ANALYZE.observe(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
-            respond_outcome(writer, id, status, elapsed.as_micros(), &outcome)?;
+            respond_outcome(out, id, status, elapsed.as_micros(), &outcome)?;
         }
         Ok(Frame::Simulate {
             id,
@@ -897,6 +944,7 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
         }) => {
             state.bump(Stat::SimRequests);
             if let Some(delay) = state.inject_delay() {
+                out.flush()?;
                 thread::sleep(delay);
             }
             // Simulations are never cached (the state space is seeded and
@@ -904,9 +952,12 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
             // pressure there is no degraded answer to give: shed outright.
             if state.active.current() >= state.options.shed_watermark {
                 state.bump(Stat::Shed);
-                respond_error(writer, id, &WireError::overloaded())?;
+                respond_error(out, id, &WireError::overloaded())?;
                 return Ok(true);
             }
+            // A simulation is more than a lookup: the answers ahead of it
+            // leave first.
+            out.flush()?;
             let started = Instant::now();
             let outcome = request.evaluate(&task_set);
             let elapsed = started.elapsed();
@@ -914,7 +965,7 @@ fn handle_frame(state: &Arc<ServerState>, writer: &mut TcpStream, text: &str) ->
                 state.bump(Stat::Overruns);
             }
             obs::FRAME_NS_SIMULATE.observe(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
-            respond_sim(writer, id, elapsed.as_micros(), &outcome)?;
+            respond_sim(out, id, elapsed.as_micros(), &outcome)?;
         }
     }
     Ok(true)
@@ -1397,29 +1448,81 @@ fn push_id(out: &mut String, id: Option<u64>) {
     }
 }
 
-fn writeln_frame(writer: &mut impl Write, mut frame: String) -> io::Result<()> {
-    frame.push('\n');
-    writer.write_all(frame.as_bytes())?;
-    writer.flush()
+/// A connection's write side. Responses are rendered back to back into
+/// one buffer and leave together in one socket write when the connection
+/// calls [`Outbox::flush`], or on their own once [`OUTBOX_BYTES`] are
+/// waiting. Unlike a `BufWriter`, which writes on its own in the middle of
+/// a response that overflows it, every write carries whole responses, so
+/// `serve_write_frames` counts them exactly.
+struct Outbox {
+    stream: TcpStream,
+    buf: String,
+    /// Responses in `buf`.
+    frames: u64,
 }
 
-fn respond_error(writer: &mut impl Write, id: Option<u64>, error: &WireError) -> io::Result<()> {
-    let mut out = String::from("{\"v\":1,");
-    push_id(&mut out, id);
-    out.push_str("\"ok\":false,\"error\":{\"kind\":\"");
-    out.push_str(error.kind);
-    out.push_str("\",\"message\":");
-    push_escaped(&mut out, &error.message);
-    out.push_str("}}");
-    writeln_frame(writer, out)
+impl Outbox {
+    fn new(stream: TcpStream) -> Self {
+        Self {
+            stream,
+            buf: String::new(),
+            frames: 0,
+        }
+    }
+
+    /// Appends one response: the envelope, the echoed `id`, then `body`
+    /// renders the rest of the object.
+    fn respond(&mut self, id: Option<u64>, body: impl FnOnce(&mut String)) -> io::Result<()> {
+        self.buf.push_str("{\"v\":1,");
+        push_id(&mut self.buf, id);
+        body(&mut self.buf);
+        self.buf.push('\n');
+        self.frames += 1;
+        if self.buf.len() >= OUTBOX_BYTES {
+            self.flush()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Sends every buffered response in one socket write. The buffer is
+    /// emptied even when the write fails, so a dead client costs one
+    /// write timeout, not one per later flush.
+    fn flush(&mut self) -> io::Result<()> {
+        if self.frames == 0 {
+            return Ok(());
+        }
+        let sent = self.stream.write_all(self.buf.as_bytes());
+        obs::WRITE_FRAMES.observe(self.frames);
+        self.frames = 0;
+        self.buf.clear();
+        self.buf.shrink_to(OUTBOX_BYTES);
+        sent
+    }
+}
+
+fn respond_error(out: &mut Outbox, id: Option<u64>, error: &WireError) -> io::Result<()> {
+    out.respond(id, |buf| {
+        buf.push_str("\"ok\":false,\"error\":{\"kind\":\"");
+        buf.push_str(error.kind);
+        buf.push_str("\",\"message\":");
+        push_escaped(buf, &error.message);
+        buf.push_str("}}");
+    })
 }
 
 /// The compact JSON array of per-method verdicts exactly as the wire
 /// carries it — public so tests can pin server responses byte-identical
 /// to the library path.
 pub fn verdicts_json(outcome: &rta_analysis::AnalysisOutcome) -> String {
+    let mut out = String::new();
+    push_verdicts(&mut out, outcome);
+    out
+}
+
+fn push_verdicts(out: &mut String, outcome: &rta_analysis::AnalysisOutcome) {
     use std::fmt::Write as _;
-    let mut out = String::from("[");
+    out.push('[');
     for (i, answer) in outcome.outcomes().iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -1443,37 +1546,41 @@ pub fn verdicts_json(outcome: &rta_analysis::AnalysisOutcome) -> String {
         out.push('}');
     }
     out.push(']');
-    out
 }
 
 fn respond_outcome(
-    writer: &mut impl Write,
+    out: &mut Outbox,
     id: Option<u64>,
     status: CacheOutcome,
     micros: u128,
     outcome: &rta_analysis::AnalysisOutcome,
 ) -> io::Result<()> {
     use std::fmt::Write as _;
-    let mut out = String::from("{\"v\":1,");
-    push_id(&mut out, id);
-    let _ = write!(
-        out,
-        "\"ok\":true,\"cache\":\"{}\",\"micros\":{micros},\"verdicts\":{}}}",
-        status.label(),
-        verdicts_json(outcome)
-    );
-    writeln_frame(writer, out)
+    out.respond(id, |buf| {
+        let _ = write!(
+            buf,
+            "\"ok\":true,\"cache\":\"{}\",\"micros\":{micros},\"verdicts\":",
+            status.label()
+        );
+        push_verdicts(buf, outcome);
+        buf.push('}');
+    })
 }
 
 /// The compact JSON object of simulation results exactly as the wire
 /// carries it — public so tests can pin server responses to the library
 /// path.
 pub fn sim_json(outcome: &SimOutcome) -> String {
+    let mut out = String::new();
+    push_sim(&mut out, outcome);
+    out
+}
+
+fn push_sim(out: &mut String, outcome: &SimOutcome) {
     use std::fmt::Write as _;
-    let mut out = String::from("{");
     let _ = write!(
         out,
-        "\"makespan\":{},\"deadline_misses\":{},\"events\":{},\
+        "{{\"makespan\":{},\"deadline_misses\":{},\"events\":{},\
          \"deferred_preemptions\":{},\"peak_live_jobs\":{},\
          \"trace_dropped\":{},\"max_responses\":[",
         outcome.makespan(),
@@ -1490,25 +1597,20 @@ pub fn sim_json(outcome: &SimOutcome) -> String {
         let _ = write!(out, "{}", stats.max_response);
     }
     out.push_str("]}");
-    out
 }
 
 fn respond_sim(
-    writer: &mut impl Write,
+    out: &mut Outbox,
     id: Option<u64>,
     micros: u128,
     outcome: &SimOutcome,
 ) -> io::Result<()> {
     use std::fmt::Write as _;
-    let mut out = String::from("{\"v\":1,");
-    push_id(&mut out, id);
-    let _ = write!(
-        out,
-        "\"ok\":true,\"micros\":{micros},\"sim\":{}",
-        sim_json(outcome)
-    );
-    out.push('}');
-    writeln_frame(writer, out)
+    out.respond(id, |buf| {
+        let _ = write!(buf, "\"ok\":true,\"micros\":{micros},\"sim\":");
+        push_sim(buf, outcome);
+        buf.push('}');
+    })
 }
 
 fn write_stats(

@@ -735,3 +735,204 @@ fn each_server_counts_only_its_own_frames() {
     a.shutdown();
     b.shutdown();
 }
+
+/// How many writes of two or more responses a metrics response's
+/// `serve_write_frames` histogram counts (every bucket but `le = 1`); zero
+/// while no write has been observed.
+fn batched_writes(metrics: &str) -> u64 {
+    let doc = rta_model::json::parse(metrics).expect("metrics frame is JSON");
+    let Some(histogram) = doc
+        .get("metrics")
+        .and_then(|m| m.get("histograms"))
+        .and_then(|h| h.get("serve_write_frames"))
+    else {
+        return 0;
+    };
+    let buckets = histogram.get("buckets").and_then(|b| b.as_array());
+    buckets
+        .expect("sparse [le, count] buckets")
+        .iter()
+        .map(|bucket| match bucket.as_array().expect("[le, count]") {
+            [le, _] if le.as_u64() == Some(1) => 0,
+            [_, count] => count.as_u64().expect("count"),
+            other => panic!("bucket {other:?}"),
+        })
+        .sum()
+}
+
+#[test]
+fn pipelined_frames_are_answered_in_order_and_leave_together() {
+    use rand::SeedableRng;
+    use rta_analysis::AnalysisRequest;
+    use rta_experiments::serve::{sim_json, verdicts_json};
+    use rta_model::json::{task_set_from_json, task_set_to_json_compact};
+    use rta_model::TaskSet;
+    use rta_sim::SimRequest;
+
+    let handle = test_server(1 << 20);
+    let figure1 = task_set_from_json(FIGURE1_SET).expect("test set parses");
+    let pooled = task_set_to_json_compact(&figure1);
+    let fresh: Vec<TaskSet> = (0..2)
+        .map(|i| {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(0x9_1BE + i);
+            rta_taskgen::generate_task_set(&mut rng, &rta_taskgen::group1(2.0))
+        })
+        .collect();
+    let analyze = |id: u64, set: &str, bounds: bool| {
+        format!("{{\"v\":1,\"id\":{id},\"cores\":4,\"bounds\":{bounds},\"task_set\":{set}}}\n")
+    };
+    // The library path's answer, as the response's last member.
+    let verdicts = |ts: &TaskSet, bounds: bool| {
+        let outcome = AnalysisRequest::new(4).with_bounds(bounds).evaluate(ts);
+        format!("\"verdicts\":{}}}\n", verdicts_json(&outcome))
+    };
+    // Every frame with how its response must start (after `{"v":1,`) and
+    // end.
+    let frames = [
+        (
+            analyze(1, &pooled, false),
+            "\"id\":1,\"ok\":true,\"cache\":\"miss\"",
+            verdicts(&figure1, false),
+        ),
+        (
+            analyze(2, &pooled, false),
+            "\"id\":2,\"ok\":true,\"cache\":\"hit\"",
+            verdicts(&figure1, false),
+        ),
+        (
+            analyze(3, &task_set_to_json_compact(&fresh[0]), false),
+            "\"id\":3,\"ok\":true,\"cache\":\"miss\"",
+            verdicts(&fresh[0], false),
+        ),
+        (
+            analyze(4, &pooled, true),
+            "\"id\":4,\"ok\":true,\"cache\":\"near\"",
+            verdicts(&figure1, true),
+        ),
+        (
+            format!(
+                "{{\"v\":1,\"id\":5,\"simulate\":{{\"cores\":4,\"horizon\":2000,\
+                 \"task_set\":{pooled}}}}}\n"
+            ),
+            "\"id\":5,\"ok\":true,\"micros\":",
+            format!(
+                "\"sim\":{}}}\n",
+                sim_json(&SimRequest::new(4, 2000).evaluate(&figure1))
+            ),
+        ),
+        (
+            "{\"cores\":4,\"task_set\":\n".into(),
+            "\"ok\":false,\"error\":{\"kind\":\"syntax\"",
+            "}}\n".into(),
+        ),
+        (
+            "{\"v\":1,\"id\":7,\"stats\":true}\n".into(),
+            "\"id\":7,\"ok\":true,\"stats\":{",
+            "}}\n".into(),
+        ),
+        (
+            analyze(8, &task_set_to_json_compact(&fresh[1]), false),
+            "\"id\":8,\"ok\":true,\"cache\":\"miss\"",
+            verdicts(&fresh[1], false),
+        ),
+        (
+            analyze(9, &pooled, false),
+            "\"id\":9,\"ok\":true,\"cache\":\"hit\"",
+            verdicts(&figure1, false),
+        ),
+        (
+            analyze(10, &pooled, true),
+            "\"id\":10,\"ok\":true,\"cache\":\"hit\"",
+            verdicts(&figure1, true),
+        ),
+    ];
+    // A bare keep-alive newline last: no frame follows it, so the answers
+    // must leave without waiting for one.
+    let burst: String = frames.iter().map(|(frame, ..)| frame.as_str()).collect();
+    let burst = burst + "\n";
+
+    let mut conn = RawConn::connect(&handle);
+    let mut control = Client::connect(&handle);
+    let batched_before = batched_writes(&control.send("{\"metrics\":true}"));
+    conn.stream.write_all(burst.as_bytes()).expect("one write");
+    for (frame, head, tail) in &frames {
+        let line = conn.read_line().expect("one response per non-blank frame");
+        assert!(
+            line.starts_with(&format!("{{\"v\":1,{head}")) && line.ends_with(tail.as_str()),
+            "{frame} => {line} (expected {head} ... {tail})"
+        );
+    }
+    // Answers to frames that arrived together left in shared writes.
+    let batched_after = batched_writes(&control.send("{\"metrics\":true}"));
+    assert!(
+        batched_after > batched_before,
+        "no write carried two responses: {batched_before} -> {batched_after}"
+    );
+
+    // A second burst ending in a wire shutdown: every answer, then the
+    // acknowledgement, then the close.
+    let second = format!(
+        "{}{{\"v\":1,\"id\":12,\"stats\":true}}\n{}{{\"id\":14,\"shutdown\":true}}\n",
+        analyze(11, &pooled, false),
+        analyze(13, &task_set_to_json_compact(&fresh[0]), true),
+    );
+    conn.stream
+        .write_all(second.as_bytes())
+        .expect("second write");
+    for head in [
+        "{\"v\":1,\"id\":11,\"ok\":true,\"cache\":\"hit\",",
+        "{\"v\":1,\"id\":12,\"ok\":true,\"stats\":{",
+        "{\"v\":1,\"id\":13,\"ok\":true,\"cache\":\"near\",",
+        "{\"v\":1,\"id\":14,\"ok\":true,\"shutdown\":true}\n",
+    ] {
+        let line = conn.read_line().expect("an answer before the close");
+        assert!(line.starts_with(head), "{line} does not start with {head}");
+    }
+    assert!(
+        conn.at_eof(),
+        "the connection closes after the acknowledgement"
+    );
+    let report = handle.join();
+    assert_eq!(report.cut_off, 0, "{report:?}");
+    assert_eq!(report.panicked, 0, "{report:?}");
+}
+
+#[test]
+fn no_answer_waits_behind_a_cold_analysis() {
+    let handle = test_server(1 << 20);
+    let mut conn = RawConn::connect(&handle);
+    let set = FIGURE1_SET.replace('\n', " ");
+    let cached = format!("{{\"v\":1,\"id\":1,\"cores\":4,\"task_set\":{set}}}\n");
+    conn.stream.write_all(cached.as_bytes()).expect("warm");
+    assert!(conn
+        .read_line()
+        .expect("warm answer")
+        .contains("\"cache\":\"miss\""));
+    // A cached frame pipelined ahead of one LP-ILP bounds request at 40
+    // cores, a cold analysis of tens of milliseconds.
+    let cold = format!(
+        "{{\"v\":1,\"id\":2,\"cores\":40,\"methods\":[\"LP-ILP\"],\"bounds\":true,\
+         \"task_set\":{set}}}\n"
+    );
+    conn.stream
+        .write_all(format!("{cached}{cold}").as_bytes())
+        .expect("one write");
+    let first = conn.read_line().expect("the cached answer");
+    let first_at = Instant::now();
+    let second = conn.read_line().expect("the cold answer");
+    let gap = first_at.elapsed();
+    assert!(first.contains("\"cache\":\"hit\""), "{first}");
+    // The set is cached for 4 cores, not for 40: a near-hit, analyzed.
+    assert!(
+        second.contains("\"id\":2,\"ok\":true,\"cache\":\"near\""),
+        "{second}"
+    );
+    // Timed by the server's own clock: the cached answer left before the
+    // analysis started, so it arrived about the analysis's time earlier.
+    let micros = stat_field(&second, "\"micros\":");
+    assert!(
+        gap.as_micros() >= u128::from(micros / 2),
+        "the cached answer waited behind the cold one: {gap:?} apart, cold analysis {micros} us"
+    );
+    handle.shutdown();
+}
