@@ -27,14 +27,14 @@ use rand::SeedableRng;
 use rta_analysis::{
     analyze, analyze_uncached, AnalysisConfig, AnalysisRequest, Method, ScenarioSpace,
 };
+use rta_bench::{median_ns, scale};
+use rta_experiments::campaign::{generate_on_worker, sweep_into, SweepSpec};
 use rta_experiments::exec::Jobs;
-use rta_experiments::figure2::{run_with_jobs, SweepConfig};
 use rta_experiments::set_seed;
 use rta_model::TaskSet;
 use rta_taskgen::{generate_task_set, generate_task_set_with_count, group1};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Task sets per sweep point (reduced from the paper's 300 to keep the
 /// bench seconds-scale; the per-set work is what the cache accelerates).
@@ -45,35 +45,6 @@ const SAMPLES: usize = 7;
 const CORES: usize = 4;
 /// Tasks per set at the task-count sweep point.
 const TASK_COUNT: usize = 16;
-
-fn median_ns(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// Times `SAMPLES` runs of `routine` and returns the median nanoseconds.
-fn measure<O>(mut routine: impl FnMut() -> O) -> f64 {
-    // One untimed warm-up pass.
-    black_box(routine());
-    let samples: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(routine());
-            start.elapsed().as_secs_f64() * 1e9
-        })
-        .collect();
-    median_ns(samples)
-}
-
-fn scale(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.3} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns / 1e6)
-    } else {
-        format!("{:.3} µs", ns / 1e3)
-    }
-}
 
 /// The utilization sweep point: `U = 3.5` is point 10 of the 13-point
 /// Figure 2(a) panel, generated with the production seed derivation.
@@ -155,26 +126,26 @@ fn measure_point(label: &str, sets: &[TaskSet], request: &AnalysisRequest) -> Po
     }
 
     let result = PointResult {
-        uncached_lp_ilp_ns: measure(|| {
+        uncached_lp_ilp_ns: median_ns(SAMPLES, || {
             sets.iter()
                 .for_each(|ts| drop(black_box(analyze_uncached(ts, lp_ilp))))
         }),
-        cached_lp_ilp_ns: measure(|| {
+        cached_lp_ilp_ns: median_ns(SAMPLES, || {
             sets.iter()
                 .for_each(|ts| drop(black_box(analyze(ts, lp_ilp))))
         }),
-        per_method_ns: measure(|| {
+        per_method_ns: median_ns(SAMPLES, || {
             sets.iter().for_each(|ts| {
                 configs
                     .iter()
                     .for_each(|c| drop(black_box(analyze_uncached(ts, c))))
             })
         }),
-        batched_ns: measure(|| {
+        batched_ns: median_ns(SAMPLES, || {
             sets.iter()
                 .for_each(|ts| drop(black_box(request.evaluate(ts))))
         }),
-        fp_ideal_ns: measure(|| {
+        fp_ideal_ns: median_ns(SAMPLES, || {
             sets.iter()
                 .for_each(|ts| drop(black_box(analyze(ts, &configs[0]))))
         }),
@@ -242,10 +213,21 @@ fn main() {
 
     // The same utilization point through the campaign driver, serial vs
     // parallel (generation included; bit-identical outputs by construction).
-    let mut panel = SweepConfig::paper_panel(CORES).with_sets_per_point(SETS_PER_POINT);
-    panel.utilizations = vec![3.5];
-    let serial_point_ns = measure(|| run_with_jobs(&panel, Jobs::serial()));
-    let parallel_point_ns = measure(|| run_with_jobs(&panel, Jobs::Auto));
+    let point = SweepSpec {
+        cores: CORES,
+        xs: &[3.5],
+        sets_per_point: SETS_PER_POINT,
+        seed: 0xDA7E_2016,
+        space: ScenarioSpace::PaperExact,
+        make_set: |seed, u| generate_on_worker(seed, &group1(u)),
+    };
+    let run = |jobs| {
+        sweep_into(&point, jobs, &mut |p| {
+            black_box(p);
+        })
+    };
+    let serial_point_ns = median_ns(SAMPLES, || run(Jobs::serial()));
+    let parallel_point_ns = median_ns(SAMPLES, || run(Jobs::Auto));
     let parallel_speedup = serial_point_ns / parallel_point_ns;
     println!("-- campaign driver, same utilization point --");
     println!(

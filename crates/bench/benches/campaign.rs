@@ -11,8 +11,8 @@
 //!   fixed point and full report over one shared cache) vs the
 //!   dominance-short-circuited verdict-only request the campaign cells
 //!   run — identical verdicts, pinned before timing;
-//! * **end to end**: the streaming engine through `figure2::run_with_jobs`,
-//!   serial and parallel;
+//! * **end to end**: the streaming engine through `PanelKind::run_into`
+//!   on the `fig2a` panel, serial and parallel;
 //! * **throughput**: generated-and-analyzed sets per second of the serial
 //!   engine — the number the CI perf gate bounds against
 //!   `ci/campaign-baseline-ns.txt`.
@@ -25,14 +25,14 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rta_analysis::{analyze_uncached, AnalysisRequest, Method, ScenarioSpace};
+use rta_bench::{median_ns, scale};
+use rta_experiments::campaign::{utilization_grid, PanelKind};
 use rta_experiments::exec::Jobs;
-use rta_experiments::figure2::{run_with_jobs, SweepConfig};
 use rta_experiments::set_seed;
 use rta_model::TaskSet;
 use rta_taskgen::{generate_task_set, group1, TaskSetGenerator};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Task sets per sweep point (the acceptance workload's `--sets 100`).
 const SETS: usize = 100;
@@ -48,39 +48,12 @@ const CORES: usize = 4;
 /// CHANGES.md) include process startup on top.
 const PR2_SERIAL_GRID_NS: f64 = 32_470_000.0;
 
-fn median_ns(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// Times `SAMPLES` runs of `routine` and returns the median nanoseconds.
-fn measure<O>(mut routine: impl FnMut() -> O) -> f64 {
-    // One untimed warm-up pass.
-    black_box(routine());
-    let samples: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(routine());
-            start.elapsed().as_secs_f64() * 1e9
-        })
-        .collect();
-    median_ns(samples)
-}
-
-fn scale(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.3} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns / 1e6)
-    } else {
-        format!("{:.3} µs", ns / 1e3)
-    }
-}
-
 fn main() {
     let bench_started = std::time::Instant::now();
-    let panel = SweepConfig::paper_panel(CORES).with_sets_per_point(SETS);
-    let coords: Vec<(usize, usize)> = (0..panel.utilizations.len())
+    // The `repro fig2a` population: its grid and seed.
+    let utilizations = utilization_grid(CORES);
+    let seed = 0xDA7E_2016;
+    let coords: Vec<(usize, usize)> = (0..utilizations.len())
         .flat_map(|p| (0..SETS).map(move |s| (p, s)))
         .collect();
     let total_sets = coords.len();
@@ -89,8 +62,8 @@ fn main() {
         coords
             .iter()
             .map(|&(p, s)| {
-                let mut rng = SmallRng::seed_from_u64(set_seed(panel.seed, p, s));
-                generate_task_set(&mut rng, &group1(panel.utilizations[p]))
+                let mut rng = SmallRng::seed_from_u64(set_seed(seed, p, s));
+                generate_task_set(&mut rng, &group1(utilizations[p]))
             })
             .collect()
     };
@@ -99,8 +72,8 @@ fn main() {
         coords
             .iter()
             .map(|&(p, s)| {
-                let mut rng = SmallRng::seed_from_u64(set_seed(panel.seed, p, s));
-                generator.generate(&mut rng, &group1(panel.utilizations[p]))
+                let mut rng = SmallRng::seed_from_u64(set_seed(seed, p, s));
+                generator.generate(&mut rng, &group1(utilizations[p]))
             })
             .collect()
     };
@@ -139,8 +112,8 @@ fn main() {
          median of {SAMPLES} samples"
     );
 
-    let generation_two_phase_ns = measure(&two_phase);
-    let generation_streaming_ns = measure(&streaming);
+    let generation_two_phase_ns = median_ns(SAMPLES, &two_phase);
+    let generation_streaming_ns = median_ns(SAMPLES, &streaming);
     let generation_speedup = generation_two_phase_ns / generation_streaming_ns;
     println!(
         "{:<46} {:>12}",
@@ -153,11 +126,11 @@ fn main() {
         scale(generation_streaming_ns)
     );
 
-    let analysis_batched_ns = measure(|| {
+    let analysis_batched_ns = median_ns(SAMPLES, || {
         sets.iter()
             .for_each(|ts| drop(black_box(batched.evaluate(ts))))
     });
-    let analysis_verdicts_ns = measure(|| {
+    let analysis_verdicts_ns = median_ns(SAMPLES, || {
         sets.iter()
             .for_each(|ts| drop(black_box(verdicts.evaluate(ts))))
     });
@@ -173,8 +146,13 @@ fn main() {
         scale(analysis_verdicts_ns)
     );
 
-    let end_to_end_serial_ns = measure(|| run_with_jobs(&panel, Jobs::serial()));
-    let end_to_end_parallel_ns = measure(|| run_with_jobs(&panel, Jobs::Auto));
+    let run = |jobs| {
+        PanelKind::Figure2(CORES).run_into(SETS, jobs, &mut |p| {
+            black_box(p);
+        })
+    };
+    let end_to_end_serial_ns = median_ns(SAMPLES, || run(Jobs::serial()));
+    let end_to_end_parallel_ns = median_ns(SAMPLES, || run(Jobs::Auto));
     let parallel_speedup = end_to_end_serial_ns / end_to_end_parallel_ns;
     let speedup_vs_pr2 = PR2_SERIAL_GRID_NS / end_to_end_serial_ns;
     let generation_sets_per_second = total_sets as f64 / (generation_streaming_ns / 1e9);

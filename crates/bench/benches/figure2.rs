@@ -6,18 +6,40 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rta_analysis::{analyze, AnalysisConfig, Method};
+use rta_analysis::{analyze, AnalysisConfig, Method, ScenarioSpace};
+use rta_experiments::campaign::{
+    generate_on_worker, generate_on_worker_with_count, sweep_into, SweepSpec,
+};
 use rta_experiments::exec::Jobs;
-use rta_experiments::figure2::{run_task_count_with_jobs, run_with_jobs, SweepConfig};
+use rta_experiments::figure2::{SweepPoint, SweepResult};
+use rta_model::TaskSet;
 use rta_taskgen::{generate_task_set, group1, group2};
 use std::hint::black_box;
 
-/// Reduced panels: 5 utilization points, 8 sets per point.
-fn reduced_panel(cores: usize) -> SweepConfig {
-    let mut config = SweepConfig::paper_panel(cores).with_sets_per_point(8);
+/// The 5-point utilization grid `1 → m` of a reduced panel.
+fn reduced_grid(cores: usize) -> Vec<f64> {
     let m = cores as f64;
-    config.utilizations = (0..5).map(|i| 1.0 + (m - 1.0) * i as f64 / 4.0).collect();
-    config
+    (0..5).map(|i| 1.0 + (m - 1.0) * i as f64 / 4.0).collect()
+}
+
+/// A reduced Figure 2 sweep: the paper's seed, 8 sets per point.
+fn reduced<F>(cores: usize, xs: &[f64], make_set: F) -> SweepResult
+where
+    F: Fn(u64, f64) -> TaskSet + Sync,
+{
+    let spec = SweepSpec {
+        cores,
+        xs,
+        sets_per_point: 8,
+        seed: 0xDA7E_2016,
+        space: ScenarioSpace::PaperExact,
+        make_set,
+    };
+    let mut points = Vec::new();
+    sweep_into(&spec, Jobs::Auto, &mut |p: &SweepPoint| {
+        points.push(p.clone())
+    });
+    SweepResult { cores, points }
 }
 
 fn bench_fig2_panels(c: &mut Criterion) {
@@ -25,21 +47,31 @@ fn bench_fig2_panels(c: &mut Criterion) {
     group.sample_size(10);
     for cores in [4usize, 8, 16] {
         group.bench_with_input(BenchmarkId::new("group1", cores), &cores, |b, &m| {
-            let config = reduced_panel(m);
+            let xs = reduced_grid(m);
             b.iter(|| {
-                let result = run_with_jobs(black_box(&config), Jobs::Auto);
+                let result = reduced(m, black_box(&xs), |seed, u| {
+                    generate_on_worker(seed, &group1(u))
+                });
                 assert!(result.dominance_holds());
                 result
             })
         });
     }
     group.bench_function("group2_m4", |b| {
-        let config = reduced_panel(4).with_generator(group2);
-        b.iter(|| run_with_jobs(black_box(&config), Jobs::Auto))
+        let xs = reduced_grid(4);
+        b.iter(|| {
+            reduced(4, black_box(&xs), |seed, u| {
+                generate_on_worker(seed, &group2(u))
+            })
+        })
     });
     group.bench_function("task_count_variant_m16", |b| {
-        let config = reduced_panel(16);
-        b.iter(|| run_task_count_with_jobs(black_box(&config), &[2, 8, 16], Jobs::Auto))
+        // 2, 8 and 16 tasks per set at the fixed U = m/2.
+        b.iter(|| {
+            reduced(16, black_box(&[2.0, 8.0, 16.0]), |seed, tasks: f64| {
+                generate_on_worker_with_count(seed, &group1(8.0), tasks as usize)
+            })
+        })
     });
     group.finish();
 }

@@ -25,6 +25,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use rta_bench::{min_ns, min_ns_pair, scale};
 use rta_experiments::set_seed;
 use rta_experiments::validate::{validate_set, PolicyChoice, ReleaseChoice};
 use rta_model::{TaskSet, Time};
@@ -33,7 +34,6 @@ use rta_sim::SimRequest;
 use rta_taskgen::{generate_task_set, group1};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Task sets per measured cell (the validation campaign's per-cell work
 /// scaled to keep the bench seconds-scale).
@@ -49,45 +49,6 @@ const CORES: usize = 4;
 const HORIZON_FACTOR: Time = 3;
 /// The stretched horizon where per-unit stepping dominates.
 const STRETCH: Time = 10;
-
-fn time_ns<O>(routine: &mut impl FnMut() -> O) -> f64 {
-    let start = Instant::now();
-    black_box(routine());
-    start.elapsed().as_secs_f64() * 1e9
-}
-
-/// Times `SAMPLES` runs of `routine` and returns the minimum nanoseconds
-/// (the least-perturbed sample — noise on a busy box only ever adds time).
-fn measure<O>(mut routine: impl FnMut() -> O) -> f64 {
-    // One untimed warm-up pass.
-    black_box(routine());
-    (0..SAMPLES)
-        .map(|_| time_ns(&mut routine))
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Times two routines with pairwise-interleaved samples and returns their
-/// minimum nanoseconds `(a, b)`.
-fn measure_pair<O, P>(mut a: impl FnMut() -> O, mut b: impl FnMut() -> P) -> (f64, f64) {
-    black_box(a());
-    black_box(b());
-    let mut best = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..SAMPLES {
-        best.0 = best.0.min(time_ns(&mut a));
-        best.1 = best.1.min(time_ns(&mut b));
-    }
-    best
-}
-
-fn scale(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.3} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns / 1e6)
-    } else {
-        format!("{:.3} µs", ns / 1e3)
-    }
-}
 
 /// The measured cell: group-1 sets at `U = m/2`, generated with the
 /// production seed derivation so the cell matches a campaign cell.
@@ -105,7 +66,8 @@ fn cell_sets() -> Vec<(TaskSet, Time)> {
 /// Times both engines over the whole cell at `stretch ×` the campaign
 /// horizon; returns `(step_loop_ns, event_core_ns)`.
 fn measure_cell(sets: &[(TaskSet, Time)], stretch: Time) -> (f64, f64) {
-    measure_pair(
+    min_ns_pair(
+        SAMPLES,
         || {
             for (ts, horizon) in sets {
                 let request = SimRequest::new(CORES, *horizon * stretch);
@@ -161,7 +123,7 @@ fn main() {
 
     // The full validation cell (all methods, both LP policies plus the
     // FP leg, analysis included) at the stretched horizon.
-    let validate_10x = measure(|| {
+    let validate_10x = min_ns(SAMPLES, || {
         for (ts, _) in &sets {
             black_box(validate_set(
                 ts,

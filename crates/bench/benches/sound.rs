@@ -29,13 +29,13 @@ use rand::SeedableRng;
 use rta_analysis::{
     analyze, analyze_uncached, AnalysisConfig, AnalysisRequest, Method, ScenarioSpace,
 };
+use rta_bench::{median_ns, scale};
 use rta_experiments::set_seed;
 use rta_experiments::validate::{validate_set, PolicyChoice, ReleaseChoice};
 use rta_model::TaskSet;
 use rta_taskgen::{group1, TaskSetGenerator};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Task sets per sweep point of the measured population.
 const SETS: usize = 50;
@@ -45,33 +45,6 @@ const SAMPLES: usize = 5;
 const CORES: usize = 4;
 /// Sets fed to the (simulation-heavy) validation-cell measurement.
 const VALIDATE_SETS: usize = 40;
-
-fn median_ns(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-fn measure<O>(mut routine: impl FnMut() -> O) -> f64 {
-    black_box(routine());
-    let samples: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(routine());
-            start.elapsed().as_secs_f64() * 1e9
-        })
-        .collect();
-    median_ns(samples)
-}
-
-fn scale(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.3} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns / 1e6)
-    } else {
-        format!("{:.3} µs", ns / 1e3)
-    }
-}
 
 fn verdicts(methods: &[Method]) -> AnalysisRequest {
     AnalysisRequest::new(CORES)
@@ -124,15 +97,15 @@ fn main() {
          median of {SAMPLES} samples"
     );
 
-    let verdicts_paper3_ns = measure(|| {
+    let verdicts_paper3_ns = median_ns(SAMPLES, || {
         sets.iter()
             .for_each(|ts| drop(black_box(paper.evaluate(ts))))
     });
-    let verdicts_sound4_ns = measure(|| {
+    let verdicts_sound4_ns = median_ns(SAMPLES, || {
         sets.iter()
             .for_each(|ts| drop(black_box(sound4.evaluate(ts))))
     });
-    let verdicts_all6_ns = measure(|| {
+    let verdicts_all6_ns = median_ns(SAMPLES, || {
         sets.iter()
             .for_each(|ts| drop(black_box(all6.evaluate(ts))))
     });
@@ -159,7 +132,7 @@ fn main() {
     // the tracked point; before PR 5 each of these sets paid fresh
     // CliqueScratch/RhoScratch allocations inside its own cache.
     let ilp = AnalysisConfig::new(CORES, Method::LpIlp);
-    let lp_ilp_warm_scratch_ns = measure(|| {
+    let lp_ilp_warm_scratch_ns = median_ns(SAMPLES, || {
         sets.iter()
             .for_each(|ts| drop(black_box(analyze(ts, &ilp))))
     });
@@ -171,7 +144,7 @@ fn main() {
 
     // The validation cell: one policy vs all three per set.
     let validate_sets = &sets[..VALIDATE_SETS.min(total_sets)];
-    let validate_eager_ns = measure(|| {
+    let validate_eager_ns = median_ns(SAMPLES, || {
         validate_sets.iter().for_each(|ts| {
             black_box(validate_set(
                 ts,
@@ -182,7 +155,7 @@ fn main() {
             ));
         })
     });
-    let validate_all_policies_ns = measure(|| {
+    let validate_all_policies_ns = median_ns(SAMPLES, || {
         validate_sets.iter().for_each(|ts| {
             black_box(validate_set(
                 ts,

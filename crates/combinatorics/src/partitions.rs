@@ -123,14 +123,6 @@ impl Iterator for Partitions {
     }
 }
 
-/// All partitions of `m` that use at most `max_parts` parts.
-///
-/// This is the scenario space relevant when only `max_parts` lower-priority
-/// tasks exist: a scenario cannot involve more tasks than there are.
-pub fn partitions_with_max_parts(m: u32, max_parts: usize) -> impl Iterator<Item = Partition> {
-    partitions(m).filter(move |p| p.cardinality() <= max_parts)
-}
-
 /// Number of partitions of `m`, via Euler's pentagonal number theorem:
 ///
 /// ```text
@@ -238,13 +230,6 @@ mod tests {
             sorted.dedup();
             assert_eq!(sorted.len(), all.len(), "duplicates for m = {m}");
         }
-    }
-
-    #[test]
-    fn max_parts_filter() {
-        let two_tasks: Vec<Partition> = partitions_with_max_parts(4, 2).collect();
-        let strings: Vec<String> = two_tasks.iter().map(|p| p.to_string()).collect();
-        assert_eq!(strings, ["{4}", "{3,1}", "{2,2}"]);
     }
 
     #[test]

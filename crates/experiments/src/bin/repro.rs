@@ -13,8 +13,10 @@
 //!   fig2c        Figure 2(c): m = 16 utilization sweep
 //!   fig2c-tasks  Figure 2(c) variant: task-count sweep at U = m/2
 //!   group2       group-2 sweep (uniformly parallel task sets)
-//!   timing       average analysis runtime for m = 4, 8, 16
-//!   sensitivity  generator sensitivity study (period models)
+//!   timing       average analysis runtime for m = 4, 8, 16 (one thread)
+//!   sensitivity  generator sensitivity study: Figure 2(a) under each
+//!                period model (sensitivity_{slack,common,pertask}.csv,
+//!                at most 60 sets/point)
 //!   campaign     scenario panels beyond the paper; optional selector:
 //!                  deadline  constrained deadlines (D = f·T, f swept)
 //!                  chains    chain-heavy task mixtures
@@ -116,10 +118,10 @@
 //! (`rta_experiments::csv::CsvSink` fed by the order-preserving worker
 //! channel), no panel buffers its rows in memory.
 
-use rta_experiments::campaign::{self, MethodMatrix, PanelKind};
+use rta_experiments::campaign::{self, MethodMatrix, PanelKind, PeriodFamily};
 use rta_experiments::csv::CsvSink;
 use rta_experiments::exec::Jobs;
-use rta_experiments::figure2::{self, SweepConfig, SweepPoint, SweepResult};
+use rta_experiments::figure2::{self, SweepPoint, SweepResult};
 use rta_experiments::loadgen::{self, LoadgenOptions};
 use rta_experiments::serve::{self, ServeOptions};
 use rta_experiments::validate::{
@@ -128,7 +130,7 @@ use rta_experiments::validate::{
 use rta_experiments::{tables, timing, validate};
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A parsed command line. Flags land straight in the library option
 /// structs, which start from their `Default` impls; only the values the
@@ -142,10 +144,8 @@ struct Cli {
     serve: ServeOptions,
     /// Also holds `--seed` and `--target` for `dump-set`.
     loadgen: LoadgenOptions,
-    /// `None` until `--jobs`/`--serial` is given: sweeps then default to
-    /// one worker per core, while `timing` defaults to serial so its
-    /// wall-clock averages are not skewed by worker contention.
-    jobs: Option<Jobs>,
+    /// Sweep workers (`--jobs`, `--serial`; one per core by default).
+    jobs: Jobs,
     samples: usize,
     out: PathBuf,
     width: usize,
@@ -156,14 +156,6 @@ impl Cli {
     /// `--sets`: task sets per sweep point, for every sweep and panel.
     fn sets(&self) -> usize {
         self.validate.sets_per_point
-    }
-
-    fn sweep_jobs(&self) -> Jobs {
-        self.jobs.unwrap_or(Jobs::Auto)
-    }
-
-    fn timing_jobs(&self) -> Jobs {
-        self.jobs.unwrap_or_else(Jobs::serial)
     }
 }
 
@@ -207,7 +199,7 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             ..Default::default()
         },
         loadgen: LoadgenOptions { seed: 0, ..loadgen },
-        jobs: None,
+        jobs: Jobs::Auto,
         samples: 20,
         out: PathBuf::from("out"),
         width: 96,
@@ -247,9 +239,9 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             }
             "--jobs" => {
                 let n = value(it, parsed, "--jobs needs a number (0 = one per core)")?;
-                cli.jobs = Some(Jobs::from_flag(n));
+                cli.jobs = Jobs::from_flag(n);
             }
-            "--serial" => cli.jobs = Some(Jobs::serial()),
+            "--serial" => cli.jobs = Jobs::serial(),
             "--addr" => {
                 cli.serve.addr = value(it, parsed, "--addr needs a host:port address")?;
                 cli.loadgen.addr = cli.serve.addr.clone();
@@ -333,16 +325,16 @@ fn main() {
     std::fs::create_dir_all(&options.out).expect("create output directory");
     let selector = options.selector.as_deref().unwrap_or("all");
     match options.command.as_str() {
-        "table1" => table1(&options, &regenerate_tables(&options)),
-        "table2" => table2(&regenerate_tables(&options)),
-        "table3" => table3(&regenerate_tables(&options)),
-        "fig2a" => sweep("fig2a", SweepConfig::paper_panel(4), &options),
-        "fig2b" => sweep("fig2b", SweepConfig::paper_panel(8), &options),
-        "fig2c" => sweep("fig2c", SweepConfig::paper_panel(16), &options),
-        "fig2c-tasks" => task_count_sweep(&options),
-        "group2" => group2(&options),
+        "table1" => table1(&options, &tables::run_all()),
+        "table2" => table2(&tables::run_all()),
+        "table3" => table3(&tables::run_all()),
+        "fig2a" => run_sweeps(&options, &[PanelKind::Figure2(4)], false),
+        "fig2b" => run_sweeps(&options, &[PanelKind::Figure2(8)], false),
+        "fig2c" => run_sweeps(&options, &[PanelKind::Figure2(16)], false),
+        "fig2c-tasks" => run_sweeps(&options, &[PanelKind::TaskCount], false),
+        "group2" => run_sweeps(&options, &GROUP2, false),
         "timing" => run_timing(&options),
-        "sensitivity" => sensitivity(&options),
+        "sensitivity" => run_sweeps(&options, &SENSITIVITY, false),
         "campaign" => run_campaign(&options, selector),
         "validate" => run_validate(&options, selector),
         "dump-set" => dump_set(&options),
@@ -350,17 +342,16 @@ fn main() {
         "serve" => run_serve(&options),
         "loadgen" => run_loadgen(&options),
         "all" => {
-            let t = regenerate_tables(&options);
+            let t = tables::run_all();
             table1(&options, &t);
             table2(&t);
             table3(&t);
-            sweep("fig2a", SweepConfig::paper_panel(4), &options);
-            sweep("fig2b", SweepConfig::paper_panel(8), &options);
-            sweep("fig2c", SweepConfig::paper_panel(16), &options);
-            task_count_sweep(&options);
-            group2(&options);
+            let figure2 = [4, 8, 16].map(PanelKind::Figure2);
+            run_sweeps(&options, &figure2, false);
+            run_sweeps(&options, &[PanelKind::TaskCount], false);
+            run_sweeps(&options, &GROUP2, false);
             run_timing(&options);
-            sensitivity(&options);
+            run_sweeps(&options, &SENSITIVITY, false);
             run_campaign(&options, "all");
             run_validate(&options, "all");
         }
@@ -397,7 +388,7 @@ fn streamed<P: Clone>(
 /// Runs the requested validation panels, streaming each CSV row as its
 /// sweep point completes, and exits non-zero on any invariant violation.
 fn run_validate(options: &Cli, selector: &str) {
-    let jobs = options.sweep_jobs();
+    let jobs = options.jobs;
     let panels = match selector {
         "cores" => ValidatePanel::all()
             .into_iter()
@@ -496,14 +487,26 @@ const SOUNDNESS_COST_HEADER: [&str; 7] = [
     "soundness_cost_pp",
 ];
 
-/// Runs the requested campaign panels, streaming each CSV row as its
-/// sweep point completes. A full-coverage run (`campaign all`)
-/// additionally aggregates the per-point LP-ILP vs LP-sound acceptance
-/// gap into `soundness_cost.csv`; partial selectors leave any existing
-/// aggregate untouched rather than clobbering it with a subset.
+/// The `repro group2` panels.
+const GROUP2: [PanelKind; 3] = [
+    PanelKind::Group2(4),
+    PanelKind::Group2(8),
+    PanelKind::Group2(16),
+];
+
+/// The `repro sensitivity` panels: Figure 2(a) under each period model.
+const SENSITIVITY: [PanelKind; 3] = [
+    PanelKind::Sensitivity(PeriodFamily::SlackFactor),
+    PanelKind::Sensitivity(PeriodFamily::CommonScale),
+    PanelKind::Sensitivity(PeriodFamily::PerTaskUtilization),
+];
+
+/// Runs the requested `repro campaign` panels. A full-coverage run
+/// (`campaign all`) additionally aggregates the per-point LP-ILP vs
+/// LP-sound acceptance gap into `soundness_cost.csv`; partial selectors
+/// leave any existing aggregate untouched rather than clobbering it with
+/// a subset.
 fn run_campaign(options: &Cli, selector: &str) {
-    let jobs = options.sweep_jobs();
-    let sets = options.sets();
     let panels: Vec<PanelKind> = match selector {
         "deadline" => vec![PanelKind::Deadline],
         "chains" => vec![PanelKind::Chains],
@@ -520,16 +523,30 @@ fn run_campaign(options: &Cli, selector: &str) {
         "all" => PanelKind::all(),
         other => usage(&format!("unknown campaign panel: {other}")),
     };
+    run_sweeps(options, &panels, selector == "all");
+}
+
+/// Streams each schedulability panel into `<out>/<name>.csv`, writing
+/// every CSV row as its sweep point completes, then prints the panel's
+/// table and dominance check. With `soundness_cost`, every point's LP-ILP
+/// vs LP-sound acceptance gap also goes to `soundness_cost.csv`.
+fn run_sweeps(options: &Cli, panels: &[PanelKind], soundness_cost: bool) {
+    let jobs = options.jobs;
     let mut cost_sink =
-        (selector == "all").then(|| open_sink(options, "soundness_cost", &SOUNDNESS_COST_HEADER));
-    for kind in panels {
+        soundness_cost.then(|| open_sink(options, "soundness_cost", &SOUNDNESS_COST_HEADER));
+    for &kind in panels {
         let name = kind.name();
+        // `repro sensitivity` runs three full panels; keep it bounded.
+        let sets = match kind {
+            PanelKind::Sensitivity(_) => options.sets().min(60),
+            _ => options.sets(),
+        };
         println!(
-            "== campaign/{name}: {} — {} sets/point, {} worker(s) ==",
+            "== {name}: {} — {sets} sets/point, {} worker(s) ==",
             kind.title(),
-            sets,
             jobs.worker_count()
         );
+        let start = Instant::now();
         let points = streamed(
             options,
             &name,
@@ -559,9 +576,19 @@ fn run_campaign(options: &Cli, selector: &str) {
         };
         println!("{}", result.render(kind.x_label()));
         println!(
-            "dominance (LP-max ≤ LP-ILP ≤ FP-ideal ≥ LP-sound; Gen-sporadic ≤ FP-ideal ≤ Long-paths): {}",
-            result.dominance_holds()
+            "dominance (LP-max ≤ LP-ILP ≤ FP-ideal ≥ LP-sound; Gen-sporadic ≤ FP-ideal ≤ Long-paths): {}; computed in {:.1}s",
+            result.dominance_holds(),
+            start.elapsed().as_secs_f64()
         );
+        if let PanelKind::Group2(_) = kind {
+            // The paper says the LP-ILP/LP-max gap shrinks for group 2.
+            let gap: f64 = result
+                .points
+                .iter()
+                .map(|p| p.schedulable_pct[1] - p.schedulable_pct[2])
+                .fold(0.0f64, f64::max);
+            println!("max LP-ILP − LP-max gap: {gap:.1} percentage points");
+        }
         println!(
             "wrote {}\n",
             options.out.join(format!("{name}.csv")).display()
@@ -584,7 +611,7 @@ fn run_campaign(options: &Cli, selector: &str) {
 /// every worker count: the point fold runs in coordinate order and the
 /// matrix is a sum of per-set indicator contributions.
 fn run_campaign_compare(options: &Cli) {
-    let jobs = options.sweep_jobs();
+    let jobs = options.jobs;
     let sets = options.sets();
     let mut matrix = MethodMatrix::default();
     // Analysis-cost accounting: delta the process-global verdict-latency
@@ -631,17 +658,6 @@ fn run_campaign_compare(options: &Cli) {
     let path = options.out.join("method_costs.csv");
     std::fs::write(&path, costs.to_csv()).expect("write method costs CSV");
     println!("wrote {}\n", path.display());
-}
-
-fn sensitivity(options: &Cli) {
-    println!("== sensitivity: Figure 2(a) under alternative period models ==");
-    let sets = options.sets().min(60); // three full panels; keep it bounded
-    for (variant, result) in
-        rta_experiments::sensitivity::run_all_with_jobs(sets, options.sweep_jobs())
-    {
-        println!("-- {} --", variant.label);
-        println!("{}", result.render("U"));
-    }
 }
 
 /// Renders the frozen LP counterexample's witness schedule (see
@@ -773,13 +789,6 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// All tables through the campaign engine (each `(table, solver)` pair is
-/// one cell on the worker pool). Called once per invocation — `repro all`
-/// shares one regeneration across the three table subcommands.
-fn regenerate_tables(options: &Cli) -> tables::Tables {
-    tables::run_all(options.sweep_jobs())
-}
-
 fn table1(options: &Cli, t: &tables::Tables) {
     println!("== Table I: worst-case workloads µ_i[c] of the Figure 1 tasks ==");
     println!("{}", t.table1.render());
@@ -807,103 +816,9 @@ fn table3(t: &tables::Tables) {
     println!("(cross-checked against the paper's ILP formulation: identical)\n");
 }
 
-fn sweep(name: &str, config: SweepConfig, options: &Cli) {
-    let config = config.with_sets_per_point(options.sets());
-    println!(
-        "== {name}: m = {}, {} sets/point (group 1), {} worker(s) ==",
-        config.cores,
-        config.sets_per_point,
-        options.sweep_jobs().worker_count()
-    );
-    let start = std::time::Instant::now();
-    let result = SweepResult {
-        cores: config.cores,
-        points: streamed(
-            options,
-            name,
-            &figure2::csv_header("utilization"),
-            SweepPoint::csv_cells,
-            |emit| figure2::run_into(&config, options.sweep_jobs(), emit),
-        ),
-    };
-    println!("{}", result.render("U"));
-    println!(
-        "dominance (LP-max ≤ LP-ILP ≤ FP-ideal; Gen-sporadic ≤ FP-ideal ≤ Long-paths): {}; computed in {:.1}s",
-        result.dominance_holds(),
-        start.elapsed().as_secs_f64()
-    );
-    println!(
-        "wrote {}\n",
-        options.out.join(format!("{name}.csv")).display()
-    );
-}
-
-fn task_count_sweep(options: &Cli) {
-    let config = SweepConfig::paper_panel(16).with_sets_per_point(options.sets());
-    let counts: Vec<usize> = (1..=8).map(|i| 2 * i).collect();
-    println!(
-        "== fig2c-tasks: m = 16, U = 8, task-count sweep, {} sets/point ==",
-        config.sets_per_point
-    );
-    let result = SweepResult {
-        cores: config.cores,
-        points: streamed(
-            options,
-            "fig2c_tasks",
-            &figure2::csv_header("tasks"),
-            SweepPoint::csv_cells,
-            |emit| figure2::run_task_count_into(&config, &counts, options.sweep_jobs(), emit),
-        ),
-    };
-    println!("{}", result.render("tasks"));
-    println!("wrote {}\n", options.out.join("fig2c_tasks.csv").display());
-}
-
-fn group2(options: &Cli) {
-    println!("== group 2: uniformly parallel task sets (paper: LP-max ≈ LP-ILP) ==");
-    for cores in [4usize, 8, 16] {
-        let config = SweepConfig::paper_panel(cores)
-            .with_sets_per_point(options.sets())
-            .with_generator(rta_taskgen::group2);
-        let name = format!("group2_m{cores}");
-        let result = SweepResult {
-            cores,
-            points: streamed(
-                options,
-                &name,
-                &figure2::csv_header("utilization"),
-                SweepPoint::csv_cells,
-                |emit| figure2::run_into(&config, options.sweep_jobs(), emit),
-            ),
-        };
-        println!("m = {cores}:");
-        println!("{}", result.render("U"));
-        // Quantify the gap between LP-ILP and LP-max, which the paper says
-        // shrinks for this group.
-        let gap: f64 = result
-            .points
-            .iter()
-            .map(|p| p.schedulable_pct[1] - p.schedulable_pct[2])
-            .fold(0.0f64, f64::max);
-        println!("max LP-ILP − LP-max gap: {gap:.1} percentage points");
-        println!(
-            "wrote {}\n",
-            options.out.join(format!("{name}.csv")).display()
-        );
-    }
-}
-
 fn run_timing(options: &Cli) {
-    println!("== timing: average runtime of a positive schedulability test ==");
-    let jobs = options.timing_jobs();
-    if jobs.worker_count() > 1 {
-        println!(
-            "(note: {} workers — averages include contention; omit --jobs for \
-             uncontended serial measurements)",
-            jobs.worker_count()
-        );
-    }
-    let rows = timing::run_with_jobs(&[4, 8, 16], options.samples, 0xBEEF, jobs);
+    println!("== timing: average runtime of a positive schedulability test (one thread) ==");
+    let rows = timing::run(&[4, 8, 16], options.samples, 0xBEEF);
     println!("{}", timing::render(&rows));
     println!(
         "(paper, MATLAB + CPLEX: 0.45 s / 4.75 s / 43 min — trend, not absolute, is comparable)\n"
@@ -934,10 +849,7 @@ mod tests {
         assert_eq!(c.out, PathBuf::from("out"));
         assert_eq!(c.width, 96);
         assert_eq!(c.bench, None);
-        assert_eq!(
-            (c.sweep_jobs(), c.timing_jobs()),
-            (Jobs::Auto, Jobs::Count(1))
-        );
+        assert_eq!(c.jobs, Jobs::Auto);
         assert_eq!(c.validate.horizon_factor, 3);
         assert_eq!(c.validate.policies, PolicyChoice::Both);
         assert_eq!(c.validate.release, None);
@@ -991,14 +903,11 @@ mod tests {
         assert_eq!((c.sets(), c.validate.horizon_factor), (4, 30));
         assert_eq!(c.validate.policies, PolicyChoice::Fully);
         assert_eq!(c.validate.release, Some(ReleaseChoice::Jitter));
-        assert_eq!(
-            (c.sweep_jobs(), c.timing_jobs()),
-            (Jobs::Count(3), Jobs::Count(3))
-        );
+        assert_eq!(c.jobs, Jobs::Count(3));
         assert_eq!((c.out, c.samples, c.width), (PathBuf::from("o"), 2, 16));
         assert_eq!(c.bench, Some(PathBuf::from("b.json")));
-        assert_eq!(cli("fig2a --serial").unwrap().jobs, Some(Jobs::Count(1)));
-        assert_eq!(cli("fig2a --jobs 0").unwrap().jobs, Some(Jobs::Auto));
+        assert_eq!(cli("fig2a --serial").unwrap().jobs, Jobs::Count(1));
+        assert_eq!(cli("fig2a --jobs 0").unwrap().jobs, Jobs::Auto);
 
         let s = cli(
             "serve --addr 0.0.0.0:9 --lru 4 --idle-ms 1 --frame-ms 2 --drain-ms 3 \

@@ -8,7 +8,7 @@
 //! and the **validation cell** (generate, analyze *with per-task bounds*,
 //! simulate under every preemption policy and check the soundness
 //! invariants — [`crate::validate`]). The engine owns the properties every
-//! sweep driver (figure2, sensitivity, `repro campaign`, `repro validate`)
+//! sweep (the [`PanelKind`] panels and the [`crate::validate`] panels)
 //! relies on:
 //!
 //! * **Streaming evaluation, end to end.** Generation is not a separate
@@ -34,12 +34,15 @@
 //!   its floating-point accumulation order, so even the tightness ratios
 //!   of the validation campaign are reproducible bytes.
 //!
-//! On top of the substrate, this module defines the scenario panels that
-//! the streaming engine makes cheap ([`PanelKind`]), surfaced as `repro
-//! campaign` subcommands: a constrained-deadline panel (`D_i = f·T_i`,
-//! `f` swept), a chain-heavy/control-flow mixture panel, an `m ∈ {2, 8,
-//! 16}` core-count panel, and the `PeriodModel × deadline_factor` cross
-//! panels ([`PanelKind::Cross`]) that re-run the deadline sweep under each
+//! On top of the substrate, this module describes every schedulability
+//! sweep as one [`PanelKind`]: the paper's Figure 2 panels, its task-count
+//! and group-2 variants and the period-model sensitivity study (`repro
+//! fig2a|fig2b|fig2c|fig2c-tasks|group2|sensitivity`), and the scenario
+//! panels beyond the paper that the streaming engine makes cheap (`repro
+//! campaign`): a constrained-deadline panel (`D_i = f·T_i`, `f` swept), a
+//! chain-heavy/control-flow mixture panel, an `m ∈ {2, 8, 16}` core-count
+//! panel, and the `PeriodModel × deadline_factor` cross panels
+//! ([`PanelKind::Cross`]) that re-run the deadline sweep under each
 //! period-derivation family. Every panel charts all six methods — the
 //! paper's three, the corrected [`rta_analysis::Method::LpSound`] bound,
 //! and the published fully-preemptive competitors
@@ -66,7 +69,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rta_analysis::{AnalysisRequest, Method, ScenarioSpace};
 use rta_model::TaskSet;
-use rta_taskgen::{chain_mix, group1, TaskSetConfig, TaskSetGenerator};
+use rta_taskgen::{chain_mix, group1, group2, TaskSetConfig, TaskSetGenerator};
 use std::cell::RefCell;
 
 thread_local! {
@@ -203,12 +206,6 @@ pub struct MethodMatrix {
     pub sets: u64,
 }
 
-/// The CSV column slug of `Method::ALL[mi]` — shared by every per-method
-/// column header in the experiment CSVs.
-pub fn method_slug(mi: usize) -> &'static str {
-    Method::ALL[mi].slug()
-}
-
 impl MethodMatrix {
     /// Folds one cell's verdicts (in [`Method::ALL`] order) into the
     /// matrix.
@@ -252,7 +249,7 @@ impl MethodMatrix {
     pub fn csv_rows(&self) -> Vec<Vec<String>> {
         (0..METHODS)
             .map(|a| {
-                let mut row = vec![method_slug(a).to_string()];
+                let mut row = vec![Method::ALL[a].slug().to_string()];
                 for b in 0..METHODS {
                     row.push(format!("{}", self.wins[a][b]));
                 }
@@ -330,7 +327,7 @@ impl MethodCosts {
             .map(|mi| {
                 let (count, mean, max) = self.rows[mi];
                 vec![
-                    method_slug(mi).to_string(),
+                    Method::ALL[mi].slug().to_string(),
                     count.to_string(),
                     format!("{mean:.0}"),
                     max.to_string(),
@@ -361,6 +358,10 @@ impl MethodCosts {
         crate::ascii::table(&header, &rows)
     }
 }
+
+/// Base seed of the paper's population: the Figure 2, task-count, group-2
+/// and sensitivity panels.
+const FIGURE2_SEED: u64 = 0xDA7E_2016;
 
 /// Base seed of the campaign panels (distinct from the Figure 2 seed so
 /// the panels are a fresh population, not a re-analysis).
@@ -405,6 +406,15 @@ pub enum PeriodFamily {
 }
 
 impl PeriodFamily {
+    /// The family's CSV slug and display name.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            PeriodFamily::SlackFactor => ("slack", "slack-factor"),
+            PeriodFamily::CommonScale => ("common", "common-scale"),
+            PeriodFamily::PerTaskUtilization => ("pertask", "per-task-utilization"),
+        }
+    }
+
     /// The group-1 preset at `target` utilization with this family's
     /// period model.
     pub(crate) fn config(self, target: f64) -> TaskSetConfig {
@@ -420,9 +430,19 @@ impl PeriodFamily {
     }
 
     /// The `D = f·T` sweep at `U = 2` under this family's periods.
-    pub(crate) fn deadline_sweep(self) -> Box<dyn Fn(f64) -> TaskSetConfig + Sync> {
-        Box::new(move |f| self.config(2.0).with_deadline_factor(f))
+    pub(crate) fn deadline_sweep(self) -> MakeSet {
+        generated(move |f| self.config(2.0).with_deadline_factor(f))
     }
+}
+
+/// How a panel builds the task set of one cell: `make_set(per-set seed,
+/// x)`. Pure, so any worker may call it.
+pub(crate) type MakeSet = Box<dyn Fn(u64, f64) -> TaskSet + Sync>;
+
+/// The [`MakeSet`] generating the preset `config(x)` on the calling
+/// worker's scratch.
+pub(crate) fn generated(config: impl Fn(f64) -> TaskSetConfig + Sync + 'static) -> MakeSet {
+    Box::new(move |seed, x| generate_on_worker(seed, &config(x)))
 }
 
 /// What tells one sweep panel from another — a campaign panel or a
@@ -440,15 +460,32 @@ pub(crate) struct Layout {
     pub(crate) xs: Vec<f64>,
     /// Base seed of the panel's population.
     pub(crate) seed: u64,
-    /// The generator configuration of a set at `x`.
-    pub(crate) config: Box<dyn Fn(f64) -> TaskSetConfig + Sync>,
+    /// The task set of one cell.
+    pub(crate) make_set: MakeSet,
 }
 
-/// One of the scenario panels, identified ahead of running it — the CLI
+/// One schedulability sweep, identified ahead of running it — the CLI
 /// reads the metadata first (to open the streaming CSV sink), then runs
 /// the sweep through [`PanelKind::run_into`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PanelKind {
+    /// Figure 2 of the paper: the group-1 utilization sweep on `m` cores
+    /// (`fig2a`, `fig2b` and `fig2c` are `m = 4, 8, 16`).
+    Figure2(usize),
+    /// The task-count variant of Figure 2(c): `m = 16`, total utilization
+    /// fixed at `m/2`, 2 to 16 tasks per set — each added task makes every
+    /// task lighter and adds a blocking candidate.
+    TaskCount,
+    /// The paper's group-2 comparison: the Figure 2 sweep on `m` cores over
+    /// uniformly parallel task sets, where LP-max should approach LP-ILP.
+    Group2(usize),
+    /// Sensitivity of Figure 2(a) to the generator's unpublished period
+    /// model: the same seed, grid and DAG population under each
+    /// period-derivation family (so the slack-factor panel is Figure 2(a)
+    /// itself). Common-scale periods show the carry-in collapse of every
+    /// analysis near `U = m/2`; per-task utilizations show the
+    /// fragile-small-task failure that destroys the LP plateau.
+    Sensitivity(PeriodFamily),
     /// Constrained deadlines: `m = 4`, `U = 2`, `D = f·T` with `f` swept —
     /// how quickly each analysis sheds schedulability as the slack between
     /// response bound and deadline is removed.
@@ -468,7 +505,8 @@ pub enum PanelKind {
 }
 
 impl PanelKind {
-    /// Every panel, in CLI order.
+    /// Every `repro campaign` panel, in CLI order (the paper's own panels
+    /// run under their `repro fig2*`, `group2` and `sensitivity` commands).
     pub fn all() -> Vec<PanelKind> {
         vec![
             PanelKind::Deadline,
@@ -482,8 +520,54 @@ impl PanelKind {
         ]
     }
 
-    fn layout(self) -> Layout {
+    pub(crate) fn layout(self) -> Layout {
         match self {
+            PanelKind::Figure2(m) => Layout {
+                name: match m {
+                    4 => "fig2a".into(),
+                    8 => "fig2b".into(),
+                    16 => "fig2c".into(),
+                    _ => format!("fig2_m{m}"),
+                },
+                title: format!("Figure 2: m = {m} utilization sweep (group 1)"),
+                x_label: "utilization",
+                cores: m,
+                xs: utilization_grid(m),
+                seed: FIGURE2_SEED,
+                make_set: generated(group1),
+            },
+            PanelKind::TaskCount => Layout {
+                name: "fig2c_tasks".into(),
+                title: "Figure 2(c) variant: m = 16, U = 8, task count swept (group 1)".into(),
+                x_label: "tasks",
+                cores: 16,
+                xs: (1..=8).map(|i| f64::from(2 * i)).collect(),
+                seed: FIGURE2_SEED,
+                make_set: Box::new(|seed, tasks: f64| {
+                    generate_on_worker_with_count(seed, &group1(8.0), tasks as usize)
+                }),
+            },
+            PanelKind::Group2(m) => Layout {
+                name: format!("group2_m{m}"),
+                title: format!("uniformly parallel sets (group 2): m = {m} utilization sweep"),
+                x_label: "utilization",
+                cores: m,
+                xs: utilization_grid(m),
+                seed: FIGURE2_SEED,
+                make_set: generated(group2),
+            },
+            PanelKind::Sensitivity(family) => {
+                let (slug, periods) = family.names();
+                Layout {
+                    name: format!("sensitivity_{slug}"),
+                    title: format!("{periods} periods: the Figure 2(a) population, m = 4"),
+                    x_label: "utilization",
+                    cores: 4,
+                    xs: utilization_grid(4),
+                    seed: FIGURE2_SEED,
+                    make_set: generated(move |u| family.config(u)),
+                }
+            }
             PanelKind::Deadline => Layout {
                 name: "campaign_deadline".into(),
                 title: "constrained deadlines: m = 4, U = 2, D = f*T, f swept".into(),
@@ -491,7 +575,7 @@ impl PanelKind {
                 cores: 4,
                 xs: deadline_factor_grid(),
                 seed: CAMPAIGN_SEED,
-                config: PeriodFamily::SlackFactor.deadline_sweep(),
+                make_set: PeriodFamily::SlackFactor.deadline_sweep(),
             },
             PanelKind::Chains => Layout {
                 name: "campaign_chains".into(),
@@ -500,7 +584,7 @@ impl PanelKind {
                 cores: 4,
                 xs: chain_share_grid(),
                 seed: CAMPAIGN_SEED ^ 1,
-                config: Box::new(|share| chain_mix(2.0, share)),
+                make_set: generated(|share| chain_mix(2.0, share)),
             },
             PanelKind::Cores(m) => Layout {
                 name: format!("campaign_cores_m{m}"),
@@ -509,14 +593,10 @@ impl PanelKind {
                 cores: m,
                 xs: utilization_grid(m),
                 seed: CAMPAIGN_SEED ^ (m as u64),
-                config: Box::new(group1),
+                make_set: generated(group1),
             },
             PanelKind::Cross(family) => {
-                let (slug, periods) = match family {
-                    PeriodFamily::SlackFactor => ("slack", "slack-factor"),
-                    PeriodFamily::CommonScale => ("common", "common-scale"),
-                    PeriodFamily::PerTaskUtilization => ("pertask", "per-task-utilization"),
-                };
+                let (slug, periods) = family.names();
                 Layout {
                     name: format!("campaign_cross_{slug}"),
                     title: format!("period model x deadline: {periods} periods, D = f*T, f swept"),
@@ -524,7 +604,7 @@ impl PanelKind {
                     cores: 4,
                     xs: deadline_factor_grid(),
                     seed: CAMPAIGN_SEED ^ (0x100 + family as u64),
-                    config: family.deadline_sweep(),
+                    make_set: family.deadline_sweep(),
                 }
             }
         }
@@ -603,7 +683,7 @@ impl PanelKind {
                 sets_per_point,
                 seed: layout.seed,
                 space: ScenarioSpace::PaperExact,
-                make_set: |seed, x| generate_on_worker(seed, &(layout.config)(x)),
+                make_set: &layout.make_set,
             },
             jobs,
             on_cell,
@@ -628,7 +708,7 @@ pub fn compare_panels() -> Vec<PanelKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figure2::SweepResult;
+    use crate::figure2::{csv_header, SweepResult};
 
     /// Collects one panel's streamed points.
     fn collect(kind: PanelKind, sets: usize, jobs: Jobs) -> SweepResult {
@@ -736,6 +816,118 @@ mod tests {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), names.len(), "panel name collision");
+    }
+
+    #[test]
+    fn every_panel_has_its_name_label_cores_grid_and_seed() {
+        // One line per panel — CSV stem, x label, cores, grid points and
+        // seed — so a renamed CSV or a reseeded population fails here, not
+        // only in CI's golden diff.
+        use PeriodFamily::{CommonScale, PerTaskUtilization, SlackFactor};
+        let mut panels = vec![
+            PanelKind::Figure2(4),
+            PanelKind::Figure2(8),
+            PanelKind::Figure2(16),
+            PanelKind::TaskCount,
+            PanelKind::Group2(4),
+            PanelKind::Group2(8),
+            PanelKind::Group2(16),
+            PanelKind::Sensitivity(SlackFactor),
+            PanelKind::Sensitivity(CommonScale),
+            PanelKind::Sensitivity(PerTaskUtilization),
+        ];
+        panels.extend(PanelKind::all());
+        let lines: Vec<String> = panels
+            .iter()
+            .map(|&kind| {
+                let layout = kind.layout();
+                format!(
+                    "{} {} m={} x{} seed={:#x}",
+                    kind.name(),
+                    kind.x_label(),
+                    kind.cores(),
+                    layout.xs.len(),
+                    layout.seed
+                )
+            })
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "fig2a utilization m=4 x13 seed=0xda7e2016",
+                "fig2b utilization m=8 x13 seed=0xda7e2016",
+                "fig2c utilization m=16 x13 seed=0xda7e2016",
+                "fig2c_tasks tasks m=16 x8 seed=0xda7e2016",
+                "group2_m4 utilization m=4 x13 seed=0xda7e2016",
+                "group2_m8 utilization m=8 x13 seed=0xda7e2016",
+                "group2_m16 utilization m=16 x13 seed=0xda7e2016",
+                "sensitivity_slack utilization m=4 x13 seed=0xda7e2016",
+                "sensitivity_common utilization m=4 x13 seed=0xda7e2016",
+                "sensitivity_pertask utilization m=4 x13 seed=0xda7e2016",
+                "campaign_deadline deadline_factor m=4 x11 seed=0xca4a161c",
+                "campaign_chains chain_share m=4 x9 seed=0xca4a161d",
+                "campaign_cores_m2 utilization m=2 x13 seed=0xca4a161e",
+                "campaign_cores_m8 utilization m=8 x13 seed=0xca4a1614",
+                "campaign_cores_m16 utilization m=16 x13 seed=0xca4a160c",
+                "campaign_cross_slack deadline_factor m=4 x11 seed=0xca4a171c",
+                "campaign_cross_common deadline_factor m=4 x11 seed=0xca4a171d",
+                "campaign_cross_pertask deadline_factor m=4 x11 seed=0xca4a171e",
+            ]
+        );
+        // No two panels share a CSV file.
+        let mut names: Vec<String> = panels.iter().map(|k| k.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), panels.len(), "panel name collision");
+    }
+
+    #[test]
+    fn sensitivity_slack_panel_is_figure_2a() {
+        // Same seed, generator and grid: `repro sensitivity` writes
+        // `sensitivity_slack.csv` with the bytes of `fig2a.csv`.
+        let csv = |kind: PanelKind| {
+            let result = collect(kind, 4, Jobs::serial());
+            crate::csv::to_string(
+                &csv_header(kind.x_label()),
+                result.points.iter().map(SweepPoint::csv_cells),
+            )
+        };
+        assert_eq!(
+            csv(PanelKind::Sensitivity(PeriodFamily::SlackFactor)),
+            csv(PanelKind::Figure2(4))
+        );
+    }
+
+    #[test]
+    fn all_variants_run_and_dominate() {
+        for family in [
+            PeriodFamily::SlackFactor,
+            PeriodFamily::CommonScale,
+            PeriodFamily::PerTaskUtilization,
+        ] {
+            let result = collect(PanelKind::Sensitivity(family), 6, Jobs::Auto);
+            assert!(
+                result.dominance_holds(),
+                "{family:?}: ordering must hold under every generator"
+            );
+            assert_eq!(result.points.len(), 13);
+        }
+    }
+
+    #[test]
+    fn common_scale_collapses_earlier_for_fp() {
+        // The carry-in collapse: by U = 3 (0.75·m) the common-scale variant
+        // must be far below the slack-factor variant for FP-ideal.
+        let fp_at = |family: PeriodFamily, idx: usize| -> f64 {
+            collect(PanelKind::Sensitivity(family), 24, Jobs::Auto).points[idx].schedulable_pct[0]
+        };
+        // Point index 8 ≈ U = 3.0 on the 13-point 1..4 grid.
+        let slack = fp_at(PeriodFamily::SlackFactor, 8);
+        let common = fp_at(PeriodFamily::CommonScale, 8);
+        assert!(
+            common <= slack,
+            "common-scale FP-ideal ({common}) should not beat slack-factor ({slack})"
+        );
     }
 
     #[test]

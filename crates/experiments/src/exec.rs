@@ -13,9 +13,7 @@
 //!   without ever materializing the result list;
 //! * `fold_points` runs a `points × sets` grid through it and folds each
 //!   point's cells into a per-point accumulator — the loop every sweep
-//!   panel shares;
-//! * [`par_map`] collects a short list through it, in input order (the
-//!   tables and timing experiments fold the whole batch).
+//!   panel shares.
 //!
 //! Results reach the caller in input order, so any fold over them is
 //! bit-identical regardless of the worker count. That property is what
@@ -59,24 +57,6 @@ impl Jobs {
             Jobs::Count(n) => n.max(1),
         }
     }
-}
-
-/// Maps `f` over `items` on the worker pool and returns the results in
-/// input order.
-///
-/// `f` must be pure modulo interior timing (it may measure wall-clock time,
-/// as the timing experiment does, but the returned *decisions* must depend
-/// only on the input) — that is what makes the serial and parallel drivers
-/// interchangeable.
-pub fn par_map<T, R, F>(items: &[T], jobs: Jobs, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    stream_indexed(items.len(), jobs, |i| f(&items[i]), |_, r| out.push(r));
-    out
 }
 
 /// Streams a grid of `points × sets` cells over the pool and folds each
@@ -128,9 +108,10 @@ pub(crate) fn fold_points<R, A, F>(
 /// itself. A panic in `eval` or `consume` releases every waiting thread
 /// and reaches the caller.
 ///
-/// `eval` must be pure modulo interior timing (same contract as
-/// [`par_map`]); `consume` runs strictly sequentially and may hold `&mut`
-/// state — the per-point folds and CSV sinks of a campaign live there.
+/// `eval` must be pure: its result may depend only on the index, which is
+/// what makes every worker count interchangeable. `consume` runs strictly
+/// sequentially and may hold `&mut` state — the per-point folds and CSV
+/// sinks of a campaign live there.
 pub fn stream_indexed<R, F, C>(len: usize, jobs: Jobs, eval: F, mut consume: C)
 where
     R: Send,
@@ -264,18 +245,10 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_order_for_every_driver() {
-        let items: Vec<u64> = (0..500).collect();
-        let expected: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
-        for jobs in [Jobs::serial(), Jobs::Count(4), Jobs::Auto] {
-            assert_eq!(par_map(&items, jobs, |&x| x * 3 + 1), expected);
-        }
-    }
-
-    #[test]
     fn empty_input() {
-        let out: Vec<u64> = par_map(&[], Jobs::Auto, |x: &u64| *x);
-        assert!(out.is_empty());
+        for jobs in [Jobs::serial(), Jobs::Auto] {
+            stream_indexed(0, jobs, |i| i, |i, _| panic!("cell {i} of none"));
+        }
     }
 
     #[test]
@@ -391,15 +364,5 @@ mod tests {
             |i| i,
             |i, _| assert_ne!(i, 50, "consumer fails at 50"),
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "stream worker panicked")]
-    fn a_panicking_par_map_reaches_the_caller() {
-        let items: Vec<u64> = (0..200).collect();
-        par_map(&items, Jobs::Count(4), |&x| {
-            assert_ne!(x, 77, "item 77 fails");
-            x
-        });
     }
 }

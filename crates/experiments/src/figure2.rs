@@ -1,72 +1,24 @@
-//! The Figure 2 schedulability sweeps (and the group-2 variant).
+//! The points and results of a schedulability sweep — Figure 2 of the
+//! paper and every panel of [`crate::campaign::PanelKind`].
 //!
-//! For each utilization point, `sets_per_point` random task sets are
-//! generated **and analyzed in the same streaming cell** of the campaign
-//! engine ([`crate::campaign`]): the worker that claims a coordinate
+//! For each x value, `sets_per_point` random task sets are generated
+//! **and analyzed in the same streaming cell** of the campaign engine
+//! ([`crate::campaign::sweep_into`]): the worker that claims a coordinate
 //! generates its task set on a reusable per-worker scratch and evaluates
 //! all six analyses (the paper's FP-ideal, LP-ILP and LP-max, the
 //! corrected LP-sound, and the published fully-preemptive competitors
 //! Long-paths and Gen-sporadic) through the dominance-short-circuited
-//! verdict path, sharing one analysis cache per set; the reported value is
-//! the percentage of schedulable sets — exactly the paper's Figure 2 (300
-//! sets per point there), extended by the competitor columns. Results are
-//! reproducible bit-for-bit regardless of parallelism; the worker budget
-//! is a [`Jobs`] value ([`run_with_jobs`]), surfaced on the `repro` CLI as
-//! `--jobs`.
+//! verdict path, sharing one analysis cache per set. A [`SweepPoint`]
+//! reports the percentage of schedulable sets per method — exactly the
+//! paper's Figure 2 (300 sets per point there), extended by the
+//! competitor columns — bit-for-bit the same for every worker count.
 
 use crate::ascii;
-use crate::campaign::{self, SweepSpec};
-use crate::exec::Jobs;
-use rta_analysis::{Method, ScenarioSpace};
-use rta_taskgen::TaskSetConfig;
+use rta_analysis::Method;
 
 /// Number of analysis methods every per-method array in this module spans
 /// (always [`Method::ALL`] order).
 pub(crate) const METHODS: usize = Method::ALL.len();
-
-/// Configuration of one sweep.
-#[derive(Clone, Debug)]
-pub struct SweepConfig {
-    /// Core count `m`.
-    pub cores: usize,
-    /// Utilization points (x-axis).
-    pub utilizations: Vec<f64>,
-    /// Random task sets per point (300 in the paper).
-    pub sets_per_point: usize,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// Task-set generator (the paper's group 1 or group 2).
-    pub generator: fn(f64) -> TaskSetConfig,
-}
-
-impl SweepConfig {
-    /// The paper's Figure 2 panel for `m` cores: utilization 1 → m in steps
-    /// of m/12 (13 points, mirroring the plot density), 300 sets per point,
-    /// group-1 task sets.
-    pub fn paper_panel(cores: usize) -> Self {
-        Self {
-            cores,
-            utilizations: campaign::utilization_grid(cores),
-            sets_per_point: 300,
-            seed: 0xDA7E_2016,
-            generator: rta_taskgen::group1,
-        }
-    }
-
-    /// Scales the number of sets per point (for quick runs and benches).
-    #[must_use]
-    pub fn with_sets_per_point(mut self, sets: usize) -> Self {
-        self.sets_per_point = sets;
-        self
-    }
-
-    /// Switches the generator (e.g. to [`rta_taskgen::group2`]).
-    #[must_use]
-    pub fn with_generator(mut self, generator: fn(f64) -> TaskSetConfig) -> Self {
-        self.generator = generator;
-        self
-    }
-}
 
 /// One point of the sweep: the percentage of schedulable task sets per
 /// method, in [`Method::ALL`] order (FP-ideal, LP-ILP, LP-max, LP-sound,
@@ -120,92 +72,6 @@ pub struct SweepResult {
     pub cores: usize,
     /// The curve points.
     pub points: Vec<SweepPoint>,
-}
-
-/// Runs the sweep with an explicit worker budget, streaming the
-/// `(point, set)` cells over the campaign engine's thread pool.
-///
-/// Results are **bit-identical across worker counts** (`Jobs::serial()`
-/// is the reference, see `tests/determinism.rs`): every task set's seed
-/// derives only from its sweep coordinates, every evaluation is pure, and
-/// the per-point aggregation folds the evaluations in coordinate order no
-/// matter which worker produced them.
-pub fn run_with_jobs(config: &SweepConfig, jobs: Jobs) -> SweepResult {
-    let mut points = Vec::with_capacity(config.utilizations.len());
-    run_into(config, jobs, &mut |p: &SweepPoint| points.push(p.clone()));
-    SweepResult {
-        cores: config.cores,
-        points,
-    }
-}
-
-/// As [`run_with_jobs`], delivering each completed [`SweepPoint`] to
-/// `on_point` as soon as its last cell folds — the streaming entry the
-/// `repro` CLI feeds its [`CsvSink`](crate::csv::CsvSink) from.
-pub fn run_into(config: &SweepConfig, jobs: Jobs, on_point: &mut dyn FnMut(&SweepPoint)) {
-    campaign::sweep_into(
-        &SweepSpec {
-            cores: config.cores,
-            xs: &config.utilizations,
-            sets_per_point: config.sets_per_point,
-            seed: config.seed,
-            space: ScenarioSpace::PaperExact,
-            make_set: |seed, target| {
-                campaign::generate_on_worker(seed, &(config.generator)(target))
-            },
-        },
-        jobs,
-        on_point,
-    );
-}
-
-/// The task-count variant of Figure 2(c) (`repro fig2c-tasks`): x-axis =
-/// number of tasks, total utilization fixed at `cores / 2`, so each added
-/// task makes every task lighter and adds a blocking candidate; run with an
-/// explicit worker budget.
-pub fn run_task_count_with_jobs(
-    config: &SweepConfig,
-    task_counts: &[usize],
-    jobs: Jobs,
-) -> SweepResult {
-    let mut points = Vec::with_capacity(task_counts.len());
-    run_task_count_into(config, task_counts, jobs, &mut |p: &SweepPoint| {
-        points.push(p.clone())
-    });
-    SweepResult {
-        cores: config.cores,
-        points,
-    }
-}
-
-/// As [`run_task_count_with_jobs`], streaming completed points to
-/// `on_point`.
-pub fn run_task_count_into(
-    config: &SweepConfig,
-    task_counts: &[usize],
-    jobs: Jobs,
-    on_point: &mut dyn FnMut(&SweepPoint),
-) {
-    let fixed_u = config.cores as f64 / 2.0;
-    let xs: Vec<f64> = task_counts.iter().map(|&n| n as f64).collect();
-    campaign::sweep_into(
-        &SweepSpec {
-            cores: config.cores,
-            xs: &xs,
-            sets_per_point: config.sets_per_point,
-            seed: config.seed,
-            space: ScenarioSpace::PaperExact,
-            make_set: |seed, x| {
-                campaign::generate_on_worker_with_count(
-                    seed,
-                    &(config.generator)(fixed_u),
-                    x as usize,
-                )
-            },
-        },
-        jobs,
-        on_point,
-    );
 }
 
 impl SweepResult {
@@ -269,14 +135,22 @@ impl SweepResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{self, generate_on_worker_with_count, PanelKind, SweepSpec};
+    use crate::exec::Jobs;
+    use rta_analysis::ScenarioSpace;
 
-    fn quick(cores: usize, sets: usize) -> SweepConfig {
-        SweepConfig::paper_panel(cores).with_sets_per_point(sets)
+    /// The Figure 2(a) panel at `sets` sets per point.
+    fn fig2a(sets: usize) -> SweepResult {
+        let mut points = Vec::new();
+        PanelKind::Figure2(4).run_into(sets, Jobs::Auto, &mut |p: &SweepPoint| {
+            points.push(p.clone())
+        });
+        SweepResult { cores: 4, points }
     }
 
     #[test]
     fn tiny_sweep_runs_and_dominates() {
-        let result = run_with_jobs(&quick(4, 8), Jobs::Auto);
+        let result = fig2a(8);
         assert_eq!(result.points.len(), 13);
         assert!(result.dominance_holds());
         // Low utilization is almost always schedulable for FP-ideal.
@@ -287,15 +161,28 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let a = run_with_jobs(&quick(4, 6), Jobs::Auto);
-        let b = run_with_jobs(&quick(4, 6), Jobs::Auto);
-        assert_eq!(a, b);
+        assert_eq!(fig2a(6), fig2a(6));
     }
 
     #[test]
     fn task_count_variant_runs() {
-        let cfg = quick(4, 5);
-        let result = run_task_count_with_jobs(&cfg, &[2, 4, 6], Jobs::Auto);
+        // 2, 4 and 6 tasks per set at U = m/2 on the Figure 2(a) platform.
+        let mut points = Vec::new();
+        campaign::sweep_into(
+            &SweepSpec {
+                cores: 4,
+                xs: &[2.0, 4.0, 6.0],
+                sets_per_point: 5,
+                seed: 0xDA7E_2016,
+                space: ScenarioSpace::PaperExact,
+                make_set: |seed, tasks: f64| {
+                    generate_on_worker_with_count(seed, &rta_taskgen::group1(2.0), tasks as usize)
+                },
+            },
+            Jobs::Auto,
+            &mut |p: &SweepPoint| points.push(p.clone()),
+        );
+        let result = SweepResult { cores: 4, points };
         assert_eq!(result.points.len(), 3);
         assert_eq!(result.points[0].x, 2.0);
         assert!(result.dominance_holds());
@@ -303,7 +190,7 @@ mod tests {
 
     #[test]
     fn renders_csv_and_table() {
-        let result = run_with_jobs(&quick(4, 4), Jobs::Auto);
+        let result = fig2a(4);
         let csv = crate::csv::to_string(
             &csv_header("utilization"),
             result.points.iter().map(SweepPoint::csv_cells),

@@ -9,15 +9,27 @@
 //! | Table I (`µ_i[c]` of Figure 1)        | [`tables::table1`]   | `repro table1` |
 //! | Table II (scenarios `e_4`)            | [`tables::table2`]   | `repro table2` |
 //! | Table III (`ρ_k[s_l]`, `Δ⁴`, `Δ³`)    | [`tables::table3`]   | `repro table3` |
-//! | Figure 2(a) (`m = 4` sweep)           | [`figure2::run_with_jobs`] | `repro fig2a` |
-//! | Figure 2(b) (`m = 8` sweep)           | [`figure2::run_with_jobs`] | `repro fig2b` |
-//! | Figure 2(c) (`m = 16` sweep)          | [`figure2::run_with_jobs`] | `repro fig2c` |
-//! | Figure 2(c) task-count variant        | [`figure2::run_task_count_with_jobs`] | `repro fig2c-tasks` |
-//! | Group-2 comparison (prose)            | [`figure2::run_with_jobs`] with [`rta_taskgen::group2`] | `repro group2` |
-//! | Runtime paragraph (`0.45 s / 4.75 s / 43 min`) | [`timing::run_with_jobs`] | `repro timing` |
+//! | Figure 2(a) (`m = 4` sweep)           | [`PanelKind::Figure2`]`(4)` | `repro fig2a` |
+//! | Figure 2(b) (`m = 8` sweep)           | [`PanelKind::Figure2`]`(8)` | `repro fig2b` |
+//! | Figure 2(c) (`m = 16` sweep)          | [`PanelKind::Figure2`]`(16)` | `repro fig2c` |
+//! | Figure 2(c) task-count variant        | [`PanelKind::TaskCount`] | `repro fig2c-tasks` |
+//! | Group-2 comparison (prose)            | [`PanelKind::Group2`]`(m)` | `repro group2` |
+//! | Generator sensitivity (period models) | [`PanelKind::Sensitivity`] | `repro sensitivity` |
+//! | Runtime paragraph (`0.45 s / 4.75 s / 43 min`) | [`timing::run`] | `repro timing` |
 //!
-//! Beyond the paper, the [`campaign`] engine opens sweep panels the
-//! original evaluation did not chart — constrained deadlines (`D = f·T`),
+//! Every schedulability sweep is one [`PanelKind`], streamed point by
+//! point through [`PanelKind::run_into`] (benches with a reduced grid call
+//! [`campaign::sweep_into`] directly).
+//!
+//! [`PanelKind`]: campaign::PanelKind
+//! [`PanelKind::Figure2`]: campaign::PanelKind::Figure2
+//! [`PanelKind::TaskCount`]: campaign::PanelKind::TaskCount
+//! [`PanelKind::Group2`]: campaign::PanelKind::Group2
+//! [`PanelKind::Sensitivity`]: campaign::PanelKind::Sensitivity
+//! [`PanelKind::run_into`]: campaign::PanelKind::run_into
+//!
+//! Beyond the paper, the same table holds sweep panels the original
+//! evaluation did not chart — constrained deadlines (`D = f·T`),
 //! chain-heavy task mixtures, and the `m ∈ {2, 8}` platforms — via
 //! `repro campaign`.
 //!
@@ -28,7 +40,7 @@
 //! [`loadgen`] (`repro loadgen`) load-tests it and emits the BENCH
 //! figures.
 //!
-//! Every driver runs on the **streaming campaign engine** ([`campaign`]):
+//! Every sweep runs on the **streaming campaign engine** ([`campaign`]):
 //! each sweep cell generates its task set on the worker that claims it
 //! (per-worker scratch, no separate generation phase) and analyzes it
 //! through the dominance-short-circuited verdict path. Sweeps are
@@ -36,7 +48,8 @@
 //! index, set index)` only, so results do not depend on thread scheduling.
 //! The execution substrate ([`exec`]) is one worker pool on the standard
 //! library's scoped threads: it fans cells over the cores, or runs them
-//! serially with `--jobs 1`, with bit-identical output.
+//! serially with `--jobs 1`, with bit-identical output. The tables and
+//! the timing experiment are not sweeps and run on the calling thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +61,6 @@ pub mod exec;
 pub mod figure2;
 pub mod forensics;
 pub mod loadgen;
-pub mod sensitivity;
 pub mod serve;
 pub mod tables;
 pub mod timing;

@@ -1422,25 +1422,6 @@ mod reference {
 // Response rendering
 // ---------------------------------------------------------------------------
 
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn push_id(out: &mut String, id: Option<u64>) {
     if let Some(id) = id {
         use std::fmt::Write as _;
@@ -1506,7 +1487,7 @@ fn respond_error(out: &mut Outbox, id: Option<u64>, error: &WireError) -> io::Re
         buf.push_str("\"ok\":false,\"error\":{\"kind\":\"");
         buf.push_str(error.kind);
         buf.push_str("\",\"message\":");
-        push_escaped(buf, &error.message);
+        json::escape_into(buf, &error.message);
         buf.push_str("}}");
     })
 }

@@ -5,11 +5,9 @@
 //! runs on — so the tables exercise exactly the code path of `analyze`.
 //! [`table1_ilp`] and [`table3_ilp`] recompute them from the paper's ILP
 //! formulations alone, the reference `repro table1`/`table3` assert
-//! against; [`run_all`] regenerates all of them as one campaign of cells
-//! on the shared engine.
+//! against; [`run_all`] regenerates all of them.
 
 use crate::ascii;
-use crate::exec::{self, Jobs};
 use rta_analysis::blocking::paper_ilp::{blocking_from_mu_ilp, mu_array_ilp, rho_ilp};
 use rta_analysis::blocking::scenarios::rho;
 use rta_analysis::blocking::BlockingBounds;
@@ -208,49 +206,16 @@ pub struct Tables {
     pub table3_ilp: Table3,
 }
 
-/// Regenerates all tables as one campaign: each table and each ILP
-/// reference is an independent cell on the shared engine, so the five
-/// computations spread over the worker pool (and collapse to the plain
-/// serial loop under `--jobs 1`, bit-identically).
-pub fn run_all(jobs: Jobs) -> Tables {
-    /// The output of one table cell.
-    enum Cell {
-        One(Table1),
-        Two(Table2),
-        Three(Table3),
-    }
-    let cells = [0usize, 1, 2, 3, 4];
-    let mut outputs = exec::par_map(&cells, jobs, |&i| match i {
-        0 => Cell::One(table1()),
-        1 => Cell::One(table1_ilp()),
-        2 => Cell::Two(table2()),
-        3 => Cell::Three(table3()),
-        _ => Cell::Three(table3_ilp()),
-    })
-    .into_iter();
-    let mut next = || outputs.next().expect("five cells");
-    let take1 = |cell: Cell| match cell {
-        Cell::One(t) => t,
-        _ => unreachable!("cell order is fixed"),
-    };
-    let take3 = |cell: Cell| match cell {
-        Cell::Three(t) => t,
-        _ => unreachable!("cell order is fixed"),
-    };
-    let table1 = take1(next());
-    let table1_ilp = take1(next());
-    let table2 = match next() {
-        Cell::Two(t) => t,
-        _ => unreachable!("cell order is fixed"),
-    };
-    let table3 = take3(next());
-    let table3_ilp = take3(next());
+/// Regenerates every table and both ILP references, in order. The whole
+/// `repro table1` process takes milliseconds, so there is nothing to
+/// spread over workers.
+pub fn run_all() -> Tables {
     Tables {
-        table1,
-        table1_ilp,
-        table2,
-        table3,
-        table3_ilp,
+        table1: table1(),
+        table1_ilp: table1_ilp(),
+        table2: table2(),
+        table3: table3(),
+        table3_ilp: table3_ilp(),
     }
 }
 
@@ -309,13 +274,12 @@ mod tests {
     }
 
     #[test]
-    fn run_all_matches_individual_tables_under_every_driver() {
-        let serial = run_all(Jobs::serial());
-        assert_eq!(serial.table1, table1());
-        assert_eq!(serial.table1, serial.table1_ilp);
-        assert_eq!(serial.table2, table2());
-        assert_eq!(serial.table3, table3());
-        assert_eq!(serial.table3, serial.table3_ilp);
-        assert_eq!(run_all(Jobs::Count(3)), serial);
+    fn run_all_matches_individual_tables() {
+        let all = run_all();
+        assert_eq!(all.table1, table1());
+        assert_eq!(all.table1, all.table1_ilp);
+        assert_eq!(all.table2, table2());
+        assert_eq!(all.table3, table3());
+        assert_eq!(all.table3, all.table3_ilp);
     }
 }

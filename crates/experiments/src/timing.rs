@@ -10,7 +10,6 @@
 //! solvers compiled to native code.
 
 use crate::campaign;
-use crate::exec::{self, Jobs};
 use crate::set_seed;
 use rta_analysis::{analyze, AnalysisConfig, AnalysisRequest, Method};
 use rta_taskgen::group1;
@@ -37,56 +36,30 @@ pub struct TimingRow {
     pub samples: usize,
 }
 
-/// Runs the timing experiment for each core count with an explicit worker
-/// budget.
+/// Runs the timing experiment for each core count, on the calling thread
+/// so no other worker contends with the measured analyses.
 ///
 /// Mirrors the paper's setup: random group-1 task sets at a utilization
 /// where the LP-ILP test answers positively (we use `0.3·m`, inside the
 /// schedulable band of our calibrated generator); only positive answers are
-/// timed (the paper times "a positive scheduling answer").
-///
-/// Candidate generation fans out in chunks of attempts, but a row always
-/// averages exactly the **first** `samples_per_m` positively-answered
-/// attempts in attempt order — the same sample set the serial driver
-/// picks, so `samples` and acceptance decisions are reproducible. (The
-/// measured wall-clock averages are inherently noisier with concurrent
-/// workers on a busy machine; use `--jobs 1` for publication-grade
-/// numbers.)
-pub fn run_with_jobs(
-    core_counts: &[usize],
-    samples_per_m: usize,
-    seed: u64,
-    jobs: Jobs,
-) -> Vec<TimingRow> {
+/// timed (the paper times "a positive scheduling answer"). A row averages
+/// the first `samples_per_m` positively-answered attempts in attempt
+/// order, out of at most `20 · samples_per_m` attempts.
+pub fn run(core_counts: &[usize], samples_per_m: usize, seed: u64) -> Vec<TimingRow> {
     core_counts
         .iter()
         .map(|&cores| {
             let target = cores as f64 * 0.3;
-            let budget = samples_per_m * 20;
-            // Speculate one chunk of attempts at a time: large enough to
-            // keep every worker busy, small enough to waste little work
-            // once the acceptance target is reached.
-            let chunk = jobs.worker_count().max(1) * 2;
             let mut totals = [0.0f64; 4];
             let mut accepted = 0usize;
-            let mut attempt = 0usize;
-            while accepted < samples_per_m && attempt < budget {
-                let hi = (attempt + chunk).min(budget);
-                let attempts: Vec<usize> = (attempt..hi).collect();
-                let outcomes = exec::par_map(&attempts, jobs, |&a| {
-                    measure_attempt(cores, target, seed, a)
-                });
-                // Consume in attempt order; acceptance is deterministic.
-                for times in outcomes.into_iter().flatten() {
-                    if accepted == samples_per_m {
-                        break;
-                    }
-                    for (total, t) in totals.iter_mut().zip(times) {
-                        *total += t;
-                    }
-                    accepted += 1;
+            for times in (0..samples_per_m * 20)
+                .filter_map(|attempt| measure_attempt(cores, target, seed, attempt))
+                .take(samples_per_m)
+            {
+                for (total, t) in totals.iter_mut().zip(times) {
+                    *total += t;
                 }
-                attempt = hi;
+                accepted += 1;
             }
             let n = accepted.max(1) as f64;
             TimingRow {
@@ -111,8 +84,8 @@ pub fn run_with_jobs(
 /// so the batched column stays comparable with the sum of the three
 /// stand-alone ones.
 fn measure_attempt(cores: usize, target: f64, seed: u64, attempt: usize) -> Option<[f64; 4]> {
-    // Streaming generation on the claiming worker's scratch (bit-identical
-    // to a fresh `generate_task_set` with this seed).
+    // Generation on the thread's reusable scratch (bit-identical to a
+    // fresh `generate_task_set` with this seed).
     let ts = campaign::generate_on_worker(set_seed(seed, cores, attempt), &group1(target));
     // Time LP-ILP first; only keep positively-answered sets.
     let start = Instant::now();
@@ -168,7 +141,7 @@ mod tests {
 
     #[test]
     fn timing_produces_positive_rows() {
-        let rows = run_with_jobs(&[2, 4], 3, 1, Jobs::Auto);
+        let rows = run(&[2, 4], 3, 1);
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(row.samples > 0, "m = {}", row.cores);

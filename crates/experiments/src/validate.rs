@@ -109,7 +109,7 @@
 //! panels, and the two release-model sweeps.
 
 use crate::ascii;
-use crate::campaign::{self, generate_on_worker, Layout, PeriodFamily};
+use crate::campaign::{self, generated, Layout, PeriodFamily};
 use crate::exec::{self, Jobs};
 use crate::set_seed;
 use rta_analysis::{AnalysisRequest, Method, ScenarioSpace};
@@ -659,7 +659,7 @@ impl ValidatePanel {
                     cores: m,
                     xs: campaign::utilization_grid(m),
                     seed: VALIDATE_SEED ^ (m as u64),
-                    config: Box::new(group1),
+                    make_set: generated(group1),
                 },
                 ReleaseChoice::Sync,
             ),
@@ -671,7 +671,7 @@ impl ValidatePanel {
                     cores: 4,
                     xs: campaign::deadline_factor_grid(),
                     seed: VALIDATE_SEED ^ 0x1_0000,
-                    config: PeriodFamily::SlackFactor.deadline_sweep(),
+                    make_set: PeriodFamily::SlackFactor.deadline_sweep(),
                 },
                 ReleaseChoice::Sync,
             ),
@@ -683,7 +683,7 @@ impl ValidatePanel {
                     cores: 4,
                     xs: campaign::chain_share_grid(),
                     seed: VALIDATE_SEED ^ 0x2_0000,
-                    config: Box::new(|share| chain_mix(2.0, share)),
+                    make_set: generated(|share| chain_mix(2.0, share)),
                 },
                 ReleaseChoice::Sync,
             ),
@@ -701,7 +701,7 @@ impl ValidatePanel {
                         cores: 4,
                         xs: campaign::utilization_grid(4),
                         seed: VALIDATE_SEED ^ seed,
-                        config: Box::new(group1),
+                        make_set: generated(group1),
                     },
                     release,
                 )
@@ -754,8 +754,7 @@ impl ValidatePanel {
             sets,
             jobs,
             |p, s| {
-                let x = layout.xs[p];
-                let ts = generate_on_worker(set_seed(layout.seed, p, s), &(layout.config)(x));
+                let ts = (layout.make_set)(set_seed(layout.seed, p, s), layout.xs[p]);
                 validate_set(
                     &ts,
                     layout.cores,

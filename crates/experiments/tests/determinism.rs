@@ -4,23 +4,44 @@
 //! Task-set seeds derive only from `(base seed, point, set)` and the
 //! per-point aggregation folds evaluations in coordinate order, so the
 //! acceptance ratios — and the rendered CSV bytes — cannot depend on
-//! thread scheduling. These tests pin that property on a reduced
-//! Figure 2(a) grid.
+//! thread scheduling. These tests pin that property on reduced Figure 2(a)
+//! grids and on one panel of every kind.
 
-use rta_experiments::campaign::PanelKind;
+use rta_analysis::ScenarioSpace;
+use rta_experiments::campaign::{
+    self, generate_on_worker, generate_on_worker_with_count, PanelKind, PeriodFamily, SweepSpec,
+};
 use rta_experiments::csv::CsvSink;
 use rta_experiments::exec::Jobs;
-use rta_experiments::figure2::{
-    self, run_task_count_with_jobs, run_with_jobs, SweepConfig, SweepPoint,
-};
+use rta_experiments::figure2::{self, SweepPoint, SweepResult};
 use rta_experiments::validate::{self, ValidateOptions, ValidatePanel, ValidatePoint};
-use rta_experiments::{tables, timing};
+use rta_model::TaskSet;
+use rta_taskgen::group1;
 
-/// A reduced Figure 2(a) grid: m = 4, 4 utilization points, 6 sets each.
-fn reduced_fig2a() -> SweepConfig {
-    let mut config = SweepConfig::paper_panel(4).with_sets_per_point(6);
-    config.utilizations = vec![1.0, 2.0, 3.0, 4.0];
-    config
+/// The Figure 2(a) platform and seed on a reduced grid: m = 4, 6 sets per
+/// point.
+fn reduced_fig2a<F>(xs: &[f64], make_set: F) -> SweepSpec<'_, F> {
+    SweepSpec {
+        cores: 4,
+        xs,
+        sets_per_point: 6,
+        seed: 0xDA7E_2016,
+        space: ScenarioSpace::PaperExact,
+        make_set,
+    }
+}
+
+/// Runs a sweep through `campaign::sweep_into`, collecting its points.
+fn sweep<F>(spec: &SweepSpec<'_, F>, jobs: Jobs) -> SweepResult
+where
+    F: Fn(u64, f64) -> TaskSet + Sync,
+{
+    let mut points = Vec::new();
+    campaign::sweep_into(spec, jobs, &mut |p: &SweepPoint| points.push(p.clone()));
+    SweepResult {
+        cores: spec.cores,
+        points,
+    }
 }
 
 /// The bytes the `repro` CLI writes for a sweep: every point's row
@@ -51,11 +72,13 @@ fn validate_panel(
 
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
-    let config = reduced_fig2a();
+    let spec = reduced_fig2a(&[1.0, 2.0, 3.0, 4.0], |seed, u| {
+        generate_on_worker(seed, &group1(u))
+    });
     let header = figure2::csv_header("utilization");
-    let serial = run_with_jobs(&config, Jobs::serial());
+    let serial = sweep(&spec, Jobs::serial());
     for jobs in [Jobs::Count(2), Jobs::Count(7), Jobs::Auto] {
-        let parallel = run_with_jobs(&config, jobs);
+        let parallel = sweep(&spec, jobs);
         assert_eq!(parallel, serial, "jobs = {jobs:?}");
         assert_eq!(
             sweep_csv(&header, &parallel.points),
@@ -72,11 +95,13 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 
 #[test]
 fn task_count_variant_is_byte_identical_to_serial() {
-    let config = reduced_fig2a();
-    let counts = [2usize, 4, 6];
+    // 2, 4 and 6 tasks per set at the fixed total utilization m/2.
+    let spec = reduced_fig2a(&[2.0, 4.0, 6.0], |seed, tasks: f64| {
+        generate_on_worker_with_count(seed, &group1(2.0), tasks as usize)
+    });
     let header = figure2::csv_header("tasks");
-    let serial = run_task_count_with_jobs(&config, &counts, Jobs::serial());
-    let parallel = run_task_count_with_jobs(&config, &counts, Jobs::Count(5));
+    let serial = sweep(&spec, Jobs::serial());
+    let parallel = sweep(&spec, Jobs::Count(5));
     assert_eq!(parallel, serial);
     assert_eq!(
         sweep_csv(&header, &parallel.points),
@@ -86,12 +111,19 @@ fn task_count_variant_is_byte_identical_to_serial() {
 
 #[test]
 fn campaign_panels_are_byte_identical_to_serial() {
-    // Every `repro campaign` panel must emit the same CSV bytes for any
-    // worker count — the property the golden-CSV CI gate also pins from
-    // the outside.
+    // Every sweep panel must emit the same CSV bytes for any worker count
+    // — the property the golden-CSV CI gate also pins from the outside.
+    // One panel of each kind: the `repro campaign` panels and the paper's.
     let build = |jobs: Jobs| {
         let mut panels = vec![(PanelKind::Deadline, 5), (PanelKind::Chains, 5)];
         panels.extend([2, 8, 16].map(|m| (PanelKind::Cores(m), 4)));
+        panels.extend([
+            (PanelKind::Cross(PeriodFamily::CommonScale), 4),
+            (PanelKind::Figure2(8), 4),
+            (PanelKind::TaskCount, 2),
+            (PanelKind::Group2(4), 4),
+            (PanelKind::Sensitivity(PeriodFamily::PerTaskUtilization), 4),
+        ]);
         panels
             .into_iter()
             .map(|(kind, sets)| {
@@ -133,29 +165,6 @@ fn validate_panels_are_byte_identical_to_serial() {
             assert_eq!(parallel.0, serial.0, "{panel:?} under {jobs:?}");
             assert_eq!(parallel.1, serial.1, "{panel:?} CSV bytes under {jobs:?}");
         }
-    }
-}
-
-#[test]
-fn tables_campaign_is_identical_to_serial() {
-    let serial = tables::run_all(Jobs::serial());
-    for jobs in [Jobs::Count(2), Jobs::Auto] {
-        assert_eq!(tables::run_all(jobs), serial, "{jobs:?}");
-    }
-    assert_eq!(serial.table1.to_csv(), tables::table1().to_csv());
-}
-
-#[test]
-fn timing_accepts_the_same_samples_under_any_driver() {
-    // Wall-clock averages are machine noise, but the *acceptance
-    // decisions* (which attempts count, and therefore `samples`) are
-    // deterministic and must not depend on the worker count.
-    let serial = timing::run_with_jobs(&[2, 4], 3, 1, Jobs::serial());
-    let parallel = timing::run_with_jobs(&[2, 4], 3, 1, Jobs::Count(4));
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.cores, p.cores);
-        assert_eq!(s.samples, p.samples, "m = {}", s.cores);
     }
 }
 

@@ -98,7 +98,6 @@ impl IlpBuilder {
     /// Finalizes the model.
     pub fn build(self) -> IlpProblem {
         IlpProblem {
-            names: self.names,
             objective: self.objective,
             constraints: self.constraints,
         }
@@ -109,7 +108,6 @@ impl IlpBuilder {
 /// [`maximize`](IlpProblem::maximize).
 #[derive(Clone, Debug)]
 pub struct IlpProblem {
-    pub(crate) names: Vec<String>,
     pub(crate) objective: Vec<f64>,
     pub(crate) constraints: Vec<Constraint>,
 }
@@ -118,16 +116,6 @@ impl IlpProblem {
     /// Number of binary variables.
     pub fn var_count(&self) -> usize {
         self.objective.len()
-    }
-
-    /// Number of constraints.
-    pub fn constraint_count(&self) -> usize {
-        self.constraints.len()
-    }
-
-    /// Name of a variable (for diagnostics).
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.names[var.0]
     }
 
     /// Solves the problem exactly by branch and bound over the simplex
@@ -165,8 +153,6 @@ mod tests {
         let p = b.build();
         assert_eq!(p.constraints[0].terms, vec![(1, 1.0)]);
         assert_eq!(p.var_count(), 2);
-        assert_eq!(p.constraint_count(), 1);
-        assert_eq!(p.var_name(VarId(0)), "x");
     }
 
     #[test]

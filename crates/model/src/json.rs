@@ -131,7 +131,9 @@ impl From<ModelError> for JsonError {
 // Serialization
 // ---------------------------------------------------------------------------
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string: quotes, backslashes and
+/// control characters escaped.
+pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

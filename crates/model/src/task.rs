@@ -112,18 +112,6 @@ impl DagTask {
     pub fn is_trivially_infeasible(&self) -> bool {
         self.dag.longest_path() > self.deadline
     }
-
-    /// Replaces the period (and clamps the deadline to stay constrained).
-    /// Used by generators that re-scale a task to hit a utilization target.
-    #[must_use]
-    pub fn with_period(mut self, period: Time) -> Self {
-        assert!(period > 0, "period must be positive");
-        self.period = period;
-        if self.deadline > period {
-            self.deadline = period;
-        }
-        self
-    }
 }
 
 #[cfg(test)]
@@ -185,13 +173,6 @@ mod tests {
         assert!(t.is_trivially_infeasible()); // L = 10 > D = 8
         let ok = DagTask::new(simple_dag(5), 20, 8).unwrap();
         assert!(!ok.is_trivially_infeasible());
-    }
-
-    #[test]
-    fn with_period_clamps_deadline() {
-        let t = DagTask::new(simple_dag(1), 10, 10).unwrap().with_period(6);
-        assert_eq!(t.period(), 6);
-        assert_eq!(t.deadline(), 6);
     }
 
     #[test]

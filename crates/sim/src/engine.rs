@@ -767,8 +767,13 @@ mod tests {
         let ts = TaskSet::new(vec![single(2, 10), single(3, 10)]);
         let result = SimRequest::new(1, 10).with_trace(true).evaluate(&ts);
         let trace = result.trace().expect("trace enabled");
-        let gantt = trace.gantt(1, 5);
-        assert_eq!(gantt.trim_end(), "core 0: 11222");
+        let options = crate::ChartOptions {
+            width: 5,
+            span: Some(5),
+            deadlines: Vec::new(),
+        };
+        let chart = trace.chart(1, &options);
+        assert!(chart.contains("\ncore 0 |11222|\n"), "{chart}");
     }
 
     #[test]

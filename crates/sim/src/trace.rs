@@ -286,46 +286,6 @@ impl Trace {
         }
         out
     }
-
-    /// Renders the first `width` time units as an ASCII Gantt chart, one
-    /// row per core: each column is one time unit showing the running
-    /// task's 1-based index (`.` = idle, `+` = indices above 9).
-    pub fn gantt(&self, cores: usize, width: usize) -> String {
-        let mut grid = vec![vec!['.'; width]; cores];
-        // Pair Start/Finish|Preempt events per core.
-        let mut running: Vec<Option<(Time, usize)>> = vec![None; cores];
-        let paint = |core: usize, from: Time, to: Time, task: usize, grid: &mut Vec<Vec<char>>| {
-            let glyph = match task {
-                t if t < 9 => char::from_digit(t as u32 + 1, 10).unwrap_or('+'),
-                _ => '+',
-            };
-            for t in from..to.min(width as Time) {
-                if (t as usize) < width {
-                    grid[core][t as usize] = glyph;
-                }
-            }
-        };
-        for e in &self.events {
-            match e.kind {
-                TraceEventKind::Start if e.core < cores => {
-                    running[e.core] = Some((e.time, e.task));
-                }
-                TraceEventKind::Finish | TraceEventKind::Preempt if e.core < cores => {
-                    if let Some((from, task)) = running[e.core].take() {
-                        paint(e.core, from, e.time, task, &mut grid);
-                    }
-                }
-                _ => {}
-            }
-        }
-        let mut out = String::new();
-        for (c, row) in grid.iter().enumerate() {
-            out.push_str(&format!("core {c}: "));
-            out.extend(row.iter());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -353,27 +313,39 @@ mod tests {
         assert_eq!(t.dropped(), 3);
     }
 
+    /// One column per time unit over `0..span`.
+    fn unit_columns(span: Time) -> ChartOptions {
+        ChartOptions {
+            width: span as usize,
+            span: Some(span),
+            deadlines: Vec::new(),
+        }
+    }
+
     #[test]
-    fn gantt_paints_intervals() {
+    fn chart_paints_intervals() {
         let mut t = Trace::new();
         t.push(ev(0, 0, 0, TraceEventKind::Start));
         t.push(ev(3, 0, 0, TraceEventKind::Finish));
         t.push(ev(4, 1, 1, TraceEventKind::Start));
         t.push(ev(6, 1, 1, TraceEventKind::Finish));
-        let g = t.gantt(2, 8);
-        let lines: Vec<&str> = g.lines().collect();
-        assert_eq!(lines[0], "core 0: 111.....");
-        assert_eq!(lines[1], "core 1: ....22..");
+        let chart = t.chart(2, &unit_columns(8));
+        let lanes: Vec<&str> = chart.lines().filter(|l| l.starts_with("core")).collect();
+        assert_eq!(lanes, ["core 0 |111.....|", "core 1 |....22..|"]);
     }
 
     #[test]
-    fn gantt_handles_preemption() {
+    fn chart_marks_preemption() {
         let mut t = Trace::new();
         t.push(ev(0, 0, 2, TraceEventKind::Start));
         t.push(ev(2, 0, 2, TraceEventKind::Preempt));
         t.push(ev(2, 0, 0, TraceEventKind::Start));
         t.push(ev(5, 0, 0, TraceEventKind::Finish));
-        let g = t.gantt(1, 6);
-        assert!(g.contains("33111."));
+        let chart = t.chart(1, &unit_columns(6));
+        assert!(
+            chart.contains("core 0 |33111.|\n       |  ^   |\n"),
+            "{chart}"
+        );
+        assert!(chart.contains("preemptions=1"), "{chart}");
     }
 }

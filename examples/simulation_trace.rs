@@ -9,7 +9,7 @@
 //! Run with `cargo run --example simulation_trace`.
 
 use dag_lp_rta::prelude::*;
-use dag_lp_rta::sim::{ExecutionModel, Release};
+use dag_lp_rta::sim::{ChartOptions, ExecutionModel, Release};
 
 fn main() -> Result<(), ModelError> {
     let mut b = DagBuilder::new();
@@ -34,7 +34,12 @@ fn main() -> Result<(), ModelError> {
             .evaluate(&task_set);
         let trace = outcome.trace().expect("trace enabled");
         println!("{policy:?}: (1 = hp task, 2 = lp task, . = idle)");
-        print!("{}", trace.gantt(1, 25));
+        let one_unit_per_column = ChartOptions {
+            width: 25,
+            span: Some(25),
+            ..ChartOptions::default()
+        };
+        print!("{}", trace.chart(1, &one_unit_per_column));
         for (k, stats) in outcome.per_task().iter().enumerate() {
             println!(
                 "  task {}: max response {} ({} jobs)",
