@@ -33,7 +33,6 @@ use rta_experiments::exec::Jobs;
 use rta_experiments::set_seed;
 use rta_model::TaskSet;
 use rta_taskgen::{generate_task_set, generate_task_set_with_count, group1};
-use std::fmt::Write as _;
 use std::hint::black_box;
 
 /// Task sets per sweep point (reduced from the paper's 300 to keep the
@@ -182,10 +181,12 @@ fn measure_point(label: &str, sets: &[TaskSet], request: &AnalysisRequest) -> Po
     result
 }
 
-fn json_point(out: &mut String, key: &str, point: &PointResult) {
-    let _ = write!(
-        out,
-        "  \"{key}\": {{\n    \"uncached_lp_ilp_ns\": {:.0},\n    \"cached_lp_ilp_ns\": {:.0},\n    \"lp_ilp_speedup\": {:.3},\n    \"per_method_sweep_point_ns\": {:.0},\n    \"batched_sweep_point_ns\": {:.0},\n    \"batched_speedup\": {:.3},\n    \"fp_ideal_sweep_point_ns\": {:.0}\n  }}",
+fn json_point(key: &str, point: &PointResult) -> String {
+    format!(
+        "  \"{key}\": {{\n    \"uncached_lp_ilp_ns\": {:.0},\n    \
+         \"cached_lp_ilp_ns\": {:.0},\n    \"lp_ilp_speedup\": {:.3},\n    \
+         \"per_method_sweep_point_ns\": {:.0},\n    \"batched_sweep_point_ns\": {:.0},\n    \
+         \"batched_speedup\": {:.3},\n    \"fp_ideal_sweep_point_ns\": {:.0}\n  }},\n",
         point.uncached_lp_ilp_ns,
         point.cached_lp_ilp_ns,
         point.lp_ilp_speedup(),
@@ -193,7 +194,7 @@ fn json_point(out: &mut String, key: &str, point: &PointResult) {
         point.batched_ns,
         point.batched_speedup(),
         point.fp_ideal_ns
-    );
+    )
 }
 
 fn main() {
@@ -241,23 +242,20 @@ fn main() {
         scale(parallel_point_ns)
     );
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"bench\": \"cache\",\n  \"cores\": {CORES},\n  \"sets_per_point\": {SETS_PER_POINT},\n  \"samples\": {SAMPLES},\n  \"task_count\": {TASK_COUNT},\n"
+    let body = format!(
+        "  \"cores\": {CORES},\n  \"sets_per_point\": {SETS_PER_POINT},\n  \
+         \"samples\": {SAMPLES},\n  \"task_count\": {TASK_COUNT},\n{}{}  \
+         \"serial_sweep_point_ns\": {serial_point_ns:.0},\n  \
+         \"parallel_sweep_point_ns\": {parallel_point_ns:.0},\n  \
+         \"parallel_speedup\": {parallel_speedup:.3},\n",
+        json_point("utilization_point", &utilization),
+        json_point("task_count_point", &task_count),
     );
-    json_point(&mut json, "utilization_point", &utilization);
-    json.push_str(",\n");
-    json_point(&mut json, "task_count_point", &task_count);
-    let _ = write!(
-        json,
-        ",\n  \"serial_sweep_point_ns\": {serial_point_ns:.0},\n  \"parallel_sweep_point_ns\": {parallel_point_ns:.0},\n  \"parallel_speedup\": {parallel_speedup:.3},\n{}\n}}\n",
-        rta_bench::host_json_fields(Jobs::Auto.worker_count(), bench_started)
+    rta_bench::write_report(
+        "cache",
+        "BENCH_2.json",
+        &body,
+        Jobs::Auto.worker_count(),
+        bench_started,
     );
-    // Default to the workspace root (cargo runs benches from the package
-    // directory), overridable for CI artifact staging.
-    let path = std::env::var("BENCH_JSON")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_2.json").to_string());
-    std::fs::write(&path, &json).expect("write BENCH_2.json");
-    println!("wrote {path}");
 }

@@ -31,7 +31,6 @@ use rta_experiments::exec::Jobs;
 use rta_experiments::set_seed;
 use rta_model::TaskSet;
 use rta_taskgen::{generate_task_set, group1, TaskSetGenerator};
-use std::fmt::Write as _;
 use std::hint::black_box;
 
 /// Task sets per sweep point (the acceptance workload's `--sets 100`).
@@ -172,57 +171,27 @@ fn main() {
         "generation throughput (sets/s)", generation_sets_per_second
     );
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"campaign\",");
-    let _ = writeln!(json, "  \"cores\": {CORES},");
-    let _ = writeln!(json, "  \"sets_per_point\": {SETS},");
-    let _ = writeln!(json, "  \"total_sets\": {total_sets},");
-    let _ = writeln!(json, "  \"samples\": {SAMPLES},");
-    let _ = writeln!(
-        json,
-        "  \"generation_two_phase_ns\": {generation_two_phase_ns:.0},"
+    let body = format!(
+        "  \"cores\": {CORES},\n  \"sets_per_point\": {SETS},\n  \
+         \"total_sets\": {total_sets},\n  \"samples\": {SAMPLES},\n  \
+         \"generation_two_phase_ns\": {generation_two_phase_ns:.0},\n  \
+         \"generation_streaming_ns\": {generation_streaming_ns:.0},\n  \
+         \"generation_speedup\": {generation_speedup:.3},\n  \
+         \"generation_sets_per_second\": {generation_sets_per_second:.0},\n  \
+         \"analysis_batched_ns\": {analysis_batched_ns:.0},\n  \
+         \"analysis_verdicts_ns\": {analysis_verdicts_ns:.0},\n  \
+         \"analysis_speedup\": {analysis_speedup:.3},\n  \
+         \"end_to_end_serial_ns\": {end_to_end_serial_ns:.0},\n  \
+         \"end_to_end_parallel_ns\": {end_to_end_parallel_ns:.0},\n  \
+         \"parallel_speedup\": {parallel_speedup:.3},\n  \
+         \"pr2_serial_grid_ns\": {PR2_SERIAL_GRID_NS:.0},\n  \
+         \"end_to_end_speedup_vs_pr2\": {speedup_vs_pr2:.3},\n"
     );
-    let _ = writeln!(
-        json,
-        "  \"generation_streaming_ns\": {generation_streaming_ns:.0},"
+    rta_bench::write_report(
+        "campaign",
+        "BENCH_3.json",
+        &body,
+        Jobs::Auto.worker_count(),
+        bench_started,
     );
-    let _ = writeln!(json, "  \"generation_speedup\": {generation_speedup:.3},");
-    let _ = writeln!(
-        json,
-        "  \"generation_sets_per_second\": {generation_sets_per_second:.0},"
-    );
-    let _ = writeln!(json, "  \"analysis_batched_ns\": {analysis_batched_ns:.0},");
-    let _ = writeln!(
-        json,
-        "  \"analysis_verdicts_ns\": {analysis_verdicts_ns:.0},"
-    );
-    let _ = writeln!(json, "  \"analysis_speedup\": {analysis_speedup:.3},");
-    let _ = writeln!(
-        json,
-        "  \"end_to_end_serial_ns\": {end_to_end_serial_ns:.0},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"end_to_end_parallel_ns\": {end_to_end_parallel_ns:.0},"
-    );
-    let _ = writeln!(json, "  \"parallel_speedup\": {parallel_speedup:.3},");
-    let _ = writeln!(json, "  \"pr2_serial_grid_ns\": {PR2_SERIAL_GRID_NS:.0},");
-    let _ = writeln!(
-        json,
-        "  \"end_to_end_speedup_vs_pr2\": {speedup_vs_pr2:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "{}",
-        rta_bench::host_json_fields(Jobs::Auto.worker_count(), bench_started)
-    );
-    let _ = writeln!(json, "}}");
-
-    // Default to the workspace root (cargo runs benches from the package
-    // directory), overridable for CI artifact staging.
-    let path = std::env::var("BENCH_JSON")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_3.json").to_string());
-    std::fs::write(&path, &json).expect("write BENCH_3.json");
-    println!("wrote {path}");
 }

@@ -1,12 +1,18 @@
 //! Benches regenerating the Figure 2 sweeps (experiments E4–E7) at reduced
-//! set counts, plus the timing experiment E8 (per-analysis cost vs core
-//! count — the quantity behind the paper's "0.45 s / 4.75 s / 43 min"
-//! paragraph).
+//! set counts, the serial vs parallel campaign driver on the reduced
+//! Figure 2(a) panel, and the timing experiment E8 (per-analysis cost vs
+//! core count — the quantity behind the paper's "0.45 s / 4.75 s / 43 min"
+//! paragraph). Each label prints the median time of one call.
+//!
+//! The driver comparison asserts that the serial sweep equals the parallel
+//! one before timing anything: the parallel driver should beat the serial
+//! path on multi-core hardware with identical output. On a single-core
+//! machine the two coincide.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rta_analysis::{analyze, AnalysisConfig, Method, ScenarioSpace};
+use rta_bench::measure;
 use rta_experiments::campaign::{
     generate_on_worker, generate_on_worker_with_count, sweep_into, SweepSpec,
 };
@@ -22,8 +28,9 @@ fn reduced_grid(cores: usize) -> Vec<f64> {
     (0..5).map(|i| 1.0 + (m - 1.0) * i as f64 / 4.0).collect()
 }
 
-/// A reduced Figure 2 sweep: the paper's seed, 8 sets per point.
-fn reduced<F>(cores: usize, xs: &[f64], make_set: F) -> SweepResult
+/// A reduced Figure 2 sweep on `jobs` workers: the paper's seed, 8 sets
+/// per point.
+fn reduced<F>(cores: usize, xs: &[f64], jobs: Jobs, make_set: F) -> SweepResult
 where
     F: Fn(u64, f64) -> TaskSet + Sync,
 {
@@ -36,65 +43,70 @@ where
         make_set,
     };
     let mut points = Vec::new();
-    sweep_into(&spec, Jobs::Auto, &mut |p: &SweepPoint| {
-        points.push(p.clone())
-    });
+    sweep_into(&spec, jobs, &mut |p: &SweepPoint| points.push(p.clone()));
     SweepResult { cores, points }
 }
 
-fn bench_fig2_panels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("figure2_panels_reduced");
-    group.sample_size(10);
-    for cores in [4usize, 8, 16] {
-        group.bench_with_input(BenchmarkId::new("group1", cores), &cores, |b, &m| {
-            let xs = reduced_grid(m);
-            b.iter(|| {
-                let result = reduced(m, black_box(&xs), |seed, u| {
-                    generate_on_worker(seed, &group1(u))
-                });
-                assert!(result.dominance_holds());
-                result
-            })
-        });
-    }
-    group.bench_function("group2_m4", |b| {
-        let xs = reduced_grid(4);
-        b.iter(|| {
-            reduced(4, black_box(&xs), |seed, u| {
-                generate_on_worker(seed, &group2(u))
-            })
-        })
-    });
-    group.bench_function("task_count_variant_m16", |b| {
-        // 2, 8 and 16 tasks per set at the fixed U = m/2.
-        b.iter(|| {
-            reduced(16, black_box(&[2.0, 8.0, 16.0]), |seed, tasks: f64| {
-                generate_on_worker_with_count(seed, &group1(8.0), tasks as usize)
-            })
-        })
-    });
-    group.finish();
+fn group1_set(seed: u64, u: f64) -> TaskSet {
+    generate_on_worker(seed, &group1(u))
 }
 
-/// E8: the cost of one schedulability test per method and core count.
-fn bench_analysis_runtime(c: &mut Criterion) {
-    let mut group = c.benchmark_group("analysis_runtime");
+fn main() {
+    for cores in [4usize, 8, 16] {
+        let xs = reduced_grid(cores);
+        measure(&format!("figure2_panels_reduced/group1/{cores}"), 1, || {
+            let result = reduced(cores, black_box(&xs), Jobs::Auto, group1_set);
+            assert!(result.dominance_holds());
+            result
+        });
+    }
+    let fig2a = reduced_grid(4);
+    measure("figure2_panels_reduced/group2_m4", 1, || {
+        reduced(4, black_box(&fig2a), Jobs::Auto, |seed, u| {
+            generate_on_worker(seed, &group2(u))
+        })
+    });
+    // 2, 8 and 16 tasks per set at the fixed U = m/2.
+    measure("figure2_panels_reduced/task_count_variant_m16", 1, || {
+        reduced(
+            16,
+            black_box(&[2.0, 8.0, 16.0]),
+            Jobs::Auto,
+            |seed, tasks: f64| generate_on_worker_with_count(seed, &group1(8.0), tasks as usize),
+        )
+    });
+
+    // The driver speedup is only meaningful if the outputs coincide.
+    let serial = reduced(4, &fig2a, Jobs::serial(), group1_set);
+    assert_eq!(serial, reduced(4, &fig2a, Jobs::Auto, group1_set));
+    assert!(serial.dominance_holds());
+    let driver = |jobs| reduced(4, black_box(&fig2a), jobs, group1_set);
+    measure("fig2a_reduced_driver/serial", 1, || driver(Jobs::serial()));
+    for workers in [2usize, 4, 8] {
+        measure(
+            &format!("fig2a_reduced_driver/parallel/{workers}"),
+            1,
+            || driver(Jobs::Count(workers)),
+        );
+    }
+    measure("fig2a_reduced_driver/parallel_auto", 1, || {
+        driver(Jobs::Auto)
+    });
+
+    // E8: the cost of one schedulability test per method and core count.
+    // LP-ILP's tables cost 10 µs to 10 ms per call; every other method
+    // stays under 15 µs, so it is timed in batches of 100 calls.
     for cores in [4usize, 8, 16] {
         let mut rng = SmallRng::seed_from_u64(cores as u64);
         let ts = generate_task_set(&mut rng, &group1(cores as f64 / 2.0));
         for method in Method::ALL {
-            group.bench_with_input(
-                BenchmarkId::new(method.label(), cores),
-                &(&ts, method),
-                |b, (ts, method)| {
-                    let config = AnalysisConfig::new(cores, *method);
-                    b.iter(|| analyze(black_box(ts), &config))
-                },
+            let config = AnalysisConfig::new(cores, method);
+            let calls = if method == Method::LpIlp { 1 } else { 100 };
+            measure(
+                &format!("analysis_runtime/{}/{cores}", method.label()),
+                calls,
+                || analyze(black_box(&ts), &config),
             );
         }
     }
-    group.finish();
 }
-
-criterion_group!(figure2, bench_fig2_panels, bench_analysis_runtime);
-criterion_main!(figure2);

@@ -32,7 +32,6 @@ use rta_model::{TaskSet, Time};
 use rta_sim::step_loop::simulate_step_loop;
 use rta_sim::SimRequest;
 use rta_taskgen::{generate_task_set, group1};
-use std::fmt::Write as _;
 use std::hint::black_box;
 
 /// Task sets per measured cell (the validation campaign's per-cell work
@@ -140,23 +139,15 @@ fn main() {
         scale(validate_10x)
     );
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"bench\": \"sim\",\n  \"cores\": {CORES},\n  \
+    let body = format!(
+        "  \"cores\": {CORES},\n  \
          \"sets_per_cell\": {SETS_PER_CELL},\n  \"samples\": {SAMPLES},\n  \
          \"horizon_factor\": {HORIZON_FACTOR},\n  \"stretch\": {STRETCH},\n  \
          \"step_loop_1x_ns\": {step_1x:.0},\n  \"event_core_1x_ns\": {event_1x:.0},\n  \
          \"speedup_1x\": {speedup_1x:.3},\n  \
          \"step_loop_10x_ns\": {step_10x:.0},\n  \"event_core_10x_ns\": {event_10x:.0},\n  \
          \"speedup_10x\": {speedup_10x:.3},\n  \
-         \"validate_cell_10x_ns\": {validate_10x:.0},\n{}\n}}\n",
-        rta_bench::host_json_fields(1, bench_started)
+         \"validate_cell_10x_ns\": {validate_10x:.0},\n"
     );
-    // Default to the workspace root (cargo runs benches from the package
-    // directory), overridable for CI artifact staging.
-    let path = std::env::var("BENCH_JSON")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_8.json").to_string());
-    std::fs::write(&path, &json).expect("write BENCH_8.json");
-    println!("wrote {path}");
+    rta_bench::write_report("sim", "BENCH_8.json", &body, 1, bench_started);
 }

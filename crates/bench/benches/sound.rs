@@ -34,7 +34,6 @@ use rta_experiments::set_seed;
 use rta_experiments::validate::{validate_set, PolicyChoice, ReleaseChoice};
 use rta_model::TaskSet;
 use rta_taskgen::{group1, TaskSetGenerator};
-use std::fmt::Write as _;
 use std::hint::black_box;
 
 /// Task sets per sweep point of the measured population.
@@ -178,43 +177,20 @@ fn main() {
         scale(validate_all_policies_ns)
     );
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"sound\",");
-    let _ = writeln!(json, "  \"cores\": {CORES},");
-    let _ = writeln!(json, "  \"sets_per_point\": {SETS},");
-    let _ = writeln!(json, "  \"total_sets\": {total_sets},");
-    let _ = writeln!(json, "  \"samples\": {SAMPLES},");
-    let _ = writeln!(json, "  \"verdicts_paper3_ns\": {verdicts_paper3_ns:.0},");
-    let _ = writeln!(json, "  \"verdicts_sound4_ns\": {verdicts_sound4_ns:.0},");
-    let _ = writeln!(json, "  \"verdicts_all6_ns\": {verdicts_all6_ns:.0},");
-    let _ = writeln!(
-        json,
-        "  \"lp_sound_overhead_pct\": {lp_sound_overhead_pct:.2},"
+    let body = format!(
+        "  \"cores\": {CORES},\n  \"sets_per_point\": {SETS},\n  \
+         \"total_sets\": {total_sets},\n  \"samples\": {SAMPLES},\n  \
+         \"verdicts_paper3_ns\": {verdicts_paper3_ns:.0},\n  \
+         \"verdicts_sound4_ns\": {verdicts_sound4_ns:.0},\n  \
+         \"verdicts_all6_ns\": {verdicts_all6_ns:.0},\n  \
+         \"lp_sound_overhead_pct\": {lp_sound_overhead_pct:.2},\n  \
+         \"competitors_overhead_pct\": {competitors_overhead_pct:.2},\n  \
+         \"lp_ilp_warm_scratch_ns\": {lp_ilp_warm_scratch_ns:.0},\n  \
+         \"validate_sets\": {},\n  \
+         \"validate_eager_ns\": {validate_eager_ns:.0},\n  \
+         \"validate_all_policies_ns\": {validate_all_policies_ns:.0},\n  \
+         \"validate_policies_overhead\": {policies_overhead:.3},\n",
+        validate_sets.len()
     );
-    let _ = writeln!(
-        json,
-        "  \"competitors_overhead_pct\": {competitors_overhead_pct:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"lp_ilp_warm_scratch_ns\": {lp_ilp_warm_scratch_ns:.0},"
-    );
-    let _ = writeln!(json, "  \"validate_sets\": {},", validate_sets.len());
-    let _ = writeln!(json, "  \"validate_eager_ns\": {validate_eager_ns:.0},");
-    let _ = writeln!(
-        json,
-        "  \"validate_all_policies_ns\": {validate_all_policies_ns:.0},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"validate_policies_overhead\": {policies_overhead:.3},"
-    );
-    let _ = writeln!(json, "{}", rta_bench::host_json_fields(1, bench_started));
-    let _ = writeln!(json, "}}");
-
-    let path = std::env::var("BENCH_JSON")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_5.json").to_string());
-    std::fs::write(&path, &json).expect("write BENCH_5.json");
-    println!("wrote {path}");
+    rta_bench::write_report("sound", "BENCH_5.json", &body, 1, bench_started);
 }

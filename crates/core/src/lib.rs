@@ -96,7 +96,7 @@ pub use config::{AnalysisConfig, Method, ScenarioSpace};
 pub use lru::{AnalysisLru, CacheOutcome, LruStats};
 pub use report::{AnalysisReport, ResponseBound, TaskReport};
 pub use request::{AnalysisOutcome, AnalysisRequest, MethodOutcome};
-pub use rta::{analyze, analyze_uncached, verdict_with};
+pub use rta::{analyze, analyze_uncached};
 
 // Re-exported for callers that want to work with model types directly.
 pub use rta_model::{DagTask, TaskSet, Time};

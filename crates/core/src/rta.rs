@@ -58,7 +58,7 @@ pub fn analyze(task_set: &TaskSet, config: &AnalysisConfig) -> AnalysisReport {
 /// # Panics
 ///
 /// Panics if `config.cores == 0` or `config.cores > cache.max_cores()`.
-pub fn verdict_with(cache: &TaskSetCache<'_>, config: &AnalysisConfig) -> bool {
+pub(crate) fn verdict_with(cache: &TaskSetCache<'_>, config: &AnalysisConfig) -> bool {
     analyze_cached(cache, config).schedulable
 }
 

@@ -167,6 +167,12 @@ fn positive<T: FromStr + Default + PartialOrd>(v: &str) -> Option<T> {
     parsed(v).filter(|n| *n > T::default())
 }
 
+/// A utilization target: the generator sizes a set from it, so it must be
+/// finite as well as positive.
+fn utilization(v: &str) -> Option<f64> {
+    positive(v).filter(|u: &f64| u.is_finite())
+}
+
 fn percent(v: &str) -> Option<u32> {
     parsed(v).filter(|&n| n <= 100)
 }
@@ -215,7 +221,10 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             "--samples" => cli.samples = value(it, parsed, "--samples needs a number")?,
             "--out" => cli.out = value(it, parsed, "--out needs a path")?,
             "--seed" => cli.loadgen.seed = value(it, parsed, "--seed needs a number")?,
-            "--target" => cli.loadgen.target = value(it, parsed, "--target needs a number")?,
+            "--target" => {
+                cli.loadgen.target =
+                    value(it, utilization, "--target needs a finite positive number")?;
+            }
             "--horizon" => {
                 cli.validate.horizon_factor = value(
                     it,
@@ -952,6 +961,22 @@ mod tests {
             ("loadgen --repeat 101", "--repeat needs a percentage"),
             ("trace --width 15", "--width needs a number of columns"),
             ("serve --lru 0", "--lru needs a positive number"),
+            (
+                "dump-set --target 0",
+                "--target needs a finite positive number",
+            ),
+            (
+                "dump-set --target -1",
+                "--target needs a finite positive number",
+            ),
+            (
+                "loadgen --target inf",
+                "--target needs a finite positive number",
+            ),
+            (
+                "dump-set --target NaN",
+                "--target needs a finite positive number",
+            ),
             ("fig2a --sets", "--sets needs a number"),
             ("fig2a --bogus", "unknown argument: --bogus"),
             ("fig2a cores", "only the campaign and validate commands"),

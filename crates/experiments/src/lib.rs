@@ -1,7 +1,7 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
 //! Each experiment of Serrano et al. (DATE 2016), Section VI, has a library
-//! entry point here (so the Criterion benches can drive reduced versions)
+//! entry point here (so the `rta-bench` benches can drive reduced versions)
 //! and a `repro` CLI subcommand (see the `repro` binary):
 //!
 //! | Paper artifact | Function | CLI |

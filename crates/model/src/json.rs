@@ -246,14 +246,6 @@ fn task_into_compact(out: &mut String, task: &DagTask) {
     out.push('}');
 }
 
-/// Renders one task as single-line compact JSON (same schema as
-/// [`task_to_json`], no insignificant whitespace).
-pub fn task_to_json_compact(task: &DagTask) -> String {
-    let mut out = String::new();
-    task_into_compact(&mut out, task);
-    out
-}
-
 /// Renders a task set as single-line compact JSON — the form the
 /// line-delimited `repro serve` wire protocol embeds in its request frames.
 /// Parses back through [`task_set_from_json`] like the pretty form.
@@ -1340,10 +1332,6 @@ mod tests {
             task_set_from_json(&task_set_to_json(&ts)).unwrap(),
             task_set_from_json(&compact).unwrap()
         );
-        let task = fork_join().named("t");
-        let one = task_to_json_compact(&task);
-        assert!(!one.contains('\n'), "{one}");
-        assert_eq!(task_from_json(&one).unwrap(), task);
     }
 
     #[test]

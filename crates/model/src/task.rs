@@ -102,11 +102,6 @@ impl DagTask {
         self.dag.volume() as f64 / self.period as f64
     }
 
-    /// Density `vol(G_k) / D_k`.
-    pub fn density(&self) -> f64 {
-        self.dag.volume() as f64 / self.deadline as f64
-    }
-
     /// `true` when the critical path alone already exceeds the deadline, so
     /// the task can never be schedulable on any number of cores.
     pub fn is_trivially_infeasible(&self) -> bool {
@@ -158,10 +153,9 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_density() {
+    fn utilization_is_volume_over_period() {
         let t = DagTask::new(simple_dag(4), 8, 4).unwrap();
         assert!((t.utilization() - 0.5).abs() < 1e-12);
-        assert!((t.density() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -25,6 +25,26 @@ pub fn host_info() -> HostInfo {
 /// (stime) in clock ticks, past the parenthesised comm field. The tick
 /// rate is the kernel's `USER_HZ`, fixed at 100 on every Linux ABI this
 /// stack targets.
+/// The host-provenance fields every BENCH report ends with, so a number
+/// in a CI artifact can be read against the machine that produced it:
+/// available parallelism, the worker count the run used (`jobs`), its wall
+/// time and the process CPU time (CPU ≫ wall means the figures include
+/// parallel contention; `cpu_ms` is `null` where the platform offers no
+/// process CPU clock).
+///
+/// Returns indented `"key": value` lines, one field each, without braces
+/// or a trailing comma, ready to close a flat BENCH JSON object.
+pub fn host_json_fields(jobs: usize, wall_ms: f64) -> String {
+    let host = host_info();
+    format!(
+        "  \"host_parallelism\": {},\n  \"jobs\": {jobs},\n  \
+         \"wall_ms\": {wall_ms:.0},\n  \"cpu_ms\": {}",
+        host.available_parallelism,
+        host.cpu_time_ms
+            .map_or_else(|| "null".into(), |ms| ms.to_string()),
+    )
+}
+
 #[cfg(target_os = "linux")]
 fn cpu_time_ms() -> Option<u64> {
     const TICKS_PER_SEC: u64 = 100;

@@ -42,7 +42,7 @@
 
 mod host;
 
-pub use host::{host_info, HostInfo};
+pub use host::{host_info, host_json_fields, HostInfo};
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
