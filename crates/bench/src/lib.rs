@@ -109,8 +109,21 @@ pub fn write_report(name: &str, file: &str, body: &str, jobs: usize, started: In
     println!("wrote {path}");
 }
 
+/// The report text. A line with two keys is refused: CI's `tr -dc` would
+/// run their digits together into one number.
 fn render(name: &str, body: &str, host: &str) -> String {
-    format!("{{\n  \"bench\": \"{name}\",\n{body}{host}\n}}\n")
+    let report = format!("{{\n  \"bench\": \"{name}\",\n{body}{host}\n}}\n");
+    let two_keys = report.lines().find(|l| keys(l) > 1);
+    assert!(
+        two_keys.is_none(),
+        "two keys on one BENCH line: {two_keys:?}"
+    );
+    report
+}
+
+/// How many `"key":` entries `line` carries.
+fn keys(line: &str) -> usize {
+    line.matches("\":").count()
 }
 
 #[cfg(test)]
@@ -120,10 +133,6 @@ mod tests {
     fn report() -> String {
         let body = "  \"cores\": 4,\n  \"point\": {\n    \"a_ns\": 1,\n    \"b_ns\": 2\n  },\n";
         render("t", body, &rta_obs::host_json_fields(2, 1234.4))
-    }
-
-    fn keys(line: &str) -> usize {
-        line.matches("\":").count()
     }
 
     #[test]
@@ -154,6 +163,12 @@ mod tests {
         for line in report().lines() {
             assert!(keys(line) <= 1, "{line}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "two keys on one BENCH line")]
+    fn a_body_line_with_two_keys_is_refused() {
+        render("t", "  \"a_ns\": 1, \"b_ns\": 2,\n", "  \"jobs\": 1");
     }
 
     #[test]

@@ -961,22 +961,10 @@ mod tests {
             ("loadgen --repeat 101", "--repeat needs a percentage"),
             ("trace --width 15", "--width needs a number of columns"),
             ("serve --lru 0", "--lru needs a positive number"),
-            (
-                "dump-set --target 0",
-                "--target needs a finite positive number",
-            ),
-            (
-                "dump-set --target -1",
-                "--target needs a finite positive number",
-            ),
-            (
-                "loadgen --target inf",
-                "--target needs a finite positive number",
-            ),
-            (
-                "dump-set --target NaN",
-                "--target needs a finite positive number",
-            ),
+            ("dump-set --target 0", "--target needs a finite"),
+            ("dump-set --target -1", "--target needs a finite"),
+            ("loadgen --target inf", "--target needs a finite"),
+            ("dump-set --target NaN", "--target needs a finite"),
             ("fig2a --sets", "--sets needs a number"),
             ("fig2a --bogus", "unknown argument: --bogus"),
             ("fig2a cores", "only the campaign and validate commands"),
