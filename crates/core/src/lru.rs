@@ -28,15 +28,28 @@
 //! their task set, and this crate forbids the `unsafe` a self-referential
 //! owner would need — so a *near* lookup (set known, some requested method
 //! not yet answered) re-derives the lazy tables. What the LRU buys is the
-//! O(lookup) repeat path; what it stores is small (verdicts and bound
-//! vectors, not the combinatorial tables).
+//! O(lookup) repeat path. Its facts are small (verdicts and bound vectors,
+//! not the combinatorial tables); each entry also owns its built task set
+//! and, when it came over the wire, that set's JSON text.
+//!
+//! **The text index.** A server that decodes its requests can look a
+//! repeat up before decoding it: [`fetch_text`] finds the entry whose set
+//! was first stored ([`store_text`]) from exactly the same `task_set` text,
+//! by a hash of the text with full byte equality behind it. Equal text
+//! decodes to an equal set, so the entry's facts answer it. A text miss
+//! counts nothing: the caller decodes the text and asks [`fetch`], which
+//! counts the hit, near-hit or miss, so every request is counted once.
+//! Texts longer than [`MAX_TEXT_BYTES`] are never indexed, which bounds
+//! the text a full cache holds to `capacity × MAX_TEXT_BYTES`.
 //!
 //! Locking discipline: [`fetch`] and [`store`] are split so a concurrent
 //! server holds its mutex only for the O(lookup) parts and evaluates
 //! outside the lock; single-threaded callers use [`analyze`].
 //!
 //! [`fetch`]: AnalysisLru::fetch
+//! [`fetch_text`]: AnalysisLru::fetch_text
 //! [`store`]: AnalysisLru::store
+//! [`store_text`]: AnalysisLru::store_text
 //! [`analyze`]: AnalysisLru::analyze
 //!
 //! # Example
@@ -60,13 +73,20 @@ use crate::config::AnalysisConfig;
 use crate::report::ResponseBound;
 use crate::request::{AnalysisOutcome, AnalysisRequest, MethodOutcome};
 use rta_model::TaskSet;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 /// Per-entry bound on remembered per-method facts. A cooperating client
 /// reuses a handful of configurations; only an adversarial stream of
 /// ever-new core counts could grow an entry without bound, so past the
 /// cap the entry's facts are simply reset.
 const MAX_FACTS_PER_SET: usize = 256;
+
+/// The longest task-set text the [text index](self) keeps: a longer one
+/// is looked up by its decoded set every time. Without the bound, a few
+/// whitespace-padded frames could pin megabytes of text behind small sets.
+pub const MAX_TEXT_BYTES: usize = 64 * 1024;
 
 /// How a request was answered relative to the cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,10 +123,19 @@ pub struct LruStats {
     pub evictions: u64,
 }
 
+/// The JSON text an entry's set was decoded from, with its hash under the
+/// owning cache's hasher.
+struct Text {
+    hash: u64,
+    bytes: Box<str>,
+}
+
 /// One cached task set with its answered per-method facts.
 struct Entry {
     key: u64,
     task_set: TaskSet,
+    /// The text the set was first stored with, if any and if short enough.
+    text: Option<Text>,
     /// Verdicts recorded from verdict-only evaluations.
     verdicts: HashMap<AnalysisConfig, bool>,
     /// Verdict + per-task bounds from bound-carrying evaluations.
@@ -155,6 +184,9 @@ pub struct AnalysisLru {
     capacity: usize,
     clock: u64,
     stats: LruStats,
+    /// Hashes entry texts. Seeded per cache, so a client cannot choose
+    /// texts that all collide and force a byte comparison per entry.
+    text_hasher: RandomState,
 }
 
 impl AnalysisLru {
@@ -170,6 +202,7 @@ impl AnalysisLru {
             capacity,
             clock: 0,
             stats: LruStats::default(),
+            text_hasher: RandomState::new(),
         }
     }
 
@@ -203,38 +236,18 @@ impl AnalysisLru {
         task_set: &TaskSet,
         request: &AnalysisRequest,
     ) -> (Option<AnalysisOutcome>, CacheOutcome) {
-        self.clock += 1;
-        let key = task_set.stable_hash();
-        let Some(entry) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.key == key && e.task_set == *task_set)
-        else {
+        let Some(i) = self.position(task_set.stable_hash(), task_set) else {
             self.stats.misses += 1;
             crate::metrics::LRU_MISSES.inc();
             return (None, CacheOutcome::Miss);
         };
-        entry.last_used = self.clock;
-        let answers: Option<Vec<MethodOutcome>> = request
-            .methods
-            .iter()
-            .map(|&m| entry.answer(&request.config_for(m), request.want_bounds))
-            .collect();
-        match answers {
-            Some(outcomes) => {
-                self.stats.hits += 1;
-                crate::metrics::LRU_HITS.inc();
-                (
-                    Some(AnalysisOutcome::from_parts(request.cores, outcomes)),
-                    CacheOutcome::Hit,
-                )
-            }
-            None => {
-                self.stats.near_hits += 1;
-                crate::metrics::LRU_NEAR_HITS.inc();
-                (None, CacheOutcome::Near)
-            }
+        if let Some(outcome) = self.hit(i, request) {
+            return (Some(outcome), CacheOutcome::Hit);
         }
+        self.touch(i);
+        self.stats.near_hits += 1;
+        crate::metrics::LRU_NEAR_HITS.inc();
+        (None, CacheOutcome::Near)
     }
 
     /// Answers `request` from recorded facts only, or not at all — the
@@ -248,21 +261,29 @@ impl AnalysisLru {
         task_set: &TaskSet,
         request: &AnalysisRequest,
     ) -> Option<AnalysisOutcome> {
-        let key = task_set.stable_hash();
-        let entry = self
-            .entries
-            .iter_mut()
-            .find(|e| e.key == key && e.task_set == *task_set)?;
-        let outcomes: Vec<MethodOutcome> = request
-            .methods
-            .iter()
-            .map(|&m| entry.answer(&request.config_for(m), request.want_bounds))
-            .collect::<Option<_>>()?;
-        self.clock += 1;
-        entry.last_used = self.clock;
-        self.stats.hits += 1;
-        crate::metrics::LRU_HITS.inc();
-        Some(AnalysisOutcome::from_parts(request.cores, outcomes))
+        let i = self.position(task_set.stable_hash(), task_set)?;
+        self.hit(i, request)
+    }
+
+    /// Answers `request` for the set whose JSON text is `text`, without
+    /// decoding it: a full hit on the entry first stored with exactly
+    /// this text by [`store_text`](Self::store_text) is counted and bumps
+    /// recency as [`fetch`](Self::fetch)'s does. On anything less it
+    /// returns `None` and counts nothing; the caller then decodes the text
+    /// and calls [`fetch`](Self::fetch), which counts the outcome.
+    pub fn fetch_text(&mut self, text: &str, request: &AnalysisRequest) -> Option<AnalysisOutcome> {
+        if text.len() > MAX_TEXT_BYTES {
+            return None;
+        }
+        let hash = self.text_hasher.hash_one(text);
+        let i = self.entries.iter().position(|e| {
+            e.text
+                .as_ref()
+                .is_some_and(|t| t.hash == hash && *t.bytes == *text)
+        })?;
+        let outcome = self.hit(i, request)?;
+        crate::metrics::LRU_TEXT_HITS.inc();
+        Some(outcome)
     }
 
     /// Records an evaluated outcome: every `(configuration, method)` fact
@@ -274,37 +295,106 @@ impl AnalysisLru {
         request: &AnalysisRequest,
         outcome: &AnalysisOutcome,
     ) {
-        self.clock += 1;
         let key = task_set.stable_hash();
-        let entry = match self
-            .entries
-            .iter_mut()
-            .position(|e| e.key == key && e.task_set == *task_set)
-        {
-            Some(i) => &mut self.entries[i],
-            None => {
-                if self.entries.len() == self.capacity {
-                    let (lru, _) = self
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .expect("capacity >= 1, so a full cache is non-empty");
-                    self.entries.swap_remove(lru);
-                    self.stats.evictions += 1;
-                    crate::metrics::LRU_EVICTIONS.inc();
-                }
-                self.entries.push(Entry {
-                    key,
-                    task_set: task_set.clone(),
-                    verdicts: HashMap::new(),
-                    bounds: HashMap::new(),
-                    last_used: 0,
-                });
-                self.entries.last_mut().expect("just pushed")
-            }
+        let i = match self.position(key, task_set) {
+            Some(i) => i,
+            None => self.insert(key, task_set.clone()),
         };
-        entry.last_used = self.clock;
+        self.record(i, request, outcome);
+    }
+
+    /// As [`store`](Self::store), for a set decoded from the JSON `text`:
+    /// the set moves into a new entry, and the entry is indexed by `text`
+    /// for [`fetch_text`](Self::fetch_text) unless the text is longer than
+    /// [`MAX_TEXT_BYTES`]. An existing entry without a text gains this one.
+    ///
+    /// `text` must be the text `task_set` was decoded from.
+    pub fn store_text(
+        &mut self,
+        text: &str,
+        task_set: TaskSet,
+        request: &AnalysisRequest,
+        outcome: &AnalysisOutcome,
+    ) {
+        debug_assert_eq!(
+            rta_model::json::task_set_from_json(text).as_ref(),
+            Ok(&task_set),
+            "the text decodes to the stored set"
+        );
+        let key = task_set.stable_hash();
+        let i = match self.position(key, &task_set) {
+            Some(i) => i,
+            None => self.insert(key, task_set),
+        };
+        if self.entries[i].text.is_none() && text.len() <= MAX_TEXT_BYTES {
+            let hash = self.text_hasher.hash_one(text);
+            self.entries[i].text = Some(Text {
+                hash,
+                bytes: text.into(),
+            });
+        }
+        self.record(i, request, outcome);
+    }
+
+    /// The entry holding `task_set`, whose stable hash is `key`.
+    fn position(&self, key: u64, task_set: &TaskSet) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|e| e.key == key && e.task_set == *task_set)
+    }
+
+    /// Marks entry `i` as the most recently used.
+    fn touch(&mut self, i: usize) {
+        self.clock += 1;
+        self.entries[i].last_used = self.clock;
+    }
+
+    /// Answers `request` from entry `i`'s facts. A full hit bumps the
+    /// entry's recency and counts the hit; anything less returns `None`
+    /// and changes nothing.
+    fn hit(&mut self, i: usize, request: &AnalysisRequest) -> Option<AnalysisOutcome> {
+        let entry = &self.entries[i];
+        let outcomes: Vec<MethodOutcome> = request
+            .methods
+            .iter()
+            .map(|&m| entry.answer(&request.config_for(m), request.want_bounds))
+            .collect::<Option<_>>()?;
+        self.touch(i);
+        self.stats.hits += 1;
+        crate::metrics::LRU_HITS.inc();
+        Some(AnalysisOutcome::from_parts(request.cores, outcomes))
+    }
+
+    /// Adds an entry for `task_set`, evicting the least recently used one
+    /// when the cache is full, and returns its index.
+    fn insert(&mut self, key: u64, task_set: TaskSet) -> usize {
+        if self.entries.len() == self.capacity {
+            let (lru, _) = self
+                .entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.last_used)
+                .expect("capacity >= 1, so a full cache is non-empty");
+            self.entries.swap_remove(lru);
+            self.stats.evictions += 1;
+            crate::metrics::LRU_EVICTIONS.inc();
+        }
+        self.entries.push(Entry {
+            key,
+            task_set,
+            text: None,
+            verdicts: HashMap::new(),
+            bounds: HashMap::new(),
+            last_used: 0,
+        });
+        self.entries.len() - 1
+    }
+
+    /// Records the facts `outcome` carries in entry `i` and bumps its
+    /// recency.
+    fn record(&mut self, i: usize, request: &AnalysisRequest, outcome: &AnalysisOutcome) {
+        self.touch(i);
+        let entry = &mut self.entries[i];
         if entry.fact_count() + outcome.outcomes().len() > MAX_FACTS_PER_SET {
             entry.verdicts.clear();
             entry.bounds.clear();
@@ -508,6 +598,102 @@ mod tests {
         lru.analyze(&small_set(3, 10), &small); // evicts b, not a
         assert_eq!(lru.analyze(&a, &small).1, CacheOutcome::Hit);
         assert_eq!(lru.analyze(&b, &small).1, CacheOutcome::Miss);
+    }
+
+    /// Analyzes `text`'s set the way a server does on a text miss: decode,
+    /// fetch, evaluate, then the owning store.
+    fn serve_text(lru: &mut AnalysisLru, text: &str, request: &AnalysisRequest) -> CacheOutcome {
+        if lru.fetch_text(text, request).is_some() {
+            return CacheOutcome::Hit;
+        }
+        let ts = rta_model::json::task_set_from_json(text).expect("test texts decode");
+        let (cached, status) = lru.fetch(&ts, request);
+        if cached.is_none() {
+            let outcome = request.evaluate(&ts);
+            lru.store_text(text, ts, request, &outcome);
+        }
+        status
+    }
+
+    #[test]
+    fn text_hits_answer_exact_repeats_and_count_once() {
+        let mut lru = AnalysisLru::new(4);
+        let ts = figure1_task_set();
+        let text = rta_model::json::task_set_to_json_compact(&ts);
+        let all = AnalysisRequest::new(4);
+        assert_eq!(lru.fetch_text(&text, &all), None);
+        assert_eq!(
+            lru.stats(),
+            LruStats::default(),
+            "a text miss counts nothing"
+        );
+        assert_eq!(serve_text(&mut lru, &text, &all), CacheOutcome::Miss);
+        assert_eq!(lru.fetch_text(&text, &all), Some(all.evaluate(&ts)));
+        assert_eq!(lru.stats().hits, 1);
+        // A subset of the answered methods is a text hit too; a new shape
+        // is not, and counts nothing until `fetch` sees the decoded set.
+        let sound = AnalysisRequest::new(4).with_methods([Method::LpSound]);
+        assert_eq!(lru.fetch_text(&text, &sound), Some(sound.evaluate(&ts)));
+        let bounds = AnalysisRequest::new(4).with_bounds(true);
+        let before = lru.stats();
+        assert_eq!(lru.fetch_text(&text, &bounds), None);
+        assert_eq!(lru.stats(), before);
+        assert_eq!(serve_text(&mut lru, &text, &bounds), CacheOutcome::Near);
+        assert_eq!(serve_text(&mut lru, &text, &bounds), CacheOutcome::Hit);
+        // The same set spelled differently shares the entry, through the
+        // decoded set; only the first text is indexed.
+        let pretty = rta_model::json::task_set_to_json(&ts);
+        assert_eq!(lru.fetch_text(&pretty, &all), None);
+        assert_eq!(serve_text(&mut lru, &pretty, &all), CacheOutcome::Hit);
+        assert_eq!(lru.len(), 1);
+        assert_eq!(
+            lru.stats(),
+            LruStats {
+                hits: 4,
+                near_hits: 1,
+                misses: 1,
+                evictions: 0
+            }
+        );
+    }
+
+    #[test]
+    fn an_entry_stored_by_reference_gains_its_first_text() {
+        let mut lru = AnalysisLru::new(4);
+        let ts = small_set(1, 10);
+        let req = AnalysisRequest::new(2);
+        lru.analyze(&ts, &req);
+        let text = rta_model::json::task_set_to_json_compact(&ts);
+        assert_eq!(lru.fetch_text(&text, &req), None);
+        lru.store_text(&text, ts.clone(), &req, &req.evaluate(&ts));
+        assert!(lru.fetch_text(&text, &req).is_some());
+        let respelled = format!(" {text}");
+        lru.store_text(&respelled, ts.clone(), &req, &req.evaluate(&ts));
+        assert_eq!(lru.fetch_text(&respelled, &req), None);
+        assert!(lru.fetch_text(&text, &req).is_some());
+    }
+
+    #[test]
+    fn long_texts_are_never_indexed_and_evictions_drop_texts() {
+        let mut lru = AnalysisLru::new(1);
+        let ts = small_set(1, 10);
+        let req = AnalysisRequest::new(2);
+        let compact = rta_model::json::task_set_to_json_compact(&ts);
+        let padded = format!("{compact}{}", " ".repeat(MAX_TEXT_BYTES));
+        assert_eq!(serve_text(&mut lru, &padded, &req), CacheOutcome::Miss);
+        assert!(lru.entries[0].text.is_none());
+        assert_eq!(lru.fetch_text(&padded, &req), None);
+        assert_eq!(serve_text(&mut lru, &padded, &req), CacheOutcome::Hit);
+        // At the limit the text is still indexed.
+        let other = small_set(2, 10);
+        let compact = rta_model::json::task_set_to_json_compact(&other);
+        let at_limit = format!("{compact}{}", " ".repeat(MAX_TEXT_BYTES - compact.len()));
+        assert_eq!(serve_text(&mut lru, &at_limit, &req), CacheOutcome::Miss);
+        assert_eq!(lru.stats().evictions, 1);
+        assert!(lru.fetch_text(&at_limit, &req).is_some());
+        // Evicting the entry drops its text with it.
+        assert_eq!(serve_text(&mut lru, &padded, &req), CacheOutcome::Miss);
+        assert_eq!(lru.fetch_text(&at_limit, &req), None);
     }
 
     #[test]

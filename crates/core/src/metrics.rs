@@ -38,6 +38,11 @@ pub(crate) static FIXED_POINT_ITERS: LazyLock<Counter> =
 pub(crate) static LRU_HITS: LazyLock<Counter> =
     LazyLock::new(|| rta_obs::counter("lru_hits_total"));
 
+/// LRU hits answered by the task set's JSON text, without decoding it
+/// (`AnalysisLru::fetch_text`); a subset of [`LRU_HITS`].
+pub(crate) static LRU_TEXT_HITS: LazyLock<Counter> =
+    LazyLock::new(|| rta_obs::counter("lru_text_hits_total"));
+
 /// LRU requests on a cached set that still had to evaluate some method.
 pub(crate) static LRU_NEAR_HITS: LazyLock<Counter> =
     LazyLock::new(|| rta_obs::counter("lru_near_hits_total"));

@@ -75,6 +75,21 @@
 //! once instead of waiting for the ACK of the one before. The registry's
 //! `serve_write_frames` histogram counts the responses each write carried.
 //!
+//! # Repeats
+//!
+//! The decoder checks an analyze frame's `task_set` member for syntax
+//! ([`json::Reader::skip_value`]) and keeps its text. The server looks that
+//! text up in the cache ([`AnalysisLru::fetch_text`]) before it builds
+//! anything: a byte-identical repeat of an answered request is answered
+//! with no decoding, hashing or set comparison. Only a text miss decodes
+//! the set, asks the cache by the decoded set ([`AnalysisLru::fetch`]),
+//! analyzes on a miss and moves the set into the cache with its text
+//! ([`AnalysisLru::store_text`]). The answer is the same either way: equal
+//! text decodes to an equal set. A set the decoder rejects gets the error
+//! frame any malformed frame gets, with no `id`, and counts under
+//! `errors`. The registry's `lru_text_hits_total` counts the text hits, a
+//! subset of `lru_hits_total`.
+//!
 //! # Simulation frames
 //!
 //! Besides analysis verdicts, the server runs the event-driven simulator
@@ -135,8 +150,9 @@
 //!   client that stops *reading* cannot park a thread either.
 //! * **Load shedding** — once the pool is at or past
 //!   [`ServeOptions::shed_watermark`], analyze frames are answered from
-//!   recorded cache facts only ([`AnalysisLru::fetch_facts`]): a repeat of
-//!   an answered request is still served in O(lookup), anything that would
+//!   recorded cache facts only (by text, then
+//!   [`AnalysisLru::fetch_facts`]): a repeat of an answered request is
+//!   still served in O(lookup), anything that would
 //!   need a cold analysis gets an `overloaded` error frame instead — the
 //!   connection survives and resynchronizes at the next newline. Cold
 //!   frames that do run are timed; completions past the frame budget are
@@ -212,8 +228,9 @@ const OUTBOX_BYTES: usize = 64 * 1024;
 /// When installed via [`ServeOptions::fault`], the server draws from a
 /// [`SmallRng`] seeded with `seed` to (a) drop freshly accepted
 /// connections before serving them (`drop_accept_pct`) and (b) sleep for
-/// up to `delay_max_micros` before processing an analyze frame
-/// (`delay_pct`). Neither fault can corrupt an answer — drops look like
+/// up to `delay_max_micros` before processing an analyze frame, ahead of
+/// its first cache lookup (`delay_pct`). Neither fault can corrupt an
+/// answer — drops look like
 /// network failures to the client, delays only widen race windows — which
 /// is exactly what the chaos suite needs to prove the server stays
 /// correct under scheduling adversity.
@@ -665,12 +682,15 @@ fn refuse_overloaded(stream: TcpStream, write_timeout: Duration) {
 // Per-connection loop
 // ---------------------------------------------------------------------------
 
-/// What one request frame asks for.
+/// What one request frame asks for. An analyze frame carries its
+/// `task_set` member as `S`: its JSON text, which the server looks up in
+/// the cache before it decodes anything, or (in the decoder's test
+/// reference) the decoded set.
 #[derive(Debug, PartialEq)]
-enum Frame {
+enum Frame<S> {
     Analyze {
         id: Option<u64>,
-        task_set: TaskSet,
+        task_set: S,
         request: AnalysisRequest,
     },
     Simulate {
@@ -876,15 +896,39 @@ fn handle_frame(state: &Arc<ServerState>, out: &mut Outbox, text: &str) -> io::R
         }
         Ok(Frame::Analyze {
             id,
-            task_set,
+            task_set: text,
             request,
         }) => {
-            state.bump(Stat::Requests);
             if let Some(delay) = state.inject_delay() {
                 out.flush()?;
                 thread::sleep(delay);
             }
+            // A byte-identical repeat of an answered request is answered
+            // before its task set is decoded, whether or not the server is
+            // shedding load.
             let started = Instant::now();
+            let hit = state
+                .lru
+                .lock()
+                .expect("lru lock")
+                .fetch_text(text, &request);
+            let mut elapsed = started.elapsed();
+            if let Some(outcome) = hit {
+                state.bump(Stat::Requests);
+                return answer_analysis(state, out, id, CacheOutcome::Hit, elapsed, &outcome);
+            }
+            // Decoding is not part of the frame's time, as for every other
+            // frame, whose parse comes before its clock starts.
+            let task_set = match json::task_set_from_json(text) {
+                Ok(task_set) => task_set,
+                Err(error) => {
+                    state.bump(Stat::Errors);
+                    respond_error(out, None, &error.into())?;
+                    return Ok(true);
+                }
+            };
+            state.bump(Stat::Requests);
+            let resumed = Instant::now();
             if state.active.current() >= state.options.shed_watermark {
                 // Degraded mode: answer from recorded facts only — never
                 // start a cold analysis while the pool is under pressure.
@@ -893,18 +937,14 @@ fn handle_frame(state: &Arc<ServerState>, out: &mut Outbox, text: &str) -> io::R
                     .lock()
                     .expect("lru lock")
                     .fetch_facts(&task_set, &request);
-                match cached {
-                    Some(outcome) => {
-                        let micros = started.elapsed().as_micros();
-                        respond_outcome(out, id, CacheOutcome::Hit, micros, &outcome)?;
-                    }
-                    None => {
-                        state.bump(Stat::Shed);
-                        respond_error(out, id, &WireError::overloaded())?;
-                    }
-                }
-                obs::FRAME_NS_ANALYZE.observe_since(started);
-                return Ok(true);
+                elapsed += resumed.elapsed();
+                let Some(outcome) = cached else {
+                    obs::FRAME_NS_ANALYZE.observe(nanos(elapsed));
+                    state.bump(Stat::Shed);
+                    respond_error(out, id, &WireError::overloaded())?;
+                    return Ok(true);
+                };
+                return answer_analysis(state, out, id, CacheOutcome::Hit, elapsed, &outcome);
             }
             // Hold the cache lock only for the O(lookup) parts; the
             // analysis itself runs unlocked so connections that miss
@@ -914,12 +954,12 @@ fn handle_frame(state: &Arc<ServerState>, out: &mut Outbox, text: &str) -> io::R
                 .lock()
                 .expect("lru lock")
                 .fetch(&task_set, &request);
-            let (outcome, status, elapsed) = match fetched {
-                (Some(outcome), status) => (outcome, status, started.elapsed()),
+            elapsed += resumed.elapsed();
+            let (outcome, status) = match fetched {
+                (Some(outcome), status) => (outcome, status),
                 (None, status) => {
                     // The answers ahead of a cold analysis leave first; the
                     // write is not part of this frame's time.
-                    let lookup = started.elapsed();
                     out.flush()?;
                     let cold = Instant::now();
                     let outcome = request.evaluate(&task_set);
@@ -927,15 +967,12 @@ fn handle_frame(state: &Arc<ServerState>, out: &mut Outbox, text: &str) -> io::R
                         .lru
                         .lock()
                         .expect("lru lock")
-                        .store(&task_set, &request, &outcome);
-                    (outcome, status, lookup + cold.elapsed())
+                        .store_text(text, task_set, &request, &outcome);
+                    elapsed += cold.elapsed();
+                    (outcome, status)
                 }
             };
-            if elapsed > state.options.frame_timeout {
-                state.bump(Stat::Overruns);
-            }
-            obs::FRAME_NS_ANALYZE.observe(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
-            respond_outcome(out, id, status, elapsed.as_micros(), &outcome)?;
+            answer_analysis(state, out, id, status, elapsed, &outcome)?;
         }
         Ok(Frame::Simulate {
             id,
@@ -964,11 +1001,34 @@ fn handle_frame(state: &Arc<ServerState>, out: &mut Outbox, text: &str) -> io::R
             if elapsed > state.options.frame_timeout {
                 state.bump(Stat::Overruns);
             }
-            obs::FRAME_NS_SIMULATE.observe(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
+            obs::FRAME_NS_SIMULATE.observe(nanos(elapsed));
             respond_sim(out, id, elapsed.as_micros(), &outcome)?;
         }
     }
     Ok(true)
+}
+
+/// Answers an analyze frame whose lookups and analysis took `elapsed`,
+/// and records that time.
+fn answer_analysis(
+    state: &ServerState,
+    out: &mut Outbox,
+    id: Option<u64>,
+    status: CacheOutcome,
+    elapsed: Duration,
+    outcome: &rta_analysis::AnalysisOutcome,
+) -> io::Result<bool> {
+    if elapsed > state.options.frame_timeout {
+        state.bump(Stat::Overruns);
+    }
+    obs::FRAME_NS_ANALYZE.observe(nanos(elapsed));
+    respond_outcome(out, id, status, elapsed.as_micros(), outcome)?;
+    Ok(true)
+}
+
+/// `elapsed` in whole nanoseconds, saturated to a histogram sample.
+fn nanos(elapsed: Duration) -> u64 {
+    elapsed.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// Reads one newline-terminated frame into `line` under the idle/frame
@@ -1066,13 +1126,15 @@ fn method_from_label(label: &str) -> Option<Method> {
 }
 
 /// Decodes one request frame in a single pass over its bytes: a
-/// [`json::Reader`] walks the envelope's members and hands each embedded
-/// task set to [`json::Reader::task_set`], which builds it straight into
-/// the model. The answer is the one the `Value`-tree reference
+/// [`json::Reader`] walks the envelope's members. A simulate frame's task
+/// set goes to [`json::Reader::task_set`], which builds it straight into
+/// the model; an analyze frame's is only checked, by
+/// [`json::Reader::skip_value`], and kept as text. Once that text is
+/// decoded, the answer is the one the `Value`-tree reference
 /// (`reference::parse_frame`) gives, errors included: a syntax error
 /// anywhere in the frame wins, and the members are checked in the order
-/// [`Envelope::frame`] lists, whatever the document's.
-fn parse_frame(text: &str) -> Result<Frame, WireError> {
+/// [`Envelope::frame`] lists, whatever the document's, the task set last.
+fn parse_frame(text: &str) -> Result<Frame<&str>, WireError> {
     let mut reader = json::Reader::new(text);
     let frame = decode_envelope(&mut reader)?;
     reader.finish()?;
@@ -1081,7 +1143,7 @@ fn parse_frame(text: &str) -> Result<Frame, WireError> {
 
 /// A request envelope's members, as read (the last of duplicates wins).
 #[derive(Default)]
-struct Envelope {
+struct Envelope<'a> {
     v: Option<Value>,
     id: Option<Value>,
     stats: Option<Value>,
@@ -1091,14 +1153,16 @@ struct Envelope {
     cores: Option<Value>,
     methods: Option<Value>,
     bounds: Option<Value>,
-    task_set: Option<Decoded<TaskSet>>,
+    task_set: Option<&'a str>,
 }
 
 /// Reads a frame's envelope. The outer `Result` carries syntax errors, the
 /// inner one everything else, which waits for the frame to end.
-fn decode_envelope(reader: &mut json::Reader<'_>) -> Result<Result<Frame, WireError>, JsonError> {
+fn decode_envelope<'a>(
+    reader: &mut json::Reader<'a>,
+) -> Result<Result<Frame<&'a str>, WireError>, JsonError> {
     if reader.peek() != Some(b'{') {
-        reader.value()?;
+        reader.skip_value()?;
         return Ok(Err(WireError::protocol("a request must be a JSON object")));
     }
     let mut envelope = Envelope::default();
@@ -1114,8 +1178,8 @@ fn decode_envelope(reader: &mut json::Reader<'_>) -> Result<Result<Frame, WireEr
                 "cores" => envelope.cores = Some(reader.value()?),
                 "methods" => envelope.methods = Some(reader.value()?),
                 "bounds" => envelope.bounds = Some(reader.value()?),
-                "task_set" => envelope.task_set = Some(reader.task_set()?),
-                _ => drop(reader.value()?),
+                "task_set" => envelope.task_set = Some(reader.skip_value()?),
+                _ => drop(reader.skip_value()?),
             }
             if !reader.next_member()? {
                 break;
@@ -1125,11 +1189,12 @@ fn decode_envelope(reader: &mut json::Reader<'_>) -> Result<Result<Frame, WireEr
     Ok(envelope.frame())
 }
 
-impl Envelope {
+impl<'a> Envelope<'a> {
     /// The frame the members ask for. `"stats":true` makes a stats frame
     /// whatever else the envelope holds, then `metrics`, `shutdown` and
-    /// `simulate`; only then is it an analyze frame.
-    fn frame(self) -> Result<Frame, WireError> {
+    /// `simulate`; only then is it an analyze frame, whose task set the
+    /// server decodes unless the cache knows its text.
+    fn frame(self) -> Result<Frame<&'a str>, WireError> {
         check_envelope_version(self.v.as_ref())?;
         let id = parse_id(self.id.as_ref())?;
         if is_true(self.stats.as_ref()) {
@@ -1154,7 +1219,7 @@ impl Envelope {
         let want_bounds = parse_bounds(self.bounds.as_ref())?;
         let task_set = self
             .task_set
-            .ok_or_else(|| WireError::protocol("request is missing \"task_set\""))??;
+            .ok_or_else(|| WireError::protocol("request is missing \"task_set\""))?;
         Ok(Frame::Analyze {
             id,
             task_set,
@@ -1182,7 +1247,7 @@ fn decode_simulate(
     reader: &mut json::Reader<'_>,
 ) -> Result<Result<(TaskSet, SimRequest), WireError>, JsonError> {
     if reader.peek() != Some(b'{') {
-        reader.value()?;
+        reader.skip_value()?;
         return Ok(Err(WireError::protocol(
             "\"simulate\" must be a JSON object",
         )));
@@ -1197,7 +1262,7 @@ fn decode_simulate(
                 "release" => members.release = Some(reader.value()?),
                 "seed" => members.seed = Some(reader.value()?),
                 "task_set" => members.task_set = Some(reader.task_set()?),
-                _ => drop(reader.value()?),
+                _ => drop(reader.skip_value()?),
             }
             if !reader.next_member()? {
                 break;
@@ -1361,7 +1426,7 @@ fn sim_request(
 mod reference {
     use super::*;
 
-    pub(super) fn parse_frame(text: &str) -> Result<Frame, WireError> {
+    pub(super) fn parse_frame(text: &str) -> Result<Frame<TaskSet>, WireError> {
         let doc = json::parse(text)?;
         let Value::Object(_) = &doc else {
             return Err(WireError::protocol("a request must be a JSON object"));
@@ -1397,7 +1462,7 @@ mod reference {
         })
     }
 
-    fn parse_simulate(id: Option<u64>, sim: &Value) -> Result<Frame, WireError> {
+    fn parse_simulate(id: Option<u64>, sim: &Value) -> Result<Frame<TaskSet>, WireError> {
         let Value::Object(_) = sim else {
             return Err(WireError::protocol("\"simulate\" must be a JSON object"));
         };
@@ -1520,7 +1585,13 @@ fn push_verdicts(out: &mut String, outcome: &rta_analysis::AnalysisOutcome) {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "{}", bound.ceil());
+                // The fixed point works in scaled u128 and JSON numbers
+                // are text, so a bound past u64::MAX is printed exactly.
+                let _ = write!(
+                    out,
+                    "{}",
+                    bound.scaled().div_ceil(u128::from(bound.cores()))
+                );
             }
             out.push(']');
         }
@@ -1652,9 +1723,14 @@ mod tests {
 
     #[test]
     fn frame_parsing_defaults_and_errors() {
-        let ok = parse_frame(
-            r#"{"cores":4,"task_set":{"tasks":[{"period":9,"deadline":9,"dag":{"wcets":[1],"edges":[]}}]}}"#,
-        );
+        const SET: &str = r#"{"tasks":[{"period":9,"deadline":9,"dag":{"wcets":[1],"edges":[]}}]}"#;
+        let text = format!("{{\"cores\":4,\"task_set\": {SET} }}");
+        // The analyze frame keeps its task set as the member's exact text.
+        assert!(matches!(
+            parse_frame(&text),
+            Ok(Frame::Analyze { task_set, .. }) if task_set == SET
+        ));
+        let ok = parse_frame(&text).and_then(Frame::decoded);
         let Ok(Frame::Analyze {
             id,
             request,
@@ -1682,7 +1758,7 @@ mod tests {
             ),
             (r#"{"cores":4,"task_set":{"tasks":"#, "syntax"),
         ] {
-            let err = parse_frame(text).expect_err(text);
+            let err = parse_frame(text).and_then(Frame::decoded).expect_err(text);
             assert_eq!(err.kind, kind, "{text}: {}", err.message);
         }
     }
@@ -1690,9 +1766,10 @@ mod tests {
     #[test]
     fn simulate_frame_parsing_defaults_and_errors() {
         const SET: &str = r#"{"tasks":[{"period":9,"deadline":9,"dag":{"wcets":[1],"edges":[]}}]}"#;
-        let ok = parse_frame(&format!(
+        let text = format!(
             r#"{{"v":1,"id":9,"simulate":{{"cores":4,"horizon":20000,"task_set":{SET}}}}}"#
-        ));
+        );
+        let ok = parse_frame(&text);
         let Ok(Frame::Simulate {
             id,
             request,
@@ -1707,9 +1784,10 @@ mod tests {
         let reference = SimRequest::new(4, 20_000);
         assert_eq!(request, reference);
         // Explicit knobs land in the request.
-        let Ok(Frame::Simulate { request, .. }) = parse_frame(&format!(
+        let text = format!(
             r#"{{"simulate":{{"cores":2,"horizon":500,"policy":"lazy","release":"sporadic","seed":7,"task_set":{SET}}}}}"#
-        )) else {
+        );
+        let Ok(Frame::Simulate { request, .. }) = parse_frame(&text) else {
             panic!("expected a simulate frame");
         };
         assert_eq!(
@@ -1848,6 +1926,36 @@ mod tests {
         format!("{{{}}}", members.join(","))
     }
 
+    impl Frame<&str> {
+        /// The frame with its analyze task set decoded, as the server
+        /// decodes it on a cache miss.
+        fn decoded(self) -> Result<Frame<TaskSet>, WireError> {
+            Ok(match self {
+                Frame::Analyze {
+                    id,
+                    task_set,
+                    request,
+                } => Frame::Analyze {
+                    id,
+                    task_set: json::task_set_from_json(task_set)?,
+                    request,
+                },
+                Frame::Simulate {
+                    id,
+                    task_set,
+                    request,
+                } => Frame::Simulate {
+                    id,
+                    task_set,
+                    request,
+                },
+                Frame::Stats { id } => Frame::Stats { id },
+                Frame::Metrics { id } => Frame::Metrics { id },
+                Frame::Shutdown { id } => Frame::Shutdown { id },
+            })
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1865,7 +1973,12 @@ mod tests {
                 text,
             ];
             for text in &texts {
-                prop_assert_eq!(parse_frame(text), reference::parse_frame(text), "{}", text);
+                prop_assert_eq!(
+                    parse_frame(text).and_then(Frame::decoded),
+                    reference::parse_frame(text),
+                    "{}",
+                    text
+                );
             }
         }
 
@@ -1883,7 +1996,7 @@ mod tests {
             let text = String::from_utf8_lossy(&bytes);
             let _ = json::parse(&text);
             if let Ok(Frame::Analyze { task_set, .. } | Frame::Simulate { task_set, .. }) =
-                parse_frame(&text)
+                parse_frame(&text).and_then(Frame::decoded)
             {
                 let back = json::task_set_from_json(&task_set_to_json_compact(&task_set));
                 prop_assert_eq!(
@@ -1892,6 +2005,261 @@ mod tests {
                 );
                 prop_assert_eq!(back, Ok(task_set));
             }
+        }
+    }
+
+    /// An analyze frame from [`frame_text`], when one turns up within a
+    /// few draws.
+    fn analyze_text(rng: &mut SmallRng) -> String {
+        let mut text = frame_text(rng, 4.0);
+        for _ in 0..64 {
+            if let Ok(Frame::Analyze { .. }) = reference::parse_frame(&text) {
+                break;
+            }
+            text = frame_text(rng, 4.0);
+        }
+        text
+    }
+
+    /// `frame` asking for a new request shape: bounds on or off, all
+    /// methods or a subset.
+    fn reshaped(frame: Value, rng: &mut SmallRng) -> Value {
+        let Value::Object(mut members) = frame else {
+            return frame;
+        };
+        members.insert("bounds".into(), Value::Bool(coin(rng)));
+        if coin(rng) {
+            members.remove("methods");
+        } else {
+            let labels = Method::ALL
+                .into_iter()
+                .filter(|_| coin(rng))
+                .map(|m| Value::Str(m.label().into()))
+                .collect();
+            members.insert("methods".into(), Value::Array(labels));
+        }
+        Value::Object(members)
+    }
+
+    /// `len` frames drawn around `pool`: exact repeats, the same frame
+    /// respelled (whitespace, member order, duplicate and unknown keys,
+    /// escapes), new request shapes around one spelling of the same task
+    /// set, damaged frames, and fresh frames of every kind. Newlines become
+    /// spaces, so each frame is one line.
+    fn frame_stream(rng: &mut SmallRng, pool: &[String], len: usize) -> Vec<String> {
+        (0..len)
+            .map(|_| {
+                let base = &pool[rng.gen_range(0..pool.len())];
+                let tree = json::parse(base).expect("generated frames are well-formed");
+                let text = match rng.gen_range(0..6u32) {
+                    0 | 1 => base.clone(),
+                    2 => {
+                        let rate = rng.gen_range(1..30u32);
+                        noise::render(&tree, rate, rng)
+                    }
+                    3 => noise::render(&reshaped(tree, rng), 0, rng),
+                    4 => noise::damage(base, rng),
+                    _ => frame_text(rng, 4.0),
+                };
+                text.replace('\n', " ")
+            })
+            .collect()
+    }
+
+    /// The structural path a server's answers must match: the tree
+    /// reference decodes each frame, a mirror cache answers the decoded
+    /// set through `fetch` and `store`, and the library renderers write
+    /// the bodies.
+    struct Structural {
+        lru: AnalysisLru,
+        requests: u64,
+        errors: u64,
+        shed: u64,
+    }
+
+    impl Structural {
+        /// The line the server must answer `frame` with, `micros` read as
+        /// 0; `None` for the stats, metrics and shutdown frames, which the
+        /// differential test does not send. `shedding` is the server's
+        /// degraded mode: facts only, nothing cold.
+        fn answer(&mut self, frame: &str, shedding: bool) -> Option<String> {
+            use std::fmt::Write as _;
+            let mut line = String::from("{\"v\":1,");
+            let error = |line: &mut String, error: &WireError| {
+                let _ = write!(
+                    line,
+                    "\"ok\":false,\"error\":{{\"kind\":\"{}\",\"message\":",
+                    error.kind
+                );
+                json::escape_into(line, &error.message);
+                line.push_str("}}");
+            };
+            match reference::parse_frame(frame) {
+                Err(e) => {
+                    self.errors += 1;
+                    error(&mut line, &e);
+                }
+                Ok(Frame::Analyze {
+                    id,
+                    task_set,
+                    request,
+                }) => {
+                    self.requests += 1;
+                    push_id(&mut line, id);
+                    let answered = if shedding {
+                        let cached = self.lru.fetch_facts(&task_set, &request);
+                        cached.map(|outcome| (outcome, CacheOutcome::Hit))
+                    } else {
+                        Some(match self.lru.fetch(&task_set, &request) {
+                            (Some(outcome), status) => (outcome, status),
+                            (None, status) => {
+                                let outcome = request.evaluate(&task_set);
+                                self.lru.store(&task_set, &request, &outcome);
+                                (outcome, status)
+                            }
+                        })
+                    };
+                    match answered {
+                        Some((outcome, status)) => {
+                            let _ = write!(
+                                line,
+                                "\"ok\":true,\"cache\":\"{}\",\"micros\":0,\"verdicts\":{}}}",
+                                status.label(),
+                                verdicts_json(&outcome)
+                            );
+                        }
+                        None => {
+                            self.shed += 1;
+                            error(&mut line, &WireError::overloaded());
+                        }
+                    }
+                }
+                Ok(Frame::Simulate {
+                    id,
+                    task_set,
+                    request,
+                }) => {
+                    push_id(&mut line, id);
+                    if shedding {
+                        self.shed += 1;
+                        error(&mut line, &WireError::overloaded());
+                    } else {
+                        let sim = sim_json(&request.evaluate(&task_set));
+                        let _ = write!(line, "\"ok\":true,\"micros\":0,\"sim\":{sim}}}");
+                    }
+                }
+                Ok(Frame::Stats { .. } | Frame::Metrics { .. } | Frame::Shutdown { .. }) => {
+                    return None;
+                }
+            }
+            line.push('\n');
+            Some(line)
+        }
+    }
+
+    /// `line` with the value of its `micros` member, if any, read as 0.
+    fn zero_micros(line: &str) -> String {
+        match line.split_once("\"micros\":") {
+            Some((head, tail)) => format!(
+                "{head}\"micros\":0{}",
+                tail.trim_start_matches(|c: char| c.is_ascii_digit())
+            ),
+            None => line.to_string(),
+        }
+    }
+
+    /// A test client's connection: one frame out, one line back.
+    struct Conn {
+        writer: TcpStream,
+        reader: BufReader<TcpStream>,
+    }
+
+    impl Conn {
+        fn open(addr: SocketAddr) -> Self {
+            let stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(60)))
+                .expect("read timeout");
+            Self {
+                writer: stream.try_clone().expect("clone stream"),
+                reader: BufReader::new(stream),
+            }
+        }
+
+        fn send(&mut self, frame: &str) -> String {
+            self.writer
+                .write_all(format!("{frame}\n").as_bytes())
+                .expect("send frame");
+            let mut line = String::new();
+            self.reader.read_line(&mut line).expect("read response");
+            line
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The server answers with the task set's text in hand, decoding it
+        /// only on a text miss. Every answer must be the one the structural
+        /// path gives, byte for byte but for `micros`, and so must the
+        /// counters, through evictions and through degraded mode.
+        #[test]
+        fn text_path_answers_as_the_structural_path_does(seed in any::<u64>()) {
+            const CAPACITY: usize = 2;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let handle = spawn(&ServeOptions {
+                lru_capacity: CAPACITY,
+                shed_watermark: 2,
+                ..ServeOptions::default()
+            })
+            .expect("bind a test server");
+            let mut structural = Structural {
+                lru: AnalysisLru::new(CAPACITY),
+                requests: 0,
+                errors: 0,
+                shed: 0,
+            };
+            let mut pool = vec![analyze_text(&mut rng), analyze_text(&mut rng)];
+            pool.push(frame_text(&mut rng, 4.0));
+            let mut first = Conn::open(handle.addr());
+            let mut second = None;
+            for shedding in [false, true] {
+                if shedding {
+                    // A second live connection puts the pool at the
+                    // watermark; its answered stats frame proves it live.
+                    let conn = second.insert(Conn::open(handle.addr()));
+                    conn.send("{\"stats\":true}");
+                }
+                for frame in frame_stream(&mut rng, &pool, 24) {
+                    let frame = frame.trim();
+                    if frame.is_empty() {
+                        continue;
+                    }
+                    let Some(expected) = structural.answer(frame, shedding) else {
+                        continue;
+                    };
+                    let line = first.send(frame);
+                    prop_assert_eq!(zero_micros(&line), expected, "{}", frame);
+                }
+            }
+            let stats = json::parse(first.send("{\"stats\":true}").trim()).expect("stats frame");
+            let lru = structural.lru.stats();
+            for (key, expected) in [
+                ("requests", structural.requests),
+                ("errors", structural.errors),
+                ("shed", structural.shed),
+                ("hits", lru.hits),
+                ("near_hits", lru.near_hits),
+                ("misses", lru.misses),
+                ("evictions", lru.evictions),
+                ("cached_sets", structural.lru.len() as u64),
+            ] {
+                let got = stats.get("stats").and_then(|s| s.get(key)).and_then(Value::as_u64);
+                prop_assert_eq!(got, Some(expected), "{}", key);
+            }
+            drop((first, second));
+            let report = handle.shutdown();
+            prop_assert_eq!(report.panicked, 0);
         }
     }
 

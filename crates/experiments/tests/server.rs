@@ -936,3 +936,107 @@ fn no_answer_waits_behind_a_cold_analysis() {
     );
     handle.shutdown();
 }
+
+/// ROADMAP item 1's first frame: the second task's bound passes
+/// `u64::MAX`, so rendering it through a `u64` would panic.
+const PAST_U64_SET: &str = "{\"version\":1,\"tasks\":[\
+     {\"period\":9223372036854775808,\"deadline\":9223372036854775808,\
+      \"dag\":{\"wcets\":[4611686018427387904],\"edges\":[]}},\
+     {\"period\":18446744073709551615,\"deadline\":18446744073709551615,\
+      \"dag\":{\"wcets\":[4611686018427387904,4611686018427387904],\"edges\":[[0,1]]}}]}";
+
+#[test]
+fn bounds_past_u64_are_printed_exactly() {
+    use rta_analysis::AnalysisRequest;
+    use rta_experiments::serve::verdicts_json;
+    use rta_model::json::task_set_from_json;
+
+    let handle = test_server(4096);
+    let mut client = Client::connect(&handle);
+    let frame = |bounds: bool| {
+        format!("{{\"v\":1,\"id\":3,\"cores\":1,\"bounds\":{bounds},\"task_set\":{PAST_U64_SET}}}")
+    };
+    let with_bounds = client.send(&frame(true));
+    assert!(with_bounds.contains("\"ok\":true"), "{with_bounds}");
+    // Byte for byte the library's answer, bounds past u64::MAX included.
+    let ts = task_set_from_json(PAST_U64_SET).expect("test set parses");
+    let library = AnalysisRequest::new(1).with_bounds(true).evaluate(&ts);
+    let expected = verdicts_json(&library);
+    assert!(
+        with_bounds.ends_with(&format!("\"verdicts\":{expected}}}\n")),
+        "{with_bounds}"
+    );
+    let past_u64 = library
+        .outcomes()
+        .iter()
+        .flat_map(|o| o.bounds.iter().flatten());
+    assert!(
+        past_u64.clone().any(|b| b.scaled() > u128::from(u64::MAX)),
+        "the frame exercises a bound past u64::MAX"
+    );
+    for bound in past_u64 {
+        assert!(
+            with_bounds.contains(&bound.scaled().to_string()),
+            "{with_bounds}"
+        );
+    }
+    // The same verdicts as the frame without bounds.
+    let without = client.send(&frame(false));
+    let verdicts = |line: &str| -> Vec<String> {
+        line.split("\"schedulable\":")
+            .skip(1)
+            .map(|rest| rest.chars().take_while(char::is_ascii_alphabetic).collect())
+            .collect()
+    };
+    assert_eq!(verdicts(&with_bounds), verdicts(&without), "{without}");
+    assert_eq!(verdicts(&without).len(), 6, "{without}");
+    let report = handle.shutdown();
+    assert_eq!(report.panicked, 0, "{report:?}");
+}
+
+/// The `lru_text_hits_total` counter of a metrics response; 0 until the
+/// first text hit registers it.
+fn text_hits(metrics: &str) -> u64 {
+    if metrics.contains("\"lru_text_hits_total\":") {
+        stat_field(metrics, "\"lru_text_hits_total\":")
+    } else {
+        0
+    }
+}
+
+#[test]
+fn text_hits_are_answered_while_cold_analyses_are_shed() {
+    let handle = serve_with(|o| {
+        o.max_conns = 8;
+        o.shed_watermark = 2;
+    });
+    let mut c1 = Client::connect(&handle);
+    let cold = c1.send(&analyze_frame(FIGURE1_SET));
+    assert!(cold.contains("\"cache\":\"miss\""), "{cold}");
+    // The second connection puts the pool at the watermark.
+    let mut c2 = Client::connect(&handle);
+    let before = text_hits(&c2.send("{\"metrics\":true}"));
+    const REPEATS: u64 = 3;
+    for _ in 0..REPEATS {
+        let hit = c2.send(&analyze_frame(FIGURE1_SET));
+        assert!(hit.contains("\"cache\":\"hit\""), "{hit}");
+    }
+    // The process-wide counter may also count other tests' hits, never
+    // fewer than these.
+    let after = text_hits(&c2.send("{\"metrics\":true}"));
+    assert!(after >= before + REPEATS, "{before} -> {after}");
+    // The same set spelled differently is found through its decoded set.
+    let respelled = analyze_frame(&FIGURE1_SET.replace(':', ": "));
+    let hit = c2.send(&respelled);
+    assert!(hit.contains("\"cache\":\"hit\""), "{hit}");
+    // A set the cache has never seen is still refused.
+    let fresh = "{\"v\":1,\"id\":9,\"cores\":4,\"task_set\":{\"tasks\":[\
+         {\"period\":50,\"deadline\":50,\"dag\":{\"wcets\":[7],\"edges\":[]}}]}}";
+    let refused = c2.send(fresh);
+    assert!(refused.contains("\"kind\":\"overloaded\""), "{refused}");
+    let stats = c2.send("{\"stats\":true}");
+    assert_eq!(stat_field(&stats, "\"hits\":"), REPEATS + 1, "{stats}");
+    assert_eq!(stat_field(&stats, "\"shed\":"), 1, "{stats}");
+    let report = handle.shutdown();
+    assert_eq!(report.panicked, 0, "{report:?}");
+}

@@ -39,8 +39,16 @@
 //! decode in one pass: a [`Reader`] walks the bytes once and feeds every
 //! task's WCETs and edges straight into a [`DagBuilder`], with no tree in
 //! between. A protocol envelope that embeds a task set (the `repro serve`
-//! request format) walks its own members with the same [`Reader`] and hands
-//! the embedded set to [`Reader::task_set`].
+//! request format) walks its own members with the same [`Reader`] and either
+//! hands the embedded set to [`Reader::task_set`] or, to decode it later or
+//! not at all, checks its syntax with [`Reader::skip_value`], which builds
+//! nothing and returns the value's exact text.
+//!
+//! A built DAG keeps a dense successor and predecessor row per node, `n²/4`
+//! bytes for `n` nodes, so a task set is rejected with a
+//! [`JsonError::Schema`] once the squared node counts of its DAGs sum past
+//! [`MAX_NODE_PAIRS`], checked as the WCETs are read and before anything is
+//! built: the rows of one decoded set stay within 1 MiB.
 //!
 //! The generic reader, [`parse`], reads any document into a [`Value`] tree
 //! through the same tokenizer, and [`task_set_from_value`] maps such a tree
@@ -272,6 +280,26 @@ pub fn task_set_to_json_compact(task_set: &TaskSet) -> String {
 /// the deepest `repro serve` frame 8.
 pub const MAX_DEPTH: usize = 128;
 
+/// The most node pairs a decoded task set may carry: `Σ nᵢ²` over its DAGs,
+/// with `nᵢ` the node count of DAG `i`. A built DAG keeps an `n`-bit
+/// successor and an `n`-bit predecessor row per node, so the budget keeps
+/// those rows within 1 MiB per set; one DAG of 2,048 nodes reaches it. A
+/// set past it is a [`JsonError::Schema`] at the first WCET that crosses it.
+pub const MAX_NODE_PAIRS: u64 = 1 << 22;
+
+/// Checks that a DAG of `nodes` nodes, decoded after DAGs holding
+/// `committed` node pairs, stays within [`MAX_NODE_PAIRS`].
+fn check_node_budget(committed: u64, nodes: usize) -> Result<(), JsonError> {
+    let nodes = nodes as u64;
+    if committed + nodes * nodes > MAX_NODE_PAIRS {
+        return Err(JsonError::Schema(format!(
+            "the DAGs' squared node counts sum past {MAX_NODE_PAIRS} \
+             (a single DAG has at most 2048 nodes)"
+        )));
+    }
+    Ok(())
+}
+
 /// A decoded model value, or the schema or model error its (well-formed)
 /// JSON maps to. The decoders return it inside an outer `Result` that
 /// carries syntax errors only: a syntax error stops reading at once, while
@@ -350,10 +378,11 @@ impl Value {
 /// then [`key`](Reader::key), the member's value and
 /// [`next_member`](Reader::next_member) until that returns `false`.
 /// [`peek`](Reader::peek) tells which kind of value comes next;
-/// [`value`](Reader::value) reads any value whole (a member the decoder
-/// does not know, or one it must quote in an error) and
-/// [`task_set`](Reader::task_set) decodes an embedded task set;
-/// [`finish`](Reader::finish) rejects trailing characters.
+/// [`value`](Reader::value) reads any value whole (one the decoder must
+/// inspect or quote in an error), [`skip_value`](Reader::skip_value) checks
+/// one and returns its text (a member the decoder does not know, or one it
+/// decodes later) and [`task_set`](Reader::task_set) decodes an embedded
+/// task set; [`finish`](Reader::finish) rejects trailing characters.
 ///
 /// ```
 /// use rta_model::json::Reader;
@@ -366,7 +395,7 @@ impl Value {
 ///         match &*reader.key()? {
 ///             "cores" => cores = reader.value()?.as_u64(),
 ///             "task_set" => task_set = Some(reader.task_set()?),
-///             _ => drop(reader.value()?),
+///             _ => drop(reader.skip_value()?),
 ///         }
 ///         if !reader.next_member()? {
 ///             break;
@@ -388,6 +417,9 @@ pub struct Reader<'a> {
     /// `"wcets"` are known (the members may come in either order). Reused
     /// across the document's DAGs.
     pairs: Vec<(u64, u64)>,
+    /// `Σ n²` over the DAGs of the tasks decoded so far in the current
+    /// `"tasks"` array: the share of [`MAX_NODE_PAIRS`] already spent.
+    committed_pairs: u64,
 }
 
 impl<'a> Reader<'a> {
@@ -398,6 +430,7 @@ impl<'a> Reader<'a> {
             pos: 0,
             depth: 0,
             pairs: Vec::new(),
+            committed_pairs: 0,
         }
     }
 
@@ -489,6 +522,52 @@ impl<'a> Reader<'a> {
             Some(c) => self.err(format!("unexpected character '{}'", c as char)),
             None => self.err("unexpected end of input"),
         }
+    }
+
+    /// Checks the next value's syntax exactly as [`value`](Reader::value)
+    /// does, same errors at the same offsets, but builds nothing, and
+    /// returns the value's text (without the whitespace around it).
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError::Syntax`] when the value is not well-formed JSON.
+    pub fn skip_value(&mut self) -> Result<&'a str, JsonError> {
+        let start = match self.peek() {
+            Some(_) => self.pos,
+            None => return self.err("unexpected end of input"),
+        };
+        match self.text.as_bytes()[start] {
+            b'{' => {
+                if self.begin_object()? {
+                    loop {
+                        self.skip_ws();
+                        self.skip_string()?;
+                        self.expect(b':')?;
+                        self.skip_value()?;
+                        if !self.next_member()? {
+                            break;
+                        }
+                    }
+                }
+            }
+            b'[' => {
+                if self.begin_array()? {
+                    loop {
+                        self.skip_value()?;
+                        if !self.next_element()? {
+                            break;
+                        }
+                    }
+                }
+            }
+            b'"' => self.skip_string()?,
+            b't' => drop(self.literal("true", Value::Null)?),
+            b'f' => drop(self.literal("false", Value::Null)?),
+            b'n' => drop(self.literal("null", Value::Null)?),
+            c if c == b'-' || c.is_ascii_digit() => drop(self.number()?),
+            c => return self.err(format!("unexpected character '{}'", c as char)),
+        }
+        Ok(&self.text[start..self.pos])
     }
 
     /// Enters an object; `true` when a member follows, `false` when the
@@ -584,11 +663,32 @@ impl<'a> Reader<'a> {
     /// Reads a string, borrowing it from the document up to its first
     /// escape.
     fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let start = self.pos + 1;
+        if self.plain_string()? {
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
+        self.rest_of_string(Some(&mut out))?;
+        Ok(Cow::Owned(out))
+    }
+
+    /// Checks a string as [`string`](Reader::string) reads it, building
+    /// nothing.
+    fn skip_string(&mut self) -> Result<(), JsonError> {
+        if !self.plain_string()? {
+            self.rest_of_string(None)?;
+        }
+        Ok(())
+    }
+
+    /// Opens a string and scans it up to its closing quote (`true`, cursor
+    /// past the quote) or its first escape or control character (`false`,
+    /// cursor on that byte).
+    fn plain_string(&mut self) -> Result<bool, JsonError> {
         if self.byte() != Some(b'"') {
             return self.err("expected string");
         }
         self.pos += 1;
-        let start = self.pos;
         // The text is a `str`, so every byte up to the closing quote is
         // part of a valid character; only quotes, escapes and control
         // characters need a closer look.
@@ -596,67 +696,30 @@ impl<'a> Reader<'a> {
             match c {
                 b'"' => {
                     self.pos += 1;
-                    return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+                    return Ok(true);
                 }
                 b'\\' => break,
                 c if c < 0x20 => break,
                 _ => self.pos += 1,
             }
         }
-        let mut out = String::from(&self.text[start..self.pos]);
+        Ok(false)
+    }
+
+    /// Reads the rest of a string after [`plain_string`](Self::plain_string)
+    /// stopped, appending its characters to `out` when there is one.
+    fn rest_of_string(&mut self, mut out: Option<&mut String>) -> Result<(), JsonError> {
         loop {
             let Some(c) = self.byte() else {
                 return self.err("unterminated string");
             };
             self.pos += 1;
             match c {
-                b'"' => return Ok(Cow::Owned(out)),
+                b'"' => return Ok(()),
                 b'\\' => {
-                    let Some(escape) = self.byte() else {
-                        return self.err("unterminated escape");
-                    };
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            let scalar = match code {
-                                // High surrogate: standard JSON encodes
-                                // non-BMP characters as a \uXXXX\uXXXX
-                                // pair (e.g. Python's ensure_ascii).
-                                0xD800..=0xDBFF => {
-                                    if self.text.as_bytes().get(self.pos..self.pos + 2)
-                                        != Some(b"\\u")
-                                    {
-                                        return self
-                                            .err("high surrogate not followed by \\u escape");
-                                    }
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    if !(0xDC00..=0xDFFF).contains(&low) {
-                                        return self
-                                            .err("high surrogate not followed by low surrogate");
-                                    }
-                                    0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
-                                }
-                                0xDC00..=0xDFFF => {
-                                    return self.err("unpaired low surrogate");
-                                }
-                                code => code,
-                            };
-                            let Some(c) = char::from_u32(scalar) else {
-                                return self.err("\\u escape is not a scalar value");
-                            };
-                            out.push(c);
-                        }
-                        other => return self.err(format!("invalid escape '\\{}'", other as char)),
+                    let c = self.escape()?;
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push(c);
                     }
                 }
                 c if c < 0x20 => return self.err("control character in string"),
@@ -665,10 +728,56 @@ impl<'a> Reader<'a> {
                     // a valid UTF-8 sequence.
                     let start = self.pos - 1;
                     let len = utf8_len(c);
-                    out.push_str(&self.text[start..start + len]);
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push_str(&self.text[start..start + len]);
+                    }
                     self.pos = start + len;
                 }
             }
+        }
+    }
+
+    /// Reads one escape sequence, the cursor just past its backslash.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let Some(escape) = self.byte() else {
+            return self.err("unterminated escape");
+        };
+        self.pos += 1;
+        match escape {
+            b'"' => Ok('"'),
+            b'\\' => Ok('\\'),
+            b'/' => Ok('/'),
+            b'n' => Ok('\n'),
+            b'r' => Ok('\r'),
+            b't' => Ok('\t'),
+            b'b' => Ok('\u{8}'),
+            b'f' => Ok('\u{c}'),
+            b'u' => {
+                let code = self.hex4()?;
+                let scalar = match code {
+                    // High surrogate: standard JSON encodes non-BMP
+                    // characters as a \uXXXX\uXXXX pair (e.g. Python's
+                    // ensure_ascii).
+                    0xD800..=0xDBFF => {
+                        if self.text.as_bytes().get(self.pos..self.pos + 2) != Some(b"\\u") {
+                            return self.err("high surrogate not followed by \\u escape");
+                        }
+                        self.pos += 2;
+                        let low = self.hex4()?;
+                        if !(0xDC00..=0xDFFF).contains(&low) {
+                            return self.err("high surrogate not followed by low surrogate");
+                        }
+                        0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                    }
+                    0xDC00..=0xDFFF => return self.err("unpaired low surrogate"),
+                    code => code,
+                };
+                match char::from_u32(scalar) {
+                    Some(c) => Ok(c),
+                    None => self.err("\\u escape is not a scalar value"),
+                }
+            }
+            other => self.err(format!("invalid escape '\\{}'", other as char)),
         }
     }
 
@@ -746,7 +855,7 @@ impl<'a> Reader<'a> {
     /// version and model errors (see [`Decoded`]).
     pub fn task_set(&mut self) -> Result<Decoded<TaskSet>, JsonError> {
         if self.peek() != Some(b'{') {
-            self.value()?;
+            self.skip_value()?;
             return Ok(Err(schema("a task set must be a JSON object")));
         }
         let (mut version, mut tasks) = (None, None);
@@ -755,7 +864,7 @@ impl<'a> Reader<'a> {
                 match &*self.key()? {
                     "version" => version = Some(self.value()?),
                     "tasks" => tasks = Some(self.tasks()?),
-                    _ => drop(self.value()?),
+                    _ => drop(self.skip_value()?),
                 }
                 if !self.next_member()? {
                     break;
@@ -769,18 +878,24 @@ impl<'a> Reader<'a> {
     /// or the first task's error.
     fn tasks(&mut self) -> Result<Option<Decoded<Vec<DagTask>>>, JsonError> {
         if self.peek() != Some(b'[') {
-            self.value()?;
+            self.skip_value()?;
             return Ok(None);
         }
+        // Only the last of duplicate "tasks" members counts.
+        self.committed_pairs = 0;
         let mut tasks = Ok(Vec::new());
         if self.begin_array()? {
             loop {
                 match &mut tasks {
                     Ok(list) => match self.task()? {
-                        Ok(task) => list.push(task),
+                        Ok(task) => {
+                            let nodes = task.dag().node_count() as u64;
+                            self.committed_pairs += nodes * nodes;
+                            list.push(task);
+                        }
                         Err(e) => tasks = Err(e),
                     },
-                    Err(_) => drop(self.value()?),
+                    Err(_) => drop(self.skip_value()?),
                 }
                 if !self.next_element()? {
                     break;
@@ -792,7 +907,7 @@ impl<'a> Reader<'a> {
 
     fn task(&mut self) -> Result<Decoded<DagTask>, JsonError> {
         if self.peek() != Some(b'{') {
-            self.value()?;
+            self.skip_value()?;
             return Ok(Err(schema("a task must be an object")));
         }
         let (mut period, mut deadline, mut dag, mut name) = (None, None, None, None);
@@ -803,7 +918,7 @@ impl<'a> Reader<'a> {
                     "deadline" => deadline = Some(self.value()?),
                     "dag" => dag = Some(self.dag()?),
                     "name" => name = Some(self.value()?),
-                    _ => drop(self.value()?),
+                    _ => drop(self.skip_value()?),
                 }
                 if !self.next_member()? {
                     break;
@@ -815,7 +930,7 @@ impl<'a> Reader<'a> {
 
     fn dag(&mut self) -> Result<Decoded<Dag>, JsonError> {
         if self.peek() != Some(b'{') {
-            self.value()?;
+            self.skip_value()?;
             return Ok(Err(schema("\"dag\" must be an object")));
         }
         // `None` while the member is missing or not an array, else its
@@ -830,7 +945,7 @@ impl<'a> Reader<'a> {
                         wcets = self.wcets(&mut builder)?;
                     }
                     "edges" => edges = self.edges()?,
-                    _ => drop(self.value()?),
+                    _ => drop(self.skip_value()?),
                 }
                 if !self.next_member()? {
                     break;
@@ -840,19 +955,23 @@ impl<'a> Reader<'a> {
         Ok(dag_from_members(builder, wcets, edges, &self.pairs))
     }
 
-    /// The `"wcets"` member, added to `builder` as it is read.
+    /// The `"wcets"` member, added to `builder` as it is read, up to its
+    /// first bad WCET or the first one past the node budget.
     fn wcets(&mut self, builder: &mut DagBuilder) -> Result<Option<Decoded<()>>, JsonError> {
         if self.peek() != Some(b'[') {
-            self.value()?;
+            self.skip_value()?;
             return Ok(None);
         }
+        let committed = self.committed_pairs;
         let mut read = Ok(());
         if self.begin_array()? {
             loop {
                 let wcet = self.value()?;
                 if read.is_ok() {
-                    read = as_u64(&wcet, "a WCET").map(|w| {
+                    read = as_u64(&wcet, "a WCET").and_then(|w| {
+                        check_node_budget(committed, builder.node_count() + 1)?;
                         builder.add_node(w);
+                        Ok(())
                     });
                 }
                 if !self.next_element()? {
@@ -867,7 +986,7 @@ impl<'a> Reader<'a> {
     fn edges(&mut self) -> Result<Option<Decoded<()>>, JsonError> {
         self.pairs.clear();
         if self.peek() != Some(b'[') {
-            self.value()?;
+            self.skip_value()?;
             return Ok(None);
         }
         let mut read = Ok(());
@@ -888,7 +1007,7 @@ impl<'a> Reader<'a> {
     fn edge(&mut self) -> Result<Decoded<(u64, u64)>, JsonError> {
         let not_a_pair = || schema("an edge must be a [from, to] pair");
         if self.peek() != Some(b'[') {
-            self.value()?;
+            self.skip_value()?;
             return Ok(Err(not_a_pair()));
         }
         let mut ends = [Value::Null, Value::Null];
@@ -1052,7 +1171,9 @@ pub fn task_set_from_json(text: &str) -> Result<TaskSet, JsonError> {
 // Schema mapping of a Value tree: the decoders' test reference
 // ---------------------------------------------------------------------------
 
-fn dag_from_value(value: &Value) -> Result<Dag, JsonError> {
+/// The DAG a tree maps to, decoded after DAGs holding `committed` node
+/// pairs (see [`MAX_NODE_PAIRS`]).
+fn dag_from_value(value: &Value, committed: u64) -> Result<Dag, JsonError> {
     let Value::Object(obj) = value else {
         return Err(JsonError::Schema("\"dag\" must be an object".into()));
     };
@@ -1065,8 +1186,12 @@ fn dag_from_value(value: &Value) -> Result<Dag, JsonError> {
     let mut builder = DagBuilder::new();
     let nodes: Vec<NodeId> = wcets
         .iter()
-        .map(|w| as_u64(w, "a WCET").map(|w| builder.add_node(w)))
-        .collect::<Result<_, _>>()?;
+        .map(|w| {
+            let w = as_u64(w, "a WCET")?;
+            check_node_budget(committed, builder.node_count() + 1)?;
+            Ok(builder.add_node(w))
+        })
+        .collect::<Result<_, JsonError>>()?;
     for edge in edges {
         let Value::Array(pair) = edge else {
             return Err(JsonError::Schema(
@@ -1091,7 +1216,7 @@ fn dag_from_value(value: &Value) -> Result<Dag, JsonError> {
     Ok(builder.build()?)
 }
 
-fn task_from_value(value: &Value) -> Result<DagTask, JsonError> {
+fn task_from_value(value: &Value, committed: u64) -> Result<DagTask, JsonError> {
     let Value::Object(obj) = value else {
         return Err(JsonError::Schema("a task must be an object".into()));
     };
@@ -1108,6 +1233,7 @@ fn task_from_value(value: &Value) -> Result<DagTask, JsonError> {
     let dag = dag_from_value(
         obj.get("dag")
             .ok_or_else(|| JsonError::Schema("task is missing \"dag\"".into()))?,
+        committed,
     )?;
     let task = DagTask::new(dag, period, deadline)?;
     match obj.get("name") {
@@ -1120,13 +1246,14 @@ fn task_from_value(value: &Value) -> Result<DagTask, JsonError> {
 }
 
 /// Maps an already-parsed [`Value`] to a task set, enforcing the schema
-/// version: a missing `"version"` reads as the legacy version 1, a declared
-/// version must equal [`TASK_SET_SCHEMA_VERSION`].
+/// version (a missing `"version"` reads as the legacy version 1, a declared
+/// version must equal [`TASK_SET_SCHEMA_VERSION`]) and the node budget
+/// ([`MAX_NODE_PAIRS`]).
 ///
 /// # Errors
 ///
-/// Returns [`JsonError`] for schema mismatches, unknown schema versions, or
-/// inputs rejected by the model constructors.
+/// Returns [`JsonError`] for schema mismatches, unknown schema versions, a
+/// set past the node budget, or inputs rejected by the model constructors.
 pub fn task_set_from_value(value: &Value) -> Result<TaskSet, JsonError> {
     let Value::Object(obj) = value else {
         return Err(JsonError::Schema("a task set must be a JSON object".into()));
@@ -1149,11 +1276,17 @@ pub fn task_set_from_value(value: &Value) -> Result<TaskSet, JsonError> {
     let Some(Value::Array(tasks)) = obj.get("tasks") else {
         return Err(JsonError::Schema("\"tasks\" must be an array".into()));
     };
+    let mut committed = 0;
     Ok(TaskSet::new(
         tasks
             .iter()
-            .map(task_from_value)
-            .collect::<Result<_, _>>()?,
+            .map(|task| {
+                let task = task_from_value(task, committed)?;
+                let nodes = task.dag().node_count() as u64;
+                committed += nodes * nodes;
+                Ok(task)
+            })
+            .collect::<Result<_, JsonError>>()?,
     ))
 }
 
@@ -1393,6 +1526,89 @@ mod tests {
             task_set_from_json(&text),
             Err(JsonError::Syntax { offset, .. }) if offset == first + MAX_DEPTH - 1
         ));
+    }
+
+    /// A task set of independent-node DAGs, one per entry of `sizes`.
+    fn set_of_dags(sizes: &[usize]) -> String {
+        let tasks: Vec<String> = sizes
+            .iter()
+            .map(|&n| {
+                let wcets = vec!["1"; n].join(",");
+                format!(
+                    "{{\"period\":9,\"deadline\":9,\"dag\":{{\"wcets\":[{wcets}],\"edges\":[]}}}}"
+                )
+            })
+            .collect();
+        format!("{{\"tasks\":[{}]}}", tasks.join(","))
+    }
+
+    #[test]
+    fn the_node_budget_admits_2048_nodes_and_no_more() {
+        let decode = |sizes: &[usize]| {
+            let text = set_of_dags(sizes);
+            let one_pass = task_set_from_json(&text);
+            let tree = parse(&text).and_then(|tree| task_set_from_value(&tree));
+            assert_eq!(one_pass, tree, "{sizes:?}");
+            one_pass
+        };
+        assert_eq!(2048 * 2048, MAX_NODE_PAIRS);
+        let one = decode(&[2048]).expect("one DAG of 2048 nodes fits");
+        assert_eq!(one.tasks()[0].dag().node_count(), 2048);
+        assert!(decode(&[1000, 1000, 1000, 1000]).is_ok());
+        for sizes in [&[2049][..], &[2048, 1], &[1000, 1000, 1000, 1000, 1000]] {
+            let err = decode(sizes).expect_err("past the budget");
+            assert!(
+                matches!(&err, JsonError::Schema(m) if m.contains("squared node counts")),
+                "{sizes:?}: {err:?}"
+            );
+        }
+        // Only the last of duplicate "tasks" members spends the budget.
+        let one = set_of_dags(&[2000]);
+        let member = &one[1..one.len() - 1];
+        let twice = format!("{{{member},{member}}}");
+        let tree = parse(&twice).and_then(|tree| task_set_from_value(&tree));
+        assert_eq!(task_set_from_json(&twice), tree);
+        assert!(tree.is_ok());
+        // Earlier errors keep their precedence: a bad WCET ahead of the
+        // crossing node is what the decoder reports.
+        let text = set_of_dags(&[2049]).replacen("[1,", "[-1,", 1);
+        assert_eq!(
+            task_set_from_json(&text),
+            Err(JsonError::Schema(
+                "a WCET must be a non-negative integer, got Float(-1.0)".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn skip_value_returns_the_value_text_and_the_errors_value_gives() {
+        let mut reader = Reader::new(" { \"a\" : [1, \"\\u00e9\\\"\", {}] , \"b\": true }  ");
+        assert!(reader.begin_object().unwrap());
+        assert_eq!(reader.key().unwrap(), "a");
+        assert_eq!(reader.skip_value().unwrap(), "[1, \"\\u00e9\\\"\", {}]");
+        assert!(reader.next_member().unwrap());
+        assert_eq!(reader.key().unwrap(), "b");
+        assert_eq!(reader.skip_value().unwrap(), "true");
+        assert!(!reader.next_member().unwrap());
+        reader.finish().unwrap();
+        for text in [
+            "",
+            "[1,",
+            "{\"a\" 1}",
+            "\"\\ud83d\"",
+            "\"\\x\"",
+            "-",
+            "1e",
+            "tru",
+            "[1 2]",
+            "\"\u{1}\"",
+            &"[".repeat(MAX_DEPTH + 1),
+        ] {
+            let skipped = Reader::new(text).skip_value().map(drop);
+            let read = Reader::new(text).value().map(drop);
+            assert_eq!(skipped, read, "{text:?}");
+            assert!(skipped.is_err(), "{text:?}");
+        }
     }
 
     #[test]
