@@ -937,8 +937,9 @@ fn no_answer_waits_behind_a_cold_analysis() {
     handle.shutdown();
 }
 
-/// ROADMAP item 1's first frame: the second task's bound passes
-/// `u64::MAX`, so rendering it through a `u64` would panic.
+/// One core, a 2⁶² node with T = D = 2⁶³, then a chain of two 2⁶² nodes
+/// with T = D = 2⁶⁴ − 1: the second task's bound passes `u64::MAX`, so
+/// rendering it through a `u64` would panic.
 const PAST_U64_SET: &str = "{\"version\":1,\"tasks\":[\
      {\"period\":9223372036854775808,\"deadline\":9223372036854775808,\
       \"dag\":{\"wcets\":[4611686018427387904],\"edges\":[]}},\
