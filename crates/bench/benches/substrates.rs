@@ -1,7 +1,7 @@
 //! Microbenches of the substrates everything else stands on: the workload
 //! bound, integer partitions, the Hungarian assignment, clique search, the
-//! ILP engine, the simulator and the wire decoder. Each label prints the
-//! median time of one call.
+//! ILP engine, the simulator, and the wire decoder and syntax skip. Each
+//! label prints the median time of one call.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -13,7 +13,9 @@ use rta_combinatorics::{
 };
 use rta_experiments::campaign::utilization_grid;
 use rta_ilp::{IlpBuilder, Sense};
-use rta_model::json::{parse, task_set_from_json, task_set_from_value, task_set_to_json_compact};
+use rta_model::json::{
+    parse, task_set_from_json, task_set_from_value, task_set_to_json_compact, Reader,
+};
 use rta_sim::SimRequest;
 use rta_taskgen::{generate_task_set, group1};
 use std::hint::black_box;
@@ -89,10 +91,11 @@ fn main() {
     });
 
     // Decoding one `repro serve` task set: the one-pass decoder against
-    // the `Value`-tree reference it replaced, each timed per frame over 16
+    // the `Value`-tree reference it replaced, and the syntax skip every
+    // analyze frame's `task_set` member gets, each timed per frame over 16
     // group-1 sets at m = 4 spread across the campaign's utilization grid
-    // (parse, build and drop). The benchmark's traced replay still times
-    // the tree path, so this is where the decoder's saving shows.
+    // (parse, build and drop). The benchmark's traced replay times the
+    // tree path and never the skip, so this is where their savings show.
     let grid = utilization_grid(4);
     let mut rng = SmallRng::seed_from_u64(16);
     let frames: Vec<String> = (0..16)
@@ -104,6 +107,10 @@ fn main() {
     let mut next = frames.iter().cycle();
     measure("wire/one_pass_decode", 100, || {
         task_set_from_json(black_box(next.next().expect("endless cycle")))
+    });
+    let mut next = frames.iter().cycle();
+    measure("wire/skip_value", 100, || {
+        Reader::new(black_box(next.next().expect("endless cycle"))).skip_value()
     });
     let mut next = frames.iter().cycle();
     measure("wire/value_tree_reference", 100, || {

@@ -5,6 +5,11 @@
 //! `Par(v)` parallel sets of the paper's Algorithm 1 are all `BitSet`s, which
 //! makes the set algebra in that algorithm (unions, differences) word-wide
 //! rather than element-wide.
+//!
+//! The first 64 elements live in a word inside the set and only larger ones
+//! in a heap vector, so a set whose elements are all below 64 (a node set of
+//! a DAG of at most 64 nodes) never allocates: not when it is built, cloned
+//! or combined with another set.
 
 use std::fmt;
 
@@ -13,9 +18,17 @@ const WORD_BITS: usize = 64;
 
 /// A growable set of small unsigned integers, stored one bit per element.
 ///
-/// Operations that combine two sets ([`union_with`](BitSet::union_with),
+/// Elements below 64 are kept inline; larger ones in a heap vector that
+/// grows as they arrive. Operations that combine two sets
+/// ([`union_with`](BitSet::union_with),
 /// [`difference_with`](BitSet::difference_with), …) grow the receiver as
 /// needed, so sets of different capacities compose freely.
+///
+/// Equality compares the stored words: two sets with the same elements
+/// compare equal when they store the same number of words past the inline
+/// one, as sets built with the same capacity do. Sets built with a
+/// capacity of at most 64 that never held an element past 63 therefore
+/// compare by their elements alone.
 ///
 /// # Example
 ///
@@ -31,102 +44,146 @@ const WORD_BITS: usize = 64;
 /// ```
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitSet {
-    words: Vec<u64>,
+    /// Elements `0..64`.
+    first: u64,
+    /// Elements from 64 on: word `i` holds `64 * (i + 1)..64 * (i + 2)`.
+    rest: Vec<u64>,
+}
+
+/// The bit of `index` within its word.
+#[inline]
+fn mask(index: usize) -> u64 {
+    1u64 << (index % WORD_BITS)
+}
+
+/// A word whose lowest `count` bits are set (all of them from 64 on).
+fn low_bits(count: usize) -> u64 {
+    if count >= WORD_BITS {
+        u64::MAX
+    } else {
+        (1u64 << count) - 1
+    }
 }
 
 impl BitSet {
     /// Creates an empty set.
     pub fn new() -> Self {
-        Self { words: Vec::new() }
+        Self {
+            first: 0,
+            rest: Vec::new(),
+        }
     }
 
     /// Creates an empty set with capacity for elements `0..n` without
-    /// reallocation.
+    /// reallocation (no allocation at all for `n ≤ 64`).
     pub fn with_capacity(n: usize) -> Self {
         Self {
-            words: vec![0; n.div_ceil(WORD_BITS)],
+            first: 0,
+            rest: vec![0; n.div_ceil(WORD_BITS).saturating_sub(1)],
         }
     }
 
     /// Creates a set containing every element of `0..n`.
     pub fn full(n: usize) -> Self {
         let mut s = Self::with_capacity(n);
-        for i in 0..n {
-            s.insert(i);
+        s.first = low_bits(n);
+        for (i, word) in s.rest.iter_mut().enumerate() {
+            *word = low_bits(n - WORD_BITS * (i + 1));
         }
         s
     }
 
+    /// The word holding `index`, if the set stores it.
     #[inline]
-    fn word_of(index: usize) -> (usize, u64) {
-        (index / WORD_BITS, 1u64 << (index % WORD_BITS))
+    fn word(&self, index: usize) -> Option<&u64> {
+        match index / WORD_BITS {
+            0 => Some(&self.first),
+            w => self.rest.get(w - 1),
+        }
+    }
+
+    /// The word holding `index`, if the set stores it, for writing.
+    #[inline]
+    fn word_mut(&mut self, index: usize) -> Option<&mut u64> {
+        match index / WORD_BITS {
+            0 => Some(&mut self.first),
+            w => self.rest.get_mut(w - 1),
+        }
     }
 
     /// Inserts `index`, returning `true` if it was not already present.
     pub fn insert(&mut self, index: usize) -> bool {
-        let (w, mask) = Self::word_of(index);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
+        let w = index / WORD_BITS;
+        if w > self.rest.len() {
+            self.rest.resize(w, 0);
         }
-        let had = self.words[w] & mask != 0;
-        self.words[w] |= mask;
+        let word = self.word_mut(index).expect("the set holds the word");
+        let had = *word & mask(index) != 0;
+        *word |= mask(index);
         !had
     }
 
     /// Removes `index`, returning `true` if it was present.
     pub fn remove(&mut self, index: usize) -> bool {
-        let (w, mask) = Self::word_of(index);
-        if w >= self.words.len() {
+        let Some(word) = self.word_mut(index) else {
             return false;
-        }
-        let had = self.words[w] & mask != 0;
-        self.words[w] &= !mask;
+        };
+        let had = *word & mask(index) != 0;
+        *word &= !mask(index);
         had
     }
 
     /// Returns `true` if `index` is in the set.
     #[inline]
     pub fn contains(&self, index: usize) -> bool {
-        let (w, mask) = Self::word_of(index);
-        self.words.get(w).is_some_and(|word| word & mask != 0)
+        self.word(index).is_some_and(|word| word & mask(index) != 0)
     }
 
     /// Number of elements in the set.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.first.count_ones() as usize
+            + self
+                .rest
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>()
     }
 
     /// Returns `true` if the set has no elements.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.first == 0 && self.rest.iter().all(|&w| w == 0)
     }
 
     /// Removes all elements, keeping the allocation.
     pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
+        self.first = 0;
+        self.rest.fill(0);
     }
 
     /// Adds every element of `other` to `self` (`self ∪= other`).
     pub fn union_with(&mut self, other: &BitSet) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
+        self.first |= other.first;
+        if other.rest.len() > self.rest.len() {
+            self.rest.resize(other.rest.len(), 0);
         }
-        for (dst, src) in self.words.iter_mut().zip(&other.words) {
+        for (dst, src) in self.rest.iter_mut().zip(&other.rest) {
             *dst |= src;
         }
     }
 
     /// Removes every element of `other` from `self` (`self \= other`).
     pub fn difference_with(&mut self, other: &BitSet) {
-        for (dst, src) in self.words.iter_mut().zip(&other.words) {
+        self.first &= !other.first;
+        for (dst, src) in self.rest.iter_mut().zip(&other.rest) {
             *dst &= !src;
         }
     }
 
     /// Keeps only elements also in `other` (`self ∩= other`).
     pub fn intersect_with(&mut self, other: &BitSet) {
-        for (i, dst) in self.words.iter_mut().enumerate() {
-            *dst &= other.words.get(i).copied().unwrap_or(0);
+        self.first &= other.first;
+        for (i, dst) in self.rest.iter_mut().enumerate() {
+            *dst &= other.rest.get(i).copied().unwrap_or(0);
         }
     }
 
@@ -156,18 +213,18 @@ impl BitSet {
 
     /// Returns `true` if every element of `self` is in `other`.
     pub fn is_subset(&self, other: &BitSet) -> bool {
-        self.words
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
+        self.first & !other.first == 0
+            && self
+                .rest
+                .iter()
+                .enumerate()
+                .all(|(i, &w)| w & !other.rest.get(i).copied().unwrap_or(0) == 0)
     }
 
     /// Returns `true` if the two sets share no element.
     pub fn is_disjoint(&self, other: &BitSet) -> bool {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(&a, &b)| a & b == 0)
+        self.first & other.first == 0
+            && self.rest.iter().zip(&other.rest).all(|(&a, &b)| a & b == 0)
     }
 
     /// Iterates over the elements in increasing order.
@@ -175,7 +232,7 @@ impl BitSet {
         Iter {
             set: self,
             word: 0,
-            bits: self.words.first().copied().unwrap_or(0),
+            bits: self.first,
         }
     }
 
@@ -237,10 +294,7 @@ impl Iterator for Iter<'_> {
                 return Some(self.word * WORD_BITS + tz);
             }
             self.word += 1;
-            if self.word >= self.set.words.len() {
-                return None;
-            }
-            self.bits = self.set.words[self.word];
+            self.bits = *self.set.rest.get(self.word - 1)?;
         }
     }
 }
@@ -318,6 +372,21 @@ mod tests {
         assert_eq!(format!("{:?}", BitSet::new()), "{}");
         let s: BitSet = [1].into_iter().collect();
         assert_eq!(format!("{s:?}"), "{1}");
+    }
+
+    #[test]
+    fn sets_within_the_inline_word_compare_by_their_elements() {
+        assert_eq!(BitSet::new(), BitSet::with_capacity(64));
+        assert_eq!(BitSet::full(0), BitSet::with_capacity(0));
+        let mut small = BitSet::with_capacity(10);
+        small.insert(3);
+        assert_eq!(small, [3].into_iter().collect());
+        // A word past the inline one is part of the stored form.
+        assert_ne!(BitSet::new(), BitSet::with_capacity(65));
+        let full = BitSet::full(130);
+        assert_eq!(full.len(), 130);
+        assert_eq!(full.iter().last(), Some(129));
+        assert_eq!(full, (0..130).collect());
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! combinatorial objects that this crate provides from scratch:
 //!
 //! * [`BitSet`] — a compact dynamic bitset used for node sets, transitive
-//!   closures and "can execute in parallel" adjacency in `rta-model`;
+//!   closures and "can execute in parallel" adjacency in `rta-model`; its
+//!   first 64 bits live inline, so the sets of a DAG of at most 64 nodes
+//!   never allocate;
 //! * [`partitions`](mod@partitions) — enumeration of the *execution scenarios* `e_m` of the
 //!   paper (Section IV-B), which are exactly the integer partitions of the
 //!   core count `m`, together with the pentagonal-number-theorem counter

@@ -17,37 +17,95 @@ thread_local! {
     static CLIQUE_SCRATCH: RefCell<CliqueScratch> = RefCell::new(CliqueScratch::new());
 }
 
+/// A set as a test starts it, with its reference: empty (`new`), empty
+/// with room for `0..k` (`with_capacity`), or holding `0..k` (`full`).
+/// Capacities on both sides of 64 put the set's elements inline only or
+/// spill them to the heap.
+fn start((kind, k): (u8, usize)) -> (BitSet, BTreeSet<usize>) {
+    match kind {
+        0 => (BitSet::new(), BTreeSet::new()),
+        1 => (BitSet::with_capacity(k), BTreeSet::new()),
+        _ => (BitSet::full(k), (0..k).collect()),
+    }
+}
+
+fn elements(set: &BitSet) -> Vec<usize> {
+    set.iter().collect()
+}
+
+fn sorted(set: &BTreeSet<usize>) -> Vec<usize> {
+    set.iter().copied().collect()
+}
+
 proptest! {
     #[test]
-    fn bitset_behaves_like_btreeset(ops in proptest::collection::vec((0usize..200, any::<bool>()), 0..200)) {
-        let mut bs = BitSet::new();
-        let mut reference = BTreeSet::new();
-        for (idx, insert) in ops {
-            if insert {
-                prop_assert_eq!(bs.insert(idx), reference.insert(idx));
-            } else {
-                prop_assert_eq!(bs.remove(idx), reference.remove(&idx));
+    fn bitset_behaves_like_btreeset(
+        from in (0u8..3, 0usize..200),
+        ops in proptest::collection::vec((0usize..200, 0u8..3), 0..200),
+    ) {
+        let (mut bs, mut reference) = start(from);
+        for (idx, op) in ops {
+            match op {
+                0 => prop_assert_eq!(bs.insert(idx), reference.insert(idx)),
+                1 => prop_assert_eq!(bs.remove(idx), reference.remove(&idx)),
+                _ => prop_assert_eq!(bs.contains(idx), reference.contains(&idx)),
             }
         }
         prop_assert_eq!(bs.len(), reference.len());
-        prop_assert_eq!(bs.iter().collect::<Vec<_>>(), reference.iter().copied().collect::<Vec<_>>());
+        prop_assert_eq!(bs.is_empty(), reference.is_empty());
+        prop_assert_eq!(bs.first(), reference.first().copied());
+        prop_assert_eq!(elements(&bs), sorted(&reference));
+        // A clone is a set of its own: changing it leaves the original.
+        let mut copy = bs.clone();
+        for idx in [0, 63, 64, 65, 199] {
+            copy.insert(idx);
+        }
+        copy.remove(reference.first().copied().unwrap_or(1));
+        prop_assert_eq!(elements(&bs), sorted(&reference));
+        copy.clear();
+        prop_assert!(copy.is_empty());
+        prop_assert_eq!(copy.len(), 0);
+        prop_assert_eq!(copy.first(), None);
+        prop_assert!(!copy.contains(64));
+        prop_assert_eq!(elements(&bs), sorted(&reference));
     }
 
     #[test]
     fn bitset_algebra_matches_btreeset(
         a in proptest::collection::btree_set(0usize..150, 0..60),
         b in proptest::collection::btree_set(0usize..150, 0..60),
+        from_a in (0u8..3, 0usize..200),
+        from_b in (0u8..3, 0usize..200),
     ) {
-        let ba: BitSet = a.iter().copied().collect();
-        let bb: BitSet = b.iter().copied().collect();
+        let (mut ba, mut ra) = start(from_a);
+        ba.extend(a.iter().copied());
+        ra.extend(a);
+        let (mut bb, mut rb) = start(from_b);
+        bb.extend(b.iter().copied());
+        rb.extend(b);
+        let (a, b) = (ra, rb);
         let union: Vec<usize> = a.union(&b).copied().collect();
         let inter: Vec<usize> = a.intersection(&b).copied().collect();
         let diff: Vec<usize> = a.difference(&b).copied().collect();
-        prop_assert_eq!(ba.union(&bb).iter().collect::<Vec<_>>(), union);
-        prop_assert_eq!(ba.intersection(&bb).iter().collect::<Vec<_>>(), inter);
-        prop_assert_eq!(ba.difference(&bb).iter().collect::<Vec<_>>(), diff);
+        prop_assert_eq!(ba.union(&bb).iter().collect::<Vec<_>>(), union.clone());
+        prop_assert_eq!(ba.intersection(&bb).iter().collect::<Vec<_>>(), inter.clone());
+        prop_assert_eq!(ba.difference(&bb).iter().collect::<Vec<_>>(), diff.clone());
         prop_assert_eq!(ba.is_subset(&bb), a.is_subset(&b));
         prop_assert_eq!(ba.is_disjoint(&bb), a.is_disjoint(&b));
+        // In place, each on a clone of `ba`, which keeps its elements.
+        let mut u = ba.clone();
+        u.union_with(&bb);
+        prop_assert_eq!(elements(&u), union);
+        let mut d = ba.clone();
+        d.difference_with(&bb);
+        prop_assert_eq!(elements(&d), diff);
+        let mut i = ba.clone();
+        i.intersect_with(&bb);
+        prop_assert_eq!(elements(&i), inter.clone());
+        prop_assert_eq!(i.first(), inter.first().copied());
+        prop_assert_eq!(i.is_empty(), inter.is_empty());
+        prop_assert_eq!(elements(&ba), sorted(&a));
+        prop_assert_eq!(elements(&bb), sorted(&b));
     }
 
     #[test]

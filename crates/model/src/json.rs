@@ -44,6 +44,20 @@
 //! not at all, checks its syntax with [`Reader::skip_value`], which builds
 //! nothing and returns the value's exact text.
 //!
+//! Plain JSON, which every writer here emits, is read in one flat pass.
+//! [`Reader::skip_value`] first runs one loop, with no recursion and no
+//! error values, that accepts only strings with no escape or control
+//! character, unsigned integers that fit a `u64` (digits only: no sign,
+//! fraction or exponent), `true`, `false` and `null`, and the objects and
+//! arrays around them, nested no deeper than [`MAX_DEPTH`] still allows.
+//! On anything else it stops, and the recursive reader reads the value
+//! again from its start, so every error, its offset and the nesting bound
+//! are that reader's by construction. The recursive reader never re-enters
+//! the flat pass, so no value is scanned more than twice. The task-set
+//! decoder reads each WCET and each `[from, to]` edge through the flat
+//! pass's digit loop and any other value whole, so a schema error quotes
+//! the same [`Value`] as before.
+//!
 //! A built DAG keeps a dense successor and predecessor row per node, `n²/4`
 //! bytes for `n` nodes, so a task set is rejected with a
 //! [`JsonError::Schema`] once the squared node counts of its DAGs sum past
@@ -282,9 +296,11 @@ pub const MAX_DEPTH: usize = 128;
 
 /// The most node pairs a decoded task set may carry: `Σ nᵢ²` over its DAGs,
 /// with `nᵢ` the node count of DAG `i`. A built DAG keeps an `n`-bit
-/// successor and an `n`-bit predecessor row per node, so the budget keeps
-/// those rows within 1 MiB per set; one DAG of 2,048 nodes reaches it. A
-/// set past it is a [`JsonError::Schema`] at the first WCET that crosses it.
+/// successor and an `n`-bit predecessor row per node. A row keeps its first
+/// 64 bits inline, so only the rows of DAGs past 64 nodes reach the heap;
+/// the budget keeps the rows of one set within 1 MiB, and one DAG of 2,048
+/// nodes reaches it. A set past it is a [`JsonError::Schema`] at the first
+/// WCET that crosses it.
 pub const MAX_NODE_PAIRS: u64 = 1 << 22;
 
 /// Checks that a DAG of `nodes` nodes, decoded after DAGs holding
@@ -446,9 +462,7 @@ impl<'a> Reader<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        self.pos = skip_ws(self.text.as_bytes(), self.pos);
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
@@ -528,22 +542,38 @@ impl<'a> Reader<'a> {
     /// does, same errors at the same offsets, but builds nothing, and
     /// returns the value's text (without the whitespace around it).
     ///
+    /// A plain value is read in one flat pass (see the module docs); any
+    /// other is read again from its start by the recursive reader, so no
+    /// byte is scanned more than twice.
+    ///
     /// # Errors
     ///
     /// [`JsonError::Syntax`] when the value is not well-formed JSON.
     pub fn skip_value(&mut self) -> Result<&'a str, JsonError> {
-        let start = match self.peek() {
-            Some(_) => self.pos,
-            None => return self.err("unexpected end of input"),
+        self.skip_ws();
+        let start = self.pos;
+        match plain_value_end(self.text.as_bytes(), start, MAX_DEPTH - self.depth) {
+            Some(end) => self.pos = end,
+            None => self.skip_exact()?,
+        }
+        Ok(&self.text[start..self.pos])
+    }
+
+    /// The recursive skip behind [`skip_value`](Reader::skip_value): the
+    /// grammar, errors and offsets of [`value`](Reader::value). It recurses
+    /// into itself, never into the flat pass.
+    fn skip_exact(&mut self) -> Result<(), JsonError> {
+        let Some(c) = self.peek() else {
+            return self.err("unexpected end of input");
         };
-        match self.text.as_bytes()[start] {
+        match c {
             b'{' => {
                 if self.begin_object()? {
                     loop {
                         self.skip_ws();
                         self.skip_string()?;
                         self.expect(b':')?;
-                        self.skip_value()?;
+                        self.skip_exact()?;
                         if !self.next_member()? {
                             break;
                         }
@@ -553,7 +583,7 @@ impl<'a> Reader<'a> {
             b'[' => {
                 if self.begin_array()? {
                     loop {
-                        self.skip_value()?;
+                        self.skip_exact()?;
                         if !self.next_element()? {
                             break;
                         }
@@ -567,7 +597,7 @@ impl<'a> Reader<'a> {
             c if c == b'-' || c.is_ascii_digit() => drop(self.number()?),
             c => return self.err(format!("unexpected character '{}'", c as char)),
         }
-        Ok(&self.text[start..self.pos])
+        Ok(())
     }
 
     /// Enters an object; `true` when a member follows, `false` when the
@@ -688,20 +718,10 @@ impl<'a> Reader<'a> {
         if self.byte() != Some(b'"') {
             return self.err("expected string");
         }
-        self.pos += 1;
-        // The text is a `str`, so every byte up to the closing quote is
-        // part of a valid character; only quotes, escapes and control
-        // characters need a closer look.
-        while let Some(c) = self.byte() {
-            match c {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(true);
-                }
-                b'\\' => break,
-                c if c < 0x20 => break,
-                _ => self.pos += 1,
-            }
+        self.pos = plain_run(self.text.as_bytes(), self.pos + 1);
+        if self.byte() == Some(b'"') {
+            self.pos += 1;
+            return Ok(true);
         }
         Ok(false)
     }
@@ -802,16 +822,11 @@ impl<'a> Reader<'a> {
         if negative {
             self.pos += 1;
         }
-        // Accumulate the integer while scanning: a plain run of digits
+        // The integer is accumulated while scanning: a plain run of digits
         // that fits a u64 needs no second look.
         let digits = self.pos;
-        let mut exact = Some(0u64);
-        while let Some(c) = self.byte().filter(u8::is_ascii_digit) {
-            exact = exact
-                .and_then(|v| v.checked_mul(10))
-                .and_then(|v| v.checked_add(u64::from(c - b'0')));
-            self.pos += 1;
-        }
+        let exact;
+        (self.pos, exact) = digit_run(self.text.as_bytes(), digits);
         let mut is_float = false;
         if self.byte() == Some(b'.') {
             is_float = true;
@@ -966,9 +981,9 @@ impl<'a> Reader<'a> {
         let mut read = Ok(());
         if self.begin_array()? {
             loop {
-                let wcet = self.value()?;
+                let wcet = self.uint("a WCET")?;
                 if read.is_ok() {
-                    read = as_u64(&wcet, "a WCET").and_then(|w| {
+                    read = wcet.and_then(|w| {
                         check_node_budget(committed, builder.node_count() + 1)?;
                         builder.add_node(w);
                         Ok(())
@@ -1005,6 +1020,13 @@ impl<'a> Reader<'a> {
     }
 
     fn edge(&mut self) -> Result<Decoded<(u64, u64)>, JsonError> {
+        self.skip_ws();
+        if self.depth < MAX_DEPTH {
+            if let Some((pair, end)) = plain_pair(self.text.as_bytes(), self.pos) {
+                self.pos = end;
+                return Ok(Ok(pair));
+            }
+        }
         let not_a_pair = || schema("an edge must be a [from, to] pair");
         if self.peek() != Some(b'[') {
             self.skip_value()?;
@@ -1030,6 +1052,168 @@ impl<'a> Reader<'a> {
         Ok(as_u64(&ends[0], "an edge endpoint")
             .and_then(|from| Ok((from, as_u64(&ends[1], "an edge endpoint")?))))
     }
+
+    /// Reads an integer the decoder needs: a plain unsigned integer through
+    /// the flat pass's digit loop, anything else whole through
+    /// [`value`](Reader::value), so a schema error quotes the [`Value`] it
+    /// reads.
+    fn uint(&mut self, what: &str) -> Result<Decoded<u64>, JsonError> {
+        self.skip_ws();
+        match plain_uint(self.text.as_bytes(), self.pos) {
+            Some((v, end)) => {
+                self.pos = end;
+                Ok(Ok(v))
+            }
+            None => Ok(as_u64(&self.value()?, what)),
+        }
+    }
+}
+
+// The flat pass: plain values read by one loop over the bytes, with no
+// recursion and no error values. Each function returns where what it read
+// ends, or `None` when the text holds anything else, which the recursive
+// reader then reads from the value's start.
+
+fn skip_ws(bytes: &[u8], mut pos: usize) -> usize {
+    while matches!(bytes.get(pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        pos += 1;
+    }
+    pos
+}
+
+/// Where the run of plain string bytes from `pos` ends: at the first
+/// quote, backslash or control character, or at the end of the text. The
+/// text is a `str`, so every byte before it is part of a valid character.
+fn plain_run(bytes: &[u8], pos: usize) -> usize {
+    bytes[pos..]
+        .iter()
+        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+        .map_or(bytes.len(), |run| pos + run)
+}
+
+/// The end of the string opening at `pos` (a quote), when it holds no
+/// escape and no control character.
+fn plain_string_end(bytes: &[u8], pos: usize) -> Option<usize> {
+    let end = plain_run(bytes, pos + 1);
+    (bytes.get(end) == Some(&b'"')).then_some(end + 1)
+}
+
+/// Scans the run of ASCII digits at `pos`: where it ends, and its value
+/// when that fits a `u64`.
+fn digit_run(bytes: &[u8], mut pos: usize) -> (usize, Option<u64>) {
+    let mut value = Some(0u64);
+    while let Some(&c) = bytes.get(pos).filter(|c| c.is_ascii_digit()) {
+        value = value
+            .and_then(|v| v.checked_mul(10))
+            .and_then(|v| v.checked_add(u64::from(c - b'0')));
+        pos += 1;
+    }
+    (pos, value)
+}
+
+/// The plain unsigned integer at `pos`, a digit run that fits a `u64` with
+/// no fraction or exponent after it (what [`Reader::value`] reads as
+/// [`Value::UInt`]), and where it ends.
+fn plain_uint(bytes: &[u8], pos: usize) -> Option<(u64, usize)> {
+    let (end, value) = digit_run(bytes, pos);
+    if end == pos || matches!(bytes.get(end), Some(b'.' | b'e' | b'E')) {
+        return None;
+    }
+    Some((value?, end))
+}
+
+/// A `[from, to]` pair of plain unsigned integers at `pos`, and where it
+/// ends.
+fn plain_pair(bytes: &[u8], pos: usize) -> Option<((u64, u64), usize)> {
+    if bytes.get(pos) != Some(&b'[') {
+        return None;
+    }
+    let (from, pos) = plain_uint(bytes, skip_ws(bytes, pos + 1))?;
+    let pos = skip_ws(bytes, pos);
+    if bytes.get(pos) != Some(&b',') {
+        return None;
+    }
+    let (to, pos) = plain_uint(bytes, skip_ws(bytes, pos + 1))?;
+    let pos = skip_ws(bytes, pos);
+    (bytes.get(pos) == Some(&b']')).then_some(((from, to), pos + 1))
+}
+
+/// An object member's plain key and the `:` after it, from `pos`.
+fn plain_key_end(bytes: &[u8], pos: usize) -> Option<usize> {
+    let pos = skip_ws(bytes, pos);
+    if bytes.get(pos) != Some(&b'"') {
+        return None;
+    }
+    let pos = skip_ws(bytes, plain_string_end(bytes, pos)?);
+    (bytes.get(pos) == Some(&b':')).then_some(pos + 1)
+}
+
+/// The end of the plain value at `pos`, nested at most `room` containers
+/// deep: strings without escapes or control characters, unsigned integers
+/// that fit a `u64`, `true`, `false`, `null`, and the objects and arrays
+/// around them. Every value it accepts, [`Reader::value`] reads to the
+/// same end.
+fn plain_value_end(bytes: &[u8], mut pos: usize, room: usize) -> Option<usize> {
+    // Bit `d` is set when the container open `d` levels down is an object.
+    let mut objects = 0u128;
+    let mut depth = 0;
+    loop {
+        // A value starts here.
+        pos = skip_ws(bytes, pos);
+        match *bytes.get(pos)? {
+            open @ (b'{' | b'[') => {
+                if depth == room {
+                    return None;
+                }
+                let object = open == b'{';
+                objects = objects & !(1 << depth) | u128::from(object) << depth;
+                depth += 1;
+                pos = skip_ws(bytes, pos + 1);
+                if bytes.get(pos) != Some(if object { &b'}' } else { &b']' }) {
+                    if object {
+                        pos = plain_key_end(bytes, pos)?;
+                    }
+                    continue;
+                }
+                pos += 1;
+                depth -= 1;
+            }
+            b'"' => pos = plain_string_end(bytes, pos)?,
+            b't' => pos = literal_end(bytes, pos, b"true")?,
+            b'f' => pos = literal_end(bytes, pos, b"false")?,
+            b'n' => pos = literal_end(bytes, pos, b"null")?,
+            b'0'..=b'9' => pos = plain_uint(bytes, pos)?.1,
+            _ => return None,
+        }
+        // After a value: close containers until another value follows.
+        loop {
+            if depth == 0 {
+                return Some(pos);
+            }
+            pos = skip_ws(bytes, pos);
+            let object = objects >> (depth - 1) & 1 == 1;
+            match *bytes.get(pos)? {
+                b',' if object => {
+                    pos = plain_key_end(bytes, pos + 1)?;
+                    break;
+                }
+                b',' => {
+                    pos += 1;
+                    break;
+                }
+                b'}' if object => depth -= 1,
+                b']' if !object => depth -= 1,
+                _ => return None,
+            }
+            pos += 1;
+        }
+    }
+}
+
+fn literal_end(bytes: &[u8], pos: usize, literal: &[u8]) -> Option<usize> {
+    bytes[pos..]
+        .starts_with(literal)
+        .then_some(pos + literal.len())
 }
 
 fn utf8_len(first: u8) -> usize {
