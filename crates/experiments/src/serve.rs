@@ -126,6 +126,18 @@
 //! the frame contract so a client can always tell a complete observation
 //! from a truncated one if tracing ever crosses the wire.
 //!
+//! A simulate frame is admitted only if its run stays exact and bounded.
+//! With `⌈horizon / T_i⌉` the most jobs task `i` can release, `vol_i` its
+//! volume, `n_i` its node count and `J_i` its release jitter, computed in
+//! `u128`:
+//! * `horizon + Σ_i ⌈horizon / T_i⌉ · vol_i` (the last completion) and
+//!   `horizon + max_i (T_i + J_i)` (the last release time computed) must
+//!   fit in `u64`, the simulator's clock;
+//! * `Σ_i ⌈horizon / T_i⌉ · n_i`, the node-jobs the run may release, must
+//!   not pass 10⁶: the horizon bounds simulated time, this bounds work.
+//!
+//! A frame past either bound gets a `protocol` error before anything runs.
+//!
 //! Simulate frames obey the same robustness rules as analyze frames:
 //! past the shed watermark they are refused with `overloaded` (there is
 //! no cache to degrade to), and a run that outlives the frame budget
@@ -182,7 +194,8 @@ use rand::{Rng, SeedableRng};
 use rta_analysis::{AnalysisLru, AnalysisRequest, CacheOutcome, Method};
 use rta_model::json::{self, Decoded, JsonError, Value};
 use rta_model::{TaskSet, Time};
-use rta_sim::{PreemptionPolicy, SimOutcome, SimRequest};
+use rta_sim::topology::Topology;
+use rta_sim::{PreemptionPolicy, Release, SimOutcome, SimRequest};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -201,6 +214,12 @@ pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 /// simulated *work*, so an uncapped horizon would let one frame occupy a
 /// connection thread indefinitely.
 pub const MAX_SIM_HORIZON: Time = 10_000_000;
+
+/// Server-side cap on the node-jobs one simulate frame may release, the
+/// work the horizon alone does not bound (one task of period 1 releases a
+/// job per time unit). A run takes about two events per node-job, 40–125 ns
+/// each, so the cap holds a frame to about 80–250 ms of one thread.
+const MAX_SIM_NODE_JOBS: u128 = 1_000_000;
 
 /// Default number of task sets the admission cache retains.
 pub const DEFAULT_LRU_CAPACITY: usize = 128;
@@ -1283,7 +1302,9 @@ impl SimulateMembers {
         let task_set = self
             .task_set
             .ok_or_else(|| WireError::protocol("\"simulate\" is missing \"task_set\""))??;
-        Ok((task_set, sim_request(cores, horizon, policy, release, seed)))
+        let request = sim_request(cores, horizon, policy, release, seed);
+        admit_simulation(&task_set, &request)?;
+        Ok((task_set, request))
     }
 }
 
@@ -1404,6 +1425,48 @@ fn parse_seed(seed: Option<&Value>) -> Result<u64, WireError> {
     })
 }
 
+/// Admits a simulate frame's run only if every time it can produce fits
+/// in `u64` and it releases at most [`MAX_SIM_NODE_JOBS`] node-jobs.
+///
+/// Task `i` releases at most `⌈horizon / T_i⌉` jobs, since releases come
+/// before the horizon and never closer than a period apart. Computed in
+/// `u128`:
+/// - `horizon + Σ_i ⌈horizon / T_i⌉ · vol_i` bounds every completion: every
+///   policy is work-conserving, so the last completion comes at most the
+///   released work after the last release;
+/// - `horizon + max_i (T_i + J_i)` bounds every release time the run
+///   computes, with `J_i` the release pattern's jitter magnitude;
+/// - `Σ_i ⌈horizon / T_i⌉ · n_i` counts the node-jobs.
+fn admit_simulation(task_set: &TaskSet, request: &SimRequest) -> Result<(), WireError> {
+    let jitter = match &request.release {
+        Release::Synchronous => vec![0; task_set.len()],
+        Release::Sporadic { jitter } => jitter.resolve(&Topology::new(task_set)),
+    };
+    let horizon = u128::from(request.horizon);
+    let (mut work, mut node_jobs, mut last_release) = (0u128, 0u128, 0u128);
+    for (task, jitter) in task_set.tasks().iter().zip(jitter) {
+        let period = u128::from(task.period());
+        let jobs = horizon.div_ceil(period);
+        work += jobs * u128::from(task.dag().volume());
+        node_jobs += jobs * task.dag().node_count() as u128;
+        last_release = last_release.max(period + u128::from(jitter));
+    }
+    let (completion, release) = (horizon + work, horizon + last_release);
+    if completion > u128::from(Time::MAX) || release > u128::from(Time::MAX) {
+        return Err(WireError::protocol(format!(
+            "the run's times must fit in u64, but its completions may reach \
+             {completion} and its releases {release}"
+        )));
+    }
+    if node_jobs > MAX_SIM_NODE_JOBS {
+        return Err(WireError::protocol(format!(
+            "the run may release {node_jobs} node-jobs, more than the \
+             {MAX_SIM_NODE_JOBS} a frame may ask for (the work is capped server-side)"
+        )));
+    }
+    Ok(())
+}
+
 /// The [`SimRequest`] of a simulate frame (never with tracing: traces are
 /// bounded but large, and no client needs them over the wire).
 fn sim_request(
@@ -1475,10 +1538,12 @@ mod reference {
             sim.get("task_set")
                 .ok_or_else(|| WireError::protocol("\"simulate\" is missing \"task_set\""))?,
         )?;
+        let request = sim_request(cores, horizon, policy, release, seed);
+        admit_simulation(&task_set, &request)?;
         Ok(Frame::Simulate {
             id,
             task_set,
-            request: sim_request(cores, horizon, policy, release, seed),
+            request,
         })
     }
 }
@@ -1817,6 +1882,61 @@ mod tests {
         for text in &bad {
             let err = parse_frame(text).expect_err(text);
             assert_eq!(err.kind, "protocol", "{text}: {}", err.message);
+        }
+    }
+
+    #[test]
+    fn simulate_frames_are_admitted_within_u64_and_the_node_job_cap() {
+        let frame = |horizon: u64, release: &str, tasks: &[String]| {
+            format!(
+                r#"{{"simulate":{{"cores":1,"horizon":{horizon},"release":"{release}","task_set":{{"tasks":[{}]}}}}}}"#,
+                tasks.join(",")
+            )
+        };
+        let task = |period: u64, wcets: &str| {
+            format!(
+                r#"{{"period":{period},"deadline":{period},"dag":{{"wcets":[{wcets}],"edges":[]}}}}"#
+            )
+        };
+        let max = u64::MAX;
+        let huge = |wcet: u64| task(max - 10, &wcet.to_string());
+        // Each pair: the frame at a bound, then one unit past it.
+        let pairs = [
+            // The release after the first: 10 + T.
+            (
+                frame(10, "sync", &[task(max - 10, "1")]),
+                frame(10, "sync", &[task(max - 9, "1")]),
+            ),
+            // Under `sporadic` a release may come 2T after the last one.
+            (
+                frame(10, "sporadic", &[task((max - 10) / 2, "1")]),
+                frame(10, "sporadic", &[task((max - 10) / 2 + 1, "1")]),
+            ),
+            // Completions: 10 + the released work.
+            (
+                frame(10, "sync", &[task(10, "1"), huge(max - 11)]),
+                frame(10, "sync", &[task(10, "1"), huge(max - 10)]),
+            ),
+            // Node-jobs: ⌈horizon / T⌉ jobs of n nodes per task.
+            (
+                frame(1_000_000, "sync", &[task(1, "1")]),
+                frame(1_000_001, "sync", &[task(1, "1")]),
+            ),
+            (
+                frame(500_000, "sync", &[task(1, "1,1")]),
+                frame(500_000, "sync", &[task(1, "1,1"), task(500_000, "1")]),
+            ),
+        ];
+        for (inside, past) in &pairs {
+            assert!(
+                matches!(parse_frame(inside), Ok(Frame::Simulate { .. })),
+                "{inside}"
+            );
+            let err = parse_frame(past).expect_err(past);
+            assert_eq!(err.kind, "protocol", "{past}: {}", err.message);
+            // The decoder's reference admits the same frames.
+            assert!(reference::parse_frame(inside).is_ok(), "{inside}");
+            assert_eq!(reference::parse_frame(past).map(drop), Err(err), "{past}");
         }
     }
 

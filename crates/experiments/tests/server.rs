@@ -1041,3 +1041,73 @@ fn text_hits_are_answered_while_cold_analyses_are_shed() {
     let report = handle.shutdown();
     assert_eq!(report.panicked, 0, "{report:?}");
 }
+
+/// Two tasks whose simulation ends past `u64::MAX` on one fully
+/// preemptive core: the first task preempts the second's first node (2⁶³)
+/// for 900,000 of the horizon's 10⁷ units, so the chain would complete at
+/// 2⁶⁴ + 899,999.
+const PAST_U64_SIM_SET: &str = r#"{"tasks":[
+    {"period":100,"deadline":100,"dag":{"wcets":[3,4,2],"edges":[[0,1]]}},
+    {"period":18446744073709551615,"deadline":18446744073709551615,
+     "dag":{"wcets":[9223372036854775808,9223372036854775807],"edges":[[0,1]]}}
+]}"#;
+
+fn simulate_frame(horizon: u64, policy: &str, set: &str) -> String {
+    format!(
+        "{{\"v\":1,\"id\":5,\"simulate\":{{\"cores\":1,\"horizon\":{horizon},\
+         \"policy\":\"{policy}\",\"task_set\":{}}}}}",
+        set.replace('\n', " ")
+    )
+}
+
+#[test]
+fn simulate_frames_whose_times_pass_u64_are_refused() {
+    use rta_experiments::serve::sim_json;
+    use rta_model::json::task_set_from_json;
+    use rta_sim::{PreemptionPolicy, SimRequest};
+
+    let handle = test_server(4096);
+    let mut client = Client::connect(&handle);
+    let refused = client.send(&simulate_frame(10_000_000, "full", PAST_U64_SIM_SET));
+    assert!(refused.contains("\"ok\":false"), "{refused}");
+    assert!(refused.contains("\"kind\":\"protocol\""), "{refused}");
+    assert!(refused.contains("fit in u64"), "{refused}");
+    // One answer only: the next line answers the next frame.
+    let stats = client.send("{\"stats\":true}");
+    assert_eq!(stat_field(&stats, "\"sim_requests\":"), 0, "{stats}");
+    // Just inside both bounds: the release after the first (10 + T) and
+    // the only completion (its WCET) both come at u64::MAX exactly.
+    let edge = format!(
+        "{{\"tasks\":[{{\"period\":{t},\"deadline\":{t},\"dag\":{{\"wcets\":[{t}],\"edges\":[]}}}}]}}",
+        t = u64::MAX - 10
+    );
+    let answered = client.send(&simulate_frame(10, "full", &edge));
+    assert!(answered.contains("\"ok\":true"), "{answered}");
+    let outcome = SimRequest::new(1, 10)
+        .with_policy(PreemptionPolicy::FullyPreemptive)
+        .evaluate(&task_set_from_json(&edge).expect("test set parses"));
+    let expected = format!("\"sim\":{}", sim_json(&outcome));
+    assert!(answered.contains(&expected), "{answered} vs {expected}");
+    assert!(answered.contains(&format!("\"max_responses\":[{}]", u64::MAX - 10)));
+    let report = handle.shutdown();
+    assert_eq!(report.panicked, 0, "{report:?}");
+}
+
+#[test]
+fn simulate_frames_past_the_node_job_cap_are_refused_at_once() {
+    let handle = test_server(4096);
+    let mut client = Client::connect(&handle);
+    // 10⁷ single-node jobs, one per time unit: about 20 million events.
+    let every_tick = r#"{"tasks":[{"period":1,"deadline":1,"dag":{"wcets":[1],"edges":[]}}]}"#;
+    let start = Instant::now();
+    let refused = client.send(&simulate_frame(10_000_000, "eager", every_tick));
+    let elapsed = start.elapsed();
+    assert!(refused.contains("\"kind\":\"protocol\""), "{refused}");
+    assert!(refused.contains("10000000 node-jobs"), "{refused}");
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "refused after {elapsed:?}"
+    );
+    let report = handle.shutdown();
+    assert_eq!(report.panicked, 0, "{report:?}");
+}

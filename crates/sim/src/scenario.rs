@@ -36,7 +36,8 @@ pub enum Jitter {
     /// The same magnitude for every task.
     Uniform(Time),
     /// Each task's magnitude is `percent`% of its *own* period, with a
-    /// floor of 1 when `percent > 0` (so small periods still jitter).
+    /// floor of 1 when `percent > 0` (so small periods still jitter) and a
+    /// ceiling of `Time::MAX`.
     PeriodFraction {
         /// Percentage of each task's period, e.g. `10` for `T_i / 10`.
         percent: u32,
@@ -53,7 +54,11 @@ impl Jitter {
                     if *percent == 0 {
                         0
                     } else {
-                        (topo.task(i).period() * *percent as Time / 100).max(1)
+                        // In u128: `T_i · percent` passes u64 once T_i
+                        // passes u64::MAX / 100, even at 100%.
+                        let magnitude =
+                            u128::from(topo.task(i).period()) * u128::from(*percent) / 100;
+                        Time::try_from(magnitude).unwrap_or(Time::MAX).max(1)
                     }
                 })
                 .collect(),
@@ -110,9 +115,11 @@ impl ScenarioState {
         Self::draw(self.magnitudes[task], rng)
     }
 
-    /// Release following the one of `task` that fired at `now`.
+    /// Release following the one of `task` that fired at `now`; a release
+    /// past `Time::MAX` reads as `Time::MAX`, past every horizon.
     pub fn next_release(&self, task: usize, now: Time, rng: &mut SmallRng) -> Time {
-        now + self.periods[task] + Self::draw(self.magnitudes[task], rng)
+        now.saturating_add(self.periods[task])
+            .saturating_add(Self::draw(self.magnitudes[task], rng))
     }
 }
 
@@ -141,6 +148,20 @@ mod tests {
         assert_eq!(j.resolve(&topo), vec![10, 1, 4]); // 7/10 floors to 1
         let z = Jitter::PeriodFraction { percent: 0 };
         assert_eq!(z.resolve(&topo), vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn period_fractions_of_huge_periods_do_not_wrap() {
+        let topo = topo(&[Time::MAX, Time::MAX / 99]);
+        let full = Jitter::PeriodFraction { percent: 100 };
+        assert_eq!(full.resolve(&topo), vec![Time::MAX, Time::MAX / 99]);
+        let tenth = Jitter::PeriodFraction { percent: 10 };
+        assert_eq!(tenth.resolve(&topo), vec![Time::MAX / 10, Time::MAX / 990]);
+        let triple = Jitter::PeriodFraction { percent: 300 };
+        assert_eq!(triple.resolve(&topo), vec![Time::MAX, Time::MAX / 99 * 3]);
+        let s = ScenarioState::new(&Release::Synchronous, &topo);
+        let mut rng = SmallRng::seed_from_u64(7);
+        assert_eq!(s.next_release(0, 5, &mut rng), Time::MAX);
     }
 
     #[test]
