@@ -147,6 +147,15 @@ fn texts_off_the_flat_pass_read_as_value_reads_them() {
         "[\"\u{1}\"]",
         "[truex]",
         "  null  x",
+        // Mismatched or missing closers and keys.
+        "{\"a\":1]",
+        "[1}",
+        "{\"a\":[1}}",
+        "[{\"a\":1]]",
+        "{\"a\":1,\"b\"}",
+        "{1:2}",
+        "[\"a\":1]",
+        "[1,]",
     ]
     .map(String::from)
     .into();
