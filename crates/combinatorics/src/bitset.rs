@@ -244,13 +244,15 @@ impl BitSet {
     }
 }
 
-// Equality and hashing mean what deriving them would: the inline word and
-// the heap words, element for element. They are written out because the
-// derived equality compares the heap words with `memcmp`, and on an empty
-// vector that call passes its dangling pointer; on an AVX-512 Xeon with
-// glibc 2.36 such a zero-length `memcmp` (or `memset`) took about 180 ns
-// against 3 ns for a one-word one, which made comparing two small sets 20
-// times slower. The element loops below make no such call.
+// Equality means what deriving it would: the inline word and the heap
+// words, element for element. It is written out because the derived
+// equality compares the heap words with `memcmp`, and on an empty vector
+// that call passes its dangling pointer; on an AVX-512 Xeon with glibc
+// 2.36 such a zero-length `memcmp` (or `memset`) took about 180 ns against
+// 3 ns for a one-word one, which made comparing two small sets 20 times
+// slower. The element loop below makes no such call. `Hash` is the derived
+// one, written out only because a derived `Hash` beside a manual
+// `PartialEq` is refused by clippy (`derived_hash_with_manual_eq`).
 impl PartialEq for BitSet {
     fn eq(&self, other: &Self) -> bool {
         self.first == other.first && self.rest.iter().eq(&other.rest)
