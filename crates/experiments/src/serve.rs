@@ -126,17 +126,20 @@
 //! the frame contract so a client can always tell a complete observation
 //! from a truncated one if tracing ever crosses the wire.
 //!
-//! A simulate frame is admitted only if its run stays exact and bounded.
-//! With `⌈horizon / T_i⌉` the most jobs task `i` can release, `vol_i` its
+//! A simulate frame is admitted only if its run stays exact and bounded,
+//! as [`SimRequest::extent`] bounds it before it starts. With
+//! `⌈horizon / T_i⌉` the most jobs task `i` can release, `vol_i` its
 //! volume, `n_i` its node count and `J_i` its release jitter, computed in
 //! `u128`:
-//! * `horizon + Σ_i ⌈horizon / T_i⌉ · vol_i` (the last completion) and
-//!   `horizon + max_i (T_i + J_i)` (the last release time computed) must
-//!   fit in `u64`, the simulator's clock;
+//! * `horizon + max(Σ_i ⌈horizon / T_i⌉ · vol_i, max_i (T_i + J_i))`, the
+//!   last time the run computes, must fit in `u64`, the simulator's clock
+//!   (`evaluate` itself refuses a run past it);
 //! * `Σ_i ⌈horizon / T_i⌉ · n_i`, the node-jobs the run may release, must
-//!   not pass 10⁶: the horizon bounds simulated time, this bounds work.
+//!   not pass 10⁶: the horizon bounds simulated time, this bounds work;
+//! * the node-jobs times `cores` must not pass 5·10⁷, since an event may
+//!   walk every core.
 //!
-//! A frame past either bound gets a `protocol` error before anything runs.
+//! A frame past any bound gets a `protocol` error before anything runs.
 //!
 //! Simulate frames obey the same robustness rules as analyze frames:
 //! past the shed watermark they are refused with `overloaded` (there is
@@ -194,8 +197,7 @@ use rand::{Rng, SeedableRng};
 use rta_analysis::{AnalysisLru, AnalysisRequest, CacheOutcome, Method};
 use rta_model::json::{self, Decoded, JsonError, Value};
 use rta_model::{TaskSet, Time};
-use rta_sim::topology::Topology;
-use rta_sim::{PreemptionPolicy, Release, SimOutcome, SimRequest};
+use rta_sim::{PreemptionPolicy, SimOutcome, SimRequest};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -215,11 +217,18 @@ pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 /// connection thread indefinitely.
 pub const MAX_SIM_HORIZON: Time = 10_000_000;
 
-/// Server-side cap on the node-jobs one simulate frame may release, the
-/// work the horizon alone does not bound (one task of period 1 releases a
-/// job per time unit). A run takes about two events per node-job, 40–125 ns
-/// each, so the cap holds a frame to about 80–250 ms of one thread.
+/// Server-side cap on the node-jobs one simulate frame may release
+/// ([`node_jobs`](rta_sim::RunExtent::node_jobs)), the work the horizon alone does not bound:
+/// one task of period 1 releases a job per time unit.
 const MAX_SIM_NODE_JOBS: u128 = 1_000_000;
+
+/// Server-side cap on a simulate frame's node-jobs times cores
+/// ([`core_steps`](rta_sim::RunExtent::core_steps)), the work bound on
+/// many cores. Together the two caps held every frame measured at them,
+/// from 1 to 1,024 cores under each policy, to under 0.2 s of one thread
+/// of a release build on a 2-vCPU Xeon; with the node-job cap alone, a
+/// 1,024-core fully-preemptive frame ran for 2.1 s.
+const MAX_SIM_CORE_STEPS: u128 = 50_000_000;
 
 /// Default number of task sets the admission cache retains.
 pub const DEFAULT_LRU_CAPACITY: usize = 128;
@@ -1425,43 +1434,29 @@ fn parse_seed(seed: Option<&Value>) -> Result<u64, WireError> {
     })
 }
 
-/// Admits a simulate frame's run only if every time it can produce fits
-/// in `u64` and it releases at most [`MAX_SIM_NODE_JOBS`] node-jobs.
-///
-/// Task `i` releases at most `⌈horizon / T_i⌉` jobs, since releases come
-/// before the horizon and never closer than a period apart. Computed in
-/// `u128`:
-/// - `horizon + Σ_i ⌈horizon / T_i⌉ · vol_i` bounds every completion: every
-///   policy is work-conserving, so the last completion comes at most the
-///   released work after the last release;
-/// - `horizon + max_i (T_i + J_i)` bounds every release time the run
-///   computes, with `J_i` the release pattern's jitter magnitude;
-/// - `Σ_i ⌈horizon / T_i⌉ · n_i` counts the node-jobs.
+/// Admits a simulate frame's run only if its times fit the simulator's
+/// `u64` clock and its work stays within [`MAX_SIM_NODE_JOBS`] and
+/// [`MAX_SIM_CORE_STEPS`], all bounded by [`SimRequest::extent`].
 fn admit_simulation(task_set: &TaskSet, request: &SimRequest) -> Result<(), WireError> {
-    let jitter = match &request.release {
-        Release::Synchronous => vec![0; task_set.len()],
-        Release::Sporadic { jitter } => jitter.resolve(&Topology::new(task_set)),
-    };
-    let horizon = u128::from(request.horizon);
-    let (mut work, mut node_jobs, mut last_release) = (0u128, 0u128, 0u128);
-    for (task, jitter) in task_set.tasks().iter().zip(jitter) {
-        let period = u128::from(task.period());
-        let jobs = horizon.div_ceil(period);
-        work += jobs * u128::from(task.dag().volume());
-        node_jobs += jobs * task.dag().node_count() as u128;
-        last_release = last_release.max(period + u128::from(jitter));
-    }
-    let (completion, release) = (horizon + work, horizon + last_release);
-    if completion > u128::from(Time::MAX) || release > u128::from(Time::MAX) {
+    let extent = request.extent(task_set);
+    if !extent.fits_clock() {
         return Err(WireError::protocol(format!(
-            "the run's times must fit in u64, but its completions may reach \
-             {completion} and its releases {release}"
+            "the run's times must fit in u64, but they may reach {}",
+            extent.last_time
         )));
     }
-    if node_jobs > MAX_SIM_NODE_JOBS {
+    if extent.node_jobs > MAX_SIM_NODE_JOBS {
         return Err(WireError::protocol(format!(
-            "the run may release {node_jobs} node-jobs, more than the \
-             {MAX_SIM_NODE_JOBS} a frame may ask for (the work is capped server-side)"
+            "the run may release {} node-jobs, more than the {MAX_SIM_NODE_JOBS} \
+             a frame may ask for (the work is capped server-side)",
+            extent.node_jobs
+        )));
+    }
+    if extent.core_steps > MAX_SIM_CORE_STEPS {
+        return Err(WireError::protocol(format!(
+            "the run's {} node-jobs on {} cores pass the {MAX_SIM_CORE_STEPS} \
+             node-job-cores a frame may ask for (the work is capped server-side)",
+            extent.node_jobs, request.cores
         )));
     }
     Ok(())
@@ -1886,13 +1881,15 @@ mod tests {
     }
 
     #[test]
-    fn simulate_frames_are_admitted_within_u64_and_the_node_job_cap() {
-        let frame = |horizon: u64, release: &str, tasks: &[String]| {
+    fn simulate_frames_are_admitted_within_u64_and_the_work_caps() {
+        let on_cores = |cores: usize, horizon: u64, release: &str, tasks: &[String]| {
             format!(
-                r#"{{"simulate":{{"cores":1,"horizon":{horizon},"release":"{release}","task_set":{{"tasks":[{}]}}}}}}"#,
+                r#"{{"simulate":{{"cores":{cores},"horizon":{horizon},"release":"{release}","task_set":{{"tasks":[{}]}}}}}}"#,
                 tasks.join(",")
             )
         };
+        let frame =
+            |horizon: u64, release: &str, tasks: &[String]| on_cores(1, horizon, release, tasks);
         let task = |period: u64, wcets: &str| {
             format!(
                 r#"{{"period":{period},"deadline":{period},"dag":{{"wcets":[{wcets}],"edges":[]}}}}"#
@@ -1925,6 +1922,15 @@ mod tests {
             (
                 frame(500_000, "sync", &[task(1, "1,1")]),
                 frame(500_000, "sync", &[task(1, "1,1"), task(500_000, "1")]),
+            ),
+            // Node-jobs times cores.
+            (
+                on_cores(50, 1_000_000, "sync", &[task(1, "1")]),
+                on_cores(51, 1_000_000, "sync", &[task(1, "1")]),
+            ),
+            (
+                on_cores(1024, 48_828, "sync", &[task(1, "1")]),
+                on_cores(1024, 48_829, "sync", &[task(1, "1")]),
             ),
         ];
         for (inside, past) in &pairs {

@@ -1095,7 +1095,7 @@ fn simulate_frames_whose_times_pass_u64_are_refused() {
 
 #[test]
 fn simulate_frames_past_the_node_job_cap_are_refused_at_once() {
-    let handle = test_server(4096);
+    let handle = test_server(1 << 14);
     let mut client = Client::connect(&handle);
     // 10⁷ single-node jobs, one per time unit: about 20 million events.
     let every_tick = r#"{"tasks":[{"period":1,"deadline":1,"dag":{"wcets":[1],"edges":[]}}]}"#;
@@ -1104,6 +1104,30 @@ fn simulate_frames_past_the_node_job_cap_are_refused_at_once() {
     let elapsed = start.elapsed();
     assert!(refused.contains("\"kind\":\"protocol\""), "{refused}");
     assert!(refused.contains("10000000 node-jobs"), "{refused}");
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "refused after {elapsed:?}"
+    );
+    // 488 jobs of 2,048 parallel nodes with distinct WCETs on 1,024 cores:
+    // within the node-job cap, but every completion walks the cores (2.1 s
+    // of a release build before the cap on node-jobs times cores).
+    let wcets: Vec<String> = (1..=2048).map(|w| w.to_string()).collect();
+    let wide = format!(
+        r#"{{"tasks":[{{"period":3000,"deadline":3000,"dag":{{"wcets":[{}],"edges":[]}}}}]}}"#,
+        wcets.join(",")
+    );
+    let frame = format!(
+        "{{\"v\":1,\"id\":6,\"simulate\":{{\"cores\":1024,\"horizon\":1464000,\
+         \"policy\":\"full\",\"task_set\":{wide}}}}}"
+    );
+    let start = Instant::now();
+    let refused = client.send(&frame);
+    let elapsed = start.elapsed();
+    assert!(refused.contains("\"kind\":\"protocol\""), "{refused}");
+    assert!(
+        refused.contains("999424 node-jobs on 1024 cores"),
+        "{refused}"
+    );
     assert!(
         elapsed < Duration::from_secs(5),
         "refused after {elapsed:?}"

@@ -96,8 +96,14 @@ struct Engine<'a> {
 /// the engine behind [`SimRequest::evaluate`]; use that instead of calling
 /// into this module.
 pub(crate) fn run(task_set: &TaskSet, request: &SimRequest) -> SimOutcome {
+    let scenario = ScenarioState::new(&request.release, task_set);
+    let extent = scenario.extent(task_set, request);
+    assert!(
+        extent.fits_clock(),
+        "the run's times may reach {}, past the simulator's u64 clock",
+        extent.last_time
+    );
     let topo = Topology::new(task_set);
-    let scenario = ScenarioState::new(&request.release, &topo);
     let mut engine = Engine {
         topo: &topo,
         policy: request.policy,

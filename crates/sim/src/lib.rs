@@ -96,7 +96,7 @@ pub mod topology;
 pub mod trace;
 
 pub use config::{ExecutionModel, PreemptionPolicy};
-pub use request::{SimOutcome, SimRequest};
+pub use request::{RunExtent, SimOutcome, SimRequest};
 pub use scenario::{Jitter, Release};
 pub use stats::{SimResult, TaskStats};
 pub use trace::{ChartOptions, Trace, TraceEvent, TraceEventKind};

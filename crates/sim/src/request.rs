@@ -7,7 +7,7 @@
 //! — resolved by [`SimRequest::evaluate`] into a [`SimOutcome`].
 
 use crate::config::{ExecutionModel, PreemptionPolicy};
-use crate::scenario::Release;
+use crate::scenario::{Release, ScenarioState};
 use crate::stats::{SimResult, TaskStats};
 use crate::trace::Trace;
 use rta_model::{TaskSet, Time};
@@ -111,9 +111,61 @@ impl SimRequest {
     ///
     /// # Panics
     ///
-    /// Panics on an execution fraction outside `(0, 1]`.
+    /// Panics on an execution fraction outside `(0, 1]`, and on a run
+    /// whose times may pass `u64` (see [`extent`](Self::extent)), which
+    /// would otherwise wrap and answer wrongly.
     pub fn evaluate(&self, task_set: &TaskSet) -> SimOutcome {
         crate::engine::run(task_set, self)
+    }
+
+    /// Bounds a run of this request over `task_set` before it starts, so a
+    /// caller can refuse one that is too large. [`evaluate`](Self::evaluate)
+    /// refuses one that does not [fit the clock](RunExtent::fits_clock).
+    ///
+    /// ```
+    /// use rta_sim::SimRequest;
+    /// use rta_model::examples::figure1_task_set;
+    ///
+    /// let extent = SimRequest::new(4, 10_000).extent(&figure1_task_set());
+    /// assert!(extent.fits_clock());
+    /// assert_eq!(extent.core_steps, 4 * extent.node_jobs);
+    /// ```
+    pub fn extent(&self, task_set: &TaskSet) -> RunExtent {
+        ScenarioState::new(&self.release, task_set).extent(task_set, self)
+    }
+}
+
+/// Bounds on one run of a [`SimRequest`] over one task set, known before
+/// it starts ([`SimRequest::extent`]). Task `i` releases at most
+/// `⌈horizon / T_i⌉` jobs, since its releases come before the horizon and
+/// at least a period apart. All counts are in `u128`, so none wraps.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunExtent {
+    /// No time the run computes passes this one:
+    /// `horizon + max(Σ_i ⌈horizon / T_i⌉ · vol_i, max_i (T_i + J_i))`,
+    /// with `vol_i` the volume and `J_i` the release jitter magnitude of
+    /// task `i`. Every policy is work-conserving, so the last completion
+    /// comes at most the released work after the horizon; a release is
+    /// computed from one before the horizon, at most `T_i + J_i` later;
+    /// and a deadline is at most `D_i ≤ T_i` after its release.
+    pub last_time: u128,
+    /// Node-jobs the run may release, `Σ_i ⌈horizon / T_i⌉ · n_i` with
+    /// `n_i` the node count of task `i`. Each brings a bounded number of
+    /// events (its completion, and one more when it preempts), so this
+    /// bounds the run's events.
+    pub node_jobs: u128,
+    /// [`node_jobs`](Self::node_jobs) times the core count. An event may
+    /// walk every core (to fill free ones or to find a preemption victim),
+    /// so on many cores this, not the node-job count, bounds the run's
+    /// work.
+    pub core_steps: u128,
+}
+
+impl RunExtent {
+    /// `true` when every time the run computes fits the simulator's `u64`
+    /// clock, so its answer is exact.
+    pub fn fits_clock(&self) -> bool {
+        self.last_time <= u128::from(Time::MAX)
     }
 }
 
@@ -286,6 +338,50 @@ mod tests {
         assert!(out.peak_live_jobs() >= 1);
         let result = out.clone().into_result();
         assert_eq!(&result, out.result());
+    }
+
+    #[test]
+    fn extents_bound_times_and_work() {
+        // Before time 20: two jobs of task 0 (T = 10), one of task 1 (T = 30).
+        let ts = TaskSet::new(vec![single(2, 10), single(3, 30)]);
+        let extent = SimRequest::new(4, 20).extent(&ts);
+        // The work (2·2 + 3 = 7) is below the largest period.
+        let expected = RunExtent {
+            last_time: 20 + 30,
+            node_jobs: 3,
+            core_steps: 12,
+        };
+        assert_eq!(extent, expected);
+        let jittered = SimRequest::new(4, 20).with_release(Release::Sporadic {
+            jitter: Jitter::Uniform(5),
+        });
+        assert_eq!(jittered.extent(&ts).last_time, 20 + 30 + 5);
+        // Two jobs of 9 units outlast the period.
+        let long = TaskSet::new(vec![single(9, 10)]);
+        assert_eq!(SimRequest::new(1, 20).extent(&long).last_time, 20 + 18);
+    }
+
+    #[test]
+    fn a_run_at_the_clock_edge_is_exact() {
+        let edge = Time::MAX - 10;
+        let out = SimRequest::new(1, 10).evaluate(&TaskSet::new(vec![single(edge, edge)]));
+        assert_eq!(out.max_response(0), edge);
+        assert_eq!(out.makespan(), edge);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the simulator's u64 clock")]
+    fn runs_whose_times_pass_u64_are_refused() {
+        // Task 1's one job holds 2⁶⁴ − 1 units of work, released at 0 after
+        // task 0's: its completion would wrap.
+        let mut b = DagBuilder::new();
+        let v = b.add_nodes([1 << 63, (1 << 63) - 1]);
+        b.add_edge(v[0], v[1]).unwrap();
+        let huge = DagTask::with_implicit_deadline(b.build().unwrap(), Time::MAX).unwrap();
+        let ts = TaskSet::new(vec![single(3, 100), huge]);
+        let request = SimRequest::new(1, 10_000_000).with_policy(PreemptionPolicy::FullyPreemptive);
+        assert!(!request.extent(&ts).fits_clock());
+        let _ = request.evaluate(&ts);
     }
 
     #[test]

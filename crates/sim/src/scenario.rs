@@ -25,10 +25,11 @@
 //! nothing, so synchronous releases and `Jitter::Uniform(0)` leave the RNG
 //! stream untouched — the order the frozen step loop draws in.
 
+use crate::request::{RunExtent, SimRequest};
 use crate::topology::Topology;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use rta_model::Time;
+use rta_model::{DagTask, TaskSet, Time};
 
 /// Per-task release-jitter magnitudes.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -47,21 +48,22 @@ pub enum Jitter {
 impl Jitter {
     /// Resolves to one magnitude per task.
     pub fn resolve(&self, topo: &Topology) -> Vec<Time> {
-        match self {
-            Jitter::Uniform(j) => vec![*j; topo.len()],
-            Jitter::PeriodFraction { percent } => (0..topo.len())
-                .map(|i| {
-                    if *percent == 0 {
-                        0
-                    } else {
-                        // In u128: `T_i · percent` passes u64 once T_i
-                        // passes u64::MAX / 100, even at 100%.
-                        let magnitude =
-                            u128::from(topo.task(i).period()) * u128::from(*percent) / 100;
-                        Time::try_from(magnitude).unwrap_or(Time::MAX).max(1)
-                    }
-                })
-                .collect(),
+        (0..topo.len())
+            .map(|i| self.magnitude(topo.task(i).period()))
+            .collect()
+    }
+
+    /// The magnitude of a task whose period is `period`.
+    fn magnitude(&self, period: Time) -> Time {
+        match *self {
+            Jitter::Uniform(j) => j,
+            Jitter::PeriodFraction { percent: 0 } => 0,
+            Jitter::PeriodFraction { percent } => {
+                // In u128: `T_i · percent` passes u64 once T_i passes
+                // u64::MAX / 100, even at 100%.
+                let magnitude = u128::from(period) * u128::from(percent) / 100;
+                Time::try_from(magnitude).unwrap_or(Time::MAX).max(1)
+            }
         }
     }
 }
@@ -89,14 +91,39 @@ pub(crate) struct ScenarioState {
 
 impl ScenarioState {
     /// Resolves `release` against the task set.
-    pub fn new(release: &Release, topo: &Topology) -> Self {
+    pub fn new(release: &Release, task_set: &TaskSet) -> Self {
+        let periods: Vec<Time> = task_set.tasks().iter().map(DagTask::period).collect();
         let magnitudes = match release {
-            Release::Synchronous => vec![0; topo.len()],
-            Release::Sporadic { jitter } => jitter.resolve(topo),
+            Release::Synchronous => vec![0; periods.len()],
+            Release::Sporadic { jitter } => periods.iter().map(|&t| jitter.magnitude(t)).collect(),
         };
         Self {
             magnitudes,
-            periods: (0..topo.len()).map(|i| topo.task(i).period()).collect(),
+            periods,
+        }
+    }
+
+    /// Bounds a run of `request` over `task_set`, whose scenario this is;
+    /// see [`RunExtent`] for why each bound holds.
+    pub fn extent(&self, task_set: &TaskSet, request: &SimRequest) -> RunExtent {
+        let horizon = u128::from(request.horizon);
+        let (mut work, mut node_jobs, mut release_gap) = (0u128, 0u128, 0u128);
+        for ((task, &period), &jitter) in task_set
+            .tasks()
+            .iter()
+            .zip(&self.periods)
+            .zip(&self.magnitudes)
+        {
+            let period = u128::from(period);
+            let jobs = horizon.div_ceil(period);
+            work += jobs * u128::from(task.dag().volume());
+            node_jobs += jobs * task.dag().node_count() as u128;
+            release_gap = release_gap.max(period + u128::from(jitter));
+        }
+        RunExtent {
+            last_time: horizon + work.max(release_gap),
+            node_jobs,
+            core_steps: node_jobs * request.cores as u128,
         }
     }
 
@@ -115,11 +142,9 @@ impl ScenarioState {
         Self::draw(self.magnitudes[task], rng)
     }
 
-    /// Release following the one of `task` that fired at `now`; a release
-    /// past `Time::MAX` reads as `Time::MAX`, past every horizon.
+    /// Release following the one of `task` that fired at `now`.
     pub fn next_release(&self, task: usize, now: Time, rng: &mut SmallRng) -> Time {
-        now.saturating_add(self.periods[task])
-            .saturating_add(Self::draw(self.magnitudes[task], rng))
+        now + self.periods[task] + Self::draw(self.magnitudes[task], rng)
     }
 }
 
@@ -127,9 +152,9 @@ impl ScenarioState {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use rta_model::{DagBuilder, DagTask, TaskSet};
+    use rta_model::DagBuilder;
 
-    fn topo(periods: &[Time]) -> Topology {
+    fn set(periods: &[Time]) -> TaskSet {
         let tasks = periods
             .iter()
             .map(|&t| {
@@ -138,7 +163,11 @@ mod tests {
                 DagTask::with_implicit_deadline(b.build().unwrap(), t).unwrap()
             })
             .collect();
-        Topology::new(&TaskSet::new(tasks))
+        TaskSet::new(tasks)
+    }
+
+    fn topo(periods: &[Time]) -> Topology {
+        Topology::new(&set(periods))
     }
 
     #[test]
@@ -159,19 +188,16 @@ mod tests {
         assert_eq!(tenth.resolve(&topo), vec![Time::MAX / 10, Time::MAX / 990]);
         let triple = Jitter::PeriodFraction { percent: 300 };
         assert_eq!(triple.resolve(&topo), vec![Time::MAX, Time::MAX / 99 * 3]);
-        let s = ScenarioState::new(&Release::Synchronous, &topo);
-        let mut rng = SmallRng::seed_from_u64(7);
-        assert_eq!(s.next_release(0, 5, &mut rng), Time::MAX);
     }
 
     #[test]
     fn zero_magnitudes_never_touch_the_rng() {
-        let topo = topo(&[10]);
+        let set = set(&[10]);
         let sporadic = Release::Sporadic {
             jitter: Jitter::Uniform(0),
         };
         for release in [Release::Synchronous, sporadic] {
-            let s = ScenarioState::new(&release, &topo);
+            let s = ScenarioState::new(&release, &set);
             let mut a = SmallRng::seed_from_u64(7);
             let mut b = SmallRng::seed_from_u64(7);
             assert_eq!(s.first_release(0, &mut a), 0);
