@@ -113,15 +113,25 @@ impl BitSet {
     }
 
     /// Inserts `index`, returning `true` if it was not already present.
+    #[inline]
     pub fn insert(&mut self, index: usize) -> bool {
-        let w = index / WORD_BITS;
-        if w > self.rest.len() {
-            self.rest.resize(w, 0);
-        }
-        let word = self.word_mut(index).expect("the set holds the word");
+        let word = match index / WORD_BITS {
+            0 => &mut self.first,
+            w => self.heap_word(w),
+        };
         let had = *word & mask(index) != 0;
         *word |= mask(index);
         !had
+    }
+
+    /// Heap word `w` (at least 1), growing the heap vector to hold it.
+    /// Kept out of [`insert`](Self::insert), so the inline word's path
+    /// stays small enough to inline.
+    fn heap_word(&mut self, w: usize) -> &mut u64 {
+        if w > self.rest.len() {
+            self.rest.resize(w, 0);
+        }
+        &mut self.rest[w - 1]
     }
 
     /// Removes `index`, returning `true` if it was present.
@@ -232,8 +242,8 @@ impl BitSet {
     /// Iterates over the elements in increasing order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
-            set: self,
-            word: 0,
+            rest: self.rest.iter(),
+            base: 0,
             bits: self.first,
         }
     }
@@ -302,24 +312,26 @@ impl<'a> IntoIterator for &'a BitSet {
 /// Iterator over the elements of a [`BitSet`] in increasing order.
 #[derive(Clone, Debug)]
 pub struct Iter<'a> {
-    set: &'a BitSet,
-    word: usize,
+    /// The heap words not yet reached.
+    rest: std::slice::Iter<'a, u64>,
+    /// The first element `bits` stands for.
+    base: usize,
+    /// The elements of the current word not yet returned.
     bits: u64,
 }
 
 impl Iterator for Iter<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.bits != 0 {
-                let tz = self.bits.trailing_zeros() as usize;
-                self.bits &= self.bits - 1;
-                return Some(self.word * WORD_BITS + tz);
-            }
-            self.word += 1;
-            self.bits = *self.set.rest.get(self.word - 1)?;
+        while self.bits == 0 {
+            self.bits = *self.rest.next()?;
+            self.base += WORD_BITS;
         }
+        let tz = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.base + tz)
     }
 }
 
