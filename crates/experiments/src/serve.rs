@@ -218,8 +218,9 @@ pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 pub const MAX_SIM_HORIZON: Time = 10_000_000;
 
 /// Server-side cap on the node-jobs one simulate frame may release
-/// ([`node_jobs`](rta_sim::RunExtent::node_jobs)), the work the horizon alone does not bound:
-/// one task of period 1 releases a job per time unit.
+/// ([`node_jobs`](rta_sim::RunExtent::node_jobs)), the work the horizon
+/// alone does not bound: one task of period 1 releases a job per time
+/// unit.
 const MAX_SIM_NODE_JOBS: u128 = 1_000_000;
 
 /// Server-side cap on a simulate frame's node-jobs times cores
