@@ -1,21 +1,20 @@
-//! Cached vs uncached analysis, and batched vs per-method sweep points.
+//! The analysis at two sweep points, through the code paths we ship.
 //!
 //! The perf-tracking bench behind the `TaskSetCache` layer. It measures two
-//! 4-core LP-ILP sweep points of the Figure 2 family —
+//! 4-core sweep points of the Figure 2 family —
 //!
 //! * the **utilization point**: `U = 3.5` of the Figure 2(a) panel
 //!   (group-1 sets, ~5 tasks each), and
 //! * the **task-count point**: `TASK_COUNT`-task sets at `U = m/2` (the
-//!   `repro fig2c-tasks` variant of Figure 2(c)), where the `O(n²)` per-task µ
-//!   recomputation the cache eliminates dominates —
+//!   `repro fig2c-tasks` variant of Figure 2(c)), where the shared
+//!   per-task µ tables carry the most weight —
 //!
-//! each in four shapes: a single LP-ILP analysis uncached
-//! (`analyze_uncached`, the pre-cache code path) vs cached (`analyze`), and
-//! the full 3-method sweep point per-method-uncached vs batched (one
-//! bound-carrying `AnalysisRequest` sharing one cache across the methods).
-//! A fifth pair runs the utilization point through the campaign driver
-//! serially and in parallel, so the JSON tracks both axes of the "as fast
-//! as the hardware allows" goal.
+//! each in three shapes: one LP-ILP analysis (`analyze`), the full 3-method
+//! sweep point as one bound-carrying `AnalysisRequest` sharing one cache
+//! across the methods, and FP-ideal alone. Before timing, every shape is
+//! checked against `analyze_uncached`, the test reference that recomputes
+//! every input from the model. A last pair runs the utilization point
+//! through the campaign driver serially and in parallel.
 //!
 //! Besides the human-readable report, the bench writes **`BENCH_2.json`**
 //! (override the path with the `BENCH_JSON` environment variable) with the
@@ -79,25 +78,13 @@ fn sweep_request() -> AnalysisRequest {
 
 /// The per-point measurements, in nanoseconds per sweep point.
 struct PointResult {
-    uncached_lp_ilp_ns: f64,
     cached_lp_ilp_ns: f64,
-    per_method_ns: f64,
     batched_ns: f64,
     /// FP-ideal has no blocking work at all, so this is the fixed-point
     /// iteration (with its hoisted per-task invariants) nearly alone — the
     /// floor the blocking-side caching is chasing, and the micro-bench
     /// guarding the `fixed_point` hoists against regressions.
     fp_ideal_ns: f64,
-}
-
-impl PointResult {
-    fn lp_ilp_speedup(&self) -> f64 {
-        self.uncached_lp_ilp_ns / self.cached_lp_ilp_ns
-    }
-
-    fn batched_speedup(&self) -> f64 {
-        self.per_method_ns / self.batched_ns
-    }
 }
 
 fn measure_point(label: &str, sets: &[TaskSet], request: &AnalysisRequest) -> PointResult {
@@ -125,20 +112,9 @@ fn measure_point(label: &str, sets: &[TaskSet], request: &AnalysisRequest) -> Po
     }
 
     let result = PointResult {
-        uncached_lp_ilp_ns: median_ns(SAMPLES, || {
-            sets.iter()
-                .for_each(|ts| drop(black_box(analyze_uncached(ts, lp_ilp))))
-        }),
         cached_lp_ilp_ns: median_ns(SAMPLES, || {
             sets.iter()
                 .for_each(|ts| drop(black_box(analyze(ts, lp_ilp))))
-        }),
-        per_method_ns: median_ns(SAMPLES, || {
-            sets.iter().for_each(|ts| {
-                configs
-                    .iter()
-                    .for_each(|c| drop(black_box(analyze_uncached(ts, c))))
-            })
         }),
         batched_ns: median_ns(SAMPLES, || {
             sets.iter()
@@ -153,25 +129,13 @@ fn measure_point(label: &str, sets: &[TaskSet], request: &AnalysisRequest) -> Po
     println!("-- {label} --");
     println!(
         "{:<46} {:>12}",
-        "LP-ILP analyze, uncached (per point)",
-        scale(result.uncached_lp_ilp_ns)
-    );
-    println!(
-        "{:<46} {:>12}   ({:.2}x)",
         "LP-ILP analyze, cached (per point)",
-        scale(result.cached_lp_ilp_ns),
-        result.lp_ilp_speedup()
+        scale(result.cached_lp_ilp_ns)
     );
     println!(
         "{:<46} {:>12}",
-        "3-method point, per-method uncached",
-        scale(result.per_method_ns)
-    );
-    println!(
-        "{:<46} {:>12}   ({:.2}x)",
         "3-method point, batched request",
-        scale(result.batched_ns),
-        result.batched_speedup()
+        scale(result.batched_ns)
     );
     println!(
         "{:<46} {:>12}",
@@ -183,17 +147,9 @@ fn measure_point(label: &str, sets: &[TaskSet], request: &AnalysisRequest) -> Po
 
 fn json_point(key: &str, point: &PointResult) -> String {
     format!(
-        "  \"{key}\": {{\n    \"uncached_lp_ilp_ns\": {:.0},\n    \
-         \"cached_lp_ilp_ns\": {:.0},\n    \"lp_ilp_speedup\": {:.3},\n    \
-         \"per_method_sweep_point_ns\": {:.0},\n    \"batched_sweep_point_ns\": {:.0},\n    \
-         \"batched_speedup\": {:.3},\n    \"fp_ideal_sweep_point_ns\": {:.0}\n  }},\n",
-        point.uncached_lp_ilp_ns,
-        point.cached_lp_ilp_ns,
-        point.lp_ilp_speedup(),
-        point.per_method_ns,
-        point.batched_ns,
-        point.batched_speedup(),
-        point.fp_ideal_ns
+        "  \"{key}\": {{\n    \"cached_lp_ilp_ns\": {:.0},\n    \
+         \"batched_sweep_point_ns\": {:.0},\n    \"fp_ideal_sweep_point_ns\": {:.0}\n  }},\n",
+        point.cached_lp_ilp_ns, point.batched_ns, point.fp_ideal_ns
     )
 }
 

@@ -4,9 +4,9 @@
 //!
 //! Four axes are measured, each as the median of [`SAMPLES`] runs:
 //!
-//! * **generation**: the old two-phase path (fresh generator per set) vs
-//!   the streaming path (one scratch-reusing `TaskSetGenerator`, as each
-//!   campaign worker holds) — both produce bit-identical sets;
+//! * **generation**: the streaming path (one scratch-reusing
+//!   `TaskSetGenerator`, as each campaign worker holds), checked first
+//!   against a fresh generator per set, which must give the same sets;
 //! * **analysis**: a bound-carrying `AnalysisRequest` (every method's own
 //!   fixed point and full report over one shared cache) vs the
 //!   dominance-short-circuited verdict-only request the campaign cells
@@ -40,13 +40,6 @@ const SAMPLES: usize = 5;
 /// Core count of the measured panel (the Figure 2(a) platform).
 const CORES: usize = 4;
 
-/// The PR-2 serial in-process time of this exact grid on the reference
-/// machine (measured before the streaming engine landed: batched full
-/// reports over two-phase generation). Kept as the denominator of
-/// the reported end-to-end speedup; the CLI-level numbers (~40 ms → see
-/// CHANGES.md) include process startup on top.
-const PR2_SERIAL_GRID_NS: f64 = 32_470_000.0;
-
 fn main() {
     let bench_started = std::time::Instant::now();
     // The `repro fig2a` population: its grid and seed.
@@ -57,15 +50,6 @@ fn main() {
         .collect();
     let total_sets = coords.len();
 
-    let two_phase = || -> Vec<TaskSet> {
-        coords
-            .iter()
-            .map(|&(p, s)| {
-                let mut rng = SmallRng::seed_from_u64(set_seed(seed, p, s));
-                generate_task_set(&mut rng, &group1(utilizations[p]))
-            })
-            .collect()
-    };
     let streaming = || -> Vec<TaskSet> {
         let mut generator = TaskSetGenerator::new();
         coords
@@ -77,10 +61,16 @@ fn main() {
             .collect()
     };
 
-    // Sanity before timing anything: streaming generation reproduces the
-    // two-phase sets, and both request shapes reproduce the uncached
-    // reference's flags.
-    let sets = two_phase();
+    // Sanity before timing anything: streaming generation reproduces a
+    // fresh generator per set, and both request shapes reproduce the
+    // uncached reference's flags.
+    let sets: Vec<TaskSet> = coords
+        .iter()
+        .map(|&(p, s)| {
+            let mut rng = SmallRng::seed_from_u64(set_seed(seed, p, s));
+            generate_task_set(&mut rng, &group1(utilizations[p]))
+        })
+        .collect();
     assert_eq!(sets, streaming(), "streaming generation must be exact");
     // The paper's three methods, not Method::ALL: the committed
     // BENCH_3.json analysis baselines are 3-method numbers (the 4-method
@@ -111,16 +101,9 @@ fn main() {
          median of {SAMPLES} samples"
     );
 
-    let generation_two_phase_ns = median_ns(SAMPLES, &two_phase);
     let generation_streaming_ns = median_ns(SAMPLES, &streaming);
-    let generation_speedup = generation_two_phase_ns / generation_streaming_ns;
     println!(
         "{:<46} {:>12}",
-        "generation, two-phase (fresh generator/set)",
-        scale(generation_two_phase_ns)
-    );
-    println!(
-        "{:<46} {:>12}   ({generation_speedup:.2}x)",
         "generation, streaming (reused scratch)",
         scale(generation_streaming_ns)
     );
@@ -153,13 +136,11 @@ fn main() {
     let end_to_end_serial_ns = median_ns(SAMPLES, || run(Jobs::serial()));
     let end_to_end_parallel_ns = median_ns(SAMPLES, || run(Jobs::Auto));
     let parallel_speedup = end_to_end_serial_ns / end_to_end_parallel_ns;
-    let speedup_vs_pr2 = PR2_SERIAL_GRID_NS / end_to_end_serial_ns;
     let generation_sets_per_second = total_sets as f64 / (generation_streaming_ns / 1e9);
     println!(
-        "{:<46} {:>12}   ({speedup_vs_pr2:.2}x vs PR-2's {})",
+        "{:<46} {:>12}",
         "end to end, streaming engine, serial",
-        scale(end_to_end_serial_ns),
-        scale(PR2_SERIAL_GRID_NS)
+        scale(end_to_end_serial_ns)
     );
     println!(
         "{:<46} {:>12}   ({parallel_speedup:.2}x)",
@@ -174,18 +155,14 @@ fn main() {
     let body = format!(
         "  \"cores\": {CORES},\n  \"sets_per_point\": {SETS},\n  \
          \"total_sets\": {total_sets},\n  \"samples\": {SAMPLES},\n  \
-         \"generation_two_phase_ns\": {generation_two_phase_ns:.0},\n  \
          \"generation_streaming_ns\": {generation_streaming_ns:.0},\n  \
-         \"generation_speedup\": {generation_speedup:.3},\n  \
          \"generation_sets_per_second\": {generation_sets_per_second:.0},\n  \
          \"analysis_batched_ns\": {analysis_batched_ns:.0},\n  \
          \"analysis_verdicts_ns\": {analysis_verdicts_ns:.0},\n  \
          \"analysis_speedup\": {analysis_speedup:.3},\n  \
          \"end_to_end_serial_ns\": {end_to_end_serial_ns:.0},\n  \
          \"end_to_end_parallel_ns\": {end_to_end_parallel_ns:.0},\n  \
-         \"parallel_speedup\": {parallel_speedup:.3},\n  \
-         \"pr2_serial_grid_ns\": {PR2_SERIAL_GRID_NS:.0},\n  \
-         \"end_to_end_speedup_vs_pr2\": {speedup_vs_pr2:.3},\n"
+         \"parallel_speedup\": {parallel_speedup:.3},\n"
     );
     rta_bench::write_report(
         "campaign",

@@ -94,28 +94,12 @@ impl SoundBlocking {
     ///
     /// Panics if `cores == 0`.
     pub fn new(lp_tasks: &[DagTask], cores: usize) -> Self {
-        Self::from_parts(
-            lp_tasks
-                .iter()
-                .map(|t| (t.dag().volume(), t.period(), t.deadline())),
-            cores,
-        )
-    }
-
-    /// Builds the bound from raw `(volume, period, deadline)` triples —
-    /// the entry the [`TaskSetCache`](crate::cache::TaskSetCache) uses so
-    /// no DAG is re-walked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores == 0`.
-    pub fn from_parts(lp: impl IntoIterator<Item = (Time, Time, Time)>, cores: usize) -> Self {
         assert!(cores >= 1, "at least one core required");
         let m = cores as u128;
         Self {
-            lp: lp
-                .into_iter()
-                .map(|(volume, period, deadline)| (m * deadline as u128, volume, period))
+            lp: lp_tasks
+                .iter()
+                .map(|t| (m * t.deadline() as u128, t.dag().volume(), t.period()))
                 .collect(),
             cores,
         }
@@ -198,19 +182,6 @@ mod tests {
             assert!(i >= last, "interference must be monotone in the window");
             last = i;
         }
-    }
-
-    #[test]
-    fn from_parts_matches_new() {
-        let tasks = [single(4, 10), single(6, 30)];
-        let direct = SoundBlocking::new(&tasks, 3);
-        let parts = SoundBlocking::from_parts(
-            tasks
-                .iter()
-                .map(|t| (t.dag().volume(), t.period(), t.deadline())),
-            3,
-        );
-        assert_eq!(direct, parts);
     }
 
     #[test]

@@ -4,22 +4,19 @@
 //! property of the task alone, computable "at compile time" (Section V-A) —
 //! independent of which task is under analysis, of the platform slice and
 //! of the analysis method. The same holds for every other quantity the
-//! fixed-point iteration touches repeatedly: longest paths, volumes,
-//! preemption-point counts, the "can run in parallel" adjacency, the LP-max
-//! WCET pools of Eq. (5) and the per-cardinality scenario maxima behind
-//! `Δ^m` / `Δ^{m−1}` (Eq. (8)).
+//! fixed-point iteration touches repeatedly: the "can run in parallel"
+//! adjacency, the LP-max WCET pools of Eq. (5), the long-chain
+//! decompositions of Long-paths and the per-cardinality scenario maxima
+//! behind `Δ^m` / `Δ^{m−1}` (Eq. (8)). The scalars Eq. (4) reads — `L_k`,
+//! `vol(G_k)`, `q_k`, `D_k`, `T_k` — are already stored in the model, so
+//! the analysis reads them from the [`TaskSet`] and the cache keeps none.
 //!
-//! [`TaskSetCache`] materializes all of them **once per task set**:
-//!
-//! * cheap per-task facts (longest path, volume, preemption points, periods,
-//!   deadlines) are captured eagerly at construction;
-//! * everything combinatorial — parallel adjacency, µ-arrays, LP-max prefix
-//!   sums, and the per-cardinality `max ρ` rows — sits behind
-//!   [`OnceCell`]s and is computed on first use, then shared by every
-//!   subsequent query. An unschedulable set that dies at the
-//!   highest-priority task therefore pays no more than the uncached
-//!   analysis did, while one bound-carrying [`crate::AnalysisRequest`]
-//!   over several methods pays the combinatorial cost exactly once.
+//! [`TaskSetCache`] materializes the tables **once per task set**: each
+//! sits behind an [`OnceCell`] and is computed on first use, then shared by
+//! every subsequent query. An unschedulable set that dies at the
+//! highest-priority task therefore pays no more than the uncached analysis
+//! did, while one bound-carrying [`crate::AnalysisRequest`] over several
+//! methods pays the combinatorial cost exactly once.
 //!
 //! µ-arrays are computed at the cache's `max_cores` and *sliced* for
 //! smaller platform slices (each entry is an independent fixed-cardinality
@@ -84,23 +81,12 @@ thread_local! {
     static RHO_SCRATCH: RefCell<RhoScratch> = RefCell::new(RhoScratch::new());
 }
 
-/// Quantities of one task that every analysis reads, captured eagerly.
-#[derive(Clone, Debug)]
-struct TaskFacts {
-    longest_path: Time,
-    volume: Time,
-    preemption_points: usize,
-    period: Time,
-    deadline: Time,
-}
-
 /// Everything about a [`TaskSet`] that the response-time analysis can
 /// precompute and share across tasks under analysis, platform slices and
 /// methods. See the [module docs](self) for what is cached and when.
 pub struct TaskSetCache<'ts> {
     task_set: &'ts TaskSet,
     max_cores: usize,
-    facts: Vec<TaskFacts>,
     adjacency: Vec<OnceCell<Vec<BitSet>>>,
     /// `mu[i]`: `µ_i[1..=max_cores]` of task `i`. The cell vector itself
     /// is allocated on first touch, like the two `max ρ` tables below, so
@@ -128,9 +114,7 @@ pub struct TaskSetCache<'ts> {
 
 impl<'ts> TaskSetCache<'ts> {
     /// Builds the cache for platform slices of up to `max_cores` cores.
-    ///
-    /// Captures the cheap per-task facts immediately; the combinatorial
-    /// tables (they cost nothing until queried) fill in lazily.
+    /// Every table fills in lazily, on the first query that needs it.
     ///
     /// # Panics
     ///
@@ -138,22 +122,10 @@ impl<'ts> TaskSetCache<'ts> {
     pub fn new(task_set: &'ts TaskSet, max_cores: usize) -> Self {
         assert!(max_cores >= 1, "at least one core required");
         let n = task_set.len();
-        let facts = task_set
-            .tasks()
-            .iter()
-            .map(|t| TaskFacts {
-                longest_path: t.dag().longest_path(),
-                volume: t.dag().volume(),
-                preemption_points: t.dag().preemption_points(),
-                period: t.period(),
-                deadline: t.deadline(),
-            })
-            .collect();
         crate::metrics::CACHE_BUILDS.inc();
         Self {
             task_set,
             max_cores,
-            facts,
             adjacency: (0..n).map(|_| OnceCell::new()).collect(),
             mu: OnceCell::new(),
             max_rho: OnceCell::new(),
@@ -172,31 +144,6 @@ impl<'ts> TaskSetCache<'ts> {
     /// at or below it.
     pub fn max_cores(&self) -> usize {
         self.max_cores
-    }
-
-    /// Longest (critical) path `L_k` of task `k`.
-    pub fn longest_path(&self, k: usize) -> Time {
-        self.facts[k].longest_path
-    }
-
-    /// Volume `vol(G_k)` of task `k`.
-    pub fn volume(&self, k: usize) -> Time {
-        self.facts[k].volume
-    }
-
-    /// Preemption-point count `q_k = |V_k| − 1` of task `k`.
-    pub fn preemption_points(&self, k: usize) -> usize {
-        self.facts[k].preemption_points
-    }
-
-    /// Period `T_k` of task `k`.
-    pub fn period(&self, k: usize) -> Time {
-        self.facts[k].period
-    }
-
-    /// Relative deadline `D_k` of task `k`.
-    pub fn deadline(&self, k: usize) -> Time {
-        self.facts[k].deadline
     }
 
     /// The long-chain decomposition `ℓ1 ≥ … ≥ ℓp` of task `k`'s DAG,
@@ -408,18 +355,11 @@ impl<'ts> TaskSetCache<'ts> {
     }
 
     /// The sound, window-dependent lower-priority term of task `k`
-    /// ([`crate::blocking::sound`]), assembled from the eagerly-captured
-    /// per-task facts — no DAG is re-walked. `None` unless the
-    /// configuration's method is [`Method::LpSound`].
+    /// ([`crate::blocking::sound`]). `None` unless the configuration's
+    /// method is [`Method::LpSound`].
     pub fn sound_blocking_for(&self, k: usize, config: &AnalysisConfig) -> Option<SoundBlocking> {
-        (config.method == Method::LpSound).then(|| {
-            SoundBlocking::from_parts(
-                self.facts[k + 1..]
-                    .iter()
-                    .map(|f| (f.volume, f.period, f.deadline)),
-                config.cores,
-            )
-        })
+        (config.method == Method::LpSound)
+            .then(|| SoundBlocking::new(self.task_set.lower_priority(k), config.cores))
     }
 }
 
@@ -483,19 +423,6 @@ mod tests {
                     "task {k}, m = {cores}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn facts_match_the_model() {
-        let ts = figure1_task_set();
-        let cache = TaskSetCache::new(&ts, 4);
-        for (k, t) in ts.tasks().iter().enumerate() {
-            assert_eq!(cache.longest_path(k), t.dag().longest_path());
-            assert_eq!(cache.volume(k), t.dag().volume());
-            assert_eq!(cache.preemption_points(k), t.dag().preemption_points());
-            assert_eq!(cache.period(k), t.period());
-            assert_eq!(cache.deadline(k), t.deadline());
         }
     }
 

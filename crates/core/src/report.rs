@@ -112,7 +112,7 @@ pub struct TaskReport {
     /// The preemption bound `p_k = min(q_k, h_k)` at the final iterate.
     pub preemption_bound: u64,
     /// Fixed-point iterations performed.
-    pub iterations: u32,
+    pub iterations: u64,
 }
 
 /// Result of analyzing a complete task set.

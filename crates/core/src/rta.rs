@@ -90,10 +90,6 @@ fn analyze_cached(cache: &TaskSetCache<'_>, config: &AnalysisConfig) -> Analysis
     );
     let start = std::time::Instant::now();
     let report = analyze_tasks(cache.task_set(), config, |k| TaskInputs {
-        longest_path: cache.longest_path(k),
-        volume: cache.volume(k),
-        deadline: cache.deadline(k),
-        preemption_points: cache.preemption_points(k),
         blocking: cache.blocking_for(k, config),
         sound: cache.sound_blocking_for(k, config),
         long_path_decomposition: (config.method == Method::LongPaths)
@@ -116,14 +112,8 @@ fn analyze_cached(cache: &TaskSetCache<'_>, config: &AnalysisConfig) -> Analysis
 /// Panics if `config.cores == 0`.
 pub fn analyze_uncached(task_set: &TaskSet, config: &AnalysisConfig) -> AnalysisReport {
     analyze_tasks(task_set, config, |k| {
-        let task = task_set.task(k);
-        let dag = task.dag();
         let lp = task_set.lower_priority(k);
         TaskInputs {
-            longest_path: dag.longest_path(),
-            volume: dag.volume(),
-            deadline: task.deadline(),
-            preemption_points: dag.preemption_points(),
             blocking: match config.method {
                 // LP-sound has no (Δ^m, Δ^{m−1}) pair — its window-dependent
                 // term is built separately and evaluated per fixed-point
@@ -135,19 +125,16 @@ pub fn analyze_uncached(task_set: &TaskSet, config: &AnalysisConfig) -> Analysis
             },
             sound: (config.method == Method::LpSound).then(|| SoundBlocking::new(lp, config.cores)),
             long_path_decomposition: (config.method == Method::LongPaths)
-                .then(|| Cow::Owned(dag.long_path_decomposition())),
+                .then(|| Cow::Owned(task_set.task(k).dag().long_path_decomposition())),
         }
     })
 }
 
-/// Everything the fixed point reads about one task under analysis,
-/// gathered by the caller — from the [`TaskSetCache`] or straight from the
-/// model.
+/// The method-specific inputs of one task under analysis, gathered by the
+/// caller — from the [`TaskSetCache`] or straight from the model. The
+/// per-task scalars (`L`, `vol`, `D`, `q`) the fixed point reads from the
+/// task set itself.
 struct TaskInputs<'a> {
-    longest_path: Time,
-    volume: Time,
-    deadline: Time,
-    preemption_points: usize,
     /// The `(Δ^m, Δ^{m−1})` pair (LP-ILP and LP-max only).
     blocking: Option<BlockingBounds>,
     /// The window-dependent sound term (LP-sound only).
@@ -207,7 +194,7 @@ struct FixedPointOutcome {
     scaled: u128,
     schedulable: bool,
     preemptions: u64,
-    iterations: u32,
+    iterations: u64,
 }
 
 /// The total higher-priority interfering workload (plain execution units)
@@ -237,7 +224,7 @@ fn hp_interference(
 /// diverges (see the module docs there for why both windows are sound and
 /// why an FP-ideal failure does not settle this method).
 fn long_paths_outcome(
-    task: &TaskInputs<'_>,
+    inputs: &TaskInputs<'_>,
     task_set: &TaskSet,
     k: usize,
     hp_bounds: &[u128],
@@ -245,13 +232,15 @@ fn long_paths_outcome(
     config: &AnalysisConfig,
 ) -> FixedPointOutcome {
     let m = config.cores as u128;
-    let deadline_scaled = m * task.deadline as u128;
-    let base = fixed_point(task, task_set, k, hp_bounds, config);
+    let analyzed = task_set.task(k);
+    let volume = analyzed.dag().volume();
+    let deadline_scaled = m * analyzed.deadline() as u128;
+    let base = fixed_point(inputs, task_set, k, hp_bounds, config);
     if base.schedulable {
         // The converged window certifies its own interference; the `min`
         // makes per-task dominance over the Graham value structural.
         let i = hp_interference(task_set, k, hp_bounds, base.scaled, config.cores);
-        let refined = long_path_bound(i, decomposition, task.volume, config.cores).min(base.scaled);
+        let refined = long_path_bound(i, decomposition, volume, config.cores).min(base.scaled);
         FixedPointOutcome {
             scaled: refined,
             ..base
@@ -262,7 +251,7 @@ fn long_paths_outcome(
         // window, so a refined bound at or below `m·D_k` is sound even
         // though the Graham recurrence never converged.
         let i = hp_interference(task_set, k, hp_bounds, deadline_scaled, config.cores);
-        let refined = long_path_bound(i, decomposition, task.volume, config.cores);
+        let refined = long_path_bound(i, decomposition, volume, config.cores);
         if refined <= deadline_scaled {
             FixedPointOutcome {
                 scaled: refined,
@@ -276,17 +265,18 @@ fn long_paths_outcome(
 }
 
 fn fixed_point(
-    task: &TaskInputs<'_>,
+    inputs: &TaskInputs<'_>,
     task_set: &TaskSet,
     k: usize,
     hp_bounds: &[u128],
     config: &AnalysisConfig,
 ) -> FixedPointOutcome {
     let m = config.cores as u128;
-    let longest = task.longest_path as u128;
-    let volume = task.volume as u128;
-    let deadline_scaled = m * task.deadline as u128;
-    let q = task.preemption_points as u128;
+    let analyzed = task_set.task(k);
+    let longest = analyzed.dag().longest_path() as u128;
+    let volume = analyzed.dag().volume() as u128;
+    let deadline_scaled = m * analyzed.deadline() as u128;
+    let q = analyzed.dag().preemption_points() as u128;
     // R⁰ = L + (vol − L)/m, scaled: m·L + (vol − L).
     let base = m * longest + (volume - longest);
 
@@ -307,7 +297,7 @@ fn fixed_point(
         .collect();
 
     let mut r = base;
-    let mut iterations = 0u32;
+    let mut iterations = 0u64;
     loop {
         iterations += 1;
         // h_k = Σ_{i ∈ hp(k)} ⌈t/T_i⌉ with t the current response window;
@@ -319,8 +309,8 @@ fn fixed_point(
         let p = q.min(h);
         // Event-counted blocking (LP-ILP / LP-max) or the sound
         // window-workload term (LP-sound) — at most one is present.
-        let i_lp: u128 = task.blocking.map_or(0, |b| b.interference(p))
-            + task.sound.as_ref().map_or(0, |s| s.interference(r));
+        let i_lp: u128 = inputs.blocking.map_or(0, |b| b.interference(p))
+            + inputs.sound.as_ref().map_or(0, |s| s.interference(r));
         let i_hp: u128 = if config.method == Method::GenSporadic {
             // Contract-anchored interference ([`crate::gen_sporadic`]):
             // deadline-anchored Melani windows, independent of the
@@ -344,7 +334,7 @@ fn fixed_point(
         debug_assert!(r_new >= r, "fixed-point iteration must be monotone");
         let preemptions = u64::try_from(p).expect("preemption bound fits u64");
         if r_new == r {
-            crate::metrics::FIXED_POINT_ITERS.add(u64::from(iterations));
+            crate::metrics::FIXED_POINT_ITERS.add(iterations);
             return FixedPointOutcome {
                 scaled: r,
                 schedulable: r <= deadline_scaled,
@@ -353,7 +343,7 @@ fn fixed_point(
             };
         }
         if r_new > deadline_scaled {
-            crate::metrics::FIXED_POINT_ITERS.add(u64::from(iterations));
+            crate::metrics::FIXED_POINT_ITERS.add(iterations);
             return FixedPointOutcome {
                 scaled: r_new,
                 schedulable: false,

@@ -313,6 +313,36 @@ fn loadgen_competitor_mix_round_trips_the_method_subset() {
 }
 
 #[test]
+fn loadgen_mixes_simulate_competitor_and_bounds_frames() {
+    // All three optional legs at once, with bounds on every analysis:
+    // each rendered frame is well formed and answered.
+    let handle = test_server(1 << 20);
+    let report = loadgen::run(&LoadgenOptions {
+        addr: handle.addr().to_string(),
+        connections: 2,
+        requests_per_connection: 30,
+        simulate_percent: 20,
+        competitor_percent: 30,
+        bounds: true,
+        pool_size: 4,
+        cores: 2,
+        target: 1.0,
+        ..Default::default()
+    })
+    .expect("loadgen run");
+    assert_eq!(report.errors, 0, "{report:?}");
+    assert_eq!(report.requests, 60);
+    assert!(report.sims > 0, "20% simulate mix produced no sims");
+    assert_eq!(
+        report.hits + report.near_hits + report.misses + report.sims,
+        report.requests,
+        "{report:?}"
+    );
+    let drain = handle.shutdown();
+    assert_eq!(drain.panicked, 0, "{drain:?}");
+}
+
+#[test]
 fn wire_shutdown_stops_the_server() {
     let handle = test_server(4096);
     let addr = handle.addr();

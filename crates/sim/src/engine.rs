@@ -84,7 +84,6 @@ struct Engine<'a> {
     /// core-fill scan.
     idle_cores: usize,
     next_assignment: u64,
-    seq_counters: Vec<u64>,
     stats: Vec<TaskStats>,
     trace: Option<Trace>,
     makespan: Time,
@@ -119,7 +118,6 @@ pub(crate) fn run(task_set: &TaskSet, request: &SimRequest) -> SimOutcome {
         any_freed: false,
         idle_cores: request.cores,
         next_assignment: 0,
-        seq_counters: vec![0; task_set.len()],
         stats: vec![TaskStats::default(); task_set.len()],
         trace: request.record_trace.then(Trace::new),
         makespan: 0,
@@ -127,14 +125,12 @@ pub(crate) fn run(task_set: &TaskSet, request: &SimRequest) -> SimOutcome {
         events_processed: 0,
     };
     engine.run();
-    let trace_dropped = engine.trace.as_ref().map_or(0, Trace::dropped);
     let outcome = SimOutcome::new(
         SimResult {
             per_task: engine.stats,
             makespan: engine.makespan,
             trace: engine.trace,
         },
-        trace_dropped,
         engine.deferred_preemptions,
         engine.events_processed,
         engine.slab.peak(),
@@ -190,8 +186,8 @@ impl Engine<'_> {
     }
 
     fn handle_release(&mut self, task: usize, now: Time) {
-        let seq = self.seq_counters[task];
-        self.seq_counters[task] += 1;
+        // A job's sequence number is the count of its task's earlier jobs.
+        let seq = self.stats[task].jobs_released;
         self.stats[task].jobs_released += 1;
 
         // `self.topo` is a shared borrow with the engine's outer lifetime,
@@ -397,7 +393,9 @@ impl Engine<'_> {
     /// of its own, the globally best ready node belongs to a
     /// higher-priority job (a preemption would happen under the eager
     /// policy), and a lower-priority job is still running on another core
-    /// (the lazy victim the waiting job must preempt instead). Without a
+    /// (the lazy victim the waiting job must preempt instead). One scan of
+    /// the cores finds the lowest-priority running job, which both decides
+    /// the claim and is the victim whose boundary gets marked. Without a
     /// claim the core takes the globally highest-priority ready node, so
     /// no core idles while work is ready.
     ///
@@ -412,19 +410,18 @@ impl Engine<'_> {
             let Some(global_best) = self.ready.first() else {
                 break;
             };
-            let key = match self.freed_by[core] {
-                Some(owner) => {
-                    let own_next = self.ready.first_of_job(owner);
-                    match own_next {
-                        Some(own)
-                            if global_best.owner() < owner
-                                && self.lower_priority_job_running(owner) =>
-                        {
-                            self.mark_deferred_preemption();
-                            own
-                        }
-                        _ => global_best,
-                    }
+            let claim = self.freed_by[core].and_then(|owner| {
+                let own = self.ready.first_of_job(owner)?;
+                if global_best.owner() >= owner {
+                    return None;
+                }
+                let (victim_core, victim) = self.lowest_priority_running()?;
+                (victim > owner).then_some((own, victim_core))
+            });
+            let key = match claim {
+                Some((own, victim_core)) => {
+                    self.mark_deferred_preemption(victim_core);
+                    own
                 }
                 None => global_best,
             };
@@ -434,36 +431,24 @@ impl Engine<'_> {
     }
 
     /// Records a lazy continuation claim: counts it and schedules the
-    /// preemption-boundary marker at the current lowest-priority victim's
-    /// node boundary. The marker carries the victim's assignment id, so it
-    /// is provably stale when it fires (the victim's completion at the
-    /// same instant has an earlier tie) — inserting it shifts absolute tie
-    /// values but never the relative order of other events, which is why
-    /// the step-loop equivalence holds under the lazy policy too.
-    fn mark_deferred_preemption(&mut self) {
+    /// preemption-boundary marker at the lowest-priority victim's node
+    /// boundary, the victim running on `victim_core`. The marker carries
+    /// the victim's assignment id, so it is provably stale when it fires
+    /// (the victim's completion at the same instant has an earlier tie) —
+    /// inserting it shifts absolute tie values but never the relative order
+    /// of other events, which is why the step-loop equivalence holds under
+    /// the lazy policy too.
+    fn mark_deferred_preemption(&mut self, victim_core: usize) {
         self.deferred_preemptions += 1;
-        if let Some((victim_core, _)) = self.lowest_priority_running() {
-            let r = self.cores[victim_core].expect("victim is running");
-            let boundary = r.start + self.slab.job(r.job).nodes[r.node].remaining;
-            self.queue.push(
-                boundary,
-                Event::PreemptionBoundary {
-                    core: victim_core as u32,
-                    assignment: r.assignment,
-                },
-            );
-        }
-    }
-
-    /// `true` when some currently-running job has lower priority than
-    /// `job` — the lazy policy's victim check.
-    fn lower_priority_job_running(&self, job: (usize, u64)) -> bool {
-        self.cores.iter().any(|slot| {
-            slot.is_some_and(|r| {
-                let running = self.slab.job(r.job);
-                (running.task, running.seq) > job
-            })
-        })
+        let r = self.cores[victim_core].expect("victim is running");
+        let boundary = r.start + self.slab.job(r.job).nodes[r.node].remaining;
+        self.queue.push(
+            boundary,
+            Event::PreemptionBoundary {
+                core: victim_core as u32,
+                assignment: r.assignment,
+            },
+        );
     }
 
     /// The running node with the numerically largest (task, seq) — the

@@ -1,11 +1,10 @@
-//! The indexed binary-heap event queue driving the simulator.
+//! The binary-heap event queue driving the simulator.
 //!
 //! Every state change in the simulator is an [`Event`] popped from an
 //! [`EventQueue`]: job releases, node completions and deferred preemption
-//! boundaries. The queue is a hand-rolled indexed binary min-heap over a
-//! flat `Vec` — entries are addressed by heap index and moved with
-//! `swap`-based sift operations, so pushes and pops are `O(log n)` with no
-//! per-event allocation.
+//! boundaries. The queue is a [`BinaryHeap`] ordered by a private key, so
+//! pushes and pops are `O(log n)` with no per-event allocation once the
+//! heap has grown.
 //!
 //! # Deterministic ordering
 //!
@@ -18,6 +17,8 @@
 //! the guarantee the step-loop equivalence proptests rely on.
 
 use rta_model::Time;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// One scheduled occurrence in the simulation.
 ///
@@ -68,11 +69,42 @@ pub struct Scheduled {
     pub event: Event,
 }
 
-/// Indexed binary min-heap of [`Scheduled`] entries ordered by
-/// `(time, tie)`.
+/// A queued [`Scheduled`] entry, ordered by its reversed `(time, tie)` key
+/// alone, so std's max-heap pops the earliest entry first. `tie` is unique
+/// per queue, so no two entries compare equal.
+#[derive(Clone, Copy, Debug)]
+struct Pending(Scheduled);
+
+impl Pending {
+    fn key(&self) -> Reverse<(Time, u64)> {
+        Reverse((self.0.time, self.0.tie))
+    }
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Pending {}
+
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// Min-queue of [`Scheduled`] entries ordered by `(time, tie)`.
 #[derive(Clone, Debug, Default)]
 pub struct EventQueue {
-    heap: Vec<Scheduled>,
+    heap: BinaryHeap<Pending>,
     tie: u64,
     high_water: usize,
 }
@@ -108,65 +140,22 @@ impl EventQueue {
     /// for the same instant.
     pub fn push(&mut self, time: Time, event: Event) {
         self.tie += 1;
-        let entry = Scheduled {
+        self.heap.push(Pending(Scheduled {
             time,
             tie: self.tie,
             event,
-        };
-        // Hole-based sift-up: shift larger parents down and write the new
-        // entry once, instead of swapping it level by level.
-        self.heap.push(entry);
+        }));
         self.high_water = self.high_water.max(self.heap.len());
-        let mut i = self.heap.len() - 1;
-        let key = (time, self.tie);
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if key < self.key(parent) {
-                self.heap[i] = self.heap[parent];
-                i = parent;
-            } else {
-                break;
-            }
-        }
-        self.heap[i] = entry;
     }
 
     /// Firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.first().map(|s| s.time)
+        self.heap.peek().map(|p| p.0.time)
     }
 
     /// Pops the earliest pending event.
     pub fn pop(&mut self) -> Option<Scheduled> {
-        let top = *self.heap.first()?;
-        let last = self.heap.pop().expect("heap is non-empty");
-        if !self.heap.is_empty() {
-            // Hole-based sift-down of the displaced last entry: shift
-            // smaller children up and write `last` once at its final slot.
-            let n = self.heap.len();
-            let key = (last.time, last.tie);
-            let mut i = 0;
-            loop {
-                let left = 2 * i + 1;
-                if left >= n {
-                    break;
-                }
-                let right = left + 1;
-                let child = if right < n && self.key(right) < self.key(left) {
-                    right
-                } else {
-                    left
-                };
-                if self.key(child) < key {
-                    self.heap[i] = self.heap[child];
-                    i = child;
-                } else {
-                    break;
-                }
-            }
-            self.heap[i] = last;
-        }
-        Some(top)
+        self.heap.pop().map(|p| p.0)
     }
 
     /// Pops the earliest pending event only if it fires exactly at `now` —
@@ -178,15 +167,12 @@ impl EventQueue {
             None
         }
     }
-
-    fn key(&self, i: usize) -> (Time, u64) {
-        (self.heap[i].time, self.heap[i].tie)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
@@ -242,5 +228,57 @@ mod tests {
         assert!(q.pop_at(3).is_some());
         assert!(q.pop_at(3).is_none());
         assert_eq!(q.peek_time(), Some(9));
+    }
+
+    /// A random queue workload, one step per entry: `(0 | 1, time)` pushes
+    /// at `time`, `(2, _)` pops, and `(3, time)` pops at `time`.
+    fn ops() -> impl Strategy<Value = Vec<(u8, Time)>> {
+        proptest::collection::vec((0u8..4, 0u64..4), 0..200)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of `push`, `pop` and `pop_at` against a
+        /// sorted reference. Times come from a small range, so most pops
+        /// break a tie; every pop must return the reference's minimum by
+        /// `(time, insertion order)`.
+        #[test]
+        fn pops_match_a_sorted_reference(ops in ops()) {
+            let mut q = EventQueue::new();
+            // Pending `(time, tie)` pairs; `tie` is the 1-based insertion
+            // number, and the event names it too.
+            let mut reference: Vec<(Time, u64)> = Vec::new();
+            let (mut pushed, mut high_water) = (0u64, 0usize);
+            for (op, time) in ops {
+                let expected = reference.iter().copied().min();
+                let popped = match op {
+                    0 | 1 => {
+                        pushed += 1;
+                        q.push(time, Event::Release { task: pushed as u32 });
+                        reference.push((time, pushed));
+                        high_water = high_water.max(reference.len());
+                        None
+                    }
+                    2 => Some((q.pop(), expected)),
+                    _ => Some((q.pop_at(time), expected.filter(|&(t, _)| t == time))),
+                };
+                if let Some((got, want)) = popped {
+                    let want = want.map(|(time, tie)| Scheduled {
+                        time,
+                        tie,
+                        event: Event::Release { task: tie as u32 },
+                    });
+                    prop_assert_eq!(got, want);
+                    if let Some(entry) = want {
+                        reference.retain(|&(_, tie)| tie != entry.tie);
+                    }
+                }
+                prop_assert_eq!(q.len(), reference.len());
+                prop_assert_eq!(q.peek_time(), reference.iter().map(|&(t, _)| t).min());
+                prop_assert_eq!(q.high_water(), high_water);
+                prop_assert_eq!(q.scheduled_total(), pushed);
+            }
+        }
     }
 }

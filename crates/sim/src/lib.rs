@@ -11,7 +11,7 @@
 //!
 //! The simulator is a discrete-event core in four layers:
 //!
-//! * [`event`] — the indexed binary-heap event queue: releases, node
+//! * [`event`] — the event queue, a std `BinaryHeap`: releases, node
 //!   completions and preemption-boundary markers, totally ordered by
 //!   `(time, insertion tie)` for bit-exact determinism;
 //! * [`topology`] — the task set flattened once per run into CSR successor

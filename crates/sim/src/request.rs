@@ -174,7 +174,6 @@ impl RunExtent {
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimOutcome {
     result: SimResult,
-    trace_dropped: u64,
     deferred_preemptions: u64,
     events_processed: u64,
     peak_live_jobs: usize,
@@ -184,7 +183,6 @@ pub struct SimOutcome {
 impl SimOutcome {
     pub(crate) fn new(
         result: SimResult,
-        trace_dropped: u64,
         deferred_preemptions: u64,
         events_processed: u64,
         peak_live_jobs: usize,
@@ -192,7 +190,6 @@ impl SimOutcome {
     ) -> Self {
         Self {
             result,
-            trace_dropped,
             deferred_preemptions,
             events_processed,
             peak_live_jobs,
@@ -246,7 +243,7 @@ impl SimOutcome {
     /// A nonzero value means the trace is *truncated*: renderings of it
     /// (counterexample Gantt charts in particular) are missing the tail.
     pub fn trace_dropped(&self) -> u64 {
-        self.trace_dropped
+        self.trace().map_or(0, Trace::dropped)
     }
 
     /// Number of lazy continuation claims honoured — preemptions deferred
